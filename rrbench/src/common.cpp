@@ -26,9 +26,6 @@ double now_s() {
 
 namespace {
 
-// Open spans of the calling thread, innermost last.
-thread_local std::vector<std::int64_t> t_open_spans;
-
 std::uint32_t thread_slot() {
   static std::atomic<std::uint32_t> next{0};
   thread_local const std::uint32_t slot = next.fetch_add(1);
@@ -56,23 +53,14 @@ std::int64_t Tracer::open(const char* name, std::uint64_t id) {
   rec.name = name;
   rec.id = id;
   rec.thread = thread_slot();
-  rec.parent = t_open_spans.empty() ? -1 : t_open_spans.back();
   rec.start_s = now_s();
-  std::int64_t index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    index = static_cast<std::int64_t>(spans_.size());
-    spans_.push_back(rec);
-  }
-  t_open_spans.push_back(index);
-  return index;
+  std::lock_guard<std::mutex> lock(mu_);
+  spans_.push_back(rec);
+  return static_cast<std::int64_t>(spans_.size()) - 1;
 }
 
 void Tracer::close(std::int64_t index) {
   const double end = now_s();
-  if (!t_open_spans.empty() && t_open_spans.back() == index) {
-    t_open_spans.pop_back();
-  }
   std::lock_guard<std::mutex> lock(mu_);
   spans_[static_cast<std::size_t>(index)].end_s = end;
 }
@@ -82,34 +70,6 @@ std::vector<double> Tracer::durations(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const SpanRecord& s : spans_) {
     if (name == s.name && s.end_s >= s.start_s) out.push_back(s.end_s - s.start_s);
-  }
-  return out;
-}
-
-std::string Tracer::summary() const {
-  struct Agg {
-    std::uint64_t count = 0;
-    double total = 0.0;
-    double children = 0.0;
-  };
-  std::map<std::string, Agg> by_name;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const SpanRecord& s : spans_) {
-    const double d = s.end_s - s.start_s;
-    Agg& a = by_name[s.name];
-    ++a.count;
-    a.total += d;
-    // Children of one span are sequential on its thread, so their
-    // durations sum to the part of the parent's interval they cover.
-    if (s.parent >= 0) by_name[spans_[static_cast<std::size_t>(s.parent)].name].children += d;
-  }
-  std::string out;
-  char line[256];
-  for (const auto& [name, a] : by_name) {
-    std::snprintf(line, sizeof line, "# span %-28s count=%llu total_s=%.6f self_s=%.6f\n",
-                  name.c_str(), static_cast<unsigned long long>(a.count),
-                  a.total, a.total - a.children);
-    out += line;
   }
   return out;
 }
@@ -124,10 +84,8 @@ bool Tracer::write_jsonl(const std::string& path) const {
       const SpanRecord& s = spans_[i];
       std::fprintf(f,
                    "{\"i\": %zu, \"name\": \"%s\", \"start_s\": %.9f, "
-                   "\"end_s\": %.9f, \"parent\": %lld, \"id\": %llu, "
-                   "\"thread\": %u}\n",
+                   "\"end_s\": %.9f, \"id\": %llu, \"thread\": %u}\n",
                    i, s.name, s.start_s, s.end_s,
-                   static_cast<long long>(s.parent),
                    static_cast<unsigned long long>(s.id), s.thread);
     }
   }
@@ -261,6 +219,26 @@ void print_spread(const char* what, const std::vector<double>& xs) {
   if (!q) return;
   std::printf("# spread %s: n=%zu q1=%.6g median=%.6g q3=%.6g\n", what, xs.size(), q->q1,
               q->q2, q->q3);
+}
+
+CpuTicks cpu_ticks() {
+  // First line: "cpu user nice system idle iowait irq softirq steal ...".
+  std::istringstream in(read_first_line("/proc/stat"));
+  std::string label;
+  in >> label;
+  CpuTicks t;
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8 && in >> v; ++i) {
+    t.total += v;
+    if (i == 7) t.steal = v;
+  }
+  return t;
+}
+
+double steal_share(const CpuTicks& from, const CpuTicks& to) {
+  if (to.total <= from.total) return 0.0;
+  return static_cast<double>(to.steal - from.steal) /
+         static_cast<double>(to.total - from.total);
 }
 
 double vm_hwm_mb(pid_t pid) {

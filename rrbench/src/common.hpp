@@ -25,13 +25,11 @@ double now_s();
 // ---- tracing ----
 
 /// One recorded span: a call from the benchmark into a module's public
-/// function. `parent` is the index of the enclosing span on the same
-/// thread (-1 at top level); `id` groups the spans of one request.
+/// function. `id` groups the spans of one request.
 struct SpanRecord {
   const char* name = "";
   double start_s = 0.0;
   double end_s = 0.0;
-  std::int64_t parent = -1;
   std::uint64_t id = 0;
   std::uint32_t thread = 0;
 };
@@ -62,9 +60,6 @@ class Tracer {
   /// Durations (seconds) of every finished span named `name`.
   std::vector<double> durations(std::string_view name) const;
 
-  /// Per-name count, total and self time (duration minus the part covered
-  /// by child spans), as text lines.
-  std::string summary() const;
   /// One JSON object per span; false if the file cannot be written.
   bool write_jsonl(const std::string& path) const;
 
@@ -145,6 +140,15 @@ std::string filesystem_type(const std::string& path);
 /// Prints "# spread <what>: n=.. q1=.. median=.. q3=.." for the per-unit
 /// samples behind a reported median (nothing with fewer than two).
 void print_spread(const char* what, const std::vector<double>& xs);
+
+/// Share of CPU time the hypervisor gave to other guests ("steal" in
+/// /proc/stat) between two readings of cpu_ticks().
+struct CpuTicks {
+  std::uint64_t total = 0;
+  std::uint64_t steal = 0;
+};
+CpuTicks cpu_ticks();
+double steal_share(const CpuTicks& from, const CpuTicks& to);
 
 /// VmHWM (peak resident set) of `pid` in MB; 0 if unreadable.
 double vm_hwm_mb(pid_t pid);

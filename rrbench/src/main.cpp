@@ -2,7 +2,7 @@
 //
 //   rrbench --workload NAME --seed N --seconds S --trace 0|1
 //
-// Runs one workload (torus-explore, ring-sweep, serve-mixed, torus-dist)
+// Runs one workload (torus-explore, ring-sweep, serve-mixed)
 // for S seconds of measurement with inputs derived from N, checks the
 // program's outputs, and prints every metric by name with its unit. The
 // last line of standard output is one JSON object:
@@ -13,7 +13,6 @@
 // a traced run (--trace 1). Every time is steady-clock wall time. A failed
 // check is named on stderr and the exit code is 1; usage errors exit 2.
 
-#include <malloc.h>
 #include <sched.h>
 
 #include <cerrno>
@@ -112,12 +111,11 @@ constexpr Workload kWorkloads[] = {
     {"torus-explore", rrbench::run_torus_explore},
     {"ring-sweep", rrbench::run_ring_sweep},
     {"serve-mixed", rrbench::run_serve_mixed},
-    {"torus-dist", rrbench::run_torus_dist},
 };
 
 int usage() {
   std::fprintf(stderr,
-               "usage: rrbench --workload torus-explore|ring-sweep|serve-mixed|torus-dist\n"
+               "usage: rrbench --workload torus-explore|ring-sweep|serve-mixed\n"
                "               --seed N --seconds S --trace 0|1\n");
   return 2;
 }
@@ -172,12 +170,6 @@ int main(int argc, char** argv) {
   }
   if (w == nullptr || !have_seed || seconds == 0 || trace > 1) return usage();
 
-  // Large buffers (checkpoint documents, decoded fields) are mapped and
-  // unmapped directly: glibc's adaptive mmap threshold otherwise moves
-  // them onto the heap after the first free, and peak RSS then varied by
-  // up to 12% between identical in-process runs.
-  ::mallopt(M_MMAP_THRESHOLD, 256 * 1024);
-
   RunContext ctx;
   ctx.seed = seed;
   ctx.seconds = static_cast<double>(seconds);
@@ -196,7 +188,10 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   Result result;
+  const rrbench::CpuTicks ticks = rrbench::cpu_ticks();
   w->run(ctx, result);
+  std::printf("# host steal share during the run: %.3f\n",
+              rrbench::steal_share(ticks, rrbench::cpu_ticks()));
 
   std::string metrics;
   const auto emit = [&](const MetricSpec& spec, double value) {
@@ -225,7 +220,6 @@ int main(int argc, char** argv) {
       emit(spec, it == result.metrics().end() ? 0.0 : it->second);
     }
     auto& tracer = rrbench::Tracer::instance();
-    std::fputs(tracer.summary().c_str(), stderr);
     std::error_code ec;
     std::filesystem::create_directories(".bench_build/traces", ec);
     const std::string path = ".bench_build/traces/" + std::string(w->name) + "-seed" +

@@ -256,7 +256,7 @@ void run_ring_sweep(const RunContext& ctx, Result& result) {
   result.set("wall_s", plain.trial_s / plain.trials);
   result.set("agent_steps_per_s", plain.agent_steps / plain.batch_s);
   result.set("trials_per_s", plain.trials / plain.batch_s);
-  const auto p99 = windowed_percentile(plain.chunk_ms, kP99Window, 0.99);
+  const auto p99 = percentile(plain.chunk_ms, 0.99);
   if (result.check(p99.has_value(), "too few step samples for step_p99_ms")) {
     result.set("step_p50_ms", median(plain.chunk_ms));
     result.set("step_p99_ms", *p99);

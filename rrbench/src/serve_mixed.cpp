@@ -1,15 +1,14 @@
 // serve-mixed: rr_serverd as a child process, driven over its AF_UNIX
-// socket by one generator thread on two connections.
+// socket by one generator thread that polls two connections without
+// sleeping.
 //
-//   * interactive: an open-loop stream of 1024-round steps at 500
+//   * interactive: an open-loop stream of 4096-round steps at 125
 //     requests/s over 4 sessions, timed from each request's due time
-//     (10000 samples in 20 s); every 31st request asks for 16384 rounds.
-//     A step spans 16 interactive quanta, so its latency is mostly
-//     scheduler work, and the long steps (with the short ones queued
-//     behind them on their session) put the p99 among requests whose
-//     latency the scheduler and kernel set. With one size of step the p99
-//     was host jitter: 64-round steps doubled it between runs, 1024-round
-//     steps still moved it by a third.
+//     (3750 samples in 30 s). A step spans 64 interactive quanta, so a
+//     host stall of a few milliseconds is a small share of its latency.
+//     In one interleaved comparison, four runs of 1024-round steps at
+//     500/s (the same rounds per second) gave p99s of 6.2 to 9.4 ms,
+//     four of 4096-round steps 13.6 to 15.5 ms.
 //   * batch: 6 long-lived ring-4096, k=4 sessions, one closed-loop job slot
 //     each. A job steps its session 8 x 4096 rounds (each step sent when
 //     the previous reply arrives) and then snapshots it; the slot then
@@ -76,17 +75,8 @@ using Span = Tracer::Span;
 constexpr std::size_t kInteractive = 4;
 constexpr rr::graph::NodeId kInteractiveN = 1024;
 constexpr std::uint32_t kInteractiveK = 8;
-constexpr std::uint64_t kInteractiveRounds = 1024;
-// Every 31st interactive request (rotating over the sessions, 3.2% of
-// them) asks for 16x the rounds.
-constexpr std::uint64_t kLongEvery = 31;
-constexpr std::uint64_t kLongFactor = 16;
-
-std::uint64_t interactive_rounds(std::uint64_t request) {
-  return request % kLongEvery == kLongEvery - 1 ? kInteractiveRounds * kLongFactor
-                                                : kInteractiveRounds;
-}
-constexpr double kInteractiveRate = 500.0;
+constexpr std::uint64_t kInteractiveRounds = 4096;
+constexpr double kInteractiveRate = 125.0;
 
 constexpr std::size_t kBatchSlots = 6;
 constexpr rr::graph::NodeId kBatchN = 4096;
@@ -549,10 +539,10 @@ void run_serve_mixed(const RunContext& ctx, Result& result) {
     while (next_inter < interactive_total && sched.due(next_inter) <= now_s()) {
       const std::uint64_t i = next_inter++;
       const std::size_t s = i % kInteractive;
-      inter_target[s] += interactive_rounds(i);
+      inter_target[s] += kInteractiveRounds;
       tracer.set_on(ctx.trace);
       if (sched.due(i) >= measure_from) lag_ms.push_back(sched.lag(i, now_s()) * 1e3);
-      send(ic, make_op(next_id++, Op::kStep, inter_session[s], interactive_rounds(i)),
+      send(ic, make_op(next_id++, Op::kStep, inter_session[s], kInteractiveRounds),
            Pending{Kind::kInteractive, i, inter_target[s], 0.0});
     }
     if (next_inter >= interactive_total && pending.empty()) break;
@@ -560,14 +550,9 @@ void run_serve_mixed(const RunContext& ctx, Result& result) {
       result.fail("serve-mixed: replies still outstanding 120 s after the run");
       break;
     }
-    double wait_s = 0.005;
-    if (next_inter < interactive_total) {
-      wait_s = std::min(wait_s, std::max(0.0, sched.due(next_inter) - now_s()));
-    }
-    pollfd pfd[2] = {{ic.fd(), POLLIN, 0}, {bc.fd(), POLLIN, 0}};
-    timespec ts{0, static_cast<long>(wait_s * 1e9)};
-    ::ppoll(pfd, 2, &ts, nullptr);
-
+    // No sleep between polls: the generator's own wake-up latency would
+    // otherwise be charged to interactive steps (timed from their due
+    // times) and added to every closed-loop batch round trip.
     replies.clear();
     tracer.set_on(ctx.trace);
     if (!ic.read_available(replies) || !bc.read_available(replies)) {
@@ -596,8 +581,8 @@ void run_serve_mixed(const RunContext& ctx, Result& result) {
             latency_ms.push_back(sched.latency(p.index, t) * 1e3);
           }
           if (t >= measure_from) {
-            agent_steps += static_cast<double>(interactive_rounds(p.index) * kInteractiveK);
-            served_rounds += static_cast<double>(interactive_rounds(p.index));
+            agent_steps += static_cast<double>(kInteractiveRounds * kInteractiveK);
+            served_rounds += static_cast<double>(kInteractiveRounds);
           }
           break;
         case Kind::kBackground:
@@ -715,7 +700,7 @@ void run_serve_mixed(const RunContext& ctx, Result& result) {
   result.set("wall_s", median(wall[0]));
   result.set("agent_steps_per_s", agent_steps / elapsed);
   result.set("trials_per_s", static_cast<double>(measured_jobs) / elapsed);
-  const auto p99 = windowed_percentile(latency_ms, kP99Window, 0.99);
+  const auto p99 = percentile(latency_ms, 0.99);
   if (result.check(p99.has_value(), "too few interactive samples for step_p99_ms")) {
     result.set("step_p50_ms", median(latency_ms));
     result.set("step_p99_ms", *p99);

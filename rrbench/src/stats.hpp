@@ -19,10 +19,6 @@ namespace rrbench {
 /// beyond it; with fewer, the "p99" of a run is just its maximum.
 inline constexpr std::size_t kTailSamples = 10;
 
-/// Window of the reported step_p99_ms: the smallest sample that carries a
-/// p99 with kTailSamples beyond it.
-inline constexpr std::size_t kP99Window = 1000;
-
 /// Nearest-rank percentile, p in (0, 1]. nullopt when `xs` is empty or
 /// fewer than kTailSamples samples rank above the chosen one.
 inline std::optional<double> percentile(std::vector<double> xs, double p) {
@@ -45,36 +41,12 @@ inline std::size_t samples_for_percentile(double p) {
   return n;
 }
 
-/// Median over consecutive windows of `window` samples (taken in the order
-/// given; a trailing partial window is dropped) of each window's
-/// percentile p. A stall that hits one window moves that window's tail,
-/// not the reported figure. nullopt unless at least one full window
-/// exists and each window supports p on its own.
-inline std::optional<double> windowed_percentile(const std::vector<double>& xs,
-                                                 std::size_t window, double p);
-
 /// Median (mean of the two middle samples for even sizes); 0 when empty.
 inline double median(std::vector<double> xs) {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
   const std::size_t n = xs.size();
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-inline std::optional<double> windowed_percentile(const std::vector<double>& xs,
-                                                 std::size_t window, double p) {
-  if (window == 0) return std::nullopt;
-  std::vector<double> tails;
-  for (std::size_t begin = 0; begin + window <= xs.size(); begin += window) {
-    const auto tail = percentile(
-        std::vector<double>(xs.begin() + static_cast<std::ptrdiff_t>(begin),
-                            xs.begin() + static_cast<std::ptrdiff_t>(begin + window)),
-        p);
-    if (!tail) return std::nullopt;
-    tails.push_back(*tail);
-  }
-  if (tails.empty()) return std::nullopt;
-  return median(tails);
 }
 
 struct Quartiles {

@@ -1,9 +1,16 @@
-// torus-explore and torus-dist: one large torus instance stepped through
-// the registry exactly as `rr_cli run` does, once shard-parallel in this
-// process and once on rr_noded worker processes.
+// torus-explore: one large torus instance stepped through the registry
+// exactly as `rr_cli run` does, shard-parallel in this process. The same
+// instance also runs through `--engine dist` on rr_noded worker processes,
+// checked against the sequential reference on every run and timed for the
+// dist layer's metrics on traced runs. The dist engine has no workload of
+// its own: its rounds wait on five processes that each sleep and wake
+// every round, and on a shared VM bursts of steal time of 5 to 15 s cut
+// its speed by up to 6x; over five seeds its throughput and latency
+// figures spread by 0.27 to 0.66 (IQR / median).
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,6 +46,9 @@ constexpr std::uint32_t kAgents = 1u << 16;
 constexpr std::uint64_t kRounds = 600;
 constexpr std::uint64_t kCkptEvery = 50;
 constexpr std::uint64_t kContinue = 100;
+// Dist repetitions on a traced run: the faster half (see faster_half)
+// then holds 1200 timed rounds, enough for dist.round_ms_p99.
+constexpr std::size_t kDistReps = 4;
 
 struct Instance {
   rr::graph::GraphDescriptor descriptor;
@@ -63,7 +73,9 @@ struct Rep {
   double save_s = 0.0;
   double resume_s = 0.0;
   double wall_s = 0.0;
+  double cycle_s = 0.0;  // wall_s plus tearing the engine down
   std::vector<double> round_s;
+  std::vector<double> round_core_s;  // round_s minus periodic checkpoint time
   std::uint64_t cover = rr::sim::kNotCovered;
   std::uint64_t hash_final = 0;
   std::uint64_t hash_resumed = 0;
@@ -71,7 +83,7 @@ struct Rep {
   std::size_t ckpt_bytes = 0;
   std::uint64_t auto_fires = 0;
   double auto_s = 0.0;
-  // torus-dist only
+  // dist repetitions only
   rr::core::DistCommsStats comms;
   double workers_rss_mb = 0.0;
   std::size_t workers = 0;
@@ -79,7 +91,7 @@ struct Rep {
 
 /// The graph layer's share of engine construction, measured by calling
 /// it directly (the registry factory repeats this work inside
-/// registry.create / dist.create). Traced repetitions only.
+/// registry.create). Traced repetitions only.
 void trace_graph_layer(const Instance& in, unsigned shards) {
   std::optional<rr::graph::Graph> g;
   std::optional<rr::graph::CsrGraph> csr;
@@ -93,17 +105,21 @@ void trace_graph_layer(const Instance& in, unsigned shards) {
   rr::graph::Partition part(*csr, shards);
 }
 
-/// Steps one round per run(1) call, timing each call, and notes the
-/// round the engine covered the graph.
+/// Steps one round per run(1) call, timing each call with and without
+/// the periodic checkpoint it may have written, and notes the round the
+/// engine covered the graph.
 double step_rounds(Engine& e, std::uint64_t rounds, const char* span, Rep& r) {
   const double t0 = now_s();
   for (std::uint64_t i = 0; i < rounds; ++i) {
     const double a = now_s();
+    const double auto_before = r.auto_s;
     {
       Span s(span);
       e.run(1);
     }
-    r.round_s.push_back(now_s() - a);
+    const double d = now_s() - a;
+    r.round_s.push_back(d);
+    r.round_core_s.push_back(d - (r.auto_s - auto_before));
     if (r.cover == rr::sim::kNotCovered && e.all_covered()) r.cover = e.time();
   }
   return now_s() - t0;
@@ -223,7 +239,6 @@ Rep explore_rep(const Instance& in, const RunContext& ctx,
 Rep dist_rep(const Instance& in, const RunContext& ctx, Result& result) {
   Rep r;
   r.traced = Tracer::instance().on();
-  if (r.traced) trace_graph_layer(in, ctx.nproc);
 
   const double t0 = now_s();
   rr::sim::EngineConfig config;
@@ -237,22 +252,22 @@ Rep dist_rep(const Instance& in, const RunContext& ctx, Result& result) {
     engine = rr::sim::EngineRegistry::instance().create("dist", in.descriptor,
                                                         config, &error);
   }
-  if (!result.check(engine != nullptr, "torus-dist: dist create: " + error)) {
+  if (!result.check(engine != nullptr, "dist: dist create: " + error)) {
     return r;
   }
-  engine = wrap(std::move(engine), result, "torus-dist");
+  engine = wrap(std::move(engine), result, "dist");
   if (!engine) return r;
   r.setup_s = now_s() - t0;
   auto* cj = dynamic_cast<rr::sim::CycleJumpEngine*>(engine.get());
   auto* dist = dynamic_cast<rr::core::DistributedRotorRouter*>(
       cj != nullptr ? &cj->inner() : engine.get());
-  if (!result.check(dist != nullptr, "torus-dist: engine is not distributed")) {
+  if (!result.check(dist != nullptr, "dist: engine is not distributed")) {
     return r;
   }
 
   r.step_s = step_rounds(*engine, kRounds, "dist.round", r);
   result.attempt(kRounds);
-  if (!result.check(!dist->halted(), "torus-dist: coordinator halted (a worker died)")) {
+  if (!result.check(!dist->halted(), "dist: coordinator halted (a worker died)")) {
     return r;
   }
   r.hash_final = engine->config_hash();
@@ -263,21 +278,22 @@ Rep dist_rep(const Instance& in, const RunContext& ctx, Result& result) {
     r.workers_rss_mb += vm_hwm_mb(pid);
     ++r.workers;
   }
-  result.check(r.workers == ctx.nproc, "torus-dist: expected one rr_noded per worker");
+  result.check(r.workers == ctx.nproc, "dist: expected one rr_noded per worker");
   r.ok = true;
   return r;  // the engine's destructor shuts down and reaps the workers
 }
 
-/// Repeats `rep` until the measuring time is spent and enough rounds were
-/// timed for a p99 (on each side of the traced/untraced split when
-/// tracing). Traced runs trace every other repetition, so the two halves
-/// give trace.overhead_share. One unmeasured repetition runs first: the
-/// first one in a fresh process ran up to 3x slower per round.
+/// Repeats `rep` until the measuring time is spent and the faster half of
+/// the repetitions timed enough rounds for a p99 (on each side of the
+/// traced/untraced split when tracing). Traced runs trace every other
+/// repetition, so the two halves give trace.overhead_share. One
+/// unmeasured repetition runs first: the first one in a fresh process ran
+/// up to 3x slower per round.
 template <typename RepFn>
-std::vector<Rep> repeat(const RunContext& ctx, RepFn&& rep, double* measured_s) {
+std::vector<Rep> repeat(const RunContext& ctx, RepFn&& rep) {
   if (!rep().ok) return {};
   std::vector<Rep> reps;
-  const std::size_t need = samples_for_percentile(0.99);
+  const std::size_t need = 2 * samples_for_percentile(0.99);
   std::size_t timed[2] = {0, 0};
   const double t0 = now_s();
   for (;;) {
@@ -287,20 +303,31 @@ std::vector<Rep> repeat(const RunContext& ctx, RepFn&& rep, double* measured_s) 
     if (!reps.empty() && enough_time && enough_rounds) break;
     const bool traced = ctx.trace && reps.size() % 2 == 1;
     Tracer::instance().set_on(traced);
+    const double c0 = now_s();
     reps.push_back(rep());
+    reps.back().cycle_s = now_s() - c0;
     Tracer::instance().set_on(false);
     if (!reps.back().ok) break;
     timed[traced ? 1 : 0] += reps.back().round_s.size();
   }
-  *measured_s = now_s() - t0;
   return reps;
 }
 
-std::vector<const Rep*> select(const std::vector<Rep>& reps, bool traced) {
+/// The faster half (by wall_s, rounded up) of the finished traced or
+/// untraced repetitions. Every metric of this workload is taken from it.
+/// On a shared VM, bursts of steal time of 5 to 15 s (up to a fifth of
+/// each vCPU) stretched every round of a repetition they hit: each round
+/// waits for all shards, so a stall of any one of them stalls the round.
+/// Stalls only ever add time; a slower program slows every repetition,
+/// the faster half included.
+std::vector<const Rep*> faster_half(const std::vector<Rep>& reps, bool traced) {
   std::vector<const Rep*> out;
   for (const Rep& r : reps) {
     if (r.ok && r.traced == traced) out.push_back(&r);
   }
+  std::sort(out.begin(), out.end(),
+            [](const Rep* a, const Rep* b) { return a->wall_s < b->wall_s; });
+  out.resize((out.size() + 1) / 2);
   return out;
 }
 
@@ -311,31 +338,37 @@ std::vector<double> collect(const std::vector<const Rep*>& reps, F&& f) {
   return out;
 }
 
-std::vector<double> rounds_ms(const std::vector<const Rep*>& reps) {
+std::vector<double> rounds_ms(const std::vector<const Rep*>& reps,
+                              std::vector<double> Rep::*times) {
   std::vector<double> out;
   for (const Rep* r : reps) {
-    for (double s : r->round_s) out.push_back(s * 1e3);
+    for (double s : r->*times) out.push_back(s * 1e3);
   }
   return out;
 }
 
+/// Stepping time without the periodic checkpoints written during it.
+double core_step_s(const Rep& r) { return r.step_s - r.auto_s; }
+
 /// The end-to-end metrics, from untraced repetitions.
-void emit_end_to_end(const std::vector<Rep>& reps, double measured_s,
-                     double rss_mb, Result& result) {
-  const auto plain = select(reps, false);
+void emit_end_to_end(const std::vector<Rep>& reps, double rss_mb, Result& result) {
+  std::vector<double> walls;
+  for (const Rep& r : reps) {
+    if (r.ok && !r.traced) walls.push_back(r.wall_s);
+  }
+  print_spread("wall_s (all untraced repetitions)", walls);
+  const auto plain = faster_half(reps, false);
   if (plain.empty()) return;
-  print_spread("wall_s", collect(plain, [](const Rep& r) { return r.wall_s; }));
   result.set("setup_s", median(collect(plain, [](const Rep& r) { return r.setup_s; })));
   result.set("wall_s", median(collect(plain, [](const Rep& r) { return r.wall_s; })));
   result.set("agent_steps_per_s",
              median(collect(plain, [](const Rep& r) {
                return static_cast<double>(kAgents) * kRounds / r.step_s;
              })));
-  std::size_t done = 0;
-  for (const Rep& r : reps) done += r.ok ? 1 : 0;
-  result.set("trials_per_s", static_cast<double>(done) / measured_s);
-  const auto ms = rounds_ms(plain);
-  const auto p99 = windowed_percentile(ms, kP99Window, 0.99);
+  result.set("trials_per_s",
+             1.0 / median(collect(plain, [](const Rep& r) { return r.cycle_s; })));
+  const auto ms = rounds_ms(plain, &Rep::round_s);
+  const auto p99 = percentile(ms, 0.99);
   if (result.check(p99.has_value(), "too few round samples for step_p99_ms")) {
     result.set("step_p50_ms", median(ms));
     result.set("step_p99_ms", *p99);
@@ -343,12 +376,10 @@ void emit_end_to_end(const std::vector<Rep>& reps, double measured_s,
   result.set("peak_rss_mb", rss_mb);
 }
 
-/// Per-layer metrics shared by both torus workloads, from traced
-/// repetitions.
-void emit_layers(const std::vector<Rep>& reps, const char* round_metric_prefix,
-                 std::uint64_t cover, Result& result) {
-  const auto traced = select(reps, true);
-  const auto plain = select(reps, false);
+/// Per-layer metrics of the sharded engine, from traced repetitions.
+void emit_layers(const std::vector<Rep>& reps, std::uint64_t cover, Result& result) {
+  const auto traced = faster_half(reps, true);
+  const auto plain = faster_half(reps, false);
   if (traced.empty() || plain.empty()) return;
   Tracer& t = Tracer::instance();
   result.set("graph.build_s", median(t.durations("graph.build")));
@@ -361,12 +392,10 @@ void emit_layers(const std::vector<Rep>& reps, const char* round_metric_prefix,
                     arcs * (4 + 4);
   result.set("graph.working_set_mb", ws / (1 << 20));
   result.set("graph.llc_mb", static_cast<double>(llc_bytes()) / (1 << 20));
-  result.set("core.step_s", median(collect(traced, [](const Rep& r) { return r.step_s; })));
-  const auto ms = rounds_ms(traced);
-  result.set(std::string(round_metric_prefix) + "round_ms_p50", median(ms));
-  if (const auto p99 = percentile(ms, 0.99)) {
-    result.set(std::string(round_metric_prefix) + "round_ms_p99", *p99);
-  }
+  result.set("core.step_s", median(collect(traced, core_step_s)));
+  const auto ms = rounds_ms(traced, &Rep::round_core_s);
+  result.set("core.round_ms_p50", median(ms));
+  if (const auto p99 = percentile(ms, 0.99)) result.set("core.round_ms_p99", *p99);
   result.set("core.agent_steps", static_cast<double>(kAgents) * kRounds);
   result.set("core.cover_rounds", static_cast<double>(cover));
   double samples = 0, laps = 0, rejects = 0, abandoned = 0, leaped = 0;
@@ -388,6 +417,47 @@ void emit_layers(const std::vector<Rep>& reps, const char* round_metric_prefix,
   result.set("trace.overhead_share", wall_traced / wall_plain - 1.0);
 }
 
+/// The dist engine on the same instance: one checked repetition, or on a
+/// traced run kDistReps timed ones for the dist layer's metrics.
+void run_dist(const Instance& in, const RunContext& ctx, std::uint64_t ref_final,
+              std::uint64_t cover, Result& result) {
+  std::vector<Rep> reps;
+  Tracer::instance().set_on(ctx.trace);
+  for (std::size_t i = 0; i < (ctx.trace ? kDistReps : 1); ++i) {
+    reps.push_back(dist_rep(in, ctx, result));
+    if (!reps.back().ok) break;
+  }
+  Tracer::instance().set_on(false);
+  result.check(child_pids().empty(), "dist: rr_noded workers left running");
+  for (const Rep& r : reps) {
+    if (!r.ok) continue;
+    result.check(r.hash_final == ref_final, "dist: dist hash vs sequential reference");
+    result.check(r.cover == cover, "dist: cover round vs sequential reference");
+  }
+  if (!ctx.trace) return;
+  const auto traced = faster_half(reps, true);
+  if (traced.empty()) return;
+  result.set("dist.create_s", median(collect(traced, [](const Rep& r) { return r.setup_s; })));
+  const auto ms = rounds_ms(traced, &Rep::round_s);
+  result.set("dist.round_ms_p50", median(ms));
+  if (const auto p99 = percentile(ms, 0.99)) result.set("dist.round_ms_p99", *p99);
+  double spill = 0, batches = 0, mid = 0, rounds = 0, rss = 0, workers = 0;
+  for (const Rep* r : traced) {
+    spill += static_cast<double>(r->comms.spill_bytes);
+    batches += static_cast<double>(r->comms.batches);
+    mid += static_cast<double>(r->comms.mid_scan_batches);
+    rounds += static_cast<double>(r->comms.rounds);
+    rss += r->workers_rss_mb;
+    workers += static_cast<double>(r->workers);
+  }
+  if (rounds > 0) {
+    result.set("dist.spill_bytes_per_round", spill / rounds);
+    result.set("dist.batches_per_round", batches / rounds);
+  }
+  if (batches > 0) result.set("dist.mid_scan_share", mid / batches);
+  if (workers > 0) result.set("dist.worker_rss_mb", rss / workers);
+}
+
 }  // namespace
 
 void run_torus_explore(const RunContext& ctx, Result& result) {
@@ -396,9 +466,7 @@ void run_torus_explore(const RunContext& ctx, Result& result) {
   const Instance in = make_instance(ctx.seed);
   rr::sim::ThreadPool pool(ctx.nproc);
 
-  double measured_s = 0.0;
-  const auto reps = repeat(
-      ctx, [&] { return explore_rep(in, ctx, pool, dir, result); }, &measured_s);
+  const auto reps = repeat(ctx, [&] { return explore_rep(in, ctx, pool, dir, result); });
   // Peak RSS of the system under test: read before the reference runs.
   const double rss_mb = vm_hwm_mb(::getpid());
 
@@ -430,15 +498,18 @@ void run_torus_explore(const RunContext& ctx, Result& result) {
                    last_auto->config_hash() == ref_final,
                "torus-explore: periodic checkpoint vs sequential reference");
 
-  emit_end_to_end(reps, measured_s, rss_mb, result);
+  emit_end_to_end(reps, rss_mb, result);
+  run_dist(in, ctx, ref_final, cover, result);
   if (!ctx.trace) return;
-  emit_layers(reps, "core.", cover, result);
-  const auto traced = select(reps, true);
+  emit_layers(reps, cover, result);
+  const auto traced = faster_half(reps, true);
   if (traced.empty()) return;
   Tracer& t = Tracer::instance();
   result.set("registry.create_s", median(t.durations("registry.create")));
+  // Both sides step the same 600 rounds without checkpoints; the sharded
+  // side comes from untraced repetitions.
   result.set("shard.wall_speedup",
-             seq_step_s / median(collect(traced, [](const Rep& r) { return r.step_s; })));
+             seq_step_s / median(collect(faster_half(reps, false), core_step_s)));
   result.set("ckpt.encode_s", median(t.durations("ckpt.encode")));
   result.set("ckpt.write_s", median(t.durations("ckpt.write")));
   result.set("ckpt.parse_s", median(t.durations("ckpt.parse")));
@@ -450,52 +521,6 @@ void run_torus_explore(const RunContext& ctx, Result& result) {
   const double bytes = static_cast<double>(traced.front()->ckpt_bytes);
   result.set("ckpt.bytes", bytes);
   result.set("ckpt.bytes_per_node", bytes / (static_cast<double>(kSide) * kSide));
-}
-
-void run_torus_dist(const RunContext& ctx, Result& result) {
-  const Instance in = make_instance(ctx.seed);
-  double measured_s = 0.0;
-  const auto reps = repeat(ctx, [&] { return dist_rep(in, ctx, result); }, &measured_s);
-  result.check(child_pids().empty(), "torus-dist: rr_noded workers left running");
-  double workers_rss = 0.0;
-  for (const Rep& r : reps) workers_rss = std::max(workers_rss, r.workers_rss_mb);
-  // Coordinator plus its workers; read before the reference runs.
-  const double rss_mb = vm_hwm_mb(::getpid()) + workers_rss;
-
-  rr::sim::EngineConfig seq;
-  seq.agents = in.agents;
-  auto ref = rr::sim::EngineRegistry::instance().create("rotor", in.descriptor, seq);
-  if (!result.check(ref != nullptr, "torus-dist: reference create")) return;
-  const std::uint64_t cover = ref->run_until_covered(kRounds);
-  ref->run(kRounds - ref->time());
-  const std::uint64_t ref_final = ref->config_hash();
-  for (const Rep& r : reps) {
-    if (!r.ok) continue;
-    result.check(r.hash_final == ref_final, "torus-dist: dist hash vs sequential reference");
-    result.check(r.cover == cover, "torus-dist: cover round vs sequential reference");
-  }
-
-  emit_end_to_end(reps, measured_s, rss_mb, result);
-  if (!ctx.trace) return;
-  emit_layers(reps, "dist.", cover, result);
-  const auto traced = select(reps, true);
-  if (traced.empty()) return;
-  result.set("dist.create_s", median(Tracer::instance().durations("dist.create")));
-  double spill = 0, batches = 0, mid = 0, rounds = 0, rss = 0, workers = 0;
-  for (const Rep* r : traced) {
-    spill += static_cast<double>(r->comms.spill_bytes);
-    batches += static_cast<double>(r->comms.batches);
-    mid += static_cast<double>(r->comms.mid_scan_batches);
-    rounds += static_cast<double>(r->comms.rounds);
-    rss += r->workers_rss_mb;
-    workers += static_cast<double>(r->workers);
-  }
-  if (rounds > 0) {
-    result.set("dist.spill_bytes_per_round", spill / rounds);
-    result.set("dist.batches_per_round", batches / rounds);
-  }
-  if (batches > 0) result.set("dist.mid_scan_share", mid / batches);
-  if (workers > 0) result.set("dist.worker_rss_mb", rss / workers);
 }
 
 }  // namespace rrbench

@@ -10,12 +10,10 @@
 namespace rrbench {
 
 /// `rr_cli run --shards` on one large torus: sharded stepping with
-/// periodic v2 checkpoints, a final save, and a resume that continues.
+/// periodic v2 checkpoints, a final save, and a resume that continues;
+/// then the same instance through `--engine dist` with fork/exec'd
+/// rr_noded workers, checked (and timed for the dist layer when traced).
 void run_torus_explore(const RunContext& ctx, Result& result);
-
-/// The same instance through `--engine dist` with fork/exec'd rr_noded
-/// workers.
-void run_torus_dist(const RunContext& ctx, Result& result);
 
 /// Table-1 style sweep: thousands of small random ring trials fanned out
 /// through sim::Runner on the ring, rotor and lazy backends.

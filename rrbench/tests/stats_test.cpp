@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "stats.hpp"
@@ -39,24 +40,18 @@ TEST(Percentile, IgnoresInputOrderAndRejectsBadArguments) {
   EXPECT_FALSE(percentile(xs, 1.5).has_value());
 }
 
-TEST(WindowedPercentile, IsTheMedianOfPerWindowTails) {
-  // Three windows of 1000; the middle one ends in a burst of 40 large
-  // samples. The median of the three window p99s ignores the burst.
+TEST(Percentile, AStallBurstReachesTheTail) {
+  // 3000 samples, 40 of them (1.3%) stalled in one burst: the p99 of the
+  // whole run is a stalled sample, wherever in the run the burst fell.
   std::vector<double> xs;
-  for (int w = 0; w < 3; ++w) {
-    for (int i = 1; i <= 1000; ++i) xs.push_back(w == 1 && i > 960 ? 1e6 : i);
-  }
-  const auto p = windowed_percentile(xs, 1000, 0.99);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_DOUBLE_EQ(*p, 990.0);
-  // The same samples as one window put the burst at the p99.
+  for (int i = 1; i <= 3000; ++i) xs.push_back(i > 1000 && i <= 1040 ? 1e6 : i);
   EXPECT_DOUBLE_EQ(*percentile(xs, 0.99), 1e6);
-  // A trailing partial window is dropped; no full window, no figure.
-  xs.resize(2500);
-  EXPECT_TRUE(windowed_percentile(xs, 1000, 0.99).has_value());
-  EXPECT_FALSE(windowed_percentile(std::vector<double>(999, 1.0), 1000, 0.99).has_value());
-  // Windows too small for the percentile report nothing.
-  EXPECT_FALSE(windowed_percentile(xs, 500, 0.99).has_value());
+  std::rotate(xs.begin(), xs.begin() + 1500, xs.end());
+  EXPECT_DOUBLE_EQ(*percentile(xs, 0.99), 1e6);
+  // 29 stalled samples (under 1%) leave the p99 among the normal ones.
+  std::vector<double> ys = iota(3000);
+  for (int i = 0; i < 29; ++i) ys[static_cast<std::size_t>(i)] = 1e6;
+  EXPECT_LT(*percentile(ys, 0.99), 1e6);
 }
 
 TEST(Median, OddAndEvenSizes) {
