@@ -8,12 +8,22 @@
 // engines agree on the final config_hash (the lazy engine is exact, not
 // approximate), and prints the speed-up. Acceptance gate: >= 5x at
 // n = 2^20, k <= 64 post-transient.
+//
+// The second table measures both sides of the promotion rule
+// (LazyRingRotorRouter::leaps_pay) on crowded post-cover rings, with random
+// placement and pointers and with equally spaced agents on default
+// pointers: the lazy engine as the rule leaves it, and a twin forced onto
+// the sparse representation. Where the forced twin loses to
+// the dense engine, leaps are too short to pay and the rule must keep the
+// engine dense; kWideLeapFactor (random rows) and kSpreadGap (spaced rows)
+// are set from these rows.
 
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "analysis/table.hpp"
+#include "common/rng.hpp"
 #include "core/initializers.hpp"
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
@@ -75,7 +85,65 @@ int main() {
       " post-transient state (n = %u); `hash match` certifies bit-equal"
       " final configurations. The lazy engine's advantage is leap length:"
       " between interaction events it advances every agent through half the"
-      " minimum inter-agent gap in O(k log k) work.\n",
+      " minimum inter-agent gap in O(k log k) work.\n\n",
       static_cast<unsigned long long>(measured), n);
+
+  struct Crowd {
+    NodeId n;
+    std::uint32_t k;
+    bool spaced;  // equally spaced on default pointers, else random
+  };
+  const std::uint64_t post = rr::sim::scaled(1ULL << 18);
+  rr::analysis::Table c({"n", "k", "n/k^2", "start", "engine", "promoted",
+                         "rounds/s", "vs dense", "hash match"});
+  for (const Crowd& crowd :
+       {Crowd{1024, 32, false}, Crowd{4096, 32, false}, Crowd{4096, 16, false},
+        Crowd{4096, 8, false}, Crowd{1024, 32, true}, Crowd{2048, 32, true},
+        Crowd{4096, 32, true}}) {
+    rr::Rng rng(0x1A2CULL + crowd.n + crowd.k);
+    const auto agents =
+        crowd.spaced ? rr::core::place_equally_spaced(crowd.n, crowd.k)
+                     : rr::core::place_random(crowd.n, crowd.k, rng);
+    const auto ptrs = crowd.spaced ? std::vector<std::uint8_t>{}
+                                   : rr::core::pointers_random(crowd.n, rng);
+    RingRotorRouter dense(crowd.n, agents, ptrs);
+    LazyRingRotorRouter lazy(crowd.n, agents, ptrs);
+    LazyRingRotorRouter forced(crowd.n, agents, ptrs);
+    const std::uint64_t cover = dense.run_until_covered(~0ULL >> 1);
+    lazy.run(cover);
+    forced.run(cover);
+    forced.try_promote(/*force=*/true);
+
+    const double dense_rps =
+        static_cast<double>(post) / seconds_of([&] { dense.run(post); });
+    const auto add = [&](const char* name, const LazyRingRotorRouter& e,
+                         double rps) {
+      const bool match = dense.config_hash() == e.config_hash() &&
+                         dense.time() == e.time();
+      c.add_row({rr::analysis::Table::integer(crowd.n),
+                 rr::analysis::Table::integer(crowd.k),
+                 rr::analysis::Table::integer(crowd.n / (crowd.k * crowd.k)),
+                 crowd.spaced ? "spaced" : "random", name, e.lazy() ? "yes" : "no",
+                 rr::analysis::Table::num(rps, 0),
+                 rr::analysis::Table::num(rps / dense_rps, 2),
+                 match ? "yes" : "NO"});
+    };
+    const double lazy_rps =
+        static_cast<double>(post) / seconds_of([&] { lazy.run(post); });
+    const double forced_rps =
+        static_cast<double>(post) / seconds_of([&] { forced.run(post); });
+    add("lazy (rule)", lazy, lazy_rps);
+    add("lazy (forced)", forced, forced_rps);
+  }
+  c.print();
+  std::printf(
+      "\nCrowded rings, %llu rounds after cover. `lazy (forced)` is the"
+      " sparse representation the rule would promote to; once it beats the"
+      " dense engine (vs dense > 1) promotion pays. The rule schedules"
+      " promotion checks from n/k^2 >= %llu on, and below that promotes only"
+      " a compact start whose agents are at least %llu nodes apart.\n",
+      static_cast<unsigned long long>(post),
+      static_cast<unsigned long long>(LazyRingRotorRouter::kWideLeapFactor),
+      static_cast<unsigned long long>(LazyRingRotorRouter::kSpreadGap));
   return 0;
 }

@@ -343,6 +343,8 @@ std::uint32_t hypercube_dim(rr::graph::NodeId size) {
 }
 
 // Descriptor text for the --topo/--size sugar; --graph passes through.
+// The one list of --topo values: an unknown one prints an error and
+// returns "" (callers exit 2).
 std::string topo_descriptor(const Flags& f) {
   using rr::graph::GraphDescriptor;
   if (!f.graph.empty()) return f.graph;
@@ -353,7 +355,12 @@ std::string topo_descriptor(const Flags& f) {
     return GraphDescriptor::hypercube(hypercube_dim(f.size)).text();
   }
   if (f.topo == "tree") return GraphDescriptor::binary_tree(f.size).text();
-  return GraphDescriptor::ring(f.size).text();
+  if (f.topo == "ring") return GraphDescriptor::ring(f.size).text();
+  std::fprintf(stderr,
+               "rr_cli: --topo must be one of ring, grid, torus, clique, "
+               "hypercube, tree (got %s)\n",
+               f.topo.c_str());
+  return {};
 }
 
 // k agents spread evenly over the node-id range.
@@ -562,6 +569,7 @@ int cmd_run(const Flags& f) {
                 static_cast<double>(substrate->image_bytes()) / (1u << 30));
   } else {
     descriptor = topo_descriptor(f);
+    if (descriptor.empty()) return 2;
     engine = build_engine(f, descriptor);
     if (!engine) return 2;
   }
@@ -626,6 +634,7 @@ int cmd_build_graph(const Flags& f) {
     return 2;
   }
   const std::string descriptor = topo_descriptor(f);
+  if (descriptor.empty()) return 2;
   std::string error;
   if (!rr::graph::MappedSubstrate::build(descriptor, f.out, &error)) {
     std::fprintf(stderr, "rr_cli: build-graph: %s\n", error.c_str());
@@ -710,6 +719,7 @@ int cmd_trace(Flags f) {
     // Non-ring substrates draw through the engine-generic renderer; torus
     // and grid runs lay out as 2-D blocks (one line per row).
     const std::string descriptor = topo_descriptor(f);
+    if (descriptor.empty()) return 2;
     auto engine = build_engine(f, descriptor);
     if (!engine) return 2;
     const auto d = rr::graph::GraphDescriptor::parse(descriptor);
@@ -762,14 +772,15 @@ int cmd_config(int argc, char** argv) {
 }
 
 int cmd_lockin(const Flags& f) {
-  rr::graph::Graph g = [&] {
-    if (f.topo == "grid") return rr::graph::grid(f.size, f.size);
-    if (f.topo == "torus") return rr::graph::torus(f.size, f.size);
-    if (f.topo == "clique") return rr::graph::clique(f.size);
-    if (f.topo == "hypercube") return rr::graph::hypercube(hypercube_dim(f.size));
-    if (f.topo == "tree") return rr::graph::binary_tree(f.size);
-    return rr::graph::ring(f.size);
-  }();
+  const std::string descriptor = topo_descriptor(f);
+  if (descriptor.empty()) return 2;
+  const auto built = rr::graph::graph_from_descriptor(descriptor);
+  if (!built) {
+    std::fprintf(stderr, "rr_cli: cannot build graph '%s'\n",
+                 descriptor.c_str());
+    return 2;
+  }
+  const rr::graph::Graph& g = *built;
   const auto res = rr::core::single_agent_lock_in(g, 0);
   if (!res.locked_in) {
     std::printf("lockin: not found within cap (%llu steps)\n",
@@ -780,7 +791,7 @@ int cmd_lockin(const Flags& f) {
               static_cast<unsigned long long>(res.lock_in_time),
               static_cast<unsigned long long>(2ULL * g.diameter() *
                                               g.num_edges()),
-              f.topo.c_str(), g.num_nodes(), g.num_edges());
+              descriptor.c_str(), g.num_nodes(), g.num_edges());
   return 0;
 }
 

@@ -20,8 +20,21 @@ LazyRingRotorRouter::LazyRingRotorRouter(NodeId n,
       dense_(std::make_unique<RingRotorRouter>(n, agents, std::move(pointers))) {
   // Compact initializations (all-clockwise defaults, equally spaced starts)
   // already have an O(k)-run pointer field: go lazy from round 0. Adversarial
-  // fields (random, negative) stay on the dense engine for the transient.
+  // fields (random, negative) stay on the dense engine for the transient,
+  // and on a crowded ring (!wide()) for good.
   if (!try_promote()) next_promo_ = promo_interval_;
+}
+
+bool LazyRingRotorRouter::leaps_pay() const {
+  if (!dense_ || wide()) return true;
+  std::vector<NodeId> nodes = dense_->occupied_nodes();
+  if (nodes.size() < k_) return false;  // a shared node: gap 0
+  std::sort(nodes.begin(), nodes.end());
+  NodeId gap = nodes.front() + n_ - nodes.back();
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    gap = std::min(gap, nodes[i] - nodes[i - 1]);
+  }
+  return gap >= kSpreadGap;
 }
 
 // ---- promotion ----
@@ -37,9 +50,11 @@ std::uint32_t LazyRingRotorRouter::pointer_arc_count() const {
 
 bool LazyRingRotorRouter::try_promote(bool force) {
   if (!dense_) return true;
-  const std::uint32_t arcs = pointer_arc_count();
-  const std::uint32_t limit = std::max<std::uint32_t>(64, 4 * k_ + 16);
-  if (!force && arcs > limit) return false;
+  if (!force) {
+    if (!leaps_pay()) return false;
+    const std::uint32_t limit = std::max<std::uint32_t>(64, 4 * k_ + 16);
+    if (pointer_arc_count() > limit) return false;
+  }
 
   runs_.clear();
   auto hint = runs_.emplace_hint(runs_.end(), 0, dense_->pointer(0));
@@ -75,7 +90,9 @@ bool LazyRingRotorRouter::try_promote(bool force) {
 }
 
 void LazyRingRotorRouter::maybe_promote() {
-  if (!dense_ || dense_->time() < next_promo_) return;
+  // A crowded engine never advances its serialized schedule, including a
+  // schedule loaded from a checkpoint that had already doubled it.
+  if (!dense_ || !wide() || dense_->time() < next_promo_) return;
   if (!try_promote()) {
     promo_interval_ *= 2;
     next_promo_ = dense_->time() + promo_interval_;

@@ -14,6 +14,13 @@
 //     (exactness by construction). At doubling intervals it scans the
 //     pointer field; once the field has O(k) maximal constant runs it
 //     promotes itself to the lazy representation and drops the dense state.
+//     Promotion also needs leaps that pay (leaps_pay()). Only wide rings
+//     (wide(): k == 1 or n >= kWideLeapFactor * k^2) schedule checks. On a
+//     crowded ring, whose agents meet every few rounds, the engine promotes
+//     at construction if its agents start spread out (minimum gap
+//     >= kSpreadGap) on a compact field, and is otherwise the dense engine
+//     for its whole life: it schedules no checks and never scans its
+//     pointer field.
 //   - Post-promotion, a configuration is (pointer runs, occupied sites,
 //     unvisited arcs) — O(k) words — and one synchronous round costs
 //     O(k log k) regardless of n. Rounds replay the exact dense semantics
@@ -101,10 +108,41 @@ class LazyRingRotorRouter final : public sim::Engine, public sim::StateIO {
   bool lazy() const { return dense_ == nullptr; }
 
   /// Attempts the dense -> lazy switch now. Without `force` it promotes
-  /// only if the pointer field has collapsed to O(k) runs (the
-  /// post-transient signature); with `force` it always promotes (the lazy
-  /// representation is exact at any configuration, just not compact).
+  /// only if leaps pay and the pointer field has collapsed to O(k) runs
+  /// (the post-transient signature); with `force` it always promotes (the
+  /// lazy representation is exact at any configuration, just not compact).
   bool try_promote(bool force = false);
+
+  /// Break-even of the sparse representation. A sparse round or leap
+  /// costs map surgery plus a sort and merge per agent, about ten dense
+  /// rounds at k = 32, so promotion pays only when leaps are long. A leap
+  /// is at most half the minimum gap between agents, and after cover
+  /// (random placement and pointers) its mean tracks n / k^2: 1.3, 6.0,
+  /// 11, 63, 54, 534 rounds at n / k^2 = 1, 4, 16, 64, 256, 1024. In
+  /// bench_lazy_ring's crowded post-cover rows a forced promotion runs at
+  /// 0.1x, 0.4x, 1.1-1.6x and 3.6-4.3x the dense engine's rounds/s at
+  /// n / k^2 = 1, 4, 16, 64: it stops losing at 16.
+  static constexpr std::uint64_t kWideLeapFactor = 16;
+
+  /// Equally spaced agents keep their spacing, so their leaps stay long
+  /// on crowded rings too. Post cover, a forced promotion runs at about
+  /// 1.0x the dense engine with gap n / k = 32, 1.7-3.0x with gap 64 and
+  /// 4.2-6.1x with gap 128 (k = 8 to 64, n / k^2 down to 1; bench_lazy_ring
+  /// spaced rows and a wider sweep of spaced starts): a start this spread
+  /// pays.
+  static constexpr std::uint64_t kSpreadGap = 64;
+
+  /// True if leaps stay long whatever the configuration: a single agent,
+  /// or n >= kWideLeapFactor * k^2. Only wide engines schedule promotion
+  /// checks, so a crowded engine's serialized schedule never changes.
+  bool wide() const {
+    return k_ <= 1 || n_ / kWideLeapFactor >=
+                          static_cast<std::uint64_t>(k_) * k_;
+  }
+
+  /// True if promotion pays now: wide(), or the agents sit on distinct
+  /// nodes at least kSpreadGap apart (true once promoted). O(k log k).
+  bool leaps_pay() const;
 
   /// Maximal constant runs of the pointer field (the promotion criterion;
   /// a run wrapping past node 0 counts as two).

@@ -151,10 +151,14 @@ void register_lazy(EngineRegistry& r) {
                  "ballistic fast-forward in run()",
       .substrate_kinds = {"ring"},
       .deterministic = true,
-      // In the dense phase the serialized promotion scalars keep doubling
-      // (rigid, never equal), so confirmation only engages after the
-      // engine promotes to its lazy O(k) representation — by design.
-      .cycle_accumulators = {"time", "visits"},
+      // A crowded engine (wide() false) that does not promote at
+      // construction is the dense ring engine for good: its promotion
+      // scalars stay constant, and the dense phase confirms on the ring's
+      // accumulators (exits and last_visit are only in dense-phase state).
+      // A wide engine's dense prefix keeps doubling its promotion schedule
+      // (rigid, never equal), so it confirms once promoted to the lazy
+      // O(k) representation.
+      .cycle_accumulators = {"time", "visits", "exits", "last_visit"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
         const auto n = *d.num_nodes();
@@ -183,6 +187,7 @@ void register_walks(EngineRegistry& r) {
                  "--seed selects the stream)",
       .substrate_kinds = {},
       .supports_shards = false,
+      .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
         const auto g = build_graph(d, error);
@@ -239,6 +244,7 @@ void register_ode(EngineRegistry& r) {
       .summary = "Sec. 2.3 continuous domain-size ODE (RK4, 1 round = "
                  "1.0 model time); convergence-gated, not bit-exact",
       .substrate_kinds = {"ring"},
+      .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
         if (!c.pointers.empty()) {

@@ -19,13 +19,14 @@
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
+#include "temp_path.hpp"
 #include "walk/random_walk.hpp"
 
 namespace rr::sim {
 namespace {
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return rr::testing::test_temp_path(name);
 }
 
 TEST(AutoCheckpoint, FiresOnTheExactRoundSchedule) {

@@ -21,6 +21,7 @@
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
+#include "temp_path.hpp"
 #include "walk/random_walk.hpp"
 
 namespace rr::sim {
@@ -118,17 +119,23 @@ TEST(Checkpoint, RoundTripsEveryBackendMidRun) {
     std::unique_ptr<Engine> engine;
     std::string descriptor;
   };
-  Case cases[6];
+  Case cases[7];
   cases[0] = {std::make_unique<core::RotorRouter>(torus, spread), "torus 8 8"};
   cases[1] = {std::make_unique<core::RingRotorRouter>(48, spread), "ring 48"};
+  // Ring 48 is too crowded for four agents to promote on their own: one
+  // lazy engine stays dense, its twin is forced onto the sparse runs.
   cases[2] = {std::make_unique<core::LazyRingRotorRouter>(
                   48, spread, core::pointers_negative(48, spread)),
               "ring 48"};
-  cases[3] = {std::make_unique<walk::GraphRandomWalks>(torus, spread, 77),
+  auto sparse = std::make_unique<core::LazyRingRotorRouter>(
+      48, spread, core::pointers_negative(48, spread));
+  ASSERT_TRUE(sparse->try_promote(/*force=*/true));
+  cases[3] = {std::move(sparse), "ring 48"};
+  cases[4] = {std::make_unique<walk::GraphRandomWalks>(torus, spread, 77),
               "torus 8 8"};
-  cases[4] = {std::make_unique<core::EulerianRotorRouter>(torus, spread),
+  cases[5] = {std::make_unique<core::EulerianRotorRouter>(torus, spread),
               "torus 8 8"};
-  cases[5] = {std::make_unique<analysis::ContinuousDomainEngine>(48, spread),
+  cases[6] = {std::make_unique<analysis::ContinuousDomainEngine>(48, spread),
               "ring 48"};
   for (auto& c : cases) {
     SCOPED_TRACE(c.engine->engine_name());
@@ -250,8 +257,14 @@ TEST(Checkpoint, FuzzedDocumentsNeverAbort) {
     core::RingRotorRouter b(24, {0, 12});
     b.run(41);
     seeds.push_back(write_checkpoint(b, "ring 24"));
+    // Both lazy phases: ring 24 is too crowded for three agents to
+    // promote on their own, so the sparse seed is forced.
     core::LazyRingRotorRouter c(24, core::place_equally_spaced(24, 3));
     c.run(41);
+    ASSERT_FALSE(c.lazy());
+    seeds.push_back(write_checkpoint(c, "ring 24"));
+    ASSERT_TRUE(c.try_promote(/*force=*/true));
+    c.run(5);
     seeds.push_back(write_checkpoint(c, "ring 24"));
     walk::GraphRandomWalks d(torus, {0, 18}, 9);
     d.run(41);
@@ -419,7 +432,7 @@ TEST(Checkpoint, FileRoundTrip) {
   core::RingRotorRouter rr(20, {0, 10});
   rr.run(25);
   const std::string text = write_checkpoint(rr, "ring 20");
-  const std::string path = ::testing::TempDir() + "rr_ckpt_test.txt";
+  const std::string path = rr::testing::test_temp_path("rr_ckpt_test.txt");
   ASSERT_TRUE(save_checkpoint_file(path, text));
   const auto back = read_text_file(path);
   ASSERT_TRUE(back.has_value());

@@ -25,6 +25,7 @@
 #include "graph/mmap_substrate.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/wire.hpp"
+#include "temp_path.hpp"
 #include "walk/random_walk.hpp"
 
 namespace rr::sim {
@@ -112,7 +113,8 @@ TEST(Wire, Crc32MatchesIeeeCheckValue) {
 
 // ---- every backend round-trips through v2 ----
 
-// All seven engine backends mid-run, paired with their descriptors.
+// All seven engine backends mid-run, paired with their descriptors. The
+// lazy ring engine appears in both of its phases.
 struct BackendCase {
   std::unique_ptr<Engine> engine;
   std::string descriptor;
@@ -131,9 +133,16 @@ std::vector<BackendCase> all_backends_mid_run(std::uint64_t rounds) {
        "torus 8 8"});
   cases.push_back(
       {std::make_unique<core::RingRotorRouter>(48, spread), "ring 48"});
+  // Ring 48 is too crowded for four agents to promote on their own
+  // (LazyRingRotorRouter::leaps_pay), so one lazy engine stays dense and
+  // its twin is forced onto the sparse representation.
   cases.push_back({std::make_unique<core::LazyRingRotorRouter>(
                        48, spread, core::pointers_negative(48, spread)),
                    "ring 48"});
+  auto sparse = std::make_unique<core::LazyRingRotorRouter>(
+      48, spread, core::pointers_negative(48, spread));
+  EXPECT_TRUE(sparse->try_promote(/*force=*/true));
+  cases.push_back({std::move(sparse), "ring 48"});
   cases.push_back(
       {std::make_unique<walk::GraphRandomWalks>(torus, spread, 77),
        "torus 8 8"});
@@ -213,7 +222,8 @@ TEST(CkptV2, SegmentsAndPoolChoicesEncodeIdentically) {
 // pointer-overridden target (constructed non-pristine) must all
 // reproduce the source state exactly, in both formats.
 TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
-  const std::string path = ::testing::TempDir() + "ckpt_v2_pristine.rrg";
+  const std::string path =
+      rr::testing::test_temp_path("ckpt_v2_pristine.rrg");
   ASSERT_TRUE(graph::MappedSubstrate::build("ring 4096", path));
   auto substrate = graph::MappedSubstrate::open(path);
   ASSERT_TRUE(substrate != nullptr);
@@ -453,7 +463,8 @@ TEST(CkptV2, StreamingFileParseMatchesInMemory) {
     core::RotorRouter engine(torus, {0, 17, 40});
     engine.run(123);
     const std::string text = write_checkpoint(engine, "torus 8 8", format);
-    const std::string path = ::testing::TempDir() + "rr_ckpt_v2_stream.ckpt";
+    const std::string path =
+        rr::testing::test_temp_path("rr_ckpt_v2_stream.ckpt");
     ASSERT_TRUE(save_checkpoint_file(path, text));
 
     auto restored = restore_checkpoint_file(path);
@@ -507,7 +518,8 @@ TEST(CkptV2, PooledFileRestoreMatchesSequential) {
   engine.run(517);
   const std::string text =
       write_checkpoint(engine, "ring 4096", CkptFormat::kV2, 8);
-  const std::string path = ::testing::TempDir() + "rr_ckpt_v2_pooled.ckpt";
+  const std::string path =
+      rr::testing::test_temp_path("rr_ckpt_v2_pooled.ckpt");
   ASSERT_TRUE(save_checkpoint_file(path, text));
   ThreadPool pool(3);
   auto seq = restore_checkpoint_file(path);

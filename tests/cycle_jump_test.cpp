@@ -29,6 +29,7 @@
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
+#include "sim/registry.hpp"
 #include "walk/random_walk.hpp"
 
 namespace rr::testing {
@@ -63,6 +64,8 @@ struct Backend {
 std::vector<Backend> deterministic_backends() {
   const std::vector<NodeId> ring_agents = {0, 7, 13};
   const std::vector<NodeId> torus_agents = {0, 11, 17, 40};
+  const std::vector<std::string> lazy_accumulators =
+      sim::EngineRegistry::instance().find("lazy")->cycle_accumulators;
   return {
       {"rotor/ring", "ring 48", kRotorAccumulators,
        [=] {
@@ -85,10 +88,25 @@ std::vector<Backend> deterministic_backends() {
          return std::make_unique<core::RingRotorRouter>(
              48, ring_agents, std::vector<std::uint8_t>{});
        }},
-      {"lazy-ring", "ring 48", kTokenAccumulators,
+      // 48 nodes are too crowded for 3 agents to promote (wide()), so
+      // this lane confirms the dense phase on the registry's accumulators;
+      // 160 >= 16 * 3^2 promotes at construction and confirms the sparse
+      // representation (spread agents: a clustered start stabilizes past
+      // the detect budget).
+      {"lazy-ring/crowded", "ring 48", lazy_accumulators,
        [=] {
-         return std::make_unique<core::LazyRingRotorRouter>(
+         auto e = std::make_unique<core::LazyRingRotorRouter>(
              48, ring_agents, std::vector<std::uint8_t>{});
+         EXPECT_FALSE(e->wide() || e->lazy());  // dense for its whole life
+         return e;
+       }},
+      {"lazy-ring/wide", "ring 160", lazy_accumulators,
+       [=] {
+         auto e = std::make_unique<core::LazyRingRotorRouter>(
+             160, std::vector<NodeId>{0, 53, 107},
+             std::vector<std::uint8_t>{});
+         EXPECT_TRUE(e->lazy());  // sparse from round 0, never demoted
+         return e;
        }},
       {"eulerian/torus", "torus 6 8", kTokenAccumulators,
        [=] {

@@ -29,12 +29,16 @@ TEST(Differential, LazyVsDenseRingOverThousandRandomConfigs) {
     SCOPED_TRACE(sc.describe());
     core::LazyRingRotorRouter lazy(sc.n, sc.agents, sc.pointers);
     core::RingRotorRouter dense(sc.n, sc.agents, sc.pointers);
+    // These rings (n <= 96) are mostly too crowded to promote on their own
+    // (leaps_pay()), so every fourth scenario is forced onto the sparse
+    // representation from round 0.
+    if (config % 4 == 0) lazy.try_promote(/*force=*/true);
     if (lazy.lazy()) ++lazy_from_start;
     const Mismatch m = run_lockstep_delayed(dense, lazy, sc.rounds, sc.delay());
     ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
   }
   // The sweep must exercise the lazy representation itself, not just the
-  // dense fallback: compact pointer fields promote at round 0.
+  // dense fallback.
   EXPECT_GT(lazy_from_start, 100);
 }
 
@@ -44,6 +48,11 @@ TEST(Differential, ThreeWayLazyDenseGeneralOnRing) {
     const RingScenario sc = RingScenario::random(rng);
     SCOPED_TRACE(sc.describe());
     core::LazyRingRotorRouter lazy(sc.n, sc.agents, sc.pointers);
+    // Few of these crowded rings promote on their own: force every other
+    // lazy engine onto the sparse representation.
+    if (config % 2 == 0) {
+      ASSERT_TRUE(lazy.try_promote(/*force=*/true));
+    }
     core::RingRotorRouter dense(sc.n, sc.agents, sc.pointers);
     graph::Graph g = graph::ring(sc.n);
     core::RotorRouter general(g, sc.agents, sc.pointers32());
@@ -161,11 +170,15 @@ TEST(Differential, CheckpointRestartRingBackends) {
     }
     {
       core::RingRotorRouter ref(sc.n, sc.agents, sc.pointers);
+      auto lazy = std::make_unique<core::LazyRingRotorRouter>(
+          sc.n, sc.agents, sc.pointers);
+      // Every other lazy engine checkpoints its sparse representation
+      // (these crowded rings rarely promote on their own).
+      if (config % 2 == 0) {
+        ASSERT_TRUE(lazy->try_promote(/*force=*/true));
+      }
       const Mismatch m = run_lockstep_with_restart(
-          ref,
-          std::make_unique<core::LazyRingRotorRouter>(sc.n, sc.agents,
-                                                      sc.pointers),
-          descriptor, sc.rounds, restart, sc.delay());
+          ref, std::move(lazy), descriptor, sc.rounds, restart, sc.delay());
       ASSERT_TRUE(m.ok) << "lazy, round " << m.round << ": " << m.detail;
     }
     {

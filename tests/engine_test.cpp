@@ -30,7 +30,11 @@ std::vector<std::unique_ptr<Engine>> make_engines(const graph::Graph& g) {
   const auto agents = core::place_equally_spaced(kN, kK);
   std::vector<std::unique_ptr<Engine>> engines;
   engines.push_back(std::make_unique<core::RingRotorRouter>(kN, agents));
-  engines.push_back(std::make_unique<core::LazyRingRotorRouter>(kN, agents));
+  // Forced: kN = 64 is too crowded for kK = 4 agents to promote on their
+  // own, and the dense phase is the ring engine already listed.
+  auto lazy = std::make_unique<core::LazyRingRotorRouter>(kN, agents);
+  lazy->try_promote(/*force=*/true);
+  engines.push_back(std::move(lazy));
   engines.push_back(std::make_unique<core::RotorRouter>(g, agents));
   engines.push_back(std::make_unique<walk::GraphRandomWalks>(g, agents, 7));
   return engines;

@@ -57,10 +57,18 @@ TEST(HashCycleRegression, EquallySpacedMultiAgentPeriodIsTwoNOverK) {
     ASSERT_TRUE(ring_cycle.has_value());
     EXPECT_EQ(ring_cycle->period, 2ULL * n / k);
 
-    core::LazyRingRotorRouter lazy(n, core::place_equally_spaced(n, k));
-    const auto lazy_cycle = detect_hash_cycle(lazy, 1u << 20);
-    ASSERT_TRUE(lazy_cycle.has_value());
-    EXPECT_EQ(lazy_cycle->period, 2ULL * n / k);
+    // The lazy engine in both phases: it stays dense on these crowded
+    // rings (k >= 3), so the sparse twin is forced.
+    for (const bool force : {false, true}) {
+      SCOPED_TRACE(force ? "sparse" : "as built");
+      core::LazyRingRotorRouter lazy(n, core::place_equally_spaced(n, k));
+      if (force) {
+        ASSERT_TRUE(lazy.try_promote(/*force=*/true));
+      }
+      const auto lazy_cycle = detect_hash_cycle(lazy, 1u << 20);
+      ASSERT_TRUE(lazy_cycle.has_value());
+      EXPECT_EQ(lazy_cycle->period, 2ULL * n / k);
+    }
   }
 }
 

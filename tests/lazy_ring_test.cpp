@@ -7,19 +7,113 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/fenwick.hpp"
 #include "common/rng.hpp"
 #include "core/initializers.hpp"
+#include "core/ring_rotor_router.hpp"
 #include "sim/limit_cycle.hpp"
+#include "sim/state_io.hpp"
 
 namespace rr::core {
 namespace {
 
+// The serialized promotion schedule (next_promo, promo_interval).
+std::vector<std::uint64_t> promo_schedule(const LazyRingRotorRouter& e) {
+  sim::StateWriter w;
+  e.serialize_state(w);
+  std::vector<std::uint64_t> out;
+  for (const sim::WriterField& f : w.fields()) {
+    if (f.key == "next_promo" || f.key == "promo_interval") {
+      out.push_back(f.scalar);
+    }
+  }
+  return out;
+}
+
 TEST(LazyRing, PromotesAtConstructionOnCompactPointerFields) {
-  // All-clockwise defaults have a single pointer run: lazy from round 0.
-  LazyRingRotorRouter rr(64, place_equally_spaced(64, 4));
+  // All-clockwise defaults have a single pointer run: lazy from round 0 on
+  // a wide ring (n = 4096 >= 16 * 4^2).
+  LazyRingRotorRouter rr(4096, place_equally_spaced(4096, 4));
+  ASSERT_TRUE(rr.wide());
   EXPECT_TRUE(rr.lazy());
   EXPECT_EQ(rr.pointer_arc_count(), 1u);
+}
+
+TEST(LazyRing, CrowdedRingStaysDenseWithAConstantSchedule) {
+  // n = 1024, k = 32 has n / k^2 = 1: agents meet every couple of rounds,
+  // so leaps cannot pay and the engine is the dense ring engine for good,
+  // even once cover has collapsed the pointer field.
+  Rng rng(13);
+  const NodeId n = 1024;
+  const auto agents = place_random(n, 32, rng);
+  const auto ptrs = pointers_random(n, rng);
+  LazyRingRotorRouter rr(n, agents, ptrs);
+  RingRotorRouter dense(n, agents, ptrs);
+  ASSERT_FALSE(rr.wide());
+  const auto at_start = promo_schedule(rr);
+  ASSERT_EQ(at_start.size(), 2u);
+  const std::uint64_t cover = rr.run_until_covered(1ULL << 32);
+  ASSERT_EQ(cover, dense.run_until_covered(1ULL << 32));
+  rr.run(8 * n);
+  dense.run(8 * n);
+  EXPECT_FALSE(rr.lazy());
+  EXPECT_EQ(promo_schedule(rr), at_start);
+  EXPECT_EQ(rr.config_hash(), dense.config_hash());
+  // Forcing still works: the sparse representation is exact anywhere.
+  ASSERT_TRUE(rr.try_promote(/*force=*/true));
+  rr.run(n);
+  dense.run(n);
+  EXPECT_EQ(rr.config_hash(), dense.config_hash());
+}
+
+TEST(LazyRing, WideRingStillPromotesAfterItsTransient) {
+  // n = 4096, k = 8 has n / k^2 = 64: a random start stays dense through
+  // the transient, then promotes at a doubling check.
+  Rng rng(14);
+  const NodeId n = 4096;
+  LazyRingRotorRouter rr(n, place_random(n, 8, rng), pointers_random(n, rng));
+  ASSERT_TRUE(rr.wide());
+  ASSERT_FALSE(rr.lazy());
+  rr.run(64ULL * n);
+  EXPECT_TRUE(rr.lazy());
+}
+
+TEST(LazyRing, SpreadStartOnACrowdedRingPromotesAtConstruction) {
+  // n = 4096, k = 32 is crowded (n / k^2 = 4), but equally spaced agents
+  // keep their 128-node spacing, so leaps pay: a compact start promotes at
+  // round 0. On a random field it cannot promote then, and a crowded
+  // engine schedules no later checks.
+  const NodeId n = 4096;
+  const auto agents = place_equally_spaced(n, 32);
+  LazyRingRotorRouter spread(n, agents);
+  EXPECT_FALSE(spread.wide());
+  EXPECT_TRUE(spread.leaps_pay());
+  EXPECT_TRUE(spread.lazy());
+
+  Rng rng(15);
+  LazyRingRotorRouter adversarial(n, agents, pointers_random(n, rng));
+  EXPECT_TRUE(adversarial.leaps_pay());
+  EXPECT_FALSE(adversarial.lazy());
+  const auto at_start = promo_schedule(adversarial);
+  adversarial.run(16ULL * n);
+  EXPECT_FALSE(adversarial.lazy());
+  EXPECT_EQ(promo_schedule(adversarial), at_start);
+
+  // One node short of kSpreadGap is too tight.
+  const NodeId tight_n = 32 * (LazyRingRotorRouter::kSpreadGap - 1);
+  LazyRingRotorRouter tight(tight_n, place_equally_spaced(tight_n, 32));
+  EXPECT_FALSE(tight.leaps_pay());
+  EXPECT_FALSE(tight.lazy());
+}
+
+TEST(LazyRing, SingleAgentOnATinyRingStillPromotes) {
+  // One agent never meets another: k == 1 promotes whatever n is.
+  LazyRingRotorRouter rr(5, {2});
+  EXPECT_TRUE(rr.wide());
+  EXPECT_TRUE(rr.lazy());
 }
 
 TEST(LazyRing, StaysDenseOnAdversarialPointerFields) {
@@ -91,8 +185,10 @@ TEST(LazyRing, VisitsConserveAgentRoundsThroughLeaps) {
 }
 
 TEST(LazyRing, HashCycleDetectorDrivesTheLazyEngine) {
-  // Brent over config_hash must work unchanged on the lazy backend.
+  // Brent over config_hash must work unchanged on the lazy backend (forced:
+  // a 48-ring with 3 agents is too crowded to promote on its own).
   LazyRingRotorRouter rr(48, place_equally_spaced(48, 3));
+  ASSERT_TRUE(rr.try_promote(/*force=*/true));
   const auto cycle = sim::detect_hash_cycle(rr, 1 << 18);
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ((2u * 48) % cycle->period, 0u);
@@ -112,6 +208,7 @@ TEST(LazyRing, DelayedPileUpsStayExactInLazyMode) {
   // engine is already lazy. The sparse round must handle the pile-up.
   const NodeId n = 64;
   LazyRingRotorRouter rr(n, std::vector<NodeId>(9, 7));
+  ASSERT_TRUE(rr.try_promote(/*force=*/true));
   ASSERT_TRUE(rr.lazy());
   for (int t = 0; t < 40; ++t) {
     rr.step_delayed([](NodeId v, std::uint64_t time, std::uint32_t present) {

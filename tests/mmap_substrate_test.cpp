@@ -16,6 +16,7 @@
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
+#include "temp_path.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -23,7 +24,7 @@ namespace rr::graph {
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return rr::testing::test_temp_path(name);
 }
 
 // Builds an image for `descriptor`, opens it, and requires the mapped CSR

@@ -18,11 +18,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/lazy_ring_rotor_router.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
 #include "sim/registry.hpp"
+#include "temp_path.hpp"
 
 namespace rr::serve {
 namespace {
@@ -31,9 +33,7 @@ namespace {
 // service, so tests running in parallel ctest processes would otherwise
 // collide on each other's rr-session-<id>.ckpt eviction files.
 std::string test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string dir =
-      ::testing::TempDir() + "rr-serve-" + info->name();
+  const std::string dir = rr::testing::test_temp_path("rr-serve");
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -131,9 +131,18 @@ TEST(ServeService, ServedRunsAreBitIdenticalToDirectRuns) {
   // through the wire, against one uninterrupted direct run. Hash AND
   // snapshot bytes must match (segments pinned, so byte equality is
   // well-defined).
-  for (const std::string engine : {"rotor", "ring", "lazy", "eulerian"}) {
-    SCOPED_TRACE(engine);
-    const std::string graph = "ring 96";
+  // The lazy engine runs dense on ring 96 and sparse on ring 256
+  // (n >= 16 k^2 promotes at construction).
+  struct Lane {
+    std::string engine;
+    std::string graph;
+  };
+  for (const Lane& lane : {Lane{"rotor", "ring 96"}, Lane{"ring", "ring 96"},
+                           Lane{"lazy", "ring 96"}, Lane{"lazy", "ring 256"},
+                           Lane{"eulerian", "ring 96"}}) {
+    const std::string& engine = lane.engine;
+    const std::string& graph = lane.graph;
+    SCOPED_TRACE(engine + " on " + graph);
     const std::uint64_t k = 4;
 
     ServiceOptions opt;
@@ -149,6 +158,10 @@ TEST(ServeService, ServedRunsAreBitIdenticalToDirectRuns) {
     }
 
     auto direct = direct_engine(engine, graph, k);
+    if (const auto* lazy =
+            dynamic_cast<const core::LazyRingRotorRouter*>(direct.get())) {
+      ASSERT_EQ(lazy->lazy(), graph == "ring 256");
+    }
     direct->run(257);
 
     Request snap;
