@@ -3,10 +3,10 @@
 // Agent-steps per second of the general rotor-router as a function of
 // shard count on the torus scenarios the roadmap budgets against (64² and
 // 256², k = 64), plus a pile-up deployment exercising the batched
-// full-cycle exit path. shards = 0 rows are the sequential RotorRouter
-// baseline, shards = 1 the sharded engine's single-shard path (the two
-// must stay within noise of each other — the SoA layout is shared), and
-// higher rows show the scaling the partition buys on multi-core hosts.
+// full-cycle exit path. shards = 0 rows are the sequential baseline;
+// shards = 1 constructs the same single-shard engine (kept so the rows
+// line up with earlier ledgers), and higher rows show the scaling the
+// partition buys on multi-core hosts.
 // CI uploads the JSON next to bench_perf's so tools/bench_diff.py flags
 // scaling regressions commit over commit.
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "graph/generators.hpp"
 
 namespace {
@@ -30,25 +29,17 @@ std::vector<rr::graph::NodeId> spread_agents(rr::graph::NodeId n,
   return agents;
 }
 
-// args: {side, k, shards}; shards == 0 benchmarks the sequential engine.
+// args: {side, k, shards}; shards <= 1 benchmarks the sequential engine.
 void BM_ShardedRotorRouterTorus(benchmark::State& state) {
   const auto side = static_cast<rr::graph::NodeId>(state.range(0));
   const auto k = static_cast<std::uint32_t>(state.range(1));
   const auto shards = static_cast<std::uint32_t>(state.range(2));
   rr::graph::Graph g = rr::graph::torus(side, side);
   const auto agents = spread_agents(g.num_nodes(), k);
-  if (shards == 0) {
-    rr::core::RotorRouter rr(g, agents);
-    for (auto _ : state) {
-      rr.step();
-      benchmark::DoNotOptimize(rr.covered_count());
-    }
-  } else {
-    rr::core::ShardedRotorRouter rr(g, agents, {}, shards);
-    for (auto _ : state) {
-      rr.step();
-      benchmark::DoNotOptimize(rr.covered_count());
-    }
+  rr::core::RotorRouter rr(g, agents, {}, shards);
+  for (auto _ : state) {
+    rr.step();
+    benchmark::DoNotOptimize(rr.covered_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
   state.SetLabel(shards == 0 ? "sequential"
@@ -74,18 +65,10 @@ void BM_ShardedRotorRouterPileUp(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(1));
   rr::graph::Graph g = rr::graph::torus(64, 64);
   const std::vector<rr::graph::NodeId> agents(k, g.num_nodes() / 2);
-  if (shards == 0) {
-    rr::core::RotorRouter rr(g, agents);
-    for (auto _ : state) {
-      rr.step();
-      benchmark::DoNotOptimize(rr.covered_count());
-    }
-  } else {
-    rr::core::ShardedRotorRouter rr(g, agents, {}, shards);
-    for (auto _ : state) {
-      rr.step();
-      benchmark::DoNotOptimize(rr.covered_count());
-    }
+  rr::core::RotorRouter rr(g, agents, {}, shards);
+  for (auto _ : state) {
+    rr.step();
+    benchmark::DoNotOptimize(rr.covered_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
   state.SetLabel(shards == 0 ? "sequential"

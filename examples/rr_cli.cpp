@@ -167,6 +167,20 @@ int usage() {
   return 2;
 }
 
+// True if `v` is one of `allowed`; otherwise prints the error naming the
+// flag and its values.
+bool one_of(const char* flag, const std::string& v,
+            std::initializer_list<const char*> allowed) {
+  std::string list;
+  for (const char* a : allowed) {
+    if (v == a) return true;
+    list += list.empty() ? a : std::string(", ") + a;
+  }
+  std::fprintf(stderr, "rr_cli: %s must be one of %s (got %s)\n", flag,
+               list.c_str(), v.c_str());
+  return false;
+}
+
 bool parse_flags(int argc, char** argv, int start, Flags& f) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
@@ -202,11 +216,16 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       }
     } else if (a == "--place") {
       const char* v = next("--place");
-      if (!v) return false;
+      if (!v || !one_of("--place", v, {"one", "spaced", "random"})) {
+        return false;
+      }
       f.place = v;
     } else if (a == "--ptr") {
       const char* v = next("--ptr");
-      if (!v) return false;
+      if (!v || !one_of("--ptr", v,
+                        {"toward", "negative", "uniform", "random"})) {
+        return false;
+      }
       f.ptr = v;
     } else if (a == "--topo") {
       const char* v = next("--topo");
@@ -307,18 +326,17 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
   return true;
 }
 
-bool build_config(const Flags& f, rr::core::RingConfig& config) {
+// --place and --ptr were checked against their value lists when parsed.
+rr::core::RingConfig build_config(const Flags& f) {
   rr::Rng rng(f.seed);
+  rr::core::RingConfig config;
   config.n = f.n;
   if (f.place == "one") {
     config.agents = rr::core::place_all_on_one(f.k, 0);
   } else if (f.place == "spaced") {
     config.agents = rr::core::place_equally_spaced(f.n, f.k);
-  } else if (f.place == "random") {
-    config.agents = rr::core::place_random(f.n, f.k, rng);
   } else {
-    std::fprintf(stderr, "rr_cli: unknown placement %s\n", f.place.c_str());
-    return false;
+    config.agents = rr::core::place_random(f.n, f.k, rng);
   }
   if (f.ptr == "toward") {
     config.pointers = rr::core::pointers_toward(f.n, config.agents.front());
@@ -326,13 +344,10 @@ bool build_config(const Flags& f, rr::core::RingConfig& config) {
     config.pointers = rr::core::pointers_negative(f.n, config.agents);
   } else if (f.ptr == "uniform") {
     config.pointers = rr::core::pointers_uniform(f.n, rr::core::kClockwise);
-  } else if (f.ptr == "random") {
-    config.pointers = rr::core::pointers_random(f.n, rng);
   } else {
-    std::fprintf(stderr, "rr_cli: unknown pointer init %s\n", f.ptr.c_str());
-    return false;
+    config.pointers = rr::core::pointers_random(f.n, rng);
   }
-  return true;
+  return config;
 }
 
 // Smallest d with 2^d >= size, clamped so the shift never overflows.
@@ -688,8 +703,7 @@ int cmd_convert(int argc, char** argv) {
 }
 
 int cmd_cover(const Flags& f) {
-  rr::core::RingConfig config;
-  if (!build_config(f, config)) return 2;
+  const rr::core::RingConfig config = build_config(f);
   const auto cover = rr::core::ring_cover_time(config);
   std::printf("config: %s\n", rr::core::to_text(config).substr(0, 96).c_str());
   if (cover == rr::core::kRingNotCovered) {
@@ -705,8 +719,7 @@ int cmd_cover(const Flags& f) {
 }
 
 int cmd_return(const Flags& f) {
-  rr::core::RingConfig config;
-  if (!build_config(f, config)) return 2;
+  const rr::core::RingConfig config = build_config(f);
   const auto ret = rr::core::ring_return_time(config);
   std::printf("return: max gap %llu, mean gap %.1f (n/k = %u); covered=%s\n",
               static_cast<unsigned long long>(ret.max_gap), ret.mean_gap,
@@ -738,8 +751,7 @@ int cmd_trace(Flags f) {
         stdout);
     return 0;
   }
-  rr::core::RingConfig config;
-  if (!build_config(f, config)) return 2;
+  const rr::core::RingConfig config = build_config(f);
   if (f.rounds == 0) f.rounds = 4ULL * f.n;
   rr::core::RingRotorRouter engine = config.make();
   rr::core::TraceOptions opt;

@@ -1,20 +1,39 @@
 #include "core/rotor_router.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "core/rotor_state_io.hpp"
 
 namespace rr::core {
 
 RotorRouter::RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
-                         std::vector<std::uint32_t> pointers)
+                         std::vector<std::uint32_t> pointers,
+                         std::uint32_t shards, sim::ThreadPool* pool)
     : csr_(g),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
       node_(g.num_nodes()),
       stats_(g.num_nodes()) {
-  covered_ = init_rotor_nodes(g, csr_, agents, pointers, node_,
-                              initial_pointers_, stats_,
-                              [&](NodeId v) { occupied_.push_back(v); });
+  if (shards > 1) {
+    part_.emplace(csr_, shards);
+    if (part_->num_shards() == 1) part_.reset();  // clamped to the nodes
+  }
+  shards_.resize(part_ ? part_->num_shards() : 1);
+  if (part_) {
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      shards_[s].attach(*part_, s);
+    }
+    if (!pool) {
+      const unsigned hw = std::thread::hardware_concurrency();
+      owned_pool_ = std::make_unique<sim::ThreadPool>(
+          std::min<unsigned>(part_->num_shards(), hw ? hw : 1));
+      pool = owned_pool_.get();
+    }
+    pool_ = pool;
+  }
+  covered_ = init_rotor_nodes(
+      g, csr_, agents, pointers, node_, initial_pointers_, stats_,
+      [&](NodeId v) { shards_[owner(v)].occupied.push_back(v); });
   pristine_ = pointers.empty();
 }
 
@@ -24,13 +43,16 @@ RotorRouter::RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrat
     : csr_(substrate->csr()),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
       node_(substrate->node_state()),
-      stats_(substrate->visit_stats<VisitStats>()) {
+      stats_(substrate->visit_stats<VisitStats>()),
+      shards_(1) {
   // The image builder verified connectivity (streamed kinds by
   // construction, built kinds explicitly) and precomputed
   // degree/row_begin, so only agent placement remains.
   covered_ = place_rotor_agents(csr_, agents, pointers, node_,
                                 initial_pointers_, stats_,
-                                [&](NodeId v) { occupied_.push_back(v); });
+                                [&](NodeId v) {
+                                  shards_[0].occupied.push_back(v);
+                                });
   // Only the first engine over this open may assume the mapping still
   // holds image defaults — engines sharing a handle share COW pages.
   // The claim is consumed unconditionally: this construction dirtied
@@ -39,35 +61,36 @@ RotorRouter::RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrat
   pristine_ = pointers.empty() && first_over_mapping;
 }
 
-void RotorRouter::commit_arrivals() {
-  // Drop stale entries (nodes fully vacated this round) and add newly
-  // occupied nodes; `count > 0` is the membership invariant, so the
-  // occupied list never outgrows the set of nodes hosting agents (delayed
-  // deployments included).
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < occupied_.size(); ++i) {
-    if (node_[occupied_[i]].count > 0) occupied_[w++] = occupied_[i];
+void RotorRouter::merge_shard(std::uint32_t d) {
+  RotorShard& sh = shards_[d];
+  const RotorArrays a = arrays();
+  sh.commit(a, time_);
+  // Cross-shard spills destined for this shard, source shards in
+  // ascending order: the commit order is a pure function of the
+  // configuration, independent of which thread runs which shard. This
+  // shard owns every node it drains, so no two committers race.
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    if (s == d) continue;
+    shards_[s].drain_spill(d, part_->frontier(s),
+                           [&](NodeId u, std::uint32_t c) {
+                             sh.commit_arrival(a, time_, u, c);
+                           });
   }
-  occupied_.resize(w);
-  const std::size_t touched_n = touched_.size();
-  for (std::size_t i = 0; i < touched_n; ++i) {
-    if (i + 4 < touched_n) prefetch_ro(&stats_[touched_[i + 4]]);
-    const NodeId u = touched_[i];
-    graph::NodeState& nu = node_[u];
-    const std::uint32_t a = nu.arrivals;
-    if (a == 0) continue;  // duplicate touch already committed
-    nu.arrivals = 0;
-    if (nu.count == 0) occupied_.push_back(u);
-    if (commit_node_arrival(nu, stats_[u], time_, a)) ++covered_;
-  }
-  touched_.clear();
+}
+
+std::size_t RotorRouter::occupied_count() const {
+  std::size_t n = 0;
+  for (const RotorShard& sh : shards_) n += sh.occupied.size();
+  return n;
 }
 
 std::vector<NodeId> RotorRouter::agent_positions() const {
   std::vector<NodeId> pos;
   pos.reserve(num_agents_);
-  for (NodeId v : occupied_) {
-    for (std::uint32_t i = 0; i < node_[v].count; ++i) pos.push_back(v);
+  for (const RotorShard& sh : shards_) {
+    for (NodeId v : sh.occupied) {
+      for (std::uint32_t i = 0; i < node_[v].count; ++i) pos.push_back(v);
+    }
   }
   std::sort(pos.begin(), pos.end());
   return pos;
@@ -98,20 +121,26 @@ bool RotorRouter::deserialize_state(const sim::StateReader& in,
     // Undo the constructor's agent placement so the default-skipping
     // restore's precondition holds at every node (placement only
     // touched count, visits and first_visit on the agent sites).
-    for (const NodeId v : occupied_) {
-      node_[v].count = 0;
-      node_[v].arrivals = 0;
-      stats_[v].visits = 0;
-      stats_[v].first_visit = kNotCovered;
+    for (const RotorShard& sh : shards_) {
+      for (const NodeId v : sh.occupied) {
+        node_[v].count = 0;
+        node_[v].arrivals = 0;
+        stats_[v].visits = 0;
+        stats_[v].first_visit = kNotCovered;
+      }
     }
   }
-  const auto restored = deserialize_rotor_state(
-      in, csr_, node_, initial_pointers_, stats_, assume_defaults, pool);
+  const auto restored =
+      deserialize_rotor_state(in, csr_, node_, initial_pointers_, stats_,
+                              assume_defaults, pool ? pool : pool_);
   if (!restored) return false;
   time_ = restored->time;
   num_agents_ = restored->num_agents;
   covered_ = restored->covered;
-  occupied_ = restored->sites;
+  for (RotorShard& sh : shards_) sh.reset();
+  for (const NodeId v : restored->sites) {
+    shards_[owner(v)].occupied.push_back(v);
+  }
   return true;
 }
 

@@ -24,8 +24,42 @@
 //
 // Delayed deployments (Sec. 2.1) are supported by `step_delayed`, which
 // holds D(v,t) agents at v for the round.
+//
+// The round itself is core::RotorShard (core/shard_step.hpp). One shard
+// (the default) is the sequential engine: no partition, no pool, no
+// ownership test per arc. With `shards` > 1 the engine runs the same
+// rounds shard-parallel over a graph::Partition of the CSR row space, as
+// two phases on a pool:
+//
+//   scan:  every shard walks its own occupied rows, distributes the
+//          exits, and writes arrivals either directly into the
+//          destination's NodeState (in-shard) or into its per-shard spill
+//          buffer indexed by the partition's frontier slots (out-of-
+//          shard). All writes land in rows the shard owns or in its
+//          private spill, so the phase is race-free by layout.
+//
+//   merge: every shard commits the arrivals for its own rows — first its
+//          in-shard touched list, then the spill slots destined for it
+//          from every source shard in ascending source order. The commit
+//          order is therefore a pure function of the configuration, never
+//          of thread scheduling.
+//
+// Bit-equality across shard counts holds by construction, not by
+// tolerance: a round-t exit depends only on the (t-1)-state of its own
+// node, arrivals are additive, and per-round bookkeeping (visits, first/
+// last visit, coverage) depends only on per-node arrival *totals* — so
+// any parallel schedule commits the exact configuration the sequential
+// scan does, and config_hash matches round for round (enforced by the
+// differential harness across shard counts, thread counts, and delayed
+// schedules; see tests/sharded_rotor_test.cpp). The shard count is an
+// execution detail, not dynamical state: checkpoints restore at any
+// shard count (rr_cli run --resume ... --shards N). Delay schedules are
+// evaluated shard-parallel; they must be pure functions of (node, round,
+// present), which the differential harness already requires.
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/require.hpp"
@@ -37,10 +71,7 @@
 #include "sim/cycle_jump.hpp"
 #include "sim/engine.hpp"
 #include "sim/state_io.hpp"
-
-namespace rr::sim {
-class ThreadPool;
-}  // namespace rr::sim
+#include "sim/thread_pool.hpp"
 
 namespace rr::core {
 
@@ -58,8 +89,15 @@ class RotorRouter final : public sim::Engine,
   /// `pointers`: initial pi_v per node; empty means all ports 0.
   /// The graph's adjacency is snapshotted (CSR); later mutation of `g` does
   /// not affect this engine.
+  /// `shards` > 1 steps shard-parallel (clamped to the node count). `pool`
+  /// may be shared (e.g. sim::Runner::pool()) so trial- and shard-level
+  /// parallelism draw from one set of threads; stepping from inside a
+  /// pool job then runs the shards inline (ThreadPool nesting rule). With
+  /// pool == nullptr a sharded engine owns a pool sized to
+  /// min(shards, hardware).
   RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
-              std::vector<std::uint32_t> pointers = {});
+              std::vector<std::uint32_t> pointers = {},
+              std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
 
   /// Out-of-core construction over an opened `rr-graph v1` image: the CSR
   /// adjacency, NodeState and VisitStats arrays are views into the
@@ -68,7 +106,8 @@ class RotorRouter final : public sim::Engine,
   /// O(agents) pages instead of touching every node. The mapping is
   /// MAP_PRIVATE: this engine's mutations never reach the image file, and
   /// each open() gives a fresh initial state. The substrate handle is
-  /// retained via the views, so callers may drop their shared_ptr.
+  /// retained via the views, so callers may drop their shared_ptr. Always
+  /// one shard.
   RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrate,
               const std::vector<NodeId>& agents,
               std::vector<std::uint32_t> pointers = {});
@@ -85,43 +124,42 @@ class RotorRouter final : public sim::Engine,
   void step_delayed(DelayFn&& delay) {
     pristine_ = false;
     ++time_;
-    const NodeId* arcs = csr_.arcs();
-    const std::size_t occupied_before = occupied_.size();
-    for (std::size_t idx = 0; idx < occupied_before; ++idx) {
-      if (idx + 4 < occupied_before) prefetch_ro(&node_[occupied_[idx + 4]]);
-      const NodeId v = occupied_[idx];
-      graph::NodeState& ns = node_[v];
-      const std::uint32_t present = ns.count;
-      if (present == 0) continue;  // stale entry; skipped and dropped below
-      std::uint32_t held = delay(v, time_, present);
-      if (held > present) held = present;
-      const std::uint32_t moving = present - held;
-      if (moving == 0) continue;
-      RR_ASSERT(ns.degree > 0, "agent stranded on isolated node");
-      ns.pointer = distribute_exits(
-          arcs + ns.row_begin, ns.degree, ns.pointer, moving,
-          [&](std::uint32_t, NodeId u, std::uint32_t c) {
-            graph::NodeState& nu = node_[u];
-            if (nu.arrivals == 0) touched_.push_back(u);
-            nu.arrivals += c;
-          });
-      stats_[v].exits += moving;
-      ns.count = held;
+    const RotorArrays a = arrays();
+    const auto no_spill = [](std::uint32_t) {};
+    if (!part_) {
+      shards_[0].scan<true>(a, nullptr, 0, time_, delay, no_spill);
+      shards_[0].commit(a, time_);
+    } else {
+      pool_->for_each(shards_.size(), [&](std::uint64_t s) {
+        shards_[s].scan<false>(a, &*part_, static_cast<std::uint32_t>(s),
+                               time_, delay, no_spill);
+      }, /*chunk=*/1);
+      pool_->for_each(shards_.size(), [&](std::uint64_t d) {
+        merge_shard(static_cast<std::uint32_t>(d));
+      }, /*chunk=*/1);
     }
-    commit_arrivals();
+    for (RotorShard& sh : shards_) covered_ += sh.take_newly_covered();
   }
 
   std::uint64_t time() const override { return time_; }
   const CsrGraph& graph() const { return csr_; }
+  std::uint32_t num_shards() const {
+    return static_cast<std::uint32_t>(shards_.size());
+  }
   NodeId num_nodes() const override { return csr_.num_nodes(); }
   std::uint32_t num_agents() const override { return num_agents_; }
 
   std::uint32_t agents_at(NodeId v) const { return node_[v].count; }
   std::uint32_t pointer(NodeId v) const { return node_[v].pointer; }
-  const std::vector<NodeId>& occupied_nodes() const { return occupied_; }
-  /// Number of occupied-list entries; commit_arrivals keeps this equal to
-  /// the number of nodes hosting at least one agent (no stale growth).
-  std::size_t occupied_count() const { return occupied_.size(); }
+  /// Nodes hosting agents, in commit order; single-shard engines only
+  /// (a sharded engine keeps one list per shard).
+  const std::vector<NodeId>& occupied_nodes() const {
+    RR_REQUIRE(shards_.size() == 1, "occupied_nodes() needs one shard");
+    return shards_[0].occupied;
+  }
+  /// Number of occupied-list entries; the commit keeps this equal to the
+  /// number of nodes hosting at least one agent (no stale growth).
+  std::size_t occupied_count() const;
 
   /// n_v(t): total visits to v in rounds [1,t] plus agents placed at v
   /// initially (paper's n_v(0) convention).
@@ -167,8 +205,9 @@ class RotorRouter final : public sim::Engine,
 
   /// Pool-parallel restore: v2 documents deserialize their per-node
   /// segments on `pool` when the segment layouts line up (see
-  /// deserialize_rotor_state's pool overload); bit-identical result to
-  /// the sequential form. nullptr pool == the virtual overload.
+  /// deserialize_rotor_state); bit-identical result to the sequential
+  /// form. nullptr (and the virtual overload) use the engine's own
+  /// stepping pool — none for one shard.
   [[nodiscard]] bool deserialize_state(const sim::StateReader& in,
                                        sim::ThreadPool* pool);
 
@@ -182,9 +221,14 @@ class RotorRouter final : public sim::Engine,
   void do_step_delayed(const sim::DelayFn& delay) override {
     step_delayed(delay);
   }
-  void commit_arrivals();
+  RotorArrays arrays() { return {csr_.arcs(), node_.data(), stats_.data()}; }
+  std::uint32_t owner(NodeId v) const { return part_ ? part_->owner(v) : 0; }
+  /// Merge phase of shard d: own touched list, then every source shard's
+  /// spill bucket for d in ascending source order.
+  void merge_shard(std::uint32_t d);
 
   CsrGraph csr_;
+  std::optional<graph::Partition> part_;  // empty: one shard, sequential
   std::uint32_t num_agents_;
   std::uint64_t time_ = 0;
   NodeId covered_ = 0;
@@ -199,9 +243,11 @@ class RotorRouter final : public sim::Engine,
   // for substrate construction — same indexing either way.
   graph::MappedArray<graph::NodeState> node_;  // packed per-node hot state
   std::vector<std::uint32_t> initial_pointers_;
-  std::vector<NodeId> occupied_;  // nodes with node_[v].count > 0 (unique)
-  std::vector<NodeId> touched_;   // nodes with node_[v].arrivals > 0
   graph::MappedArray<VisitStats> stats_;  // packed visits/exits/first/last
+  std::vector<RotorShard> shards_;        // one per partition shard
+
+  std::unique_ptr<sim::ThreadPool> owned_pool_;  // when none was shared
+  sim::ThreadPool* pool_ = nullptr;              // set iff part_
 };
 
 }  // namespace rr::core

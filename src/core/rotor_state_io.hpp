@@ -1,15 +1,13 @@
 #pragma once
 
-// Shared StateIO codec of the two general-graph rotor-router engines.
+// StateIO codec of the general-graph rotor-router (core::RotorRouter).
 //
-// core::RotorRouter and core::ShardedRotorRouter are the same dynamical
-// system over the same packed state (graph::NodeState + core::VisitStats),
-// and their checkpoints are documented as interchangeable — both report
-// engine_name() "rotor-router" and must serialize the byte-identical
-// field set. This header is that field set, written once: both engines'
-// serialize_state/deserialize_state/config_hash delegate here, so a field
-// added for one engine is automatically read and written by the other
-// (drift would otherwise break restore_checkpoint_sharded silently).
+// A "rotor-router" checkpoint is the same document at every shard count,
+// and the distributed stepper (core::DistributedRotorRouter) reads and
+// writes the same field set over its gathered state. This header is that
+// field set, written once: both steppers' serialize_state/
+// deserialize_state/config_hash delegate here, so a field added for one
+// is automatically read and written by the other.
 //
 // The helpers are templated over the per-node array types so the same
 // code serves owned std::vector state (in-RAM construction) and
@@ -34,7 +32,7 @@
 
 namespace rr::core {
 
-/// CycleLeapable fast hook shared by both rotor-router engines: applies
+/// CycleLeapable fast hook of the rotor-router engine: applies
 /// `cycles` confirmed periods by patching time and the per-node stats
 /// counters in place — no serialize/reparse round-trip, one pass over the
 /// delta runs. Atomic per the CycleLeapable contract: every delta key and
@@ -148,7 +146,7 @@ inline graph::NodeId init_rotor_nodes(const graph::Graph& g,
 }
 
 /// FNV-1a over (pointer, count) per node — the configuration identity
-/// both engines report as config_hash.
+/// every rotor-router stepper reports as config_hash.
 template <typename NodeArray>
 inline std::uint64_t rotor_config_hash(const NodeArray& node) {
   Fnv1a h;
@@ -191,8 +189,8 @@ inline void serialize_rotor_state(sim::StateWriter& out, std::uint64_t time,
 }
 
 /// The engine-agnostic result of a restore: everything except the
-/// engine's own occupied bookkeeping, which each engine rebuilds from
-/// the repopulated counts (sequential: one list; sharded: per shard).
+/// engine's own occupied bookkeeping, which the engine rebuilds from the
+/// repopulated counts (one list per shard).
 struct RestoredRotorState {
   std::uint64_t time = 0;
   std::uint32_t num_agents = 0;
@@ -297,11 +295,22 @@ inline std::optional<graph::NodeId> apply_rotor_span(
 /// out-of-core instead of dirtying the whole COW mapping. Skipped
 /// pointer runs are value 0, which a connected graph's degree >= 1
 /// always admits, so validation is preserved.
+///
+/// `pool`: a v2 checkpoint splits each per-node field into independently
+/// decodable segments (delta baselines restart at each boundary); when
+/// all six fields share the same segment layout — always true for
+/// documents the v2 encoder wrote — the node range splits at those
+/// boundaries and each window deserializes on a pool thread (disjoint
+/// node ranges, disjoint writes). v1 text documents, mismatched layouts,
+/// a single segment or no pool decode as one window. Identical results
+/// either way (restore is a pure function of the document); only
+/// wall-clock differs — this is what keeps session rehydration under
+/// server load from serializing on one core.
 template <typename NodeArray, typename StatsArray>
 inline std::optional<RestoredRotorState> deserialize_rotor_state(
-    const sim::StateReader& in, const graph::CsrGraph& csr,
-    NodeArray& node, std::vector<std::uint32_t>& initial_pointers,
-    StatsArray& stats, bool assume_defaults = false) {
+    const sim::StateReader& in, const graph::CsrGraph& csr, NodeArray& node,
+    std::vector<std::uint32_t>& initial_pointers, StatsArray& stats,
+    bool assume_defaults = false, sim::ThreadPool* pool = nullptr) {
   const graph::NodeId n = csr.num_nodes();
   const auto time = in.u64("time");
   const auto sites = in.pairs("agents");
@@ -312,6 +321,22 @@ inline std::optional<RestoredRotorState> deserialize_rotor_state(
     total_agents += c;
   }
   if (total_agents > ~std::uint32_t{0}) return std::nullopt;
+
+  // Node windows [bounds[w], bounds[w+1]): the shared v2 segment layout
+  // when a pool can spread it, else the one window [0, n).
+  std::optional<std::vector<std::uint64_t>> segments;
+  if (pool != nullptr && pool->num_threads() > 1 && n > 0) {
+    segments = in.u64_list_segment_bounds(detail::kRotorFieldKeys[0], n);
+    for (std::size_t k = 1; segments && k < detail::kRotorFields; ++k) {
+      const auto other =
+          in.u64_list_segment_bounds(detail::kRotorFieldKeys[k], n);
+      if (!other || *other != *segments) segments = std::nullopt;
+    }
+    if (segments && segments->size() <= 2) segments = std::nullopt;
+  }
+  const std::vector<std::uint64_t> bounds =
+      segments ? std::move(*segments) : std::vector<std::uint64_t>{0, n};
+  const bool windowed = bounds.size() > 2;
 
   // The six per-node fields decode as lockstep run cursors: node v's
   // whole record (pointer, stats) is validated and written in one
@@ -320,103 +345,42 @@ inline std::optional<RestoredRotorState> deserialize_rotor_state(
   // default-valued constant run are skipped outright under
   // assume_defaults. No O(n) intermediates; a failed stream leaves the
   // state partially written (allowed by the StateIO contract).
-  RestoredRotorState restored;
-  restored.time = *time;
-  restored.num_agents = static_cast<std::uint32_t>(total_agents);
   initial_pointers.resize(n);
-  std::optional<sim::U64ListCursor> cursors[detail::kRotorFields];
-  for (std::size_t k = 0; k < detail::kRotorFields; ++k) {
-    cursors[k] = in.u64_list_cursor(detail::kRotorFieldKeys[k], n);
-    if (!cursors[k]) return std::nullopt;
-  }
-  const auto covered = detail::apply_rotor_span(
-      cursors, csr, node, initial_pointers, stats, 0, n,
-      /*allow_skip=*/assume_defaults && n > 1);
-  if (!covered) return std::nullopt;
-  restored.covered = *covered;
-
-  restored.sites.reserve(sites->size());
-  for (const auto& [v, c] : *sites) {
-    node[v].count = static_cast<std::uint32_t>(c);
-    restored.sites.push_back(static_cast<graph::NodeId>(v));
-  }
-  return restored;
-}
-
-/// Pool-parallel variant. A v2 checkpoint splits each per-node field
-/// into independently decodable segments (delta baselines restart at
-/// each boundary); when all six fields share the same segment layout —
-/// always true for documents the v2 encoder wrote — the node range
-/// splits at those boundaries and each window deserializes on a pool
-/// thread (disjoint node ranges, disjoint writes). Falls back to the
-/// sequential walk for v1 text documents, mismatched layouts, or a
-/// single segment. Identical results either way (restore is a pure
-/// function of the document); only wall-clock differs — this is what
-/// keeps session rehydration under server load from serializing on one
-/// core.
-template <typename NodeArray, typename StatsArray>
-inline std::optional<RestoredRotorState> deserialize_rotor_state(
-    const sim::StateReader& in, const graph::CsrGraph& csr, NodeArray& node,
-    std::vector<std::uint32_t>& initial_pointers, StatsArray& stats,
-    bool assume_defaults, sim::ThreadPool* pool) {
-  const graph::NodeId n = csr.num_nodes();
-  std::optional<std::vector<std::uint64_t>> bounds;
-  if (pool != nullptr && pool->num_threads() > 1 && n > 0) {
-    bounds = in.u64_list_segment_bounds(detail::kRotorFieldKeys[0], n);
-    for (std::size_t k = 1; bounds && k < detail::kRotorFields; ++k) {
-      const auto other =
-          in.u64_list_segment_bounds(detail::kRotorFieldKeys[k], n);
-      if (!other || *other != *bounds) bounds = std::nullopt;
-    }
-    if (bounds && bounds->size() <= 2) bounds = std::nullopt;
-  }
-  if (!bounds) {
-    return deserialize_rotor_state(in, csr, node, initial_pointers, stats,
-                                   assume_defaults);
-  }
-
-  const auto time = in.u64("time");
-  const auto sites = in.pairs("agents");
-  if (!time || !sites || sites->empty()) return std::nullopt;
-  std::uint64_t total_agents = 0;
-  for (const auto& [v, c] : *sites) {
-    if (v >= n || c == 0 || c > ~std::uint32_t{0}) return std::nullopt;
-    total_agents += c;
-  }
-  if (total_agents > ~std::uint32_t{0}) return std::nullopt;
-
-  RestoredRotorState restored;
-  restored.time = *time;
-  restored.num_agents = static_cast<std::uint32_t>(total_agents);
-  initial_pointers.resize(n);
-  const std::size_t windows = bounds->size() - 1;
+  const std::size_t windows = bounds.size() - 1;
   std::vector<graph::NodeId> covered(windows, 0);
   std::vector<std::uint8_t> ok(windows, 0);
   const bool allow_skip = assume_defaults && n > 1;
-  pool->for_each(
-      windows,
-      [&](std::uint64_t w) {
-        std::optional<sim::U64ListCursor> cursors[detail::kRotorFields];
-        for (std::size_t k = 0; k < detail::kRotorFields; ++k) {
-          cursors[k] = in.u64_list_cursor_window(detail::kRotorFieldKeys[k],
-                                                 static_cast<std::size_t>(w),
-                                                 static_cast<std::size_t>(w) + 1);
-          if (!cursors[k]) return;
-        }
-        const auto c = detail::apply_rotor_span(
-            cursors, csr, node, initial_pointers, stats,
-            static_cast<graph::NodeId>((*bounds)[w]),
-            static_cast<graph::NodeId>((*bounds)[w + 1]), allow_skip);
-        if (!c) return;
-        covered[w] = *c;
-        ok[w] = 1;
-      },
-      /*chunk=*/1);
+  const auto decode = [&](std::uint64_t w) {
+    std::optional<sim::U64ListCursor> cursors[detail::kRotorFields];
+    for (std::size_t k = 0; k < detail::kRotorFields; ++k) {
+      const char* key = detail::kRotorFieldKeys[k];
+      cursors[k] = windowed ? in.u64_list_cursor_window(
+                                  key, static_cast<std::size_t>(w),
+                                  static_cast<std::size_t>(w) + 1)
+                            : in.u64_list_cursor(key, n);
+      if (!cursors[k]) return;
+    }
+    const auto c = detail::apply_rotor_span(
+        cursors, csr, node, initial_pointers, stats,
+        static_cast<graph::NodeId>(bounds[w]),
+        static_cast<graph::NodeId>(bounds[w + 1]), allow_skip);
+    if (!c) return;
+    covered[w] = *c;
+    ok[w] = 1;
+  };
+  if (windowed && pool != nullptr) {
+    pool->for_each(windows, decode, /*chunk=*/1);
+  } else {
+    for (std::uint64_t w = 0; w < windows; ++w) decode(w);
+  }
+
+  RestoredRotorState restored;
+  restored.time = *time;
+  restored.num_agents = static_cast<std::uint32_t>(total_agents);
   for (std::size_t w = 0; w < windows; ++w) {
     if (!ok[w]) return std::nullopt;
     restored.covered += covered[w];
   }
-
   restored.sites.reserve(sites->size());
   for (const auto& [v, c] : *sites) {
     node[v].count = static_cast<std::uint32_t>(c);

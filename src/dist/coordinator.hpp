@@ -5,8 +5,8 @@
 // core::DistributedRotorRouter is a sim::Engine whose rounds execute on N
 // worker processes (or in-process worker threads), each owning one
 // contiguous arc-balanced shard of the CSR row space — the same
-// graph::Partition split core::ShardedRotorRouter uses with threads. The
-// coordinator holds no per-node dynamic state of its own: it sequences
+// graph::Partition split a sharded core::RotorRouter uses with threads.
+// The coordinator holds no per-node dynamic state of its own: it sequences
 // the round protocol, relays cross-shard spill batches, evaluates the
 // delay schedule, and aggregates coverage.
 //

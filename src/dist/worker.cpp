@@ -27,7 +27,8 @@ namespace {
 using graph::NodeId;
 using graph::NodeState;
 
-/// The full shard state + round kernel of one worker (see worker.hpp).
+/// One worker's node state, driven by the shared round kernel
+/// (core::RotorShard; see worker.hpp).
 class WorkerNode {
  public:
   explicit WorkerNode(int fd) : fd_(fd) {}
@@ -47,6 +48,7 @@ class WorkerNode {
     if (m.shard >= part_->num_shards()) return false;
     me_ = static_cast<std::uint32_t>(m.shard);
     single_ = part_->num_shards() == 1;
+    shard_.attach(*part_, me_);
     spill_batch_ = m.value2 == 0 ? 1 : m.value2;
 
     const NodeId n = csr_.num_nodes();
@@ -71,19 +73,20 @@ class WorkerNode {
     }
     // Agent multiset as (site, count): counts and the n_v(0) visit credit
     // are order-independent, exactly as place_rotor_agents applies them.
+    // An agent on an isolated node could never move: rejected here, as in
+    // absorb_spill and scatter, so the kernel never meets one.
     for (const auto& [site, count] : m.pairs) {
       if (site >= n || count == 0 || count > ~std::uint32_t{0}) return false;
       NodeState& ns = node_[site];
       if (ns.count != 0) return false;  // sites arrive deduplicated
+      if (ns.degree == 0) return false;
       ns.count = static_cast<std::uint32_t>(count);
       stats_[site].visits = count;
       stats_[site].first_visit = 0;
       if (owner_is_me(static_cast<NodeId>(site))) {
-        occupied_.push_back(static_cast<NodeId>(site));
+        shard_.occupied.push_back(static_cast<NodeId>(site));
       }
     }
-    spill_.assign(part_->frontier(me_).size(), 0);
-    spill_touched_.assign(part_->num_shards(), {});
     return true;
   }
 
@@ -96,48 +99,26 @@ class WorkerNode {
     // a binary search regardless of the order the coordinator chose.
     held_ = m.pairs;
     std::sort(held_.begin(), held_.end());
-    const NodeId* arcs = csr_.arcs();
-    const std::size_t occupied_before = occupied_.size();
-    for (std::size_t idx = 0; idx < occupied_before; ++idx) {
-      if (idx + 4 < occupied_before) {
-        core::prefetch_ro(&node_[occupied_[idx + 4]]);
-      }
-      const NodeId v = occupied_[idx];
-      NodeState& ns = node_[v];
-      const std::uint32_t present = ns.count;
-      if (present == 0) continue;  // stale entry; dropped at commit
-      std::uint32_t held = held_for(v);
-      if (held > present) held = present;
-      const std::uint32_t moving = present - held;
-      if (moving == 0) continue;
-      if (ns.degree == 0) return false;  // agent stranded: bad init
-      ns.pointer = core::distribute_exits(
-          arcs + ns.row_begin, ns.degree, ns.pointer, moving,
-          [&](std::uint32_t p, NodeId u, std::uint32_t c) {
-            const std::uint32_t slot =
-                single_ ? graph::Partition::kInShard
-                        : part_->arc_slot(ns.row_begin + p);
-            if (slot == graph::Partition::kInShard) {
-              NodeState& nu = node_[u];
-              if (nu.arrivals == 0) touched_.push_back(u);
-              nu.arrivals += c;
-            } else {
-              const std::uint32_t dest = part_->frontier_owner(me_, slot);
-              if (spill_[slot] == 0) spill_touched_[dest].push_back(slot);
-              spill_[slot] += c;
-              // Batch full: flush while the scan continues — the bytes
-              // cross the socket (and get relayed) during compute.
-              if (spill_touched_[dest].size() >= spill_batch_) {
-                flush_spill(dest, /*mid_scan=*/true);
-              }
-            }
-          });
-      stats_[v].exits += moving;
-      ns.count = held;
+    const auto hold = [&](NodeId v, std::uint64_t, std::uint32_t) {
+      return held_for(v);
+    };
+    if (single_) {
+      shard_.scan<true>(arrays(), nullptr, me_, time_, hold,
+                        [](std::uint32_t) {});
+    } else {
+      // Batch full: flush while the scan continues — the bytes cross the
+      // socket (and get relayed) during compute.
+      shard_.scan<false>(arrays(), part_.get(), me_, time_, hold,
+                         [&](std::uint32_t dest) {
+                           if (shard_.spill_touched[dest].size() >=
+                               spill_batch_) {
+                             flush_spill(dest, /*mid_scan=*/true);
+                           }
+                         });
     }
     if (!io_ok_) return false;
     for (std::uint32_t d = 0; d < part_->num_shards(); ++d) {
-      if (!spill_touched_[d].empty()) flush_spill(d, /*mid_scan=*/false);
+      if (!shard_.spill_touched[d].empty()) flush_spill(d, /*mid_scan=*/false);
     }
     if (!io_ok_) return false;
     DistMsg done;
@@ -154,48 +135,29 @@ class WorkerNode {
   bool absorb_spill(const DistMsg& m) {
     for (const auto& [v, a] : m.pairs) {
       if (v >= node_.size() || !owner_is_me(static_cast<NodeId>(v)) ||
-          a == 0 || a > ~std::uint32_t{0}) {
+          node_[v].degree == 0 || a == 0 || a > ~std::uint32_t{0}) {
         return false;
       }
-      NodeState& nu = node_[v];
-      if (nu.arrivals == 0) touched_.push_back(static_cast<NodeId>(v));
-      nu.arrivals += static_cast<std::uint32_t>(a);
+      shard_.deposit(node_.data(), static_cast<NodeId>(v),
+                     static_cast<std::uint32_t>(a));
     }
     return true;
   }
 
   bool commit(const DistMsg& m) {
     if (m.round != time_) return false;
-    // Same membership invariant as the sharded engine's commit: occupied
-    // holds exactly the owned rows with agents.
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < occupied_.size(); ++i) {
-      if (node_[occupied_[i]].count > 0) occupied_[w++] = occupied_[i];
-    }
-    occupied_.resize(w);
-    std::uint64_t newly = 0;
-    const std::size_t touched_n = touched_.size();
-    for (std::size_t i = 0; i < touched_n; ++i) {
-      if (i + 4 < touched_n) core::prefetch_ro(&stats_[touched_[i + 4]]);
-      const NodeId u = touched_[i];
-      const std::uint32_t a = node_[u].arrivals;
-      if (a == 0) continue;  // duplicate touch already committed
-      node_[u].arrivals = 0;
-      if (node_[u].count == 0) occupied_.push_back(u);
-      if (core::commit_node_arrival(node_[u], stats_[u], time_, a)) ++newly;
-    }
-    touched_.clear();
+    shard_.commit(arrays(), time_);
     DistMsg done;
     done.kind = MsgKind::kCommitDone;
     done.round = time_;
-    done.value = newly;
+    done.value = shard_.take_newly_covered();
     return send_msg(fd_, done);
   }
 
   bool occupied_reply() {
     DistMsg rep;
     rep.kind = MsgKind::kOccupied;
-    for (const NodeId v : occupied_) {
+    for (const NodeId v : shard_.occupied) {
       if (node_[v].count > 0) rep.pairs.emplace_back(v, node_[v].count);
     }
     return send_msg(fd_, rep);
@@ -256,14 +218,11 @@ class WorkerNode {
       stats_[v].first_visit = m.lists[4][i];
       stats_[v].last_visit = m.lists[5][i];
     }
-    occupied_.clear();
-    touched_.clear();
-    spill_.assign(spill_.size(), 0);
-    for (auto& bucket : spill_touched_) bucket.clear();
+    shard_.reset();
     for (const auto& [v, c] : m.pairs) {
       if (v < b || v >= e || c == 0 || c > ~std::uint32_t{0}) return false;
       node_[v].count = static_cast<std::uint32_t>(c);
-      occupied_.push_back(static_cast<NodeId>(v));
+      shard_.occupied.push_back(static_cast<NodeId>(v));
     }
     time_ = m.value;
     DistMsg ok;
@@ -272,6 +231,10 @@ class WorkerNode {
   }
 
  private:
+  core::RotorArrays arrays() {
+    return {csr_.arcs(), node_.data(), stats_.data()};
+  }
+
   bool owner_is_me(NodeId v) const {
     return v >= part_->begin(me_) && v < part_->end(me_);
   }
@@ -289,15 +252,11 @@ class WorkerNode {
     m.kind = MsgKind::kSpill;
     m.round = time_;
     m.shard = dest;
-    const auto& fr = part_->frontier(me_);
-    m.pairs.reserve(spill_touched_[dest].size());
-    for (const std::uint32_t slot : spill_touched_[dest]) {
-      const std::uint32_t a = spill_[slot];
-      if (a == 0) continue;
-      spill_[slot] = 0;  // a later deposit re-registers the slot
-      m.pairs.emplace_back(fr[slot], a);
-    }
-    spill_touched_[dest].clear();
+    m.pairs.reserve(shard_.spill_touched[dest].size());
+    shard_.drain_spill(dest, part_->frontier(me_),
+                       [&](NodeId u, std::uint32_t a) {
+                         m.pairs.emplace_back(u, a);
+                       });
     if (m.pairs.empty()) return;
     const std::string payload = encode_msg(m);
     round_spill_bytes_ += payload.size();
@@ -334,10 +293,7 @@ class WorkerNode {
   std::vector<NodeState> node_;
   std::vector<std::uint32_t> initial_pointers_;
   std::vector<core::VisitStats> stats_;
-  std::vector<NodeId> occupied_;
-  std::vector<NodeId> touched_;
-  std::vector<std::uint32_t> spill_;
-  std::vector<std::vector<std::uint32_t>> spill_touched_;
+  core::RotorShard shard_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> held_;
 
   std::uint64_t round_spill_bytes_ = 0;

@@ -3,13 +3,14 @@
 // Worker side of the distributed rotor-router (dist layer).
 //
 // One WorkerNode owns one contiguous arc-balanced shard of the CSR row
-// space — the same graph::Partition ranges core::ShardedRotorRouter uses
-// in-process — and runs the identical race-free round kernel
+// space — the same graph::Partition ranges a sharded core::RotorRouter
+// uses in-process — and drives the same round kernel, core::RotorShard
 // (core/shard_step.hpp): scan its occupied rows, distribute exits, commit
-// arrival totals. The only difference is where cross-shard arrivals go:
-// instead of a sibling shard's spill buffer in shared memory, they
-// accumulate per destination worker and flush as framed kSpill batches
-// over the coordinator socket. Arrival commits are additive with
+// arrival totals. The only difference is the out-of-shard sink: instead
+// of waiting in the spill buffer for the in-process merge phase,
+// cross-shard arrivals flush per destination worker as framed kSpill
+// batches over the coordinator socket, and relayed batches come back in
+// as ordinary own-row deposits. Arrival commits are additive with
 // set-once first-visit bookkeeping, so per-round state is a function of
 // per-node arrival *totals*, never of batch or delivery order — which is
 // the whole bit-equality argument, unchanged from the sharded engine

@@ -2,8 +2,9 @@
 
 // CSR row-space partitioning + the packed node-state block (graph layer).
 //
-// Shard-parallel stepping (core::ShardedRotorRouter) and the sequential
-// engine's SoA hot path share two layout decisions made here:
+// Shard-parallel stepping (core::RotorRouter with shards > 1, and the
+// dist workers) and the sequential engine's SoA hot path share two
+// layout decisions made here:
 //
 //  * NodeState packs the per-node fields every rotor-router round touches
 //    — agent count, rotor pointer, degree, the arrival accumulator and

@@ -15,7 +15,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "dist/coordinator.hpp"
 #include "graph/descriptor.hpp"
 #include "sim/registry.hpp"
@@ -81,29 +80,20 @@ void register_rotor(EngineRegistry& r) {
           fail(error, "pointer field size must match the node count");
           return nullptr;
         }
-        if (c.shards > 1) {
-          return std::make_unique<core::ShardedRotorRouter>(
-              *g, agents_of(c), c.pointers, c.shards, c.pool);
-        }
         return std::make_unique<core::RotorRouter>(*g, agents_of(c),
-                                                   c.pointers);
+                                                   c.pointers, c.shards, c.pool);
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig& c) -> std::unique_ptr<Engine> {
         const auto g = d.build();
         if (!g) return nullptr;
         // The shard count is an execution choice, not checkpoint state:
-        // the same document restores sequentially or shard-parallel.
-        if (c.shards > 1) {
-          return restored<core::ShardedRotorRouter>(
-              state, *g, std::vector<graph::NodeId>{0},
-              std::vector<std::uint32_t>{}, c.shards, c.pool);
-        }
-        // A pool without a shard request still helps: the sequential
-        // engine's restore decodes v2 per-node segments pool-parallel
-        // (bit-identical result; see deserialize_rotor_state).
+        // the same document restores sequentially or shard-parallel. A
+        // pool (shared, or a sharded engine's own) decodes v2 per-node
+        // segments in parallel (bit-identical; see deserialize_rotor_state).
         auto engine = std::make_unique<core::RotorRouter>(
-            *g, std::vector<graph::NodeId>{0});
+            *g, std::vector<graph::NodeId>{0}, std::vector<std::uint32_t>{},
+            c.shards, c.pool);
         if (!engine->deserialize_state(state, c.pool)) return nullptr;
         return engine;
       },

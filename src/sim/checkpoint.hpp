@@ -104,11 +104,10 @@ std::unique_ptr<Engine> restore_checkpoint(const std::string& text);
 std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed);
 
 /// As restore_checkpoint, but "rotor-router" checkpoints restore into a
-/// shard-parallel core::ShardedRotorRouter stepping `shards` shards on
-/// `pool` (checkpoints are interchangeable between the sequential and
-/// sharded engines: the shard count is an execution choice, not state).
-/// Other engines restore exactly as restore_checkpoint. shards <= 1
-/// restores the sequential engine.
+/// core::RotorRouter stepping `shards` shards on `pool` (the shard count
+/// is an execution choice, not state), and a pool decodes v2 per-node
+/// segments in parallel. Other engines restore exactly as
+/// restore_checkpoint. shards <= 1 restores the sequential engine.
 std::unique_ptr<Engine> restore_checkpoint_sharded(
     const ParsedCheckpoint& parsed, std::uint32_t shards,
     ThreadPool* pool = nullptr);

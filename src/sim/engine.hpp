@@ -3,8 +3,9 @@
 // Unified simulation-engine interface (sim layer).
 //
 // The repository's engines — the general-graph rotor-router
-// (core::RotorRouter, CSR-backed), its shard-parallel twin
-// (core::ShardedRotorRouter), the ring-specialized rotor-routers
+// (core::RotorRouter, CSR-backed, sequential or shard-parallel), the
+// distributed stepper (core::DistributedRotorRouter), the
+// ring-specialized rotor-routers
 // (core::RingRotorRouter, core::LazyRingRotorRouter) and k parallel
 // random walks (walk::GraphRandomWalks) — share the synchronous-round model of the
 // paper: a configuration evolves one round at a time, visits accumulate,

@@ -192,8 +192,8 @@ class Runner {
   unsigned num_threads() const { return pool_.num_threads(); }
 
   /// The underlying fork-join pool; share it with shard-parallel engines
-  /// (core::ShardedRotorRouter) so trial-level and shard-level parallelism
-  /// draw from one set of threads instead of oversubscribing.
+  /// (core::RotorRouter with shards > 1) so trial-level and shard-level
+  /// parallelism draw from one set of threads instead of oversubscribing.
   ThreadPool& pool() { return pool_; }
 
   /// Runs fn(i) for i in [0, jobs) across the pool; blocks until all jobs

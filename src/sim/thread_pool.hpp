@@ -4,9 +4,9 @@
 //
 // Extracted from sim::Runner so that *both* parallelism levels in the
 // repository — trial-level (Runner fanning independent engine trials) and
-// shard-level (core::ShardedRotorRouter stepping partition shards every
-// round) — draw from one set of worker threads instead of each layer
-// spawning its own and oversubscribing the machine.
+// shard-level (core::RotorRouter stepping partition shards every round)
+// — draw from one set of worker threads instead of each layer spawning
+// its own and oversubscribing the machine.
 //
 // Three design points differ from a generic task queue:
 //

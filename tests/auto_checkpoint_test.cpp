@@ -15,7 +15,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
@@ -82,7 +81,7 @@ TEST(AutoCheckpoint, FileSinkPersistsARestorableCheckpoint) {
   const std::string path = temp_path("auto_ckpt.txt");
   std::remove(path.c_str());
 
-  core::ShardedRotorRouter rr(g, {0, 17, 40}, {}, /*shards=*/4);
+  core::RotorRouter rr(g, {0, 17, 40}, {}, /*shards=*/4);
   rr.set_auto_checkpoint(32, checkpoint_file_sink(path, descriptor.text()));
   rr.run(100);  // fires at 32, 64, 96; file holds the t=96 state
 
@@ -130,7 +129,7 @@ TEST(AutoCheckpoint, EveryBackendFiresDuringRunAndRunUntilCovered) {
   std::vector<std::unique_ptr<Engine>> engines;
   engines.push_back(
       std::make_unique<core::RotorRouter>(torus, std::vector<graph::NodeId>{0}));
-  engines.push_back(std::make_unique<core::ShardedRotorRouter>(
+  engines.push_back(std::make_unique<core::RotorRouter>(
       torus, std::vector<graph::NodeId>{0}, std::vector<std::uint32_t>{}, 4));
   engines.push_back(std::make_unique<core::RingRotorRouter>(
       64, std::vector<core::NodeId>{0}));

@@ -20,7 +20,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "graph/generators.hpp"
 #include "graph/mmap_substrate.hpp"
 #include "sim/checkpoint.hpp"
@@ -127,9 +126,8 @@ std::vector<BackendCase> all_backends_mid_run(std::uint64_t rounds) {
   cases.push_back(
       {std::make_unique<core::RotorRouter>(torus, spread), "torus 8 8"});
   cases.push_back(
-      {std::make_unique<core::ShardedRotorRouter>(torus, spread,
-                                                  std::vector<std::uint32_t>{},
-                                                  /*shards=*/3),
+      {std::make_unique<core::RotorRouter>(
+           torus, spread, std::vector<std::uint32_t>{}, /*shards=*/3),
        "torus 8 8"});
   cases.push_back(
       {std::make_unique<core::RingRotorRouter>(48, spread), "ring 48"});

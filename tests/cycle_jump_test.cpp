@@ -24,7 +24,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "differential.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
@@ -186,7 +185,7 @@ TEST(CycleJumpSharded, LeapMatchesSequentialDenseAcrossShardCounts) {
     core::RotorRouter dense(g, agents, {});
     Backend b{"sharded", "torus 6 6", kRotorAccumulators,
               [&g, &agents, shards] {
-                return std::make_unique<core::ShardedRotorRouter>(
+                return std::make_unique<core::RotorRouter>(
                     g, agents, std::vector<std::uint32_t>{}, shards);
               }};
     auto leap = wrap(b);

@@ -170,8 +170,8 @@ inline Mismatch run_lockstep_with_restart(
 /// every field is derived deterministically from the generator's Rng.
 struct RingScenario {
   NodeId n = 8;
-  std::vector<NodeId> agents;
-  std::vector<std::uint8_t> pointers;  // empty = all clockwise
+  std::vector<NodeId> agents{};
+  std::vector<std::uint8_t> pointers{};  // empty = all clockwise
   int pointer_kind = 0;
   int delay_kind = 0;
   std::uint64_t delay_seed = 0;

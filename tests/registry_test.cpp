@@ -10,7 +10,7 @@
 #include <set>
 #include <string>
 
-#include "core/sharded_rotor_router.hpp"
+#include "core/rotor_router.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace rr::sim {
@@ -181,9 +181,11 @@ TEST(EngineRegistry, ShardRequestSelectsShardParallelStepper) {
   auto engine = r.create("rotor", "torus 6 6", config, &error);
   ASSERT_NE(engine, nullptr) << error;
   // Interchangeable checkpoints: the sharded stepper reports the same
-  // engine_name, but is the shard-parallel type underneath.
+  // engine_name, and steps the requested shard count underneath.
   EXPECT_EQ(std::string(engine->engine_name()), "rotor-router");
-  EXPECT_NE(dynamic_cast<core::ShardedRotorRouter*>(engine.get()), nullptr);
+  auto* rotor = dynamic_cast<core::RotorRouter*>(engine.get());
+  ASSERT_NE(rotor, nullptr);
+  EXPECT_EQ(rotor->num_shards(), 4u);
 
   // Non-shard-capable engines ignore the request (callers warn).
   auto ring = r.create("ring", "ring 16", config, &error);

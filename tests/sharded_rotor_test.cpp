@@ -1,4 +1,4 @@
-// Differential gate for the shard-parallel engine: ShardedRotorRouter
+// Differential gate for shard-parallel stepping: RotorRouter with N shards
 // must be bit-equal — per-round config_hash, visits, first-visit rounds,
 // coverage — to the sequential RotorRouter for every tested shard count
 // ({1, 2, 3, 7, 8}), across topologies, adversarial delayed schedules,
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "differential.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
@@ -85,10 +84,10 @@ TEST(ShardedRotor, BitEqualToSequentialAcrossShardCountsAndTopologies) {
                    << topo.name << " k=" << sc.agents.size() << " delay_kind="
                    << sc.delays.delay_kind << " rounds=" << sc.rounds);
       core::RotorRouter reference(topo.graph, sc.agents, sc.pointers);
-      std::vector<std::unique_ptr<core::ShardedRotorRouter>> candidates;
+      std::vector<std::unique_ptr<core::RotorRouter>> candidates;
       std::vector<sim::Engine*> engines{&reference};
       for (std::uint32_t shards : kShardCounts) {
-        candidates.push_back(std::make_unique<core::ShardedRotorRouter>(
+        candidates.push_back(std::make_unique<core::RotorRouter>(
             topo.graph, sc.agents, sc.pointers, shards));
         engines.push_back(candidates.back().get());
       }
@@ -118,10 +117,10 @@ TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
                    << "threads=" << threads << " k=" << sc.agents.size()
                    << " delay_kind=" << sc.delays.delay_kind);
       core::RotorRouter reference(g, sc.agents, sc.pointers);
-      std::vector<std::unique_ptr<core::ShardedRotorRouter>> candidates;
+      std::vector<std::unique_ptr<core::RotorRouter>> candidates;
       std::vector<sim::Engine*> engines{&reference};
       for (std::uint32_t shards : {2u, 3u, 8u}) {
-        candidates.push_back(std::make_unique<core::ShardedRotorRouter>(
+        candidates.push_back(std::make_unique<core::RotorRouter>(
             g, sc.agents, sc.pointers, shards, &pool));
         engines.push_back(candidates.back().get());
       }
@@ -143,8 +142,7 @@ TEST(ShardedRotor, SharedRunnerPoolStepsInlineInsideTrials) {
   sim::Runner runner(4);
   std::vector<std::uint64_t> hashes(8);
   runner.for_each(8, [&](std::uint64_t i) {
-    core::ShardedRotorRouter sharded(g, agents, {}, /*shards=*/4,
-                                     &runner.pool());
+    core::RotorRouter sharded(g, agents, {}, /*shards=*/4, &runner.pool());
     sharded.run(64);
     hashes[i] = sharded.config_hash();
   });
@@ -167,8 +165,8 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
                    << " restart@" << restart << " k=" << sc.agents.size());
       core::RotorRouter reference(g, sc.agents, sc.pointers);
       std::unique_ptr<sim::Engine> candidate =
-          std::make_unique<core::ShardedRotorRouter>(g, sc.agents,
-                                                     sc.pointers, shards_before);
+          std::make_unique<core::RotorRouter>(g, sc.agents, sc.pointers,
+                                              shards_before);
       const sim::DelayFn delay = sc.delays.delay();
       for (std::uint64_t t = 0; t < sc.rounds; ++t) {
         if (t == restart) {
@@ -179,12 +177,9 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
           EXPECT_EQ(parsed->engine, "rotor-router");
           candidate = sim::restore_checkpoint_sharded(*parsed, shards_after);
           ASSERT_NE(candidate, nullptr);
-          if (shards_after > 1) {
-            auto* sharded =
-                dynamic_cast<core::ShardedRotorRouter*>(candidate.get());
-            ASSERT_NE(sharded, nullptr);
-            EXPECT_EQ(sharded->num_shards(), shards_after);
-          }
+          auto* sharded = dynamic_cast<core::RotorRouter*>(candidate.get());
+          ASSERT_NE(sharded, nullptr);
+          EXPECT_EQ(sharded->num_shards(), shards_after);
           const Mismatch m = compare_engines(reference, *candidate);
           ASSERT_TRUE(m.ok) << "after restore: " << m.detail;
         }
@@ -220,6 +215,47 @@ TEST(ShardedRotor, SequentialCheckpointRestoresIntoShardedEngine) {
   ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
 }
 
+TEST(ShardedRotor, PooledV2RestoreMatchesSequentialRestore) {
+  // A sharded restore decodes the v2 per-node segments on its pool: it
+  // must land on exactly the state a sequential restore does, down to
+  // the re-serialized bytes, and then step in lockstep with it.
+  const graph::GraphDescriptor descriptor =
+      graph::GraphDescriptor::torus(16, 12);
+  const graph::Graph g = *descriptor.build();
+  core::RotorRouter source(g, {0, 17, 17, 40, 101, 150}, {}, /*shards=*/3);
+  source.run(211);
+  const std::string text = sim::write_checkpoint(
+      source, descriptor.text(), sim::CkptFormat::kV2, /*segments=*/8);
+  sim::ThreadPool pool(4);
+  const auto parsed = sim::parse_checkpoint(text, &pool);
+  ASSERT_TRUE(parsed.has_value());
+  const auto bounds =
+      parsed->state.u64_list_segment_bounds("pointers", g.num_nodes());
+  ASSERT_TRUE(bounds.has_value());
+  ASSERT_GT(bounds->size(), 2u);  // several segments: the windowed decode
+
+  auto sequential = sim::restore_checkpoint(*parsed);
+  auto sharded = sim::restore_checkpoint_sharded(*parsed, 4, &pool);
+  ASSERT_NE(sequential, nullptr);
+  ASSERT_NE(sharded, nullptr);
+  auto* rotor = dynamic_cast<core::RotorRouter*>(sharded.get());
+  ASSERT_NE(rotor, nullptr);
+  EXPECT_EQ(rotor->num_shards(), 4u);
+  EXPECT_EQ(sim::write_checkpoint(*sequential, descriptor.text(),
+                                  sim::CkptFormat::kV2, 8),
+            sim::write_checkpoint(*sharded, descriptor.text(),
+                                  sim::CkptFormat::kV2, 8));
+  EXPECT_EQ(sharded->config_hash(), source.config_hash());
+  for (int t = 0; t < 300; ++t) {
+    sequential->step();
+    sharded->step();
+    ASSERT_EQ(sequential->config_hash(), sharded->config_hash())
+        << "round " << sequential->time();
+  }
+  const Mismatch m = compare_engines(*sequential, *sharded);
+  ASSERT_TRUE(m.ok) << m.detail;
+}
+
 TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
   // All-on-one deployments exercise the batched full-cycle exit path
   // (distribute_exits) and the spill accumulation under pile-ups.
@@ -229,10 +265,10 @@ TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
       SCOPED_TRACE(::testing::Message() << topo.name << " k=" << k);
       const std::vector<graph::NodeId> agents(k, n / 2);
       core::RotorRouter reference(topo.graph, agents);
-      std::vector<std::unique_ptr<core::ShardedRotorRouter>> candidates;
+      std::vector<std::unique_ptr<core::RotorRouter>> candidates;
       std::vector<sim::Engine*> engines{&reference};
       for (std::uint32_t shards : kShardCounts) {
-        candidates.push_back(std::make_unique<core::ShardedRotorRouter>(
+        candidates.push_back(std::make_unique<core::RotorRouter>(
             topo.graph, agents, std::vector<std::uint32_t>{}, shards));
         engines.push_back(candidates.back().get());
       }
