@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/table.hpp"
@@ -89,14 +90,14 @@ int main() {
   Table t({"topology", "transport", "workers", "rounds/s", "vs sequential",
            "spill B/round", "batches/round", "overlap"});
   for (const auto& c : configs) {
-    const auto g = c.descriptor.build();
-    if (!g) {
+    auto csr = c.descriptor.build_csr();
+    if (!csr) {
       std::fprintf(stderr, "bench_dist: cannot build %s\n", c.name.c_str());
       return 1;
     }
-    const auto agents = spread_agents(g->num_nodes(), c.k);
+    const auto agents = spread_agents(csr->num_nodes(), c.k);
 
-    rr::core::RotorRouter sequential(*g, agents, {});
+    rr::core::RotorRouter sequential(std::move(*csr), agents, {});
     const double seq_rate = timed_rounds_per_s(sequential, rounds);
     json.add("Dist/" + c.name + "/sequential/rounds_per_s", seq_rate);
     t.add_row({c.name, "(none)", "0", Table::sci(seq_rate), "1.00", "-", "-",
@@ -139,8 +140,7 @@ int main() {
   // real process boundaries and kernel socket buffers in the path.
   if (const std::string noded = find_noded(); !noded.empty()) {
     const Config& c = configs.front();
-    const auto g = c.descriptor.build();
-    const auto agents = spread_agents(g->num_nodes(), c.k);
+    const auto agents = spread_agents(*c.descriptor.num_nodes(), c.k);
     rr::core::DistOptions opt;
     opt.workers = 4;
     opt.spill_batch = c.spill_batch;

@@ -6,8 +6,11 @@
 // second so the experiment-harness budgets in DESIGN.md can be checked.
 //
 // Also measured here: the cost of the sim::Engine facade (polymorphic
-// stepping through a base pointer vs the concrete devirtualized loop) and
-// the batched sim::Runner fanning cover-time trials across the pool.
+// stepping through a base pointer vs the concrete devirtualized loop),
+// the batched sim::Runner fanning cover-time trials across the pool, and
+// descriptor-to-engine construction of a large torus. Rows whose work
+// runs on a pool, a socket or a child process report wall time
+// (UseRealTime), never main-thread CPU time.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +25,7 @@
 #include "sim/engine.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
+#include "sim/thread_pool.hpp"
 #include "walk/random_walk.hpp"
 #include "walk/ring_walk.hpp"
 
@@ -124,9 +128,11 @@ void EnginePolymorphicStep(benchmark::State& state,
 }
 const int kEngineSweepRegistered = [] {
   for (const auto* spec : rr::sim::EngineRegistry::instance().list()) {
-    benchmark::RegisterBenchmark(
+    auto* bench = benchmark::RegisterBenchmark(
         ("BM_EnginePolymorphicStep/" + spec->name).c_str(),
         EnginePolymorphicStep, spec);
+    // dist steps on worker threads over socketpairs.
+    if (spec->name == "dist") bench->UseRealTime();
   }
   return 0;
 }();
@@ -156,7 +162,41 @@ void BM_RunnerCoverBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(trials));
   state.SetLabel("threads=" + std::to_string(runner.num_threads()));
 }
-BENCHMARK(BM_RunnerCoverBatch)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunnerCoverBatch)
+    ->Arg(8)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Registry construction of a rotor engine from its descriptor: CSR build,
+// connectivity check, partition and agent placement, on the torus-explore
+// instance (torus 512x512, 2^16 agents) with a shared pool, as rr_cli run
+// --shards does. Arg: shards.
+void BM_RotorCreateTorus(benchmark::State& state) {
+  const auto shards = static_cast<std::uint32_t>(state.range(0));
+  const rr::sim::NodeId side = 512;
+  const std::uint32_t k = 1 << 16;
+  rr::sim::ThreadPool pool(shards);
+  rr::sim::EngineConfig config;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    config.agents.push_back(static_cast<rr::sim::NodeId>(
+        static_cast<std::uint64_t>(i) * side * side / k));
+  }
+  config.shards = shards;
+  config.pool = &pool;
+  const auto descriptor = rr::graph::GraphDescriptor::torus(side, side);
+  for (auto _ : state) {
+    auto engine =
+        rr::sim::EngineRegistry::instance().create("rotor", descriptor, config);
+    benchmark::DoNotOptimize(engine.get());
+  }
+  state.SetLabel("shards=" + std::to_string(shards));
+}
+BENCHMARK(BM_RotorCreateTorus)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

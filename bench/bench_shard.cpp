@@ -6,7 +6,8 @@
 // full-cycle exit path. shards = 0 rows are the sequential baseline;
 // shards = 1 constructs the same single-shard engine (kept so the rows
 // line up with earlier ledgers), and higher rows show the scaling the
-// partition buys on multi-core hosts.
+// partition buys on multi-core hosts. Every row reports wall time
+// (UseRealTime): the shard pool's work happens off the main thread.
 // CI uploads the JSON next to bench_perf's so tools/bench_diff.py flags
 // scaling regressions commit over commit.
 
@@ -55,7 +56,8 @@ BENCHMARK(BM_ShardedRotorRouterTorus)
     ->Args({256, 64, 1})
     ->Args({256, 64, 2})
     ->Args({256, 64, 4})
-    ->Args({256, 64, 8});
+    ->Args({256, 64, 8})
+    ->UseRealTime();
 
 // All k agents piled on one node: the full-cycle exit batching turns the
 // O(k) per-round arrival loop into O(deg), so throughput here tracks the
@@ -76,7 +78,8 @@ void BM_ShardedRotorRouterPileUp(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedRotorRouterPileUp)
     ->Args({4096, 0})
-    ->Args({4096, 8});
+    ->Args({4096, 8})
+    ->UseRealTime();
 
 }  // namespace
 

@@ -603,6 +603,7 @@ int cmd_run(const Flags& f) {
     std::fprintf(stderr, "rr_cli: %s\n", cj_error.c_str());
     return 2;
   }
+  const auto sink_stats = std::make_shared<rr::sim::CheckpointSinkStats>();
   if (f.checkpoint_every > 0) {
     if (f.checkpoint.empty()) {
       std::fprintf(stderr, "rr_cli: --checkpoint-every needs --checkpoint\n");
@@ -610,7 +611,8 @@ int cmd_run(const Flags& f) {
     }
     engine->set_auto_checkpoint(
         f.checkpoint_every,
-        rr::sim::checkpoint_file_sink(f.checkpoint, descriptor, format));
+        rr::sim::checkpoint_file_sink(f.checkpoint, descriptor, format,
+                                      /*pool=*/nullptr, sink_stats));
   }
   const std::uint64_t rounds = f.rounds ? f.rounds : engine->num_nodes();
   engine->run(rounds);
@@ -627,6 +629,20 @@ int cmd_run(const Flags& f) {
               static_cast<unsigned long long>(engine->time()),
               engine->covered_count(), engine->num_nodes(),
               static_cast<unsigned long long>(engine->config_hash()));
+  // A failed periodic checkpoint leaves nothing to resume from at the
+  // round it was due: report it and exit non-zero (after still trying
+  // the final save below).
+  int status = 0;
+  if (sink_stats->last_failed) {
+    std::fprintf(stderr,
+                 "rr_cli: periodic checkpoint to %s failed (%llu of %llu "
+                 "saves failed, the last one included)\n",
+                 f.checkpoint.c_str(),
+                 static_cast<unsigned long long>(sink_stats->failures),
+                 static_cast<unsigned long long>(sink_stats->failures +
+                                                 sink_stats->saves));
+    status = 1;
+  }
   if (!f.checkpoint.empty()) {
     if (substrate) substrate->advise_sequential();
     const std::string text =
@@ -640,7 +656,7 @@ int cmd_run(const Flags& f) {
     std::printf("checkpoint: %s (%zu bytes)\n", f.checkpoint.c_str(),
                 text.size());
   }
-  return 0;
+  return status;
 }
 
 int cmd_build_graph(const Flags& f) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "core/rotor_state_io.hpp"
 
@@ -10,10 +11,15 @@ namespace rr::core {
 RotorRouter::RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
                          std::vector<std::uint32_t> pointers,
                          std::uint32_t shards, sim::ThreadPool* pool)
-    : csr_(g),
+    : RotorRouter(CsrGraph(g), agents, std::move(pointers), shards, pool) {}
+
+RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
+                         std::vector<std::uint32_t> pointers,
+                         std::uint32_t shards, sim::ThreadPool* pool)
+    : csr_(std::move(csr)),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
-      node_(g.num_nodes()),
-      stats_(g.num_nodes()) {
+      node_(csr_.num_nodes()),
+      stats_(csr_.num_nodes()) {
   if (shards > 1) {
     part_.emplace(csr_, shards);
     if (part_->num_shards() == 1) part_.reset();  // clamped to the nodes
@@ -32,7 +38,7 @@ RotorRouter::RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
     pool_ = pool;
   }
   covered_ = init_rotor_nodes(
-      g, csr_, agents, pointers, node_, initial_pointers_, stats_,
+      csr_, agents, pointers, node_, initial_pointers_, stats_,
       [&](NodeId v) { shards_[owner(v)].occupied.push_back(v); });
   pristine_ = pointers.empty();
 }

@@ -10,9 +10,11 @@
 // deg v), then advances pi_v by c. Agents are indistinguishable, so the
 // engine stores per-node counts rather than identities.
 //
-// The engine snapshots the graph's port-ordered adjacency into a CsrGraph
-// at construction, so the stepping loops scan flat arrays instead of
-// chasing nested vectors; permute ports on the Graph before constructing.
+// The engine steps on a CsrGraph it owns, so the stepping loops scan flat
+// arrays instead of chasing nested vectors. Descriptor-driven callers
+// hand it GraphDescriptor::build_csr() directly; the Graph constructor
+// snapshots the port-ordered adjacency (permute ports on the Graph before
+// constructing).
 // The per-node hot state lives in one packed graph::NodeState stride
 // (count, pointer, degree) and the visit bookkeeping in one VisitStats
 // stride — the round is memory-latency-bound on scattered nodes, so each
@@ -87,14 +89,19 @@ class RotorRouter final : public sim::Engine,
  public:
   /// `agents`: multiset of starting nodes (k = agents.size()).
   /// `pointers`: initial pi_v per node; empty means all ports 0.
-  /// The graph's adjacency is snapshotted (CSR); later mutation of `g` does
-  /// not affect this engine.
+  /// The graph must be connected.
   /// `shards` > 1 steps shard-parallel (clamped to the node count). `pool`
   /// may be shared (e.g. sim::Runner::pool()) so trial- and shard-level
   /// parallelism draw from one set of threads; stepping from inside a
   /// pool job then runs the shards inline (ThreadPool nesting rule). With
   /// pool == nullptr a sharded engine owns a pool sized to
   /// min(shards, hardware).
+  RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
+              std::vector<std::uint32_t> pointers = {},
+              std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
+
+  /// Snapshots `g` into CSR; later mutation of `g` does not affect this
+  /// engine.
   RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
               std::vector<std::uint32_t> pointers = {},
               std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
@@ -239,7 +246,7 @@ class RotorRouter final : public sim::Engine,
   /// substrate image dirties only the pages that differ from the image.
   bool pristine_ = false;
 
-  // Owned vectors for Graph construction, views into the image mapping
+  // Owned vectors for in-RAM construction, views into the image mapping
   // for substrate construction — same indexing either way.
   graph::MappedArray<graph::NodeState> node_;  // packed per-node hot state
   std::vector<std::uint32_t> initial_pointers_;

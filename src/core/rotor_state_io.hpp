@@ -123,20 +123,20 @@ inline graph::NodeId place_rotor_agents(
   return covered;
 }
 
-/// Constructor-time initialization from a Graph: validates connectivity,
-/// caches degree/row offsets into the NodeState block, then places the
-/// agents via place_rotor_agents. Returns the initially covered count.
+/// Constructor-time initialization of an in-RAM engine: validates
+/// connectivity, caches degree/row offsets into the NodeState block, then
+/// places the agents via place_rotor_agents. Returns the initially
+/// covered count.
 template <typename NodeArray, typename StatsArray, typename OnFirstOccupy>
-inline graph::NodeId init_rotor_nodes(const graph::Graph& g,
-                                      const graph::CsrGraph& csr,
+inline graph::NodeId init_rotor_nodes(const graph::CsrGraph& csr,
                                       const std::vector<graph::NodeId>& agents,
                                       const std::vector<std::uint32_t>& pointers,
                                       NodeArray& node,
                                       std::vector<std::uint32_t>& initial_pointers,
                                       StatsArray& stats,
                                       OnFirstOccupy&& on_first_occupy) {
-  RR_REQUIRE(g.is_connected(), "rotor-router requires a connected graph");
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+  RR_REQUIRE(csr.is_connected(), "rotor-router requires a connected graph");
+  for (graph::NodeId v = 0; v < csr.num_nodes(); ++v) {
     node[v].degree = csr.degree_unchecked(v);
     node[v].row_begin = csr.row_offset(v);
   }

@@ -48,16 +48,16 @@ std::unique_ptr<DistributedRotorRouter> DistributedRotorRouter::create(
     const std::vector<graph::NodeId>& agents,
     const std::vector<std::uint32_t>& pointers, const DistOptions& options,
     std::string* error) {
-  const auto g = descriptor.build();
-  if (!g) {
+  auto built = descriptor.build_csr();
+  if (!built) {
     set_error(error, "dist: graph descriptor failed to build");
     return nullptr;
   }
-  if (!g->is_connected()) {
+  graph::CsrGraph& csr = *built;
+  if (!csr.is_connected()) {
     set_error(error, "dist: rotor-router requires a connected graph");
     return nullptr;
   }
-  graph::CsrGraph csr(*g);
   const graph::NodeId n = csr.num_nodes();
   if (agents.empty() || agents.size() > ~std::uint32_t{0}) {
     set_error(error, "dist: at least one agent required");

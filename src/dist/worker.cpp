@@ -38,9 +38,9 @@ class WorkerNode {
   bool init(const DistMsg& m) {
     const auto d = graph::GraphDescriptor::parse(m.text);
     if (!d) return false;
-    const auto g = d->build();
-    if (!g) return false;
-    csr_ = graph::CsrGraph(*g);
+    auto csr = d->build_csr();
+    if (!csr) return false;
+    csr_ = std::move(*csr);
     const std::uint64_t workers = m.value;
     if (workers == 0 || workers > csr_.num_nodes()) return false;
     part_ = std::make_unique<graph::Partition>(
@@ -283,7 +283,7 @@ class WorkerNode {
   int fd_;
   bool io_ok_ = true;
 
-  graph::CsrGraph csr_{graph::Graph(1)};
+  graph::CsrGraph csr_;
   std::unique_ptr<graph::Partition> part_;
   std::uint32_t me_ = 0;
   bool single_ = true;

@@ -27,12 +27,12 @@
 // or a connected --dist-socket stream). It exits 0 on kShutdown or a
 // closed socket, nonzero on a malformed or out-of-protocol stream.
 //
-// Memory honesty: each worker rebuilds the full CSR from the descriptor
-// (the partition and frontier tables need global topology) and sizes its
-// state arrays at n nodes, touching only its own range. Distribution
-// therefore shards the *round work and the dynamic-state writes*, not
-// yet the graph image; carving the substrate itself (mmap'd per-range
-// images) is the ROADMAP follow-on.
+// Memory honesty: each worker builds the full CSR from the descriptor
+// (GraphDescriptor::build_csr; the partition and frontier tables need
+// global topology) and sizes its state arrays at n nodes, touching only
+// its own range. Distribution therefore shards the *round work and the
+// dynamic-state writes*, not yet the graph image; carving the substrate
+// itself (mmap'd per-range images) is the ROADMAP follow-on.
 
 #include <cstdint>
 

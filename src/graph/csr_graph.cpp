@@ -6,9 +6,8 @@
 
 namespace rr::graph {
 
-CsrGraph::CsrGraph(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  num_nodes_ = n;
+CsrGraph::CsrGraph(const Graph& g) : num_nodes_(g.num_nodes()) {
+  const NodeId n = num_nodes_;
   offsets_store_.resize(static_cast<std::size_t>(n) + 1);
   offsets_store_[0] = 0;
   for (NodeId v = 0; v < n; ++v) {
@@ -18,19 +17,39 @@ CsrGraph::CsrGraph(const Graph& g) {
   ports_store_.resize(offsets_store_[n]);
   for (NodeId v = 0; v < n; ++v) {
     const auto row = g.neighbors(v);
-    std::copy(row.begin(), row.end(),
-              neighbors_store_.begin() + offsets_store_[v]);
-    auto* ports = ports_store_.data() + offsets_store_[v];
-    std::iota(ports, ports + row.size(), 0u);
-    const NodeId* heads = neighbors_store_.data() + offsets_store_[v];
-    std::sort(ports, ports + row.size(),
-              [heads](std::uint32_t a, std::uint32_t b) {
-                return heads[a] != heads[b] ? heads[a] < heads[b] : a < b;
-              });
+    NodeId* heads = neighbors_store_.data() + offsets_store_[v];
+    std::copy(row.begin(), row.end(), heads);
+    sort_row_ports(heads, g.degree(v),
+                   ports_store_.data() + offsets_store_[v]);
   }
+  bind_owned();
+}
+
+CsrGraph::CsrGraph(std::vector<std::size_t> offsets, std::vector<NodeId> arcs,
+                   std::vector<std::uint32_t> sorted_ports)
+    : offsets_store_(std::move(offsets)),
+      neighbors_store_(std::move(arcs)),
+      ports_store_(std::move(sorted_ports)) {
+  RR_REQUIRE(!offsets_store_.empty() &&
+                 offsets_store_.back() == neighbors_store_.size() &&
+                 ports_store_.size() == neighbors_store_.size(),
+             "CsrGraph arrays disagree on the arc count");
+  num_nodes_ = static_cast<NodeId>(offsets_store_.size() - 1);
+  bind_owned();
+}
+
+void CsrGraph::sort_row_ports(const NodeId* heads, std::uint32_t deg,
+                              std::uint32_t* ports) {
+  std::iota(ports, ports + deg, 0u);
+  std::sort(ports, ports + deg, [heads](std::uint32_t a, std::uint32_t b) {
+    return heads[a] != heads[b] ? heads[a] < heads[b] : a < b;
+  });
+}
+
+void CsrGraph::bind_owned() {
   offsets_ = offsets_store_.data();
   neighbors_ = neighbors_store_.data();
-  sorted_ports_ = ports_store_.data();
+  sorted_ports_ = ports_store_.empty() ? nullptr : ports_store_.data();
 }
 
 CsrGraph::CsrGraph(const std::size_t* offsets, NodeId num_nodes,
@@ -56,9 +75,7 @@ CsrGraph& CsrGraph::operator=(const CsrGraph& other) {
     neighbors_ = other.neighbors_;
     sorted_ports_ = other.sorted_ports_;
   } else {  // owned: rebind to this object's copies
-    offsets_ = offsets_store_.data();
-    neighbors_ = neighbors_store_.data();
-    sorted_ports_ = ports_store_.empty() ? nullptr : ports_store_.data();
+    bind_owned();
   }
   return *this;
 }
@@ -99,6 +116,27 @@ bool CsrGraph::has_edge(NodeId v, NodeId u) const {
       first, last, u,
       [heads](std::uint32_t port, NodeId target) { return heads[port] < target; });
   return it != last && heads[*it] == u;
+}
+
+bool CsrGraph::is_connected() const {
+  if (num_nodes_ == 0) return true;
+  std::vector<std::uint8_t> seen(num_nodes_, 0);
+  std::vector<NodeId> queue(num_nodes_);
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  seen[0] = 1;
+  queue[tail++] = 0;
+  while (head < tail) {
+    const NodeId v = queue[head++];
+    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+      const NodeId u = neighbors_[i];
+      if (!seen[u]) {
+        seen[u] = 1;
+        queue[tail++] = u;
+      }
+    }
+  }
+  return tail == num_nodes_;
 }
 
 }  // namespace rr::graph

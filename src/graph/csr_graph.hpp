@@ -7,10 +7,13 @@
 // heap instead of a cache line. CsrGraph flattens the same port-ordered
 // adjacency into two arrays — `offsets_` (n+1 prefix sums of degrees) and
 // `neighbors_` (all 2|E| arc heads, port order preserved per node) — so a
-// round over the occupied nodes does contiguous scans. The simulation
-// engines build one at construction time and run every inner loop on it;
-// `Graph` remains the mutable builder/query type (generators, permute_ports,
-// BFS diagnostics).
+// round over the occupied nodes does contiguous scans. The rotor
+// engines and dist workers run every inner loop on it. They get it from
+// GraphDescriptor::build_csr, which streams the lattice kinds (ring,
+// torus) straight into the owned arrays (graph/lattice_rows.hpp) and
+// snapshots a built Graph for every other kind. `Graph` remains the
+// mutable builder/query type for the generators, permute_ports, BFS
+// diagnostics and the engines that need those APIs (walks, eulerian).
 //
 // Port semantics are identical to Graph: `neighbor(v, p)` is the arc head
 // reached from v through port p, and the cyclic successor of p is
@@ -18,14 +21,15 @@
 // *before* constructing the view.
 //
 // Storage comes in two modes behind the same pointer-based accessors:
-// owned (built from a Graph, arrays in member vectors) and view (arrays
-// live elsewhere — an mmap'd graph image, graph/mmap_substrate.hpp — and
-// `backing_` keeps that storage alive). Copying an owned CsrGraph copies
-// the arrays; copying a view shares them.
+// owned (built from a Graph or a row source, arrays in member vectors)
+// and view (arrays live elsewhere — an mmap'd graph image,
+// graph/mmap_substrate.hpp — and `backing_` keeps that storage alive).
+// Copying an owned CsrGraph copies the arrays; copying a view shares them.
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
@@ -35,7 +39,38 @@ namespace rr::graph {
 
 class CsrGraph {
  public:
+  /// The empty graph (no nodes).
+  CsrGraph() : CsrGraph(std::vector<std::size_t>{0}, {}, {}) {}
+
   explicit CsrGraph(const Graph& g);
+
+  /// Owned mode over prebuilt arrays: `offsets` (n+1 prefix sums),
+  /// `arcs` (offsets[n] heads in port order) and `sorted_ports` (same
+  /// length, each row in sort_row_ports order).
+  CsrGraph(std::vector<std::size_t> offsets, std::vector<NodeId> arcs,
+           std::vector<std::uint32_t> sorted_ports);
+
+  /// Streams a fixed-degree row source (graph/lattice_rows.hpp) into an
+  /// owned graph, with no intermediate Graph.
+  template <typename Rows>
+  static CsrGraph from_rows(const Rows& rows) {
+    constexpr std::uint32_t deg = Rows::kDegree;
+    const std::uint64_t n = rows.num_nodes();
+    std::vector<std::size_t> offsets(n + 1);
+    std::vector<NodeId> arcs(n * deg);
+    std::vector<std::uint32_t> ports(n * deg);
+    for (std::uint64_t v = 0; v <= n; ++v) offsets[v] = v * deg;
+    for (std::uint64_t v = 0; v < n; ++v) {
+      rows.row(v, &arcs[v * deg]);
+      sort_row_ports(&arcs[v * deg], deg, &ports[v * deg]);
+    }
+    return CsrGraph(std::move(offsets), std::move(arcs), std::move(ports));
+  }
+
+  /// Writes the permutation of one row's ports sorted by (head, port)
+  /// into ports[0, deg): the sorted_ports layout.
+  static void sort_row_ports(const NodeId* heads, std::uint32_t deg,
+                             std::uint32_t* ports);
 
   /// View over externally owned arrays: `offsets` (n+1 prefix sums),
   /// `neighbors` (offsets[n] arc heads), and optionally `sorted_ports`
@@ -89,6 +124,9 @@ class CsrGraph {
   /// Offset of v's neighbor row in arcs() (what NodeState::row_begin
   /// caches at engine construction).
   std::size_t row_offset(NodeId v) const { return offsets_[v]; }
+  /// Base of the per-row (head, port)-sorted port permutation, parallel
+  /// to arcs(); nullptr for a view built without one.
+  const std::uint32_t* sorted_ports() const { return sorted_ports_; }
   std::uint32_t degree_unchecked(NodeId v) const {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
@@ -101,7 +139,14 @@ class CsrGraph {
   /// O(log deg v) membership test.
   bool has_edge(NodeId v, NodeId u) const;
 
+  /// True iff every node is reachable from node 0 (BFS over the flat
+  /// arrays; the empty graph is connected).
+  bool is_connected() const;
+
  private:
+  /// Owned mode: points the accessors at this object's vectors.
+  void bind_owned();
+
   // Owned-mode storage (empty in view mode).
   std::vector<std::size_t> offsets_store_;  // n+1 prefix sums of degrees
   std::vector<NodeId> neighbors_store_;     // arc heads, port order per node

@@ -6,6 +6,7 @@
 
 #include "common/parse.hpp"
 #include "graph/generators.hpp"
+#include "graph/lattice_rows.hpp"
 
 namespace rr::graph {
 
@@ -192,6 +193,18 @@ std::optional<Graph> GraphDescriptor::build() const {
                               *arg_u64(args[2]));
   }
   return std::nullopt;
+}
+
+std::optional<CsrGraph> GraphDescriptor::build_csr() const {
+  if (!num_nodes()) return std::nullopt;  // build()'s precondition check
+  if (kind == "ring") return CsrGraph::from_rows(RingRows{*arg_node(args[0])});
+  if (kind == "torus") {
+    return CsrGraph::from_rows(
+        TorusRows{*arg_node(args[0]), *arg_node(args[1])});
+  }
+  const auto g = build();
+  if (!g) return std::nullopt;
+  return CsrGraph(*g);
 }
 
 GraphDescriptor GraphDescriptor::ring(NodeId n) {

@@ -7,7 +7,8 @@
 // engine state. A descriptor is a short space-separated text form of a
 // generator call — "ring 64", "torus 16 16", "random-regular 128 4 7" —
 // that round-trips through parse()/text() and rebuilds the graph through
-// build(). Every generator in graph/generators.hpp has a descriptor
+// build(), or straight into the flat CSR form the rotor engines step on
+// through build_csr(). Every generator in graph/generators.hpp has a descriptor
 // spelling; the arguments are kept verbatim as tokens so text forms are
 // stable byte-for-byte across a round trip.
 //
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 
 namespace rr::graph {
@@ -42,6 +44,12 @@ struct GraphDescriptor {
   /// Builds the graph; nullopt if any argument is malformed or violates
   /// the generator's preconditions (e.g. "ring 2").
   std::optional<Graph> build() const;
+
+  /// CsrGraph(*build()) without the intermediate Graph for the lattice
+  /// kinds: "ring" and "torus" stream their rows (graph/lattice_rows.hpp)
+  /// into the owned arrays, every other kind snapshots build(). Total in
+  /// exactly the way build() is: nullopt for the same descriptors.
+  std::optional<CsrGraph> build_csr() const;
 
   /// Number of nodes the built graph would have, without building it
   /// (checkpoint loaders size per-node arrays up front). nullopt on

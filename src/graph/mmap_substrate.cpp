@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <optional>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -17,6 +16,7 @@
 #include "common/hash.hpp"
 #include "common/parse.hpp"
 #include "graph/descriptor.hpp"
+#include "graph/lattice_rows.hpp"
 
 namespace rr::graph {
 
@@ -93,10 +93,10 @@ std::uint64_t align_page(std::uint64_t x) {
 // ---- row sources ----
 //
 // A RowSource yields each node's port-ordered neighbor row; the builder
-// makes one streaming pass per section. Ring and torus reproduce the
-// exact port conventions of graph/generators.cpp arithmetically (the
-// image must be indistinguishable from CsrGraph(generators::ring(n))),
-// which the substrate test pins row-by-row at small sizes.
+// makes one streaming pass per section. Ring and torus stream the shared
+// arithmetic rows of graph/lattice_rows.hpp (the image must be
+// indistinguishable from CsrGraph(generators::ring(n))), which the
+// substrate test pins row-by-row at small sizes.
 
 class RowSource {
  public:
@@ -104,60 +104,27 @@ class RowSource {
   virtual std::uint64_t num_nodes() const = 0;
   virtual std::uint64_t num_arcs() const = 0;
   virtual std::uint32_t degree(NodeId v) const = 0;
-  /// Neighbors of v in port order (out is cleared first).
+  /// Neighbors of v in port order (out is overwritten).
   virtual void row(NodeId v, std::vector<NodeId>& out) const = 0;
 };
 
-/// generators.cpp ring: port 0 clockwise (v+1), port 1 anticlockwise.
-class RingSource final : public RowSource {
+/// The streamed lattice kinds: no in-memory graph at all.
+template <typename Rows>
+class LatticeSource final : public RowSource {
  public:
-  explicit RingSource(std::uint64_t n) : n_(n) {}
-  std::uint64_t num_nodes() const override { return n_; }
-  std::uint64_t num_arcs() const override { return 2 * n_; }
-  std::uint32_t degree(NodeId) const override { return 2; }
+  explicit LatticeSource(Rows rows) : rows_(rows) {}
+  std::uint64_t num_nodes() const override { return rows_.num_nodes(); }
+  std::uint64_t num_arcs() const override {
+    return Rows::kDegree * rows_.num_nodes();
+  }
+  std::uint32_t degree(NodeId) const override { return Rows::kDegree; }
   void row(NodeId v, std::vector<NodeId>& out) const override {
-    out.clear();
-    out.push_back(static_cast<NodeId>((v + 1) % n_));
-    out.push_back(static_cast<NodeId>((v + n_ - 1) % n_));
+    out.resize(Rows::kDegree);
+    rows_.row(v, out.data());
   }
 
  private:
-  std::uint64_t n_;
-};
-
-/// generators.cpp torus: node id y*w + x; the port order falls out of
-/// the edge-insertion order (per cell: right then down, cells scanned in
-/// (y, x) order), which wraps differently on the x=0 and y=0 borders.
-class TorusSource final : public RowSource {
- public:
-  TorusSource(std::uint64_t w, std::uint64_t h) : w_(w), h_(h) {}
-  std::uint64_t num_nodes() const override { return w_ * h_; }
-  std::uint64_t num_arcs() const override { return 4 * w_ * h_; }
-  std::uint32_t degree(NodeId) const override { return 4; }
-  void row(NodeId v, std::vector<NodeId>& out) const override {
-    const std::uint64_t x = v % w_;
-    const std::uint64_t y = v / w_;
-    const auto id = [this](std::uint64_t xx, std::uint64_t yy) {
-      return static_cast<NodeId>(yy * w_ + xx);
-    };
-    const NodeId up = id(x, y == 0 ? h_ - 1 : y - 1);
-    const NodeId down = id(x, (y + 1) % h_);
-    const NodeId left = id(x == 0 ? w_ - 1 : x - 1, y);
-    const NodeId right = id((x + 1) % w_, y);
-    out.clear();
-    if (x > 0 && y > 0) {
-      out.assign({up, left, right, down});
-    } else if (x == 0 && y > 0) {
-      out.assign({up, right, down, left});
-    } else if (x > 0) {  // y == 0
-      out.assign({left, right, down, up});
-    } else {  // origin
-      out.assign({right, down, left, up});
-    }
-  }
-
- private:
-  std::uint64_t w_, h_;
+  Rows rows_;
 };
 
 /// Fallback for every other descriptor kind: rows straight off a built
@@ -249,7 +216,7 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
   if (d->kind == "ring") {
     const auto n = stream_arg(d->args[0]);
     if (!n || *n < 3) return set_error(error, "ring requires 3 <= n <= 2^31");
-    src = std::make_unique<RingSource>(*n);
+    src = std::make_unique<LatticeSource<RingRows>>(RingRows{*n});
   } else if (d->kind == "torus") {
     const auto w = stream_arg(d->args[0]);
     const auto h = stream_arg(d->args[1]);
@@ -257,7 +224,7 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
         *w * *h > (1ull << 31)) {
       return set_error(error, "torus requires 3 <= w,h and w*h <= 2^31");
     }
-    src = std::make_unique<TorusSource>(*w, *h);
+    src = std::make_unique<LatticeSource<TorusRows>>(TorusRows{*w, *h});
   } else {
     built = d->build();
     if (!built) {
@@ -323,12 +290,9 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
       src->row(static_cast<NodeId>(v), nbr);
       neighbors.append(nbr.data(), nbr.size());
       ports.resize(nbr.size());
-      std::iota(ports.begin(), ports.end(), 0u);
-      const NodeId* heads = nbr.data();
-      std::sort(ports.begin(), ports.end(),
-                [heads](std::uint32_t a, std::uint32_t b) {
-                  return heads[a] != heads[b] ? heads[a] < heads[b] : a < b;
-                });
+      CsrGraph::sort_row_ports(nbr.data(),
+                               static_cast<std::uint32_t>(nbr.size()),
+                               ports.data());
       sorted.append(ports.data(), ports.size());
       ok = neighbors.maybe_flush() && sorted.maybe_flush();
     }

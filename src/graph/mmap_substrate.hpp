@@ -7,13 +7,15 @@
 // materializing it through graph::Graph (vector-of-vectors) costs several
 // times that in allocator overhead before the CSR snapshot even starts.
 // The image sidesteps both: `MappedSubstrate::build` streams a descriptor
-// ("ring N", "torus W H" have dedicated row generators with no in-memory
-// graph at all; other kinds go through GraphDescriptor::build) into a
-// flat file, and `MappedSubstrate::open` maps the whole file MAP_PRIVATE
-// so CsrGraph and the engine's NodeState/VisitStats arrays are backed by
-// the page cache — an engine steps a 1e8-node instance touching only the
-// pages its agents actually visit, and the private copy-on-write mapping
-// keeps every run's mutations isolated from the file.
+// into a flat file. "ring N" and "torus W H" stream the row generators of
+// graph/lattice_rows.hpp with no in-memory graph at all (the same rows
+// GraphDescriptor::build_csr streams into an in-RAM CsrGraph); other
+// kinds go through GraphDescriptor::build. `MappedSubstrate::open` maps
+// the whole file MAP_PRIVATE so CsrGraph and the engine's
+// NodeState/VisitStats arrays are backed by the page cache — an engine
+// steps a 1e8-node instance touching only the pages its agents actually
+// visit, and the private copy-on-write mapping keeps every run's
+// mutations isolated from the file.
 //
 // Image layout (little-endian, every section 4096-byte aligned):
 //

@@ -74,26 +74,29 @@ void register_rotor(EngineRegistry& r) {
       .cycle_accumulators = {"time", "visits", "exits", "last_visit"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = build_graph(d, error);
-        if (!g) return nullptr;
-        if (!c.pointers.empty() && c.pointers.size() != g->num_nodes()) {
+        auto csr = d.build_csr();
+        if (!csr) {
+          fail(error, "invalid graph parameters");
+          return nullptr;
+        }
+        if (!c.pointers.empty() && c.pointers.size() != csr->num_nodes()) {
           fail(error, "pointer field size must match the node count");
           return nullptr;
         }
-        return std::make_unique<core::RotorRouter>(*g, agents_of(c),
-                                                   c.pointers, c.shards, c.pool);
+        return std::make_unique<core::RotorRouter>(
+            std::move(*csr), agents_of(c), c.pointers, c.shards, c.pool);
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig& c) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
-        if (!g) return nullptr;
+        auto csr = d.build_csr();
+        if (!csr) return nullptr;
         // The shard count is an execution choice, not checkpoint state:
         // the same document restores sequentially or shard-parallel. A
         // pool (shared, or a sharded engine's own) decodes v2 per-node
         // segments in parallel (bit-identical; see deserialize_rotor_state).
         auto engine = std::make_unique<core::RotorRouter>(
-            *g, std::vector<graph::NodeId>{0}, std::vector<std::uint32_t>{},
-            c.shards, c.pool);
+            std::move(*csr), std::vector<graph::NodeId>{0},
+            std::vector<std::uint32_t>{}, c.shards, c.pool);
         if (!engine->deserialize_state(state, c.pool)) return nullptr;
         return engine;
       },

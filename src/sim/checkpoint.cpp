@@ -320,13 +320,25 @@ bool save_checkpoint_file_atomic(const std::string& path,
 
 std::function<void(const Engine&)> checkpoint_file_sink(
     std::string path, std::string graph_descriptor, CkptFormat format,
-    ThreadPool* pool) {
+    ThreadPool* pool, std::shared_ptr<CheckpointSinkStats> stats) {
+  if (!stats) stats = std::make_shared<CheckpointSinkStats>();
   return [path = std::move(path),
-          graph_descriptor = std::move(graph_descriptor), format,
-          pool](const Engine& engine) {
-    (void)save_checkpoint_file_atomic(
+          graph_descriptor = std::move(graph_descriptor), format, pool,
+          stats = std::move(stats)](const Engine& engine) {
+    const bool ok = save_checkpoint_file_atomic(
         path, write_checkpoint(engine, graph_descriptor, format,
                                /*segments=*/0, pool));
+    stats->last_failed = !ok;
+    if (ok) {
+      ++stats->saves;
+    } else if (stats->failures++ == 0) {
+      std::fprintf(stderr,
+                   "rr-ckpt: warning: periodic checkpoint to %s failed at "
+                   "t=%llu; the run continues (further failures counted, "
+                   "not reported)\n",
+                   path.c_str(),
+                   static_cast<unsigned long long>(engine.time()));
+    }
   };
 }
 

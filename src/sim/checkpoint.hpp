@@ -128,15 +128,24 @@ bool save_checkpoint_file_atomic(const std::string& path,
                                  const std::string& text);
 std::optional<std::string> read_text_file(const std::string& path);
 
+/// What a checkpoint_file_sink has done so far; shared with its caller.
+struct CheckpointSinkStats {
+  std::uint64_t saves = 0;     ///< fires that wrote their document
+  std::uint64_t failures = 0;  ///< fires whose save failed
+  bool last_failed = false;    ///< the most recent fire failed
+};
+
 /// Sink for Engine::set_auto_checkpoint: serializes the engine against
 /// `graph_descriptor` in `format` (v2 by default — auto-checkpointing is
 /// the hot path the binary codec exists for) and saves it atomically to
-/// `path` on every fire. Write failures are silently ignored
-/// (auto-checkpointing is best-effort crash tolerance; the run itself
-/// must not die because a disk filled).
+/// `path` on every fire. A failed save does not stop the run (the run
+/// itself must not die because a disk filled), but it is not swallowed
+/// either: the first failure warns on stderr naming `path`, and every
+/// fire is counted in `stats` (optional) so the caller can report it.
 std::function<void(const Engine&)> checkpoint_file_sink(
     std::string path, std::string graph_descriptor,
-    CkptFormat format = CkptFormat::kV2, ThreadPool* pool = nullptr);
+    CkptFormat format = CkptFormat::kV2, ThreadPool* pool = nullptr,
+    std::shared_ptr<CheckpointSinkStats> stats = nullptr);
 
 namespace detail {
 /// Test-only fault injection for save_checkpoint_file_atomic: when set

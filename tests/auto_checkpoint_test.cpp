@@ -227,6 +227,42 @@ TEST(AutoCheckpoint, SinkSurvivesWriteFaultsAndRecovers) {
   std::remove(path.c_str());
 }
 
+TEST(AutoCheckpoint, SinkCountsFailuresAndWarnsOnceNamingThePath) {
+  const auto descriptor = graph::GraphDescriptor::ring(32);
+  const std::string path = temp_path("auto_ckpt_fail_count.rrc");
+  std::remove(path.c_str());
+  auto stats = std::make_shared<CheckpointSinkStats>();
+
+  core::RotorRouter rr(*descriptor.build_csr(), {0, 9});
+  rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text(),
+                                                  CkptFormat::kV2, nullptr,
+                                                  stats));
+  rr.run(10);
+  EXPECT_EQ(stats->saves, 1u);
+  EXPECT_FALSE(stats->last_failed);
+
+  ::testing::internal::CaptureStderr();
+  detail::g_atomic_write_cap = 16;
+  rr.run(30);  // fires at 20, 30 and 40 all fail short
+  detail::g_atomic_write_cap = ~std::size_t{0};
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(stats->failures, 3u);
+  EXPECT_TRUE(stats->last_failed);
+  // One warning for three failures, naming the path.
+  EXPECT_NE(err.find("periodic checkpoint to " + path + " failed"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("periodic checkpoint", err.find("periodic") + 1),
+            std::string::npos)
+      << err;
+
+  rr.run(10);  // the fire at t=50 succeeds again
+  EXPECT_EQ(stats->saves, 2u);
+  EXPECT_EQ(stats->failures, 3u);
+  EXPECT_FALSE(stats->last_failed);
+  std::remove(path.c_str());
+}
+
 TEST(AutoCheckpoint, DirFsyncFailureWarnsOncePerProcess) {
   // The directory fsync after the rename is durability-only: its failure
   // must not fail the save, but it must be observable — exactly one

@@ -124,6 +124,24 @@ TEST(DistEngine, BitEqualToSequentialAcrossWorkerCountsAndTopologies) {
   }
 }
 
+TEST(DistEngine, CreateRejectsDescriptorsTheCsrBuilderRejects) {
+  // Descriptors arrive from CLI flags: a bad one is an error, never an
+  // abort, and no worker is spawned for it.
+  core::DistOptions opt;
+  opt.workers = 2;
+  for (const graph::GraphDescriptor& d :
+       {graph::GraphDescriptor{"ring", {"2"}},
+        graph::GraphDescriptor{"torus", {"2", "5"}},
+        graph::GraphDescriptor{"torus", {"8192", "8193"}},
+        graph::GraphDescriptor{"ring", {"12a"}}}) {
+    SCOPED_TRACE(d.text());
+    std::string error;
+    EXPECT_EQ(core::DistributedRotorRouter::create(d, {0}, {}, opt, &error),
+              nullptr);
+    EXPECT_EQ(error, "dist: graph descriptor failed to build");
+  }
+}
+
 TEST(DistEngine, CheckpointsAreByteIdenticalToSequential) {
   // The coordinator gathers into the exact serialize_rotor_state field
   // set, so its rr-ckpt documents — v1 text and v2 binary — are the

@@ -34,6 +34,13 @@ METRICS = {
 }
 
 
+def row_name(name):
+    """Benchmark name without google-benchmark's "/real_time" suffix, so a
+    row keeps its ledger identity when it switches to wall-clock timing."""
+    suffix = "/real_time"
+    return name[:-len(suffix)] if name.endswith(suffix) else name
+
+
 def median_metrics(path):
     """(name, metric) -> median value over that benchmark's entries."""
     with open(path) as f:
@@ -48,7 +55,8 @@ def median_metrics(path):
             value = bench.get(metric)
             if value is None:
                 continue
-            samples.setdefault((bench["name"], metric), []).append(value)
+            samples.setdefault((row_name(bench["name"]), metric),
+                               []).append(value)
     return {key: statistics.median(vals) for key, vals in samples.items()}
 
 

@@ -53,6 +53,14 @@ class MedianFolding(unittest.TestCase):
             self.assertEqual(bench_diff.median_metrics(path),
                              {("BM_X", "items_per_second"): 200.0})
 
+    def test_real_time_suffix_keeps_the_row_name(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = write_json(d, "a.json", [
+                entry("BM_X/8", 100.0), entry("BM_X/8/real_time", 300.0),
+            ])
+            self.assertEqual(bench_diff.median_metrics(path),
+                             {("BM_X/8", "items_per_second"): 200.0})
+
     def test_aggregate_rows_and_rateless_entries_skipped(self):
         with tempfile.TemporaryDirectory() as d:
             path = write_json(d, "a.json", [
