@@ -16,6 +16,7 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
 #include "core/cover_time.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
@@ -49,6 +50,22 @@ BENCHMARK(BM_RingRotorRouter)
     ->Args({1 << 16, 64})
     ->Args({1 << 20, 64})
     ->Args({1 << 20, 1024});
+
+// The ring-sweep regime: seeded random placement and pointers on a small
+// ring, so agents collide and bounce instead of sweeping in lockstep.
+void BM_RingRotorRouterRandom(benchmark::State& state) {
+  const auto n = static_cast<rr::core::NodeId>(state.range(0));
+  const auto k = static_cast<std::uint32_t>(state.range(1));
+  rr::Rng rng(42);
+  const auto agents = rr::core::place_random(n, k, rng);
+  rr::core::RingRotorRouter rr(n, agents, rr::core::pointers_random(n, rng));
+  for (auto _ : state) {
+    rr.step();
+    benchmark::DoNotOptimize(rr.covered_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
+}
+BENCHMARK(BM_RingRotorRouterRandom)->Args({1 << 12, 2})->Args({1 << 12, 32});
 
 void BM_GeneralRotorRouterTorus(benchmark::State& state) {
   const auto side = static_cast<rr::graph::NodeId>(state.range(0));

@@ -10,95 +10,46 @@ RingRotorRouter::RingRotorRouter(NodeId n, const std::vector<NodeId>& agents,
                                  std::vector<std::uint8_t> pointers)
     : n_(n),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
-      counts_(n, 0),
-      arrive_cw_(n, 0),
-      arrive_acw_(n, 0),
-      travel_dir_(n, kClockwise),
-      last_arrival_count_(n, 0),
-      last_single_prop_(n, 0),
-      visits_(n, 0),
-      exits_(n, 0),
-      first_visit_(n, kRingNotCovered),
-      last_visit_(n, 0) {
+      node_(n),
+      stats_(n),
+      pointers_(std::move(pointers)) {
   RR_REQUIRE(n >= 3, "ring requires n >= 3");
   RR_REQUIRE(!agents.empty(), "at least one agent required");
-  if (pointers.empty()) {
+  if (pointers_.empty()) {
     pointers_.assign(n, kClockwise);
   } else {
-    RR_REQUIRE(pointers.size() == n, "pointer vector size mismatch");
-    for (std::uint8_t p : pointers) {
+    RR_REQUIRE(pointers_.size() == n, "pointer vector size mismatch");
+    for (std::uint8_t p : pointers_) {
       RR_REQUIRE(p <= 1, "ring pointer must be 0 (cw) or 1 (acw)");
     }
-    pointers_ = std::move(pointers);
   }
   for (NodeId v : agents) {
     RR_REQUIRE(v < n, "agent start node out of range");
-    if (counts_[v] == 0) occupied_.push_back(v);
-    ++counts_[v];
-    ++visits_[v];
+    if (node_[v].count == 0) occupied_.push_back(v);
+    ++node_[v].count;
+    ++stats_[v].visits;
   }
   for (NodeId v : occupied_) {
-    first_visit_[v] = 0;
-    ++covered_;
-    last_arrival_count_[v] = counts_[v];
+    stats_[v].first_visit = 0;
+    node_[v].last_arrival = node_[v].count;
   }
-}
-
-void RingRotorRouter::depart(NodeId v, std::uint32_t moving) {
-  const std::uint8_t ptr = pointers_[v];
-  // `moving` agents leave along alternating ports starting at `ptr`:
-  // ceil(moving/2) through ptr's direction, floor(moving/2) the other way.
-  const std::uint32_t via_ptr = (moving + 1) / 2;
-  const std::uint32_t via_other = moving - via_ptr;
-  const std::uint32_t cw_out = (ptr == kClockwise) ? via_ptr : via_other;
-  const std::uint32_t acw_out = moving - cw_out;
-  if (cw_out > 0) arrive(clockwise(v), cw_out, kClockwise);
-  if (acw_out > 0) arrive(anticlockwise(v), acw_out, kAnticlockwise);
-  pointers_[v] = static_cast<std::uint8_t>((ptr + moving) & 1);
-  exits_[v] += moving;
-
-  // Classify the visit that just completed at v (Definition 1): it counts
-  // toward a lazy domain only if exactly one agent was involved and the
-  // departure continued in the arrival's travel direction (propagation).
-  if (moving == 1 && last_arrival_count_[v] == 1) {
-    const std::uint8_t dep_dir = ptr;  // the port the single agent took
-    last_single_prop_[v] = (dep_dir == travel_dir_[v]);
-  } else {
-    last_single_prop_[v] = 0;
-  }
-}
-
-void RingRotorRouter::arrive(NodeId u, std::uint32_t count,
-                             std::uint8_t travel_dir) {
-  if (arrive_cw_[u] == 0 && arrive_acw_[u] == 0) touched_.push_back(u);
-  if (travel_dir == kClockwise) {
-    arrive_cw_[u] += count;
-  } else {
-    arrive_acw_[u] += count;
-  }
+  covered_ = static_cast<NodeId>(occupied_.size());
 }
 
 void RingRotorRouter::commit_arrivals() {
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < occupied_.size(); ++i) {
-    if (counts_[occupied_[i]] > 0) occupied_[w++] = occupied_[i];
-  }
-  occupied_.resize(w);
-  for (NodeId u : touched_) {
-    const std::uint32_t cw = arrive_cw_[u];
-    const std::uint32_t acw = arrive_acw_[u];
-    const std::uint32_t a = cw + acw;
-    arrive_cw_[u] = 0;
-    arrive_acw_[u] = 0;
-    if (a == 0) continue;
-    if (counts_[u] == 0) occupied_.push_back(u);
-    counts_[u] += a;
-    visits_[u] += a;
-    last_visit_[u] = time_;
-    last_arrival_count_[u] = a;
-    if (a == 1) travel_dir_[u] = (cw == 1) ? kClockwise : kAnticlockwise;
-    if (first_visit_[u] == kRingNotCovered) {
-      first_visit_[u] = time_;
+  for (const NodeId u : touched_) {
+    RingNode& nu = node_[u];
+    const std::uint32_t a = nu.arrivals;
+    nu.arrivals = 0;
+    if (nu.count == 0) occupied_.push_back(u);
+    nu.count += a;
+    nu.last_arrival = a;
+    if (a == 1) nu.travel_dir = nu.arrival_dir;
+    VisitStats& st = stats_[u];
+    st.visits += a;
+    st.last_visit = time_;
+    if (st.first_visit == kRingNotCovered) {
+      st.first_visit = time_;
       ++covered_;
     }
   }
@@ -108,9 +59,7 @@ void RingRotorRouter::commit_arrivals() {
 std::vector<NodeId> RingRotorRouter::agent_positions() const {
   std::vector<NodeId> pos;
   pos.reserve(num_agents_);
-  for (NodeId v : occupied_) {
-    for (std::uint32_t i = 0; i < counts_[v]; ++i) pos.push_back(v);
-  }
+  for (NodeId v : occupied_) pos.insert(pos.end(), node_[v].count, v);
   std::sort(pos.begin(), pos.end());
   return pos;
 }
@@ -119,7 +68,7 @@ std::uint64_t RingRotorRouter::config_hash() const {
   Fnv1a h;
   for (NodeId v = 0; v < n_; ++v) {
     h.mix(pointers_[v]);
-    h.mix(counts_[v]);
+    h.mix(node_[v].count);
   }
   return h.value();
 }
@@ -127,18 +76,23 @@ std::uint64_t RingRotorRouter::config_hash() const {
 void RingRotorRouter::serialize_state(sim::StateWriter& out) const {
   out.field_u64("time", time_);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sites;
+  std::vector<std::uint8_t> travel_dir(n_), single_prop(n_);
   for (NodeId v = 0; v < n_; ++v) {
-    if (counts_[v] > 0) sites.emplace_back(v, counts_[v]);
+    if (node_[v].count > 0) sites.emplace_back(v, node_[v].count);
+    travel_dir[v] = node_[v].travel_dir;
+    single_prop[v] = node_[v].single_prop;
   }
   out.field_pairs("agents", sites);
   out.field_dirs("pointers", pointers_);
-  out.field_list("visits", visits_);
-  out.field_list("exits", exits_);
-  out.field_list("first_visit", first_visit_);
-  out.field_list("last_visit", last_visit_);
-  out.field_dirs("travel_dir", travel_dir_);
-  out.field_list("last_arrival", last_arrival_count_);
-  out.field_bits("last_single_prop", last_single_prop_);
+  const VisitStats& s0 = stats_[0];
+  out.field_list_strided("visits", n_, &s0.visits, sizeof s0, 8);
+  out.field_list_strided("exits", n_, &s0.exits, sizeof s0, 8);
+  out.field_list_strided("first_visit", n_, &s0.first_visit, sizeof s0, 8);
+  out.field_list_strided("last_visit", n_, &s0.last_visit, sizeof s0, 8);
+  out.field_dirs("travel_dir", travel_dir);
+  out.field_list_strided("last_arrival", n_, &node_[0].last_arrival,
+                         sizeof(RingNode), 4);
+  out.field_bits("last_single_prop", single_prop);
 }
 
 bool RingRotorRouter::deserialize_state(const sim::StateReader& in) {
@@ -157,37 +111,29 @@ bool RingRotorRouter::deserialize_state(const sim::StateReader& in) {
       !last_single_prop) {
     return false;
   }
+  // Applied while validated: a failed restore is unspecified (StateIO).
+  time_ = *time;
+  pointers_ = *pointers;
+  covered_ = 0;
+  for (NodeId v = 0; v < n_; ++v) {
+    const std::uint64_t last = (*last_arrival)[v];
+    if (last > ~std::uint32_t{0}) return false;
+    node_[v] = RingNode{0, 0, static_cast<std::uint32_t>(last), 0,
+                        (*travel_dir)[v], (*last_single_prop)[v]};
+    stats_[v] = {(*visits)[v], (*exits)[v], (*first_visit)[v],
+                 (*last_visit)[v]};
+    if (stats_[v].first_visit != kRingNotCovered) ++covered_;
+  }
   std::uint64_t total_agents = 0;
+  occupied_.clear();
   for (const auto& [v, c] : *sites) {
     if (v >= n_ || c == 0 || c > ~std::uint32_t{0}) return false;
     total_agents += c;
-  }
-  if (total_agents > ~std::uint32_t{0}) return false;
-  for (std::uint64_t a : *last_arrival) {
-    if (a > ~std::uint32_t{0}) return false;
-  }
-
-  time_ = *time;
-  num_agents_ = static_cast<std::uint32_t>(total_agents);
-  counts_.assign(n_, 0);
-  occupied_.clear();
-  for (const auto& [v, c] : *sites) {
-    counts_[v] = static_cast<std::uint32_t>(c);
+    node_[v].count = static_cast<std::uint32_t>(c);
     occupied_.push_back(static_cast<NodeId>(v));
   }
-  pointers_ = *pointers;
-  visits_ = *visits;
-  exits_ = *exits;
-  first_visit_ = *first_visit;
-  last_visit_ = *last_visit;
-  travel_dir_ = *travel_dir;
-  last_arrival_count_.assign(last_arrival->begin(), last_arrival->end());
-  last_single_prop_ = *last_single_prop;
-  covered_ = 0;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (first_visit_[v] != kRingNotCovered) ++covered_;
-  }
-  return true;
+  num_agents_ = static_cast<std::uint32_t>(total_agents);
+  return total_agents <= ~std::uint32_t{0};
 }
 
 }  // namespace rr::core

@@ -11,13 +11,23 @@
 //   - whether the last completed visit was a single-agent propagation (the
 //     membership test of lazy domains, Definition 1).
 //
+// Layout: a step touches three per-node strides, not one array per field:
+// RingNode (16 bytes: count, this round's arrivals and the Sec. 2.2
+// classification state; all-zero when fresh), core::VisitStats (visits,
+// exits, first/last visit; the general engine's stride) and the pointer
+// bytes, moved in from the caller instead of copied into RingNode. A round
+// keeps its arrival total plus the direction of the latest deposit, since
+// travel direction only matters after a single arrival.
+//
 // Port convention: pointer 0 = clockwise (v -> v+1 mod n), pointer 1 =
 // anticlockwise (v -> v-1 mod n). This matches graph::ring(n).
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/require.hpp"
+#include "core/shard_step.hpp"
 #include "sim/engine.hpp"
 #include "sim/state_io.hpp"
 
@@ -45,46 +55,65 @@ class RingRotorRouter final : public sim::Engine, public sim::StateIO {
   template <typename DelayFn>
   void step_delayed(DelayFn&& delay) {
     ++time_;
+    // Only a node's own departure changes its count before the commit, so
+    // vacated nodes leave the occupied list as the scan passes them.
     const std::size_t occupied_before = occupied_.size();
+    std::size_t kept = 0;
     for (std::size_t idx = 0; idx < occupied_before; ++idx) {
       const NodeId v = occupied_[idx];
-      const std::uint32_t present = counts_[v];
-      if (present == 0) continue;
+      const std::uint32_t present = node_[v].count;
       std::uint32_t held = delay(v, time_, present);
       if (held > present) held = present;
-      const std::uint32_t moving = present - held;
-      if (moving == 0) continue;
-      depart(v, moving);
-      counts_[v] = held;
+      if (held < present) depart(v, present - held);
+      node_[v].count = held;
+      if (held > 0) occupied_[kept++] = v;
     }
+    occupied_.resize(kept);
     commit_arrivals();
+  }
+
+  // The base loops, with step() and the clock devirtualized.
+  void run(std::uint64_t rounds) override {
+    for (std::uint64_t i = 0; i < rounds; ++i) {
+      step();
+      fire_auto_checkpoint_if_due();
+    }
+  }
+  std::uint64_t run_until_covered(std::uint64_t max_rounds) override {
+    if (covered_ == n_) return 0;
+    while (time_ < max_rounds && covered_ != n_) {
+      step();
+      fire_auto_checkpoint_if_due();
+    }
+    return covered_ == n_ ? time_ : kRingNotCovered;
   }
 
   NodeId num_nodes() const override { return n_; }
   std::uint64_t time() const override { return time_; }
   std::uint32_t num_agents() const override { return num_agents_; }
 
-  std::uint32_t agents_at(NodeId v) const { return counts_[v]; }
+  std::uint32_t agents_at(NodeId v) const { return node_[v].count; }
   std::uint8_t pointer(NodeId v) const { return pointers_[v]; }
   const std::vector<NodeId>& occupied_nodes() const { return occupied_; }
-  /// Number of occupied-list entries; commit_arrivals keeps this equal to
-  /// the number of nodes hosting at least one agent (no stale growth).
+  /// Equals the number of nodes hosting at least one agent.
   std::size_t occupied_count() const { return occupied_.size(); }
 
-  std::uint64_t visits(NodeId v) const override { return visits_[v]; }
-  std::uint64_t exits(NodeId v) const { return exits_[v]; }
+  std::uint64_t visits(NodeId v) const override { return stats_[v].visits; }
+  std::uint64_t exits(NodeId v) const { return stats_[v].exits; }
   std::uint64_t first_visit_time(NodeId v) const override {
-    return first_visit_[v];
+    return stats_[v].first_visit;
   }
-  std::uint64_t last_visit_time(NodeId v) const { return last_visit_[v]; }
-  bool visited(NodeId v) const { return first_visit_[v] != kRingNotCovered; }
+  std::uint64_t last_visit_time(NodeId v) const { return stats_[v].last_visit; }
+  bool visited(NodeId v) const {
+    return first_visit_time(v) != kRingNotCovered;
+  }
 
   NodeId covered_count() const override { return covered_; }
 
   /// True iff the last *completed* visit to v (arrival followed by
   /// departure) was by a single agent and was a propagation (Definition 1).
   bool last_visit_single_propagation(NodeId v) const {
-    return last_single_prop_[v];
+    return node_[v].single_prop != 0;
   }
 
   std::vector<NodeId> agent_positions() const;
@@ -102,38 +131,62 @@ class RingRotorRouter final : public sim::Engine, public sim::StateIO {
   NodeId anticlockwise(NodeId v) const { return v == 0 ? n_ - 1 : v - 1; }
 
  private:
+  /// Per-node state of the round kernel; all-zero is a fresh node.
+  struct RingNode {
+    std::uint32_t count;
+    std::uint32_t arrivals;      ///< this round's
+    std::uint32_t last_arrival;  ///< agents in the last arrival batch
+    std::uint8_t arrival_dir;    ///< travel direction of the latest deposit
+    std::uint8_t travel_dir;     ///< of the last single arrival
+    std::uint8_t single_prop;    ///< see last_visit_single_propagation
+  };
+  static_assert(std::is_trivial_v<RingNode>);
+
   void do_step_delayed(const sim::DelayFn& delay) override {
     step_delayed(delay);
   }
-  void depart(NodeId v, std::uint32_t moving);
+
+  /// Sends `moving` agents out of v along alternating ports from its
+  /// pointer: ceil(moving/2) the pointer's way, the rest the other way.
+  void depart(NodeId v, std::uint32_t moving) {
+    RingNode& nv = node_[v];
+    const std::uint8_t ptr = pointers_[v];
+    pointers_[v] = static_cast<std::uint8_t>((ptr + moving) & 1);
+    stats_[v].exits += moving;
+    if (moving == 1) {
+      // Definition 1: the completed visit counts toward a lazy domain iff
+      // one agent arrived alone and left in its travel direction.
+      nv.single_prop = nv.last_arrival == 1 && ptr == nv.travel_dir;
+      // v + 1 or v + n - 1, masked rather than branched on the pointer.
+      const std::uint64_t u = v + 1 + ((0 - std::uint64_t{ptr}) & (n_ - 2));
+      deposit(static_cast<NodeId>(u >= n_ ? u - n_ : u), ptr, 1);
+      return;
+    }
+    nv.single_prop = 0;
+    const std::uint32_t cw = ptr == kClockwise ? (moving + 1) / 2 : moving / 2;
+    deposit(clockwise(v), kClockwise, cw);
+    deposit(anticlockwise(v), kAnticlockwise, moving - cw);
+  }
+
+  void deposit(NodeId u, std::uint8_t travel_dir, std::uint32_t c) {
+    RingNode& nu = node_[u];
+    if (nu.arrivals == 0) touched_.push_back(u);
+    nu.arrivals += c;
+    nu.arrival_dir = travel_dir;
+  }
+
   void commit_arrivals();
-  void arrive(NodeId u, std::uint32_t count, std::uint8_t travel_dir);
 
   NodeId n_;
   std::uint32_t num_agents_;
   std::uint64_t time_ = 0;
   NodeId covered_ = 0;
 
-  std::vector<std::uint32_t> counts_;
+  std::vector<RingNode> node_;
+  std::vector<VisitStats> stats_;
   std::vector<std::uint8_t> pointers_;
-  std::vector<NodeId> occupied_;
-
-  // Arrival accumulation for the current round, split by travel direction:
-  // arrive_cw_[v] agents entered v moving clockwise (i.e. from v-1).
-  std::vector<std::uint32_t> arrive_cw_;
-  std::vector<std::uint32_t> arrive_acw_;
-  std::vector<NodeId> touched_;
-
-  // Visit classification state (Sec. 2.2): valid when the last arrival at v
-  // was by exactly one agent.
-  std::vector<std::uint8_t> travel_dir_;
-  std::vector<std::uint32_t> last_arrival_count_;
-  std::vector<std::uint8_t> last_single_prop_;
-
-  std::vector<std::uint64_t> visits_;
-  std::vector<std::uint64_t> exits_;
-  std::vector<std::uint64_t> first_visit_;
-  std::vector<std::uint64_t> last_visit_;
+  std::vector<NodeId> occupied_;  ///< nodes with count > 0
+  std::vector<NodeId> touched_;   ///< nodes with arrivals this round
 };
 
 }  // namespace rr::core

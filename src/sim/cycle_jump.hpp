@@ -86,10 +86,14 @@ struct CycleJumpOptions {
   /// max(2^16, 32 * num_nodes) — comfortably past the 2|E| lock-in period
   /// on bounded-degree graphs while keeping never-cycling runs cheap.
   std::uint64_t detect_budget = 0;
-  /// Initial rounds between hash samples. Sampling (O(n) hash) at stride
-  /// >= 64 keeps probing overhead under ~2% of dense stepping even for
-  /// O(k)-per-round engines; leaping by a stride multiple of the true
-  /// period is still exact.
+  /// Initial rounds between hash samples; leaping by a stride multiple of
+  /// the true period is still exact. A sample is one O(n) config_hash
+  /// spread over stride * k agent steps, so probing costs about
+  /// n / (stride * k) hashed nodes per agent step: negligible when k is
+  /// close to n, dominant for sparse O(k)-per-round engines. On a
+  /// 4096-node ring (GCC 12, 4-vCPU Xeon) one hash takes ~12.5 us while
+  /// 64 rounds of 2 agents take ~2 us; only the stride doubling per
+  /// generation and the detect budget bound that cost.
   std::uint64_t min_stride = 64;
   /// Samples per probing generation; the stride doubles between
   /// generations, so long transients decay the sampling overhead.

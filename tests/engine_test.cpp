@@ -1,4 +1,4 @@
-// sim layer: the unified Engine interface, the generic hash-based
+// sim layer: the unified Engine interface, the generic confirmed
 // limit-cycle detector and the batched Runner. These tests drive all three
 // engines exclusively through sim::Engine pointers — the facade every
 // driver is supposed to use.
@@ -16,7 +16,7 @@
 #include "core/rotor_router.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
-#include "sim/limit_cycle.hpp"
+#include "sim/cycle_jump.hpp"
 #include "sim/runner.hpp"
 #include "walk/random_walk.hpp"
 
@@ -143,14 +143,15 @@ TEST(EngineInterface, SlowdownTrackerWorksOnAnyEngine) {
 }
 
 TEST(HashCycleDetection, MatchesExactRingPeriod) {
-  // The generic Brent detector over config_hash must find the same period
-  // as the exact ring-specific machinery.
+  // The generic detector (Brent over config_hash, confirmed on the full
+  // state, accumulators from the registry) must find the same period as
+  // the ring-specific machinery.
   core::RingConfig config{24, core::place_equally_spaced(24, 3), {}};
   const auto exact = core::detect_limit_cycle(config, 1 << 16);
   ASSERT_TRUE(exact.has_value());
 
   core::RingRotorRouter rr = config.make();
-  const auto hashed = detect_hash_cycle(rr, 1 << 16);
+  const auto hashed = detect_confirmed_cycle(rr, 1 << 16);
   ASSERT_TRUE(hashed.has_value());
   EXPECT_EQ(hashed->period, exact->period);
 }
@@ -159,7 +160,7 @@ TEST(HashCycleDetection, WorksThroughBasePointer) {
   graph::Graph g = graph::ring(16);
   std::unique_ptr<Engine> engine =
       std::make_unique<core::RotorRouter>(g, std::vector<graph::NodeId>{0});
-  const auto cycle = detect_hash_cycle(*engine, 1 << 16);
+  const auto cycle = detect_confirmed_cycle(*engine, 1 << 16);
   ASSERT_TRUE(cycle.has_value());
   // Single agent on the ring locks into the Eulerian circuit: period 2n
   // (one traversal of each arc).

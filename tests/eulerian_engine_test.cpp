@@ -21,7 +21,7 @@
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/limit_cycle.hpp"
+#include "sim/cycle_jump.hpp"
 #include "sim/registry.hpp"
 
 namespace rr::core {
@@ -100,16 +100,18 @@ TEST(EulerianLockIn, LockstepSurvivesDelayedSchedules) {
 
 TEST(EulerianEngine, BrentDetectorRecoversTheCirculationPeriod) {
   // A single token's configuration is its circuit offset: period 2|E|
-  // exactly, recovered by the generic hash-cycle detector.
+  // exactly, recovered by the generic confirmed-cycle detector.
   const Graph g = graph::torus(4, 4);
   EulerianRotorRouter single(g, {0});
-  const auto cycle = sim::detect_hash_cycle(single, 4 * g.num_arcs() + 8);
+  const auto cycle =
+      sim::detect_confirmed_cycle(single, 4 * g.num_arcs() + 8);
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ(cycle->period, g.num_arcs());
 
   // k tokens shift together, so the multiset period divides 2|E|.
   EulerianRotorRouter multi(g, {0, 3, 9});
-  const auto mcycle = sim::detect_hash_cycle(multi, 4 * g.num_arcs() + 8);
+  const auto mcycle =
+      sim::detect_confirmed_cycle(multi, 4 * g.num_arcs() + 8);
   ASSERT_TRUE(mcycle.has_value());
   EXPECT_EQ(g.num_arcs() % mcycle->period, 0u);
 }

@@ -1,10 +1,11 @@
-// Regression tests pinning sim/limit_cycle.hpp (Brent over config_hash) to
-// analytically known ring periods. The detector sees nothing but
-// config_hash values, so these tests are the tripwire that keeps
-// config_hash changes (mixing, field order, a forgotten field) from
-// silently breaking cycle detection across every engine.
+// Regression tests pinning sim::detect_confirmed_cycle to analytically
+// known ring periods. Its candidates come from Brent's algorithm over
+// config_hash values alone (a full state compare only confirms them), so
+// these tests are the tripwire that keeps config_hash changes (mixing,
+// field order, a forgotten field) from silently breaking cycle detection
+// across every engine.
 
-#include "sim/limit_cycle.hpp"
+#include "sim/cycle_jump.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,18 +28,18 @@ TEST(HashCycleRegression, SingleAgentPeriodIsExactlyTwoN) {
   for (NodeId n : {8u, 16u, 37u, 128u}) {
     SCOPED_TRACE(::testing::Message() << "n " << n);
     core::RingRotorRouter ring(n, {0});
-    const auto ring_cycle = detect_hash_cycle(ring, 1u << 16);
+    const auto ring_cycle = detect_confirmed_cycle(ring, 1u << 16);
     ASSERT_TRUE(ring_cycle.has_value());
     EXPECT_EQ(ring_cycle->period, 2ULL * n);
 
     core::LazyRingRotorRouter lazy(n, {0});
-    const auto lazy_cycle = detect_hash_cycle(lazy, 1u << 16);
+    const auto lazy_cycle = detect_confirmed_cycle(lazy, 1u << 16);
     ASSERT_TRUE(lazy_cycle.has_value());
     EXPECT_EQ(lazy_cycle->period, 2ULL * n);
 
     graph::Graph g = graph::ring(n);
     core::RotorRouter general(g, {0});
-    const auto general_cycle = detect_hash_cycle(general, 1u << 16);
+    const auto general_cycle = detect_confirmed_cycle(general, 1u << 16);
     ASSERT_TRUE(general_cycle.has_value());
     EXPECT_EQ(general_cycle->period, 2ULL * n);
   }
@@ -53,7 +54,7 @@ TEST(HashCycleRegression, EquallySpacedMultiAgentPeriodIsTwoNOverK) {
     SCOPED_TRACE(::testing::Message() << "k " << k);
     ASSERT_EQ(n % k, 0u);
     core::RingRotorRouter ring(n, core::place_equally_spaced(n, k));
-    const auto ring_cycle = detect_hash_cycle(ring, 1u << 20);
+    const auto ring_cycle = detect_confirmed_cycle(ring, 1u << 20);
     ASSERT_TRUE(ring_cycle.has_value());
     EXPECT_EQ(ring_cycle->period, 2ULL * n / k);
 
@@ -65,7 +66,7 @@ TEST(HashCycleRegression, EquallySpacedMultiAgentPeriodIsTwoNOverK) {
       if (force) {
         ASSERT_TRUE(lazy.try_promote(/*force=*/true));
       }
-      const auto lazy_cycle = detect_hash_cycle(lazy, 1u << 20);
+      const auto lazy_cycle = detect_confirmed_cycle(lazy, 1u << 20);
       ASSERT_TRUE(lazy_cycle.has_value());
       EXPECT_EQ(lazy_cycle->period, 2ULL * n / k);
     }
@@ -73,13 +74,13 @@ TEST(HashCycleRegression, EquallySpacedMultiAgentPeriodIsTwoNOverK) {
 }
 
 TEST(HashCycleRegression, DetectorLeavesEngineInsideTheCycle) {
-  // detected_at is the engine's own clock, and stepping a full period from
+  // at_time is the engine's own clock, and stepping a full period from
   // the detection point must reproduce the hash — this is what downstream
   // return-time analyses rely on.
   core::RingRotorRouter ring(64, core::place_equally_spaced(64, 4));
-  const auto cycle = detect_hash_cycle(ring, 1u << 20);
+  const auto cycle = detect_confirmed_cycle(ring, 1u << 20);
   ASSERT_TRUE(cycle.has_value());
-  EXPECT_EQ(cycle->detected_at, ring.time());
+  EXPECT_EQ(cycle->at_time, ring.time());
   const std::uint64_t h = ring.config_hash();
   ring.run(cycle->period);
   EXPECT_EQ(ring.config_hash(), h);

@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
-#include "sim/limit_cycle.hpp"
+#include "sim/cycle_jump.hpp"
 #include "sim/state_io.hpp"
 
 namespace rr::core {
@@ -185,11 +185,12 @@ TEST(LazyRing, VisitsConserveAgentRoundsThroughLeaps) {
 }
 
 TEST(LazyRing, HashCycleDetectorDrivesTheLazyEngine) {
-  // Brent over config_hash must work unchanged on the lazy backend (forced:
+  // The confirmed-cycle detector (Brent over config_hash, then a full
+  // state compare) must work unchanged on the lazy backend (forced:
   // a 48-ring with 3 agents is too crowded to promote on its own).
   LazyRingRotorRouter rr(48, place_equally_spaced(48, 3));
   ASSERT_TRUE(rr.try_promote(/*force=*/true));
-  const auto cycle = sim::detect_hash_cycle(rr, 1 << 18);
+  const auto cycle = sim::detect_confirmed_cycle(rr, 1 << 18);
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ((2u * 48) % cycle->period, 0u);
 }
