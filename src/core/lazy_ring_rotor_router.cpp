@@ -99,6 +99,12 @@ void LazyRingRotorRouter::maybe_promote() {
   }
 }
 
+std::uint64_t LazyRingRotorRouter::dense_chunk(std::uint64_t rounds) const {
+  if (wide()) rounds = std::min(rounds, next_promo_ - dense_->time());
+  return std::max<std::uint64_t>(
+      1, std::min(rounds, rounds_to_auto_checkpoint()));
+}
+
 // ---- pointer-run map ----
 
 std::uint8_t LazyRingRotorRouter::run_value(NodeId v) const {
@@ -397,7 +403,7 @@ void LazyRingRotorRouter::run(std::uint64_t rounds) {
     if (dense_) {
       maybe_promote();
       if (dense_) {
-        dense_->step();
+        dense_->run(dense_chunk(target - time()));
         fire_auto_checkpoint_if_due();
         continue;
       }
@@ -427,7 +433,7 @@ std::uint64_t LazyRingRotorRouter::run_until_covered(std::uint64_t max_rounds) {
     if (dense_) {
       maybe_promote();
       if (dense_) {
-        dense_->step();
+        dense_->run_until_covered(time() + dense_chunk(max_rounds - time()));
         fire_auto_checkpoint_if_due();
         if (all_covered()) return time();
         continue;

@@ -168,6 +168,10 @@ class LazyRingRotorRouter final : public sim::Engine, public sim::StateIO {
   }
 
   void maybe_promote();
+  /// Dense rounds up to `rounds` that stop at the next promotion check
+  /// and auto-checkpoint mark; at least one, so an overdue mark fires
+  /// after a round as on the sparse path. Call after maybe_promote().
+  std::uint64_t dense_chunk(std::uint64_t rounds) const;
 
   template <typename DelayFn>
   void lazy_round(DelayFn&& delay) {

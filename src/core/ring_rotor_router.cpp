@@ -36,6 +36,22 @@ RingRotorRouter::RingRotorRouter(NodeId n, const std::vector<NodeId>& agents,
   covered_ = static_cast<NodeId>(occupied_.size());
 }
 
+void RingRotorRouter::run(std::uint64_t rounds) {
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    step();
+    fire_auto_checkpoint_if_due();
+  }
+}
+
+std::uint64_t RingRotorRouter::run_until_covered(std::uint64_t max_rounds) {
+  if (covered_ == n_) return 0;
+  while (time_ < max_rounds && covered_ != n_) {
+    step();
+    fire_auto_checkpoint_if_due();
+  }
+  return covered_ == n_ ? time_ : kRingNotCovered;
+}
+
 void RingRotorRouter::commit_arrivals() {
   for (const NodeId u : touched_) {
     RingNode& nu = node_[u];

@@ -72,21 +72,10 @@ class RingRotorRouter final : public sim::Engine, public sim::StateIO {
     commit_arrivals();
   }
 
-  // The base loops, with step() and the clock devirtualized.
-  void run(std::uint64_t rounds) override {
-    for (std::uint64_t i = 0; i < rounds; ++i) {
-      step();
-      fire_auto_checkpoint_if_due();
-    }
-  }
-  std::uint64_t run_until_covered(std::uint64_t max_rounds) override {
-    if (covered_ == n_) return 0;
-    while (time_ < max_rounds && covered_ != n_) {
-      step();
-      fire_auto_checkpoint_if_due();
-    }
-    return covered_ == n_ ? time_ : kRingNotCovered;
-  }
+  // The base loops, with step() and the clock devirtualized; out of line
+  // so callers (the lazy engine's dense phase) keep their loops small.
+  void run(std::uint64_t rounds) override;
+  std::uint64_t run_until_covered(std::uint64_t max_rounds) override;
 
   NodeId num_nodes() const override { return n_; }
   std::uint64_t time() const override { return time_; }

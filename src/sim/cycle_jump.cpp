@@ -1,6 +1,7 @@
 #include "sim/cycle_jump.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/require.hpp"
@@ -489,7 +490,13 @@ CycleJumpEngine::CycleJumpEngine(std::unique_ptr<Engine> inner,
   RR_REQUIRE(inner_io_ != nullptr,
              "cycle-jump: inner engine must implement StateIO");
   inner_leap_ = dynamic_cast<CycleLeapable*>(inner_.get());
-  opt_.min_stride = std::max<std::uint64_t>(1, opt_.min_stride);
+  if (opt_.min_stride == 0) {
+    // Cost-scaled: one O(n) hash per at least 32 n agent steps.
+    const std::uint64_t n = inner_->num_nodes();
+    const std::uint64_t k = std::max<std::uint32_t>(1, inner_->num_agents());
+    opt_.min_stride =
+        std::bit_ceil(std::max<std::uint64_t>(64, (32 * n + k - 1) / k));
+  }
   opt_.samples_per_generation =
       std::max<std::uint64_t>(1, opt_.samples_per_generation);
   invalidate();
@@ -515,8 +522,12 @@ CycleJumpEngine::~CycleJumpEngine() = default;
 
 std::uint64_t CycleJumpEngine::effective_budget() const {
   if (opt_.detect_budget != 0) return opt_.detect_budget;
+  constexpr std::uint64_t kMinSamples = 64;
   const std::uint64_t scaled = 32 * static_cast<std::uint64_t>(num_nodes());
-  return std::max<std::uint64_t>(std::uint64_t{1} << 16, scaled);
+  const std::uint64_t samples = opt_.min_stride <= kNotCovered / kMinSamples
+                                    ? kMinSamples * opt_.min_stride
+                                    : kNotCovered;
+  return std::max({std::uint64_t{1} << 16, scaled, samples});
 }
 
 void CycleJumpEngine::invalidate() {
@@ -549,6 +560,13 @@ std::uint64_t CycleJumpEngine::rounds_to_next_event() const {
 void CycleJumpEngine::on_event() {
   const std::uint64_t now = inner_->time();
   if (phase_ == Phase::kProbing) {
+    if (!inner_->all_covered()) {
+      // A repeat freezes the visited set, so no pre-cover sample can
+      // confirm: skip the hash and count the budget from cover.
+      start_round_ = now;
+      next_sample_ = now + stride_;
+      return;
+    }
     if (now - start_round_ >= effective_budget()) {
       phase_ = Phase::kAbandoned;
       stats_.abandoned = true;

@@ -52,11 +52,23 @@
 // `rounds_to_auto_checkpoint()` and followed by
 // `fire_auto_checkpoint_if_due()`, exactly like the lazy ring engine's
 // ballistic fast-forward, so `set_auto_checkpoint` marks fire at their
-// exact rounds with files byte-identical to a dense run. Detection cost
-// is bounded: probing samples the hash every `stride` rounds (stride
-// doubles every generation, so overhead on a non-cycling run decays
-// toward zero) and is abandoned outright once `detect_budget` rounds
-// elapse or `max_rejects` candidates fail confirmation.
+// exact rounds with files byte-identical to a dense run.
+//
+// Probing starts at cover: a repeated configuration freezes the visited
+// set and the rotor-router covers every connected graph, so no pre-cover
+// sample can ever confirm (pre-cover probe events only reschedule
+// themselves and drag the budget baseline along). Each sample is one
+// O(n) config_hash, so the default stride scales with its cost: the power
+// of two at or above max(64, 32 n / k) keeps a sample under ~1.5% of the
+// stride * k agent steps it spans. A power-of-two stride is a multiple of
+// the lock-in period on power-of-two rings (the period divides
+// 2|E| = 2n), so the sampled stream turns constant at lock-in and
+// BrentProbe's consecutive-sample check proposes the stride itself one
+// sample later. The default budget is counted from cover and holds at
+// least 64 samples; probing is abandoned once it elapses or
+// `max_rejects` candidates fail confirmation, and the stride doubles
+// every generation so a long explicit budget still decays its overhead
+// toward zero.
 //
 // `detect_confirmed_cycle` exposes the stride-1 exact form of the same
 // machinery: it returns the *minimal* state period (the hash sequence's
@@ -82,19 +94,23 @@ const char* cycle_jump_mode_name(CycleJumpMode mode);
 std::optional<CycleJumpMode> cycle_jump_mode_from_name(std::string_view name);
 
 struct CycleJumpOptions {
-  /// Probing rounds before detection is abandoned for good. 0 = adaptive:
-  /// max(2^16, 32 * num_nodes) — comfortably past the 2|E| lock-in period
-  /// on bounded-degree graphs while keeping never-cycling runs cheap.
+  /// Probing rounds, counted from cover, before detection is abandoned
+  /// for good. 0 = adaptive: max(2^16, 32 * num_nodes, 64 * stride) —
+  /// comfortably past the 2|E| lock-in period on bounded-degree graphs,
+  /// and never fewer than 64 samples at the initial stride, while keeping
+  /// never-cycling runs cheap.
   std::uint64_t detect_budget = 0;
   /// Initial rounds between hash samples; leaping by a stride multiple of
-  /// the true period is still exact. A sample is one O(n) config_hash
-  /// spread over stride * k agent steps, so probing costs about
-  /// n / (stride * k) hashed nodes per agent step: negligible when k is
-  /// close to n, dominant for sparse O(k)-per-round engines. On a
-  /// 4096-node ring (GCC 12, 4-vCPU Xeon) one hash takes ~12.5 us while
-  /// 64 rounds of 2 agents take ~2 us; only the stride doubling per
-  /// generation and the detect budget bound that cost.
-  std::uint64_t min_stride = 64;
+  /// the true period is still exact. 0 = adaptive: bit_ceil(max(64,
+  /// ceil(32 * n / k))). A sample is one O(n) config_hash spread over
+  /// stride * k agent steps, so probing costs about n / (stride * k)
+  /// hashed nodes per agent step; at ~3 ns per hashed node against
+  /// ~7 ns per agent step (GCC 12, 4-vCPU Xeon) the adaptive stride keeps
+  /// that under ~1.5%, sparse O(k)-per-round engines included. The power
+  /// of two makes the stride a multiple of every power-of-two period up
+  /// to it, such as a power-of-two ring's (dividing 2n), so a locked-in
+  /// run repeats sample to sample.
+  std::uint64_t min_stride = 0;
   /// Samples per probing generation; the stride doubles between
   /// generations, so long transients decay the sampling overhead.
   std::uint64_t samples_per_generation = 512;
@@ -133,21 +149,28 @@ struct CycleJumpStats {
 };
 
 /// Incremental Brent cycle probe over an externally sampled hash stream.
-/// Feed (hash, absolute round); a repeat against the stored tortoise
-/// yields a candidate cycle length in *rounds* (the sample times need not
-/// be evenly spaced — the candidate is simply now minus the tortoise's
-/// round, which any genuine state repeat makes a period multiple).
+/// Feed (hash, absolute round); a repeat against the stored tortoise or
+/// the previous sample yields a candidate cycle length in *rounds* (the
+/// sample times need not be evenly spaced — the candidate is simply now
+/// minus the matched sample's round, which any genuine state repeat makes
+/// a period multiple).
 class BrentProbe {
  public:
-  /// Returns the candidate round count on a tortoise match.
+  /// Returns the candidate round count on a match.
   std::optional<std::uint64_t> feed(std::uint64_t hash, std::uint64_t round) {
     if (!primed_) {
       primed_ = true;
-      tortoise_ = hash;
-      tortoise_round_ = round;
+      tortoise_ = last_ = hash;
+      tortoise_round_ = last_round_ = round;
       return std::nullopt;
     }
+    // A stride that is a period multiple makes the sampled stream constant
+    // once locked in: match the previous sample one sample after lock-in
+    // instead of waiting for the next power-of-two tortoise reset.
+    if (hash == last_) return round - last_round_;
     if (hash == tortoise_) return round - tortoise_round_;
+    last_ = hash;
+    last_round_ = round;
     if (++lambda_ == power_) {
       tortoise_ = hash;
       tortoise_round_ = round;
@@ -163,6 +186,8 @@ class BrentProbe {
   bool primed_ = false;
   std::uint64_t tortoise_ = 0;
   std::uint64_t tortoise_round_ = 0;
+  std::uint64_t last_ = 0;
+  std::uint64_t last_round_ = 0;
   std::uint64_t power_ = 1;
   std::uint64_t lambda_ = 0;
 };

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,15 +22,19 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/eulerian_rotor_router.hpp"
+#include "core/initializers.hpp"
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
 #include "differential.hpp"
+#include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
 #include "sim/registry.hpp"
+#include "sim/runner.hpp"
 #include "walk/random_walk.hpp"
 
 namespace rr::testing {
@@ -267,6 +273,105 @@ TEST(CycleJump, RunUntilCoveredLandsOnTheDenseCoverRound) {
   EXPECT_EQ(dense_cover, leap_cover);
   const Mismatch m = compare_engines(*dense, *leap);
   ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
+}
+
+// ---- default probe schedule ----
+
+/// A ring-sweep trial's start: random placement and pointers drawn from
+/// derive_seed(seed, trial), as rrbench's ring-sweep draws them.
+sim::EngineConfig ring_trial(NodeId n, std::uint32_t k, std::uint64_t seed,
+                             std::uint64_t trial) {
+  Rng rng(sim::derive_seed(seed, trial));
+  sim::EngineConfig config;
+  config.agents = core::place_random(n, k, rng);
+  const auto ptrs = core::pointers_random(n, rng);
+  config.pointers.assign(ptrs.begin(), ptrs.end());
+  return config;
+}
+
+std::unique_ptr<sim::Engine> create_ring(const char* engine, NodeId n,
+                                         const sim::EngineConfig& config) {
+  std::string error;
+  auto e = sim::EngineRegistry::instance().create(
+      engine, graph::GraphDescriptor::ring(n), config, &error);
+  EXPECT_NE(e, nullptr) << engine << ": " << error;
+  return e;
+}
+
+/// What wrap_cycle_jump(kAuto) builds: default options, registry
+/// accumulators.
+std::unique_ptr<sim::CycleJumpEngine> wrap_default(
+    std::unique_ptr<sim::Engine> e) {
+  const sim::EngineSpec* spec =
+      sim::EngineRegistry::instance().find(e->engine_name());
+  return std::make_unique<sim::CycleJumpEngine>(std::move(e),
+                                                spec->cycle_accumulators);
+}
+
+constexpr const char* kRingBackends[] = {"ring", "rotor", "lazy"};
+
+TEST(CycleJump, ProbingStartsAtCover) {
+  // No configuration repeats before cover, so the default schedule takes
+  // no hash until every node is visited — and then it does probe.
+  const NodeId n = 256;
+  const sim::EngineConfig config = ring_trial(n, 4, 7, 0);
+  for (const char* name : kRingBackends) {
+    SCOPED_TRACE(name);
+    auto e = wrap_default(create_ring(name, n, config));
+    const std::uint64_t cover = e->run_until_covered(1ULL << 32);
+    ASSERT_NE(cover, sim::kNotCovered);
+    EXPECT_EQ(e->time(), cover);
+    EXPECT_EQ(e->stats().samples, 0u);
+    e->run(1ULL << 16);
+    EXPECT_GT(e->stats().samples, 0u);
+  }
+}
+
+TEST(CycleJump, DefaultStrideIsCostScaled) {
+  // One O(n) hash per power-of-two stride >= 32 n / k rounds: over a
+  // post-cover horizon of H rounds, at most H / stride + 1 samples.
+  const std::uint64_t horizon = 1ULL << 18;
+  for (const auto& [n, k] : {std::pair<NodeId, std::uint32_t>{1024, 2},
+                             {1024, 32},
+                             {512, 8},
+                             {128, 64}}) {
+    const std::uint64_t stride =
+        std::bit_ceil(std::max<std::uint64_t>(64, 32 * n / k));
+    const sim::EngineConfig config = ring_trial(n, k, 3, 1);
+    for (const char* name : kRingBackends) {
+      SCOPED_TRACE(::testing::Message() << name << " n=" << n << " k=" << k);
+      auto e = wrap_default(create_ring(name, n, config));
+      ASSERT_NE(e->run_until_covered(1ULL << 32), sim::kNotCovered);
+      e->run(horizon);
+      EXPECT_LE(e->stats().samples, horizon / stride + 1);
+      EXPECT_GT(e->stats().samples, 0u);
+    }
+  }
+}
+
+TEST(CycleJump, SparseRingSweepTrialLeapsItsHorizonExactly) {
+  // ring-sweep's sparsest shape (ring 1024, k = 2, trial 0 of seed 1):
+  // the orbit locks in a few 10^5 rounds after cover, inside the 2^20-
+  // round horizon, and the default schedule must find and leap it.
+  const NodeId n = 1024;
+  const sim::EngineConfig config = ring_trial(n, 2, 1, 0);
+  for (const char* name : kRingBackends) {
+    SCOPED_TRACE(name);
+    auto dense = create_ring(name, n, config);
+    auto leap = wrap_default(create_ring(name, n, config));
+    ASSERT_EQ(dense->run_until_covered(1ULL << 32),
+              leap->run_until_covered(1ULL << 32));
+    for (int chunk = 0; chunk < 16; ++chunk) {
+      dense->run(1ULL << 16);
+      leap->run(1ULL << 16);
+    }
+    EXPECT_GT(leap->stats().leaped_rounds, 0u);
+    EXPECT_EQ(leap->stats().rejects, 0u);
+    EXPECT_EQ(dense->config_hash(), leap->config_hash());
+    const Mismatch m = compare_engines(*dense, *leap);
+    ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
+    EXPECT_EQ(v2_doc(*dense, "ring 1024"), v2_doc(*leap, "ring 1024"));
+  }
 }
 
 // ---- persisted cycle hints ----

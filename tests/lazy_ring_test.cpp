@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fenwick.hpp"
 #include "common/rng.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
+#include "sim/checkpoint.hpp"
+#include "sim/ckpt_v2.hpp"
 #include "sim/cycle_jump.hpp"
 #include "sim/state_io.hpp"
 
@@ -79,6 +83,57 @@ TEST(LazyRing, WideRingStillPromotesAfterItsTransient) {
   ASSERT_FALSE(rr.lazy());
   rr.run(64ULL * n);
   EXPECT_TRUE(rr.lazy());
+}
+
+TEST(LazyRing, ChunkedDensePhaseKeepsChecksAndMarksExact) {
+  // The dense phase runs the ring engine in chunks that stop at the next
+  // promotion check and auto-checkpoint mark, so the cover round, the
+  // sink's rounds and its bytes (the promotion schedule included) equal a
+  // twin stepped one round at a time.
+  Rng rng(16);
+  const NodeId n = 2048;
+  const auto agents = place_random(n, 4, rng);
+  const auto ptrs = pointers_random(n, rng);
+  LazyRingRotorRouter chunked(n, agents, ptrs);
+  LazyRingRotorRouter stepped(n, agents, ptrs);
+  ASSERT_TRUE(chunked.wide());
+  ASSERT_FALSE(chunked.lazy());
+  const auto doc = [n](const sim::Engine& e) {
+    return sim::write_checkpoint(e, "ring " + std::to_string(n),
+                                 sim::CkptFormat::kV2,
+                                 sim::kV2DefaultSegments);
+  };
+  std::vector<std::pair<std::uint64_t, std::string>> chunked_marks;
+  std::vector<std::pair<std::uint64_t, std::string>> stepped_marks;
+  chunked.set_auto_checkpoint(1000, [&](const sim::Engine& e) {
+    chunked_marks.emplace_back(e.time(), doc(e));
+  });
+  const auto step_once = [&] {
+    stepped.step();
+    if (stepped.time() % 1000 == 0) {
+      stepped_marks.emplace_back(stepped.time(), doc(stepped));
+    }
+  };
+
+  const std::uint64_t cover = chunked.run_until_covered(1ULL << 32);
+  ASSERT_NE(cover, sim::kNotCovered);
+  while (!stepped.all_covered()) step_once();
+  EXPECT_EQ(stepped.time(), cover);
+  // Still dense at cover, with the check interval doubled at least once.
+  ASSERT_FALSE(chunked.lazy());
+  EXPECT_GE(promo_schedule(chunked).at(1), 128u);
+  EXPECT_EQ(promo_schedule(chunked), promo_schedule(stepped));
+
+  chunked.run(20000);
+  while (stepped.time() < cover + 20000) step_once();
+  ASSERT_GE(chunked_marks.size(), 2u);
+  ASSERT_EQ(chunked_marks.size(), stepped_marks.size());
+  for (std::size_t i = 0; i < chunked_marks.size(); ++i) {
+    EXPECT_EQ(chunked_marks[i].first, stepped_marks[i].first) << "mark " << i;
+    EXPECT_EQ(chunked_marks[i].second, stepped_marks[i].second) << "mark " << i;
+  }
+  EXPECT_EQ(chunked.lazy(), stepped.lazy());
+  EXPECT_EQ(doc(chunked), doc(stepped));
 }
 
 TEST(LazyRing, SpreadStartOnACrowdedRingPromotesAtConstruction) {
