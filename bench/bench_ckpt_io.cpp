@@ -14,6 +14,11 @@
 //      scale 1) stepped through the mmap substrate, reporting rounds/s
 //      and the process peak RSS (VmHWM) against the image size — the
 //      run must not fault the whole image into memory.
+//   4. Frame-parallel v2 load on a pool versus the sequential load.
+//   5. The periodic save of a long sharded run (rrbench's torus-explore
+//      shape: 512^2 torus, 2^16 agents, 4 shards on a 4-thread pool,
+//      after 600 rounds), split into its layers — serialize, encode,
+//      atomic write with fsync — as medians of interleaved repetitions.
 //
 // Engines here are built over rr-graph images rather than in-RAM
 // Graphs, so instance construction is O(agents) and the bench itself
@@ -32,9 +37,12 @@
 #include <vector>
 
 #include "analysis/table.hpp"
+#include "common/rng.hpp"
 #include "core/rotor_router.hpp"
+#include "graph/descriptor.hpp"
 #include "graph/mmap_substrate.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/ckpt_v2.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -339,6 +347,68 @@ int main() {
                   " bit-equality still asserted)\n");
     }
     std::remove(image.c_str());
+  }
+
+  // --- 5. Periodic save of a long sharded run, layer by layer. ---
+  //
+  // What one `rr_cli run --shards --checkpoint-every` save costs on the
+  // torus-explore shape. The layers run in sequence once per repetition,
+  // so host noise spreads over all three, and each reports its median.
+  {
+    const auto desc = rr::graph::GraphDescriptor::torus(512, 512);
+    auto csr = desc.build_csr();
+    RR_REQUIRE(csr.has_value(), "periodic-save torus build failed");
+    const std::uint64_t n = csr->num_nodes();
+    rr::Rng rng(0x5A7E);
+    std::vector<NodeId> agents(1u << 16);
+    for (NodeId& a : agents) a = rng.bounded(static_cast<std::uint32_t>(n));
+    rr::sim::ThreadPool pool(4);
+    RotorRouter engine(std::move(*csr), agents, {}, /*shards=*/4, &pool);
+    engine.run(600);
+    const std::string descriptor = desc.text();
+    const std::string path = dir + "/bench_ckpt_io_periodic.ckpt";
+
+    constexpr int kSaveReps = 15;
+    std::vector<double> ser_ms, enc_ms, write_ms, save_ms;
+    std::size_t bytes = 0;
+    for (int rep = 0; rep < kSaveReps; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      rr::sim::StateWriter state;
+      engine.serialize_state(state);
+      const double ser = now_minus(t0);
+      t0 = std::chrono::steady_clock::now();
+      const std::string doc = rr::sim::encode_checkpoint_v2(
+          engine.engine_name(), descriptor, state, n, pool.num_threads(),
+          &pool);
+      const double enc = now_minus(t0);
+      t0 = std::chrono::steady_clock::now();
+      RR_REQUIRE(rr::sim::save_checkpoint_file_atomic(path, doc),
+                 "periodic-save atomic write failed");
+      const double wr = now_minus(t0);
+      bytes = doc.size();
+      ser_ms.push_back(1e3 * ser);
+      enc_ms.push_back(1e3 * enc);
+      write_ms.push_back(1e3 * wr);
+      save_ms.push_back(1e3 * (ser + enc + wr));
+    }
+    std::remove(path.c_str());
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double save = median(save_ms);
+    Table t({"n", "agents", "bytes", "serialize ms", "encode ms",
+             "write+fsync ms", "save ms"});
+    t.add_row({Table::integer(n), Table::integer(agents.size()),
+               Table::integer(bytes), Table::num(median(ser_ms), 2),
+               Table::num(median(enc_ms), 2), Table::num(median(write_ms), 2),
+               Table::num(save, 2)});
+    t.print();
+    std::printf("\nperiodic save: median of %d interleaved repetitions on a "
+                "%u-thread pool\n",
+                kSaveReps, pool.num_threads());
+    json.add("CkptIO/periodic/save_nodes_per_s",
+             static_cast<double>(n) / (1e-3 * save));
   }
   return 0;
 }

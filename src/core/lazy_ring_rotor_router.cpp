@@ -1,6 +1,7 @@
 #include "core/lazy_ring_rotor_router.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/hash.hpp"
 
@@ -533,11 +534,11 @@ void LazyRingRotorRouter::serialize_state(sim::StateWriter& out) const {
   out.field_u64("time", time_);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> runs(runs_.begin(),
                                                             runs_.end());
-  out.field_pairs("runs", runs);
+  out.field_pairs("runs", std::move(runs));
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sites;
   sites.reserve(sites_.size());
   for (const Site& s : sites_) sites.emplace_back(s.node, s.count);
-  out.field_pairs("agents", sites);
+  out.field_pairs("agents", std::move(sites));
   std::vector<std::uint64_t> visits(n_);
   for (NodeId v = 0; v < n_; ++v) {
     visits[v] = static_cast<std::uint64_t>(visit_counts_.at(v));

@@ -1,6 +1,7 @@
 #include "core/ring_rotor_router.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/hash.hpp"
 
@@ -98,7 +99,7 @@ void RingRotorRouter::serialize_state(sim::StateWriter& out) const {
     travel_dir[v] = node_[v].travel_dir;
     single_prop[v] = node_[v].single_prop;
   }
-  out.field_pairs("agents", sites);
+  out.field_pairs("agents", std::move(sites));
   out.field_dirs("pointers", pointers_);
   const VisitStats& s0 = stats_[0];
   out.field_list_strided("visits", n_, &s0.visits, sizeof s0, 8);

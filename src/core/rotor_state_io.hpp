@@ -174,7 +174,7 @@ inline void serialize_rotor_state(sim::StateWriter& out, std::uint64_t time,
   for (std::size_t v = 0; v < n; ++v) {
     if (node[v].count > 0) sites.emplace_back(v, node[v].count);
   }
-  out.field_pairs("agents", sites);
+  out.field_pairs("agents", std::move(sites));
   const std::uint32_t node_stride = sizeof(node[0]);
   const std::uint32_t stats_stride = sizeof(stats[0]);
   out.field_list_strided("pointers", n, &node[0].pointer, node_stride, 4);

@@ -1,9 +1,7 @@
 #include "sim/ckpt_v2.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,299 +28,361 @@ constexpr std::size_t kFooterTailBytes = 16;  // num_frames, crc, magic
 constexpr std::size_t kMaxKeyBytes = 255;
 
 // ---- encoding ----
+//
+// Size, then write. A frame is planned first: every field record gets
+// its tag and its exact byte count — for a list, from the sizes of both
+// encodings, accumulated element by element. The caller sums the frame
+// sizes, allocates the document once, and each frame is then written
+// into its own slice with pointer varint stores and checksummed while
+// still in cache.
 
-void put_field_header(std::string& out, const std::string& key,
-                      std::uint8_t tag) {
-  RR_REQUIRE(!key.empty() && key.size() <= kMaxKeyBytes,
-             "state field key must be 1..255 bytes");
-  wire::put_varint(out, key.size());
-  out.append(key);
-  out.push_back(static_cast<char>(tag));
-}
+/// Node block the list kernels share: a frame's list fields are fed one
+/// block at a time, so node i's fields are read while their cache lines
+/// are hot (at 1e8 nodes the difference between a cache-resident and a
+/// memory-bound save), and each kernel keeps its state in registers for
+/// a whole block.
+constexpr std::uint64_t kBlockNodes = 4096;
 
-/// Run-length state machine behind the list codec. feed(v) consumes one
-/// element; emit() then writes either the delta-RLE payload (tag 6,
-/// built incrementally during feeding) or the plain delta stream
-/// (tag 2, re-encoded from the accessor only when it is actually
-/// smaller — the plain size is tracked per run, not per element). The
-/// feed/emit split lets the frame encoder below interleave several
-/// fields in one pass over the node range. Delta baseline is 0 so every
-/// segment stands alone.
-class ListSegmentEncoder {
+/// Sizes one list segment in both encodings; fed its elements in order,
+/// a block at a time (delta baseline 0, so every segment stands alone).
+/// Branch-free per element: the plain size adds every delta's varint;
+/// the RLE size adds a run's delta varint and one length byte when the
+/// run starts, and the rest of the length varint when a run longer than
+/// 127 closes. Eight elements that all continue the open run (constant
+/// spans: untouched nodes, sentinels) cost a single check.
+class ListSizer {
  public:
-  void feed(std::uint64_t v) {
-    const std::uint64_t d = v - prev_;
-    prev_ = v;
-    if (run_len_ > 0 && d == run_delta_) {
-      ++run_len_;
-      return;
+  template <typename Load>
+  void feed(const Load& load, std::uint64_t begin, std::uint64_t end) {
+    if (begin == end) return;
+    std::uint64_t prev = prev_, prev_delta = prev_delta_, run_len = run_len_;
+    std::size_t delta = sizes_.delta, rle = sizes_.rle;
+    if (run_len == 0) {  // the segment's first element opens its first run
+      prev = prev_delta = load(begin++);
+      delta = wire::varint_size(wire::zigzag(prev));
+      rle = delta + 1;
+      run_len = 1;
     }
-    if (run_len_ > 0) close_run();
-    run_delta_ = d;
-    run_len_ = 1;
-  }
-
-  /// `at` must replay the values fed, in order (used for the plain-delta
-  /// fallback). Exactly end - begin elements must have been fed.
-  template <typename At>
-  void emit(std::string& out, const std::string& key, At&& at,
-            std::uint64_t begin, std::uint64_t end) {
-    if (run_len_ > 0) close_run();
-    const bool use_rle = rle_.size() < delta_size_;
-    put_field_header(out, key, use_rle ? kTagListRle : kTagListDelta);
-    wire::put_varint(out, end - begin);
-    if (use_rle) {
-      out.append(rle_);
-      return;
-    }
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const std::uint64_t v = at(i);
-      wire::put_varint(out, wire::zigzag(v - prev));
+    const auto step = [&](std::uint64_t v) {
+      const std::uint64_t d = v - prev;
       prev = v;
+      const std::size_t z_bytes = wire::varint_size(wire::zigzag(d));
+      delta += z_bytes;
+      // `starts` is 0 or 1; the updates multiply and mask with it, since
+      // GCC turns the ?: form into a mispredicted branch.
+      const std::uint64_t starts = d != prev_delta;
+      prev_delta = d;
+      if (starts & (run_len > 127)) [[unlikely]] {
+        rle += wire::varint_size(run_len) - 1;
+      }
+      rle += starts * (z_bytes + 1);
+      run_len = (run_len & (starts - 1)) + 1;
+    };
+    std::uint64_t i = begin;
+    for (; i + 8 <= end; i += 8) {
+      std::uint64_t v[8];
+      std::uint64_t off_run = 0;
+      for (int j = 0; j < 8; ++j) {
+        v[j] = load(i + j);
+        off_run |= (v[j] - (j == 0 ? prev : v[j - 1])) ^ prev_delta;
+      }
+      if (off_run == 0) {
+        run_len += 8;
+        delta += 8 * wire::varint_size(wire::zigzag(prev_delta));
+        prev = v[7];
+        continue;
+      }
+      for (int j = 0; j < 8; ++j) step(v[j]);
     }
+    for (; i < end; ++i) step(load(i));
+    prev_ = prev;
+    prev_delta_ = prev_delta;
+    run_len_ = run_len;
+    sizes_ = {delta, rle};
   }
 
-  /// Appends one completed (delta, length) run directly. The fused
-  /// frame encoder below tracks run state in registers and calls in
-  /// only at run boundaries; must not be interleaved with feed() on the
-  /// same instance.
-  void add_run(std::uint64_t delta, std::uint64_t len) {
-    delta_size_ += len * wire::varint_size(wire::zigzag(delta));
-    wire::put_varint(rle_, len);
-    wire::put_varint(rle_, wire::zigzag(delta));
+  detail::ListSizes sizes() const {
+    detail::ListSizes s = sizes_;
+    if (run_len_ > 127) s.rle += wire::varint_size(run_len_) - 1;
+    return s;
   }
 
  private:
-  void close_run() {
-    add_run(run_delta_, run_len_);
-    run_len_ = 0;
+  std::uint64_t prev_ = 0;
+  std::uint64_t prev_delta_ = 0;
+  std::uint64_t run_len_ = 0;  ///< 0 until the first element
+  detail::ListSizes sizes_;
+};
+
+/// Writes one list segment in the planned encoding, fed like ListSizer.
+class ListWriter {
+ public:
+  ListWriter(std::uint8_t* out, bool rle) : out_(out), rle_(rle) {}
+
+  template <typename Load>
+  void feed(const Load& load, std::uint64_t begin, std::uint64_t end) {
+    std::uint8_t* p = out_;
+    std::uint64_t prev = prev_;
+    if (!rle_) {
+      for (std::uint64_t i = begin; i < end; ++i) {
+        const std::uint64_t v = load(i);
+        p = wire::put_varint(p, wire::zigzag(v - prev));
+        prev = v;
+      }
+    } else {
+      std::uint64_t run_delta = run_delta_, run_len = run_len_;
+      for (std::uint64_t i = begin; i < end; ++i) {
+        const std::uint64_t v = load(i);
+        const std::uint64_t d = v - prev;
+        prev = v;
+        if (run_len != 0 && d == run_delta) {
+          ++run_len;
+          continue;
+        }
+        if (run_len != 0) p = put_run(p, run_len, run_delta);
+        run_delta = d;
+        run_len = 1;
+      }
+      run_delta_ = run_delta;
+      run_len_ = run_len;
+    }
+    out_ = p;
+    prev_ = prev;
   }
 
-  std::string rle_;
-  std::size_t delta_size_ = 0;
+  /// Closes the open run; returns one past the last byte written.
+  std::uint8_t* finish() {
+    if (run_len_ != 0) out_ = put_run(out_, run_len_, run_delta_);
+    run_len_ = 0;
+    return out_;
+  }
+
+ private:
+  static std::uint8_t* put_run(std::uint8_t* p, std::uint64_t len,
+                               std::uint64_t delta) {
+    return wire::put_varint(wire::put_varint(p, len), wire::zigzag(delta));
+  }
+
+  std::uint8_t* out_;
+  bool rle_;
   std::uint64_t prev_ = 0;
   std::uint64_t run_delta_ = 0;
   std::uint64_t run_len_ = 0;
 };
 
-/// Encodes at(i) for i in [begin, end) as one list segment. `at` is any
-/// indexable accessor — a vector, or a StateWriter list view reading
-/// engine state lazily.
-template <typename At>
-void encode_list_segment(std::string& out, const std::string& key, At&& at,
-                         std::uint64_t begin, std::uint64_t end) {
-  ListSegmentEncoder enc;
-  for (std::uint64_t i = begin; i < end; ++i) enc.feed(at(i));
-  enc.emit(out, key, at, begin, end);
+bool is_list(const WriterField& f) {
+  return f.kind == WriterField::Kind::kU64List ||
+         f.kind == WriterField::Kind::kU64ListView;
 }
 
-/// Reads strided view element i with a width-dispatched raw load.
-inline std::uint64_t strided_at(const WriterField& f, std::uint64_t i) {
-  if (f.view_width == 4) {
-    std::uint32_t v;
-    __builtin_memcpy(&v, f.view_base + i * f.view_stride, 4);
-    return v;
-  }
-  std::uint64_t v;
-  __builtin_memcpy(&v, f.view_base + i * f.view_stride, 8);
-  return v;
-}
-
-/// emit() for a strided view field whose elements were already fed.
-void emit_strided_segment(std::string& out, const WriterField& f,
-                          ListSegmentEncoder& enc, std::uint64_t begin,
-                          std::uint64_t end) {
-  enc.emit(
-      out, f.key, [&f](std::uint64_t i) { return strided_at(f, i); }, begin,
-      end);
-}
-
-struct StridedCol {
-  const unsigned char* base = nullptr;
-  std::size_t stride = 0;
-  std::uint8_t width = 0;
-};
-
-/// Feeds N strided columns through their encoders in one interleaved
-/// pass over [begin, end): node i's columns share cache lines, so this
-/// touches the engine state once instead of once per field. N is a
-/// compile-time constant and the run state lives in local arrays, so
-/// the inner loop unrolls with everything hot in registers — the
-/// encoders are only reached at run boundaries (add_run).
-template <std::size_t N>
-void feed_strided_columns(const std::array<StridedCol, N> cols,
-                          ListSegmentEncoder* encs, std::uint64_t begin,
-                          std::uint64_t end) {
-  std::uint64_t prev[N] = {};
-  std::uint64_t run_delta[N] = {};
-  std::uint64_t run_len[N] = {};
-  for (std::uint64_t i = begin; i < end; ++i) {
-    for (std::size_t k = 0; k < N; ++k) {
+/// Calls fn(load) with an inlinable element loader for list field f:
+/// the vector, a strided raw load (the rotor engines' struct-of-arrays
+/// state), or the type-erased view.
+template <typename Fn>
+void with_list_loader(const WriterField& f, Fn&& fn) {
+  if (f.kind == WriterField::Kind::kU64List) {
+    fn([&f](std::uint64_t i) { return f.list[i]; });
+  } else if (f.view_base == nullptr) {
+    fn([&f](std::uint64_t i) { return f.view(i); });
+  } else if (f.view_width == 4) {
+    fn([base = f.view_base, stride = f.view_stride](std::uint64_t i) {
+      std::uint32_t v;
+      __builtin_memcpy(&v, base + i * stride, 4);
+      return static_cast<std::uint64_t>(v);
+    });
+  } else {
+    fn([base = f.view_base, stride = f.view_stride](std::uint64_t i) {
       std::uint64_t v;
-      if (cols[k].width == 4) {
-        std::uint32_t narrow;
-        __builtin_memcpy(&narrow, cols[k].base + i * cols[k].stride, 4);
-        v = narrow;
-      } else {
-        __builtin_memcpy(&v, cols[k].base + i * cols[k].stride, 8);
-      }
-      const std::uint64_t d = v - prev[k];
-      prev[k] = v;
-      if (run_len[k] != 0 && d == run_delta[k]) {
-        ++run_len[k];
-        continue;
-      }
-      if (run_len[k] != 0) encs[k].add_run(run_delta[k], run_len[k]);
-      run_delta[k] = d;
-      run_len[k] = 1;
-    }
-  }
-  for (std::size_t k = 0; k < N; ++k) {
-    if (run_len[k] != 0) encs[k].add_run(run_delta[k], run_len[k]);
+      __builtin_memcpy(&v, base + i * stride, 8);
+      return v;
+    });
   }
 }
 
-/// Dispatches the fused pass to a fixed-N instantiation (the rotor
-/// engines serialize 6 strided columns; other small counts get their
-/// own unrolled body). Returns false above the dispatch limit — the
-/// caller then falls back to per-field feeding.
-bool feed_strided_fields(const std::vector<const WriterField*>& strided,
-                         std::vector<ListSegmentEncoder>& encs,
-                         std::uint64_t begin, std::uint64_t end) {
-  const auto dispatch = [&](auto n_const) {
-    constexpr std::size_t kN = decltype(n_const)::value;
-    std::array<StridedCol, kN> cols;
-    for (std::size_t k = 0; k < kN; ++k) {
-      cols[k] = {strided[k]->view_base, strided[k]->view_stride,
-                 strided[k]->view_width};
-    }
-    feed_strided_columns<kN>(cols, encs.data(), begin, end);
-  };
-  switch (strided.size()) {
-    case 1: dispatch(std::integral_constant<std::size_t, 1>{}); return true;
-    case 2: dispatch(std::integral_constant<std::size_t, 2>{}); return true;
-    case 3: dispatch(std::integral_constant<std::size_t, 3>{}); return true;
-    case 4: dispatch(std::integral_constant<std::size_t, 4>{}); return true;
-    case 5: dispatch(std::integral_constant<std::size_t, 5>{}); return true;
-    case 6: dispatch(std::integral_constant<std::size_t, 6>{}); return true;
-    case 7: dispatch(std::integral_constant<std::size_t, 7>{}); return true;
-    case 8: dispatch(std::integral_constant<std::size_t, 8>{}); return true;
-    default: return false;
-  }
-}
-
-/// Dispatches a view field to encode_list_segment with a concrete,
-/// inlinable accessor: strided raw loads for the struct-of-arrays fast
-/// path, the type-erased functor otherwise.
-void encode_view_segment(std::string& out, const WriterField& f,
-                         std::uint64_t begin, std::uint64_t end) {
-  if (f.view_base != nullptr) {
-    const unsigned char* base = f.view_base;
-    const std::uint32_t stride = f.view_stride;
-    if (f.view_width == 4) {
-      encode_list_segment(
-          out, f.key,
-          [base, stride](std::uint64_t i) {
-            std::uint32_t v;
-            __builtin_memcpy(&v, base + i * stride, 4);
-            return static_cast<std::uint64_t>(v);
-          },
-          begin, end);
-    } else {
-      encode_list_segment(
-          out, f.key,
-          [base, stride](std::uint64_t i) {
-            std::uint64_t v;
-            __builtin_memcpy(&v, base + i * stride, 8);
-            return v;
-          },
-          begin, end);
-    }
-    return;
-  }
-  encode_list_segment(out, f.key, f.view, begin, end);
-}
-
-void encode_symbols_segment(std::string& out, const std::string& key,
-                            std::uint8_t tag,
-                            const std::vector<std::uint8_t>& symbols,
-                            std::uint64_t begin, std::uint64_t end) {
-  put_field_header(out, key, tag);
-  const std::uint64_t count = end - begin;
-  wire::put_varint(out, count);
-  std::uint8_t byte = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (symbols[begin + i]) byte |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      out.push_back(static_cast<char>(byte));
-      byte = 0;
-    }
-  }
-  if (count % 8 != 0) out.push_back(static_cast<char>(byte));
-}
-
-void encode_field(std::string& out, const WriterField& f) {
+/// Element count of a list or symbol field; 0 for the other kinds.
+std::uint64_t element_count(const WriterField& f) {
   switch (f.kind) {
-    case WriterField::Kind::kRaw:
-      put_field_header(out, f.key, kTagRaw);
-      wire::put_varint(out, f.raw.size());
-      out.append(f.raw);
-      break;
-    case WriterField::Kind::kU64:
-      put_field_header(out, f.key, kTagU64);
-      wire::put_varint(out, f.scalar);
-      break;
     case WriterField::Kind::kU64List:
-      encode_list_segment(
-          out, f.key, [&f](std::uint64_t i) { return f.list[i]; }, 0,
-          f.list.size());
-      break;
+      return f.list.size();
     case WriterField::Kind::kU64ListView:
-      encode_view_segment(out, f, 0, f.view_size);
-      break;
+      return f.view_size;
     case WriterField::Kind::kDirs:
-      encode_symbols_segment(out, f.key, kTagDirs, f.symbols, 0,
-                             f.symbols.size());
-      break;
     case WriterField::Kind::kBits:
-      encode_symbols_segment(out, f.key, kTagBits, f.symbols, 0,
-                             f.symbols.size());
-      break;
-    case WriterField::Kind::kPairs: {
-      put_field_header(out, f.key, kTagPairs);
-      wire::put_varint(out, f.pairs.size());
-      std::uint64_t prev_index = 0;
-      for (std::size_t i = 0; i < f.pairs.size(); ++i) {
-        const auto [index, value] = f.pairs[i];
-        if (i == 0) {
-          wire::put_varint(out, index);
-        } else {
-          RR_REQUIRE(index > prev_index,
-                     "pair indices must be strictly increasing");
-          wire::put_varint(out, index - prev_index);
-        }
-        prev_index = index;
-        wire::put_varint(out, value);
-      }
-      break;
-    }
+      return f.symbols.size();
+    default:
+      return 0;
   }
 }
 
 /// True for fields the codec shards across per-node frames.
 bool is_per_node(const WriterField& f, std::uint64_t num_nodes) {
-  if (num_nodes == 0) return false;
+  return num_nodes != 0 && element_count(f) == num_nodes;
+}
+
+/// One sized field record: varint key length, key, u8 tag, varint head,
+/// then `payload` bytes. The head is the element count of a list,
+/// symbol or pairs field, the length of a raw one, the value of a u64.
+struct Record {
+  const WriterField* f = nullptr;
+  std::uint8_t tag = 0;
+  std::uint64_t begin = 0;  ///< element range of a list or symbol field
+  std::uint64_t end = 0;
+  std::uint64_t head = 0;
+  std::size_t payload = 0;
+
+  std::size_t size() const {
+    return wire::varint_size(f->key.size()) + f->key.size() + 1 +
+           wire::varint_size(head) + payload;
+  }
+};
+
+/// Sizes a field that is not a list over elements [begin, end).
+Record plan_record(const WriterField& f, std::uint64_t begin,
+                   std::uint64_t end) {
   switch (f.kind) {
-    case WriterField::Kind::kU64List:
-      return f.list.size() == num_nodes;
-    case WriterField::Kind::kU64ListView:
-      return f.view_size == num_nodes;
+    case WriterField::Kind::kRaw:
+      return {&f, kTagRaw, 0, 0, f.raw.size(), f.raw.size()};
+    case WriterField::Kind::kU64:
+      return {&f, kTagU64, 0, 0, f.scalar, 0};
     case WriterField::Kind::kDirs:
     case WriterField::Kind::kBits:
-      return f.symbols.size() == num_nodes;
+      return {&f, f.kind == WriterField::Kind::kDirs ? kTagDirs : kTagBits,
+              begin, end, end - begin, (end - begin + 7) / 8};
+    case WriterField::Kind::kPairs: {
+      std::size_t payload = 0;
+      for (std::size_t i = 0; i < f.pairs.size(); ++i) {
+        const auto [index, value] = f.pairs[i];
+        RR_REQUIRE(i == 0 || index > f.pairs[i - 1].first,
+                   "pair indices must be strictly increasing");
+        payload += wire::varint_size(i == 0 ? index
+                                            : index - f.pairs[i - 1].first) +
+                   wire::varint_size(value);
+      }
+      return {&f, kTagPairs, 0, 0, f.pairs.size(), payload};
+    }
     default:
-      return false;
+      RR_REQUIRE(false, "list fields are sized by ListSizer");
+      return {};
+  }
+}
+
+/// Feeds each list record's element range to its kernel, one block of
+/// kBlockNodes at a time across all of them.
+template <typename Kernel>
+void feed_blocks(const std::vector<Record>& records,
+                 const std::vector<std::size_t>& lists,
+                 std::vector<Kernel>& kernels) {
+  std::uint64_t longest = 0;
+  for (const std::size_t r : lists) {
+    longest = std::max(longest, records[r].end - records[r].begin);
+  }
+  for (std::uint64_t at = 0; at < longest; at += kBlockNodes) {
+    for (std::size_t k = 0; k < lists.size(); ++k) {
+      const Record& r = records[lists[k]];
+      if (at >= r.end - r.begin) continue;
+      const std::uint64_t begin = r.begin + at;
+      const std::uint64_t end = std::min(r.end, begin + kBlockNodes);
+      with_list_loader(*r.f, [&](const auto& load) {
+        kernels[k].feed(load, begin, end);
+      });
+    }
+  }
+}
+
+/// A frame's records in emission (declaration) order, its list records
+/// and its total size.
+struct FramePlan {
+  std::vector<Record> records;
+  std::vector<std::size_t> lists;  ///< indices into records
+  std::size_t size = 0;
+};
+
+/// Plans one frame: `fields` over nodes [begin, end) for a per-node
+/// frame, or each field whole for frame 0 (`per_node` false).
+FramePlan plan_frame(const std::vector<const WriterField*>& fields,
+                     bool per_node, std::uint64_t begin, std::uint64_t end) {
+  FramePlan plan;
+  plan.records.reserve(fields.size());
+  for (const WriterField* f : fields) {
+    RR_REQUIRE(!f->key.empty() && f->key.size() <= kMaxKeyBytes,
+               "state field key must be 1..255 bytes");
+    const std::uint64_t b = per_node ? begin : 0;
+    const std::uint64_t e = per_node ? end : element_count(*f);
+    if (is_list(*f)) {
+      plan.lists.push_back(plan.records.size());
+      plan.records.push_back({f, 0, b, e, e - b, 0});  // sized below
+    } else {
+      plan.records.push_back(plan_record(*f, b, e));
+    }
+  }
+  std::vector<ListSizer> sizers(plan.lists.size());
+  feed_blocks(plan.records, plan.lists, sizers);
+  for (std::size_t k = 0; k < plan.lists.size(); ++k) {
+    const detail::ListSizes sizes = sizers[k].sizes();
+    Record& r = plan.records[plan.lists[k]];
+    r.tag = sizes.use_rle() ? kTagListRle : kTagListDelta;
+    r.payload = sizes.payload();
+  }
+  for (const Record& r : plan.records) plan.size += r.size();
+  return plan;
+}
+
+/// Writes a planned frame into out[0, plan.size). Every record, and
+/// every list payload, must end exactly where the plan put it.
+void write_frame(const FramePlan& plan, std::uint8_t* out) {
+  std::uint8_t* const frame_end = out + plan.size;
+  std::vector<ListWriter> writers;
+  std::vector<std::uint8_t*> list_ends;
+  writers.reserve(plan.lists.size());
+  list_ends.reserve(plan.lists.size());
+  for (const Record& r : plan.records) {
+    const WriterField& f = *r.f;
+    std::uint8_t* p = wire::put_varint(out, f.key.size());
+    std::memcpy(p, f.key.data(), f.key.size());
+    p += f.key.size();
+    *p++ = r.tag;
+    p = wire::put_varint(p, r.head);
+    std::uint8_t* const end = p + r.payload;
+    switch (r.tag) {
+      case kTagRaw:
+        std::memcpy(p, f.raw.data(), f.raw.size());
+        p += f.raw.size();
+        break;
+      case kTagListDelta:
+      case kTagListRle:  // written block-wise below
+        writers.emplace_back(p, r.tag == kTagListRle);
+        list_ends.push_back(end);
+        p = end;
+        break;
+      case kTagDirs:
+      case kTagBits:  // symbols are 0 or 1; LSB-first, eight per byte
+        for (std::uint64_t i = 0; i < r.head; i += 8) {
+          std::uint8_t byte = 0;
+          for (std::uint64_t b = 0; b < 8 && i + b < r.head; ++b) {
+            byte |= static_cast<std::uint8_t>(f.symbols[r.begin + i + b] << b);
+          }
+          *p++ = byte;
+        }
+        break;
+      case kTagPairs:
+        for (std::size_t i = 0; i < f.pairs.size(); ++i) {
+          const auto [index, value] = f.pairs[i];
+          p = wire::put_varint(p,
+                               i == 0 ? index : index - f.pairs[i - 1].first);
+          p = wire::put_varint(p, value);
+        }
+        break;
+      default:  // kTagU64: the head was the value
+        break;
+    }
+    RR_REQUIRE(p == end, "v2 field record missed its slice");
+    out = end;
+  }
+  RR_REQUIRE(out == frame_end, "v2 frame missed its slice");
+  feed_blocks(plan.records, plan.lists, writers);
+  for (std::size_t k = 0; k < writers.size(); ++k) {
+    RR_REQUIRE(writers[k].finish() == list_ends[k],
+               "v2 list payload missed its slice");
   }
 }
 
@@ -602,8 +662,8 @@ std::string encode_checkpoint_v2(const std::string& engine_name,
                                  const StateWriter& state,
                                  std::uint64_t num_nodes,
                                  std::uint32_t segments, ThreadPool* pool) {
-  std::string out = std::string(kCheckpointMagicV2) + " engine=" +
-                    engine_name + " graph=" + graph_descriptor + "\n";
+  const std::string header = std::string(kCheckpointMagicV2) + " engine=" +
+                             engine_name + " graph=" + graph_descriptor + "\n";
 
   std::vector<const WriterField*> frame0;
   std::vector<const WriterField*> per_node;
@@ -614,89 +674,80 @@ std::string encode_checkpoint_v2(const std::string& engine_name,
   if (per_node.empty()) nseg = 0;
   if (nseg > num_nodes) nseg = num_nodes;
   const std::size_t num_frames = static_cast<std::size_t>(1 + nseg);
+  const auto run_frames = [&](const auto& job) {
+    if (pool != nullptr && num_frames > 1) {
+      pool->for_each(num_frames, job, /*chunk=*/1);
+    } else {
+      for (std::uint64_t j = 0; j < num_frames; ++j) job(j);
+    }
+  };
 
-  std::vector<std::string> frames(num_frames);
+  // Pass 1: size every frame (per-node frame j covers node range j-1).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges(num_frames,
                                                               {0, 0});
   for (std::uint64_t j = 0; j < nseg; ++j) {
     ranges[j + 1] = {num_nodes * j / nseg, num_nodes * (j + 1) / nseg};
   }
-  const auto encode_one = [&](std::uint64_t j) {
-    std::string& frame = frames[j];
-    if (j == 0) {
-      for (const WriterField* f : frame0) encode_field(frame, *f);
-      return;
-    }
-    const auto [begin, end] = ranges[j];
-    // Strided view fields (the rotor engines' struct-of-arrays state)
-    // are fed in one interleaved unrolled pass: node i's columns share
-    // cache lines, so feeding every field per node touches the engine
-    // state once instead of once per field — at 1e8 nodes that is the
-    // difference between a cache-resident and a memory-bound save.
-    // Emission below stays in declaration order, so the bytes are
-    // identical to per-field encoding.
-    std::vector<const WriterField*> strided;
-    for (const WriterField* f : per_node) {
-      if (f->kind == WriterField::Kind::kU64ListView &&
-          f->view_base != nullptr) {
-        strided.push_back(f);
-      }
-    }
-    std::vector<ListSegmentEncoder> encoders(strided.size());
-    const bool fused =
-        !strided.empty() && feed_strided_fields(strided, encoders, begin, end);
-    std::size_t next_strided = 0;
-    for (const WriterField* f : per_node) {
-      if (f->kind == WriterField::Kind::kU64List) {
-        encode_list_segment(
-            frame, f->key, [f](std::uint64_t i) { return f->list[i]; }, begin,
-            end);
-      } else if (f->kind == WriterField::Kind::kU64ListView) {
-        if (fused && f->view_base != nullptr) {
-          emit_strided_segment(frame, *f, encoders[next_strided++], begin,
-                               end);
-        } else {
-          encode_view_segment(frame, *f, begin, end);
-        }
-      } else {
-        encode_symbols_segment(
-            frame, f->key,
-            f->kind == WriterField::Kind::kDirs ? kTagDirs : kTagBits,
-            f->symbols, begin, end);
-      }
-    }
-  };
-  if (pool != nullptr && num_frames > 1) {
-    pool->for_each(num_frames, encode_one, /*chunk=*/1);
-  } else {
-    for (std::uint64_t j = 0; j < num_frames; ++j) encode_one(j);
+  std::vector<FramePlan> plans(num_frames);
+  run_frames([&](std::uint64_t j) {
+    plans[j] = j == 0 ? plan_frame(frame0, false, 0, 0)
+                      : plan_frame(per_node, true, ranges[j].first,
+                                   ranges[j].second);
+  });
+
+  // One allocation for the whole document.
+  std::vector<std::size_t> offsets(num_frames);
+  std::size_t body = 0;
+  for (std::size_t j = 0; j < num_frames; ++j) {
+    offsets[j] = body;
+    body += plans[j].size;
   }
+  const std::size_t footer = num_frames * kFooterEntryBytes + kFooterTailBytes;
+  std::string out(header.size() + body + footer, '\0');
+  std::memcpy(out.data(), header.data(), header.size());
+  auto* const frames = reinterpret_cast<std::uint8_t*>(out.data()) + header.size();
+
+  // Pass 2: each frame writes and checksums its own slice.
+  std::vector<std::uint32_t> crcs(num_frames);
+  run_frames([&](std::uint64_t j) {
+    write_frame(plans[j], frames + offsets[j]);
+    crcs[j] = wire::crc32(frames + offsets[j], plans[j].size);
+  });
 
   std::string tail;
-  tail.reserve(num_frames * kFooterEntryBytes + kFooterTailBytes);
-  std::uint64_t offset = 0;
+  tail.reserve(footer);
   for (std::size_t j = 0; j < num_frames; ++j) {
-    wire::put_u64le(tail, offset);
-    wire::put_u64le(tail, frames[j].size());
+    wire::put_u64le(tail, offsets[j]);
+    wire::put_u64le(tail, plans[j].size);
     wire::put_u64le(tail, ranges[j].first);
     wire::put_u64le(tail, ranges[j].second);
-    wire::put_u32le(tail, wire::crc32(frames[j].data(), frames[j].size()));
+    wire::put_u32le(tail, crcs[j]);
     wire::put_u32le(tail, 0);
-    offset += frames[j].size();
   }
   wire::put_u32le(tail, static_cast<std::uint32_t>(num_frames));
   const std::uint32_t table_crc = wire::crc32(tail.data(), tail.size());
   wire::put_u32le(tail, table_crc);
   wire::put_u64le(tail, kV2TrailerMagic);
-
-  std::size_t total = out.size() + tail.size();
-  for (const std::string& frame : frames) total += frame.size();
-  out.reserve(total);
-  for (const std::string& frame : frames) out.append(frame);
-  out.append(tail);
+  std::memcpy(frames + body, tail.data(), tail.size());
   return out;
 }
 
+namespace detail {
+
+ListSizes size_list(const std::uint64_t* values, std::size_t count) {
+  ListSizer sizer;
+  sizer.feed([values](std::uint64_t i) { return values[i]; }, 0, count);
+  return sizer.sizes();
+}
+
+std::uint8_t* write_list(std::uint8_t* out, const std::uint64_t* values,
+                         std::size_t count, bool rle) {
+  ListWriter writer(out, rle);
+  writer.feed([values](std::uint64_t i) { return values[i]; }, 0, count);
+  return writer.finish();
+}
+
+}  // namespace detail
 std::optional<StateReader> decode_checkpoint_v2_body(const std::uint8_t* data,
                                                      std::size_t size,
                                                      ThreadPool* pool) {

@@ -173,13 +173,14 @@ class StateWriter {
   }
 
   /// Sparse "index:value" field (agent sites, pointer runs); indices must
-  /// be strictly increasing.
+  /// be strictly increasing. Taken by value: callers that build the list
+  /// for the save pass it as an rvalue and nothing is copied.
   void field_pairs(std::string_view key,
-                   const std::vector<std::pair<std::uint64_t, std::uint64_t>>& pairs) {
+                   std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs) {
     WriterField f;
     f.kind = WriterField::Kind::kPairs;
     f.key = key;
-    f.pairs = pairs;
+    f.pairs = std::move(pairs);
     push(std::move(f));
   }
 

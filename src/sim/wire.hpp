@@ -10,6 +10,7 @@
 // external input and the never-abort contract of the text parsers
 // extends to the binary layer.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -30,14 +31,24 @@ inline void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-/// Encoded size of put_varint(v) without encoding it.
-inline std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
+/// Stores the LEB128 encoding of `v` at `out`, which must have
+/// varint_size(v) bytes of room; returns one past the last byte stored.
+inline std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t v) {
   while (v >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(v | 0x80);
     v >>= 7;
-    ++n;
   }
-  return n;
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
+}
+
+/// Encoded size of put_varint(v) without encoding it: one byte per
+/// started group of 7 significant bits, (70 - clz(v | 1)) / 7 (v | 1
+/// gives 0 its one byte). For bit widths 1..64, (w * 9 + 64) / 64 equals
+/// (w + 6) / 7 exactly and costs a shift instead of a division — this
+/// sits in the checkpoint sizing pass's per-element loop.
+inline std::size_t varint_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) * 9 + 64) >> 6;
 }
 
 /// Reads a varint from [*pos, size); advances *pos past it. nullopt on

@@ -35,23 +35,30 @@ using core::NodeId;
 // ---- wire primitives ----
 
 TEST(Wire, VarintRoundTripsBoundaries) {
-  const std::uint64_t values[] = {0,
-                                  1,
-                                  127,
-                                  128,
-                                  129,
-                                  16383,
-                                  16384,
-                                  (1ull << 32) - 1,
-                                  1ull << 32,
-                                  (1ull << 63) - 1,
-                                  1ull << 63,
-                                  ~std::uint64_t{0}};
+  // Both sides of every 7-bit group boundary, 2^(7j) - 1 and 2^(7j), plus
+  // the ends of the range and a few interior values.
+  std::vector<std::uint64_t> values{0,
+                                    1,
+                                    129,
+                                    (1ull << 32) - 1,
+                                    1ull << 32,
+                                    (1ull << 63) - 1,
+                                    1ull << 63,
+                                    ~std::uint64_t{0}};
+  for (int j = 1; j <= 9; ++j) {
+    values.push_back((1ull << (7 * j)) - 1);
+    values.push_back(1ull << (7 * j));
+  }
   for (const std::uint64_t v : values) {
     SCOPED_TRACE(v);
     std::string buf;
     wire::put_varint(buf, v);
-    EXPECT_EQ(buf.size(), wire::varint_size(v));
+    EXPECT_EQ(wire::varint_size(v), buf.size());
+    // The pointer store writes the same bytes and returns their end.
+    std::uint8_t raw[wire::kMaxVarintBytes];
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(raw),
+                          wire::put_varint(raw, v) - raw),
+              buf);
     std::size_t pos = 0;
     const auto back = wire::get_varint(
         reinterpret_cast<const std::uint8_t*>(buf.data()), buf.size(), &pos);
@@ -108,6 +115,169 @@ TEST(Wire, Crc32MatchesIeeeCheckValue) {
   // Seeded continuation equals one-shot over the concatenation.
   const std::uint32_t first = wire::crc32("12345", 5);
   EXPECT_EQ(wire::crc32("6789", 4, first), 0xCBF43926u);
+}
+
+// ---- the list codec sizes exactly what it writes ----
+
+/// Both list encodings built the obvious way, one append at a time.
+struct NaiveList {
+  std::string delta;
+  std::string rle;
+};
+
+NaiveList naive_encode(const std::vector<std::uint64_t>& values) {
+  NaiveList out;
+  std::uint64_t prev = 0;
+  std::uint64_t run_delta = 0;
+  std::uint64_t run_len = 0;
+  for (const std::uint64_t v : values) {
+    const std::uint64_t d = v - prev;
+    prev = v;
+    wire::put_varint(out.delta, wire::zigzag(d));
+    if (run_len > 0 && d == run_delta) {
+      ++run_len;
+      continue;
+    }
+    if (run_len > 0) {
+      wire::put_varint(out.rle, run_len);
+      wire::put_varint(out.rle, wire::zigzag(run_delta));
+    }
+    run_delta = d;
+    run_len = 1;
+  }
+  if (run_len > 0) {
+    wire::put_varint(out.rle, run_len);
+    wire::put_varint(out.rle, wire::zigzag(run_delta));
+  }
+  return out;
+}
+
+/// Predicted sizes must equal the bytes written in both encodings, the
+/// guard bytes after them must survive, the tag rule must pick RLE only
+/// when strictly smaller, and both payloads must decode back.
+void expect_exact_list(const std::vector<std::uint64_t>& values) {
+  const detail::ListSizes sizes = detail::size_list(values.data(), values.size());
+  const NaiveList naive = naive_encode(values);
+  EXPECT_EQ(sizes.delta, naive.delta.size());
+  EXPECT_EQ(sizes.rle, naive.rle.size());
+  EXPECT_EQ(sizes.use_rle(), naive.rle.size() < naive.delta.size());
+  for (const bool rle : {false, true}) {
+    SCOPED_TRACE(rle ? "rle" : "delta");
+    const std::size_t predicted = rle ? sizes.rle : sizes.delta;
+    std::vector<std::uint8_t> buf(predicted + 16, 0xA5);
+    const std::uint8_t* end =
+        detail::write_list(buf.data(), values.data(), values.size(), rle);
+    ASSERT_EQ(static_cast<std::size_t>(end - buf.data()), predicted);
+    for (std::size_t i = predicted; i < buf.size(); ++i) {
+      ASSERT_EQ(buf[i], 0xA5) << "wrote past its size at " << i;
+    }
+    const std::string written(reinterpret_cast<const char*>(buf.data()),
+                              predicted);
+    EXPECT_EQ(written, rle ? naive.rle : naive.delta);
+    PackedSegment seg;
+    seg.count = values.size();
+    seg.enc = rle ? 1 : 0;
+    seg.bytes = written;
+    std::vector<std::uint64_t> back;
+    std::uint64_t index = 0;
+    ASSERT_TRUE(detail::decode_packed_list(
+        seg, &index, [&back](std::uint64_t, std::uint64_t v) {
+          back.push_back(v);
+          return true;
+        }));
+    EXPECT_EQ(back, values);
+  }
+}
+
+TEST(CkptV2, ListCodecPredictsItsExactSize) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::vector<std::vector<std::uint64_t>> lists;
+  lists.push_back({});
+  lists.push_back({kMax});  // the sentinel alone, then sprinkled
+  lists.push_back({kMax, 0, kMax, kMax, 5, kMax, 0, 0, kMax});
+  // Values and deltas on both sides of every 7-bit varint boundary. A
+  // delta d zigzags to 2d or 2|d| - 1, so +-2^(7j-1) straddle 2^(7j).
+  for (int j = 1; j <= 9; ++j) {
+    const std::uint64_t b = 1ull << (7 * j);
+    lists.push_back({b - 1, b, b - 1, b, b});
+    std::vector<std::uint64_t> ramp{0};
+    for (const std::uint64_t d : {b / 2 - 1, b / 2, b - 1, b, -(b / 2),
+                                  -(b / 2 - 1), -b, -(b - 1), b / 2}) {
+      ramp.push_back(ramp.back() + d);
+    }
+    lists.push_back(ramp);
+  }
+  // Runs of equal deltas whose length crosses a varint boundary, alone
+  // and closed by a different delta.
+  for (const std::uint64_t len : {127u, 128u, 16383u, 16384u}) {
+    std::vector<std::uint64_t> run(len);
+    for (std::uint64_t i = 0; i < len; ++i) run[i] = 3 * (i + 1);
+    lists.push_back(run);
+    run.push_back(run.back() + 200);
+    run.push_back(run.back() + 200);
+    lists.push_back(run);
+  }
+  // Alternating deltas: no run longer than one.
+  for (const std::uint64_t step : {1ull, 64ull, 1ull << 40}) {
+    std::vector<std::uint64_t> alt;
+    for (int i = 0; i < 300; ++i) alt.push_back(i % 2 == 0 ? 0 : step);
+    lists.push_back(alt);
+  }
+  // All-equal lists.
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7},
+                                 std::uint64_t{1} << 35, kMax}) {
+    for (const std::size_t n : {1u, 2u, 127u, 128u, 129u, 5000u}) {
+      lists.push_back(std::vector<std::uint64_t>(n, v));
+    }
+  }
+  // Random lists mixing short runs, small steps, wide values and the
+  // sentinel.
+  Rng rng(0x517E5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> list;
+    const std::uint32_t n = rng.bounded(400);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint64_t prev = list.empty() ? 0 : list.back();
+      switch (rng.bounded(5)) {
+        case 0: list.push_back(prev); break;
+        case 1: list.push_back(prev + rng.bounded(200) - 100); break;
+        case 2: list.push_back(rng()); break;
+        case 3: list.push_back(kMax); break;
+        default: list.push_back(prev + (list.size() % 7)); break;
+      }
+    }
+    lists.push_back(list);
+  }
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "list " << i << " of length "
+                                      << lists[i].size());
+    expect_exact_list(lists[i]);
+  }
+}
+
+TEST(CkptV2, ListTagTieGoesToDelta) {
+  // [0, 0]: plain deltas are two bytes, one run (2, 0) is two bytes too.
+  const std::vector<std::uint64_t> tie{0, 0};
+  const detail::ListSizes sizes = detail::size_list(tie.data(), tie.size());
+  ASSERT_EQ(sizes.delta, 2u);
+  ASSERT_EQ(sizes.rle, 2u);
+  EXPECT_FALSE(sizes.use_rle());
+  // And one byte smaller RLE wins: [0, 0, 0] is three bytes against two.
+  const std::vector<std::uint64_t> three{0, 0, 0};
+  EXPECT_TRUE(detail::size_list(three.data(), three.size()).use_rle());
+  // The encoder writes tag 2 for the tie, in frame 0 and in a per-node
+  // frame alike.
+  for (const std::uint64_t num_nodes : {0u, 2u}) {
+    SCOPED_TRACE(num_nodes);
+    StateWriter w;
+    w.field_list("x", tie);
+    const std::string doc = encode_checkpoint_v2("e", "g", w, num_nodes, 1);
+    const std::size_t body = doc.find('\n') + 1;
+    ASSERT_GT(doc.size(), body + 3);
+    EXPECT_EQ(doc[body], 1);  // key length
+    EXPECT_EQ(doc[body + 1], 'x');
+    EXPECT_EQ(doc[body + 2], 2);  // tag: list (delta)
+  }
 }
 
 // ---- every backend round-trips through v2 ----
