@@ -48,7 +48,8 @@
 // with pointer varint stores and computes the frame's CRC32 in the same
 // job; only the footer is written serially. A record that does not end
 // exactly where its plan put it aborts (RR_REQUIRE), so a sizing bug
-// cannot spill into a neighbouring slice.
+// cannot spill into a neighbouring slice. Documents under 2^16 nodes run
+// both passes' jobs inline on the caller.
 //
 // Decoding is total (malformed framing, bad CRCs, truncated or overlong
 // varints, out-of-bounds footer entries all yield nullopt, never an
@@ -84,37 +85,14 @@ inline constexpr std::uint32_t kV2DefaultSegments = 4;
 /// length); `segments` is the number of per-node frames (0 picks a
 /// default), clamped to num_nodes. Frames are sized, then written, in
 /// parallel on `pool` when given (caller thread participates; pass
-/// nullptr to encode inline); the bytes never depend on the pool.
+/// nullptr to encode inline; documents under 2^16 nodes encode inline
+/// regardless). The bytes never depend on the pool.
 std::string encode_checkpoint_v2(const std::string& engine_name,
                                  const std::string& graph_descriptor,
                                  const StateWriter& state,
                                  std::uint64_t num_nodes,
                                  std::uint32_t segments = 0,
                                  ThreadPool* pool = nullptr);
-
-namespace detail {
-
-/// Payload sizes of one list segment in both list encodings: tag 2
-/// (zigzag-varint deltas) and tag 6 (runs of varint length, zigzag-varint
-/// delta).
-struct ListSizes {
-  std::size_t delta = 0;
-  std::size_t rle = 0;
-
-  /// The encoder's tag rule: delta-RLE only when strictly smaller.
-  bool use_rle() const { return rle < delta; }
-  std::size_t payload() const { return use_rle() ? rle : delta; }
-};
-
-/// Sizes values[0, count) as one list segment (delta baseline 0).
-ListSizes size_list(const std::uint64_t* values, std::size_t count);
-
-/// Writes the payload of values[0, count) in the encoding `rle` selects;
-/// returns one past the last byte written.
-std::uint8_t* write_list(std::uint8_t* out, const std::uint64_t* values,
-                         std::size_t count, bool rle);
-
-}  // namespace detail
 
 /// Decodes the binary body — the bytes after the header line's '\n' —
 /// into a StateReader. nullopt on any malformed framing or CRC mismatch.

@@ -152,32 +152,52 @@ NaiveList naive_encode(const std::vector<std::uint64_t>& values) {
   return out;
 }
 
-/// Predicted sizes must equal the bytes written in both encodings, the
-/// guard bytes after them must survive, the tag rule must pick RLE only
-/// when strictly smaller, and both payloads must decode back.
+/// Encodes `values` as the only field of a document, in frame 0
+/// (`per_node` false) or as a one-segment per-node field, and returns the
+/// field's record: the frame bytes between the header line and the
+/// footer.
+std::string single_list_record(const std::vector<std::uint64_t>& values,
+                               bool per_node) {
+  StateWriter w;
+  w.field_list("x", values);
+  const std::string doc =
+      encode_checkpoint_v2("e", "g", w, per_node ? values.size() : 0, 1);
+  const std::size_t body = doc.find('\n') + 1;
+  const std::size_t frames = per_node ? 2 : 1;  // frame 0 is empty if per-node
+  const std::size_t footer = frames * 40 + 16;
+  EXPECT_GE(doc.size(), body + footer);
+  const auto state = decode_checkpoint_v2_body(
+      reinterpret_cast<const std::uint8_t*>(doc.data()) + body,
+      doc.size() - body);
+  EXPECT_TRUE(state.has_value());
+  if (state) {
+    EXPECT_EQ(state->u64_list("x", values.size()), values);
+  }
+  return doc.substr(body, doc.size() - body - footer);
+}
+
+/// The encoder's sizing pass must predict exactly what its write pass
+/// stores (write_frame RR_REQUIREs every list payload to end where its
+/// plan put it), pick RLE only when strictly smaller, and write the same
+/// payload a naive encoder does; the document must decode back.
 void expect_exact_list(const std::vector<std::uint64_t>& values) {
-  const detail::ListSizes sizes = detail::size_list(values.data(), values.size());
   const NaiveList naive = naive_encode(values);
-  EXPECT_EQ(sizes.delta, naive.delta.size());
-  EXPECT_EQ(sizes.rle, naive.rle.size());
-  EXPECT_EQ(sizes.use_rle(), naive.rle.size() < naive.delta.size());
-  for (const bool rle : {false, true}) {
-    SCOPED_TRACE(rle ? "rle" : "delta");
-    const std::size_t predicted = rle ? sizes.rle : sizes.delta;
-    std::vector<std::uint8_t> buf(predicted + 16, 0xA5);
-    const std::uint8_t* end =
-        detail::write_list(buf.data(), values.data(), values.size(), rle);
-    ASSERT_EQ(static_cast<std::size_t>(end - buf.data()), predicted);
-    for (std::size_t i = predicted; i < buf.size(); ++i) {
-      ASSERT_EQ(buf[i], 0xA5) << "wrote past its size at " << i;
-    }
-    const std::string written(reinterpret_cast<const char*>(buf.data()),
-                              predicted);
-    EXPECT_EQ(written, rle ? naive.rle : naive.delta);
+  const bool rle = naive.rle.size() < naive.delta.size();
+  std::string expected = "\x01x";
+  expected += static_cast<char>(rle ? 6 : 2);
+  wire::put_varint(expected, values.size());
+  expected += rle ? naive.rle : naive.delta;
+  for (const bool per_node : {false, true}) {
+    if (per_node && values.empty()) continue;  // no per-node frame to hold it
+    SCOPED_TRACE(per_node ? "per-node frame" : "frame 0");
+    EXPECT_EQ(single_list_record(values, per_node), expected);
+  }
+  // Both payloads decode back, the one the encoder did not pick included.
+  for (const bool enc_rle : {false, true}) {
     PackedSegment seg;
     seg.count = values.size();
-    seg.enc = rle ? 1 : 0;
-    seg.bytes = written;
+    seg.enc = enc_rle ? 1 : 0;
+    seg.bytes = enc_rle ? naive.rle : naive.delta;
     std::vector<std::uint64_t> back;
     std::uint64_t index = 0;
     ASSERT_TRUE(detail::decode_packed_list(
@@ -256,27 +276,18 @@ TEST(CkptV2, ListCodecPredictsItsExactSize) {
 }
 
 TEST(CkptV2, ListTagTieGoesToDelta) {
-  // [0, 0]: plain deltas are two bytes, one run (2, 0) is two bytes too.
+  // [0, 0]: plain deltas are two bytes, one run (2, 0) is two bytes too;
+  // the encoder writes tag 2, in frame 0 and in a per-node frame alike.
   const std::vector<std::uint64_t> tie{0, 0};
-  const detail::ListSizes sizes = detail::size_list(tie.data(), tie.size());
-  ASSERT_EQ(sizes.delta, 2u);
-  ASSERT_EQ(sizes.rle, 2u);
-  EXPECT_FALSE(sizes.use_rle());
-  // And one byte smaller RLE wins: [0, 0, 0] is three bytes against two.
-  const std::vector<std::uint64_t> three{0, 0, 0};
-  EXPECT_TRUE(detail::size_list(three.data(), three.size()).use_rle());
-  // The encoder writes tag 2 for the tie, in frame 0 and in a per-node
-  // frame alike.
-  for (const std::uint64_t num_nodes : {0u, 2u}) {
-    SCOPED_TRACE(num_nodes);
-    StateWriter w;
-    w.field_list("x", tie);
-    const std::string doc = encode_checkpoint_v2("e", "g", w, num_nodes, 1);
-    const std::size_t body = doc.find('\n') + 1;
-    ASSERT_GT(doc.size(), body + 3);
-    EXPECT_EQ(doc[body], 1);  // key length
-    EXPECT_EQ(doc[body + 1], 'x');
-    EXPECT_EQ(doc[body + 2], 2);  // tag: list (delta)
+  ASSERT_EQ(naive_encode(tie).delta.size(), 2u);
+  ASSERT_EQ(naive_encode(tie).rle.size(), 2u);
+  for (const bool per_node : {false, true}) {
+    SCOPED_TRACE(per_node);
+    EXPECT_EQ(single_list_record(tie, per_node),
+              std::string("\x01x\x02\x02\0\0", 6));
+    // One byte smaller RLE wins: [0, 0, 0] is three bytes against two.
+    EXPECT_EQ(single_list_record({0, 0, 0}, per_node),
+              std::string("\x01x\x06\x03\x03\0", 6));
   }
 }
 

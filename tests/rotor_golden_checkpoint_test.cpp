@@ -116,6 +116,11 @@ constexpr Golden kGolden[] = {
     {"ring 257", 5, 4, true,
      {0xa4c52657a0f49e6aULL, 0xe3e7c3f237688c18ULL,
       0x4101c8287314b43eULL}},
+    // 2^16 nodes: the smallest document the encoder sizes and writes in
+    // pool jobs. It encodes the smaller ones above inline, pool or not.
+    {"torus 256 256", 1024, 4, false,
+     {0x7713187a428ecfffULL, 0xd1e4f9a4ada5f015ULL,
+      0x12e706cad4aa5fbbULL}},
 };
 
 RotorRouter make_engine(const Golden& g) {
