@@ -18,7 +18,8 @@
 //   5. The periodic save of a long sharded run (rrbench's torus-explore
 //      shape: 512^2 torus, 2^16 agents, 4 shards on a 4-thread pool,
 //      after 600 rounds), split into its layers — serialize, encode,
-//      atomic write with fsync — as medians of interleaved repetitions.
+//      atomic write with fsync — as medians of interleaved repetitions,
+//      next to the same state saved by the 1-shard engine.
 //
 // Engines here are built over rr-graph images rather than in-RAM
 // Graphs, so instance construction is O(agents) and the bench itself
@@ -354,6 +355,12 @@ int main() {
   // What one `rr_cli run --shards --checkpoint-every` save costs on the
   // torus-explore shape. The layers run in sequence once per repetition,
   // so host noise spreads over all three, and each reports its median.
+  // The 4-shard row collects agent sites shard-parallel and encodes on
+  // the pool; the 1-shard row is the same state restored into the
+  // sequential engine, which collects inline and encodes without a pool
+  // (`rr_cli run --shards 1`). Both rows run in one interleaved loop, and
+  // each save follows a round of its engine, as a periodic save does
+  // (the pool's workers are still awake from the round).
   {
     const auto desc = rr::graph::GraphDescriptor::torus(512, 512);
     auto csr = desc.build_csr();
@@ -363,52 +370,72 @@ int main() {
     std::vector<NodeId> agents(1u << 16);
     for (NodeId& a : agents) a = rng.bounded(static_cast<std::uint32_t>(n));
     rr::sim::ThreadPool pool(4);
-    RotorRouter engine(std::move(*csr), agents, {}, /*shards=*/4, &pool);
-    engine.run(600);
+    RotorRouter sharded(std::move(*csr), agents, {}, /*shards=*/4, &pool);
+    sharded.run(600);
     const std::string descriptor = desc.text();
+    const auto sequential = rr::sim::restore_checkpoint(
+        rr::sim::write_checkpoint(sharded, descriptor, CkptFormat::kV2));
+    RR_REQUIRE(sequential != nullptr, "periodic-save restore failed");
     const std::string path = dir + "/bench_ckpt_io_periodic.ckpt";
 
+    struct Row {
+      rr::sim::Engine* engine;
+      rr::sim::ThreadPool* pool;
+      std::vector<double> ser_ms, enc_ms, write_ms, save_ms;
+      std::string doc;
+    };
+    Row rows[] = {{&sharded, &pool, {}, {}, {}, {}, {}},
+                  {sequential.get(), nullptr, {}, {}, {}, {}, {}}};
     constexpr int kSaveReps = 15;
-    std::vector<double> ser_ms, enc_ms, write_ms, save_ms;
-    std::size_t bytes = 0;
     for (int rep = 0; rep < kSaveReps; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
-      rr::sim::StateWriter state;
-      engine.serialize_state(state);
-      const double ser = now_minus(t0);
-      t0 = std::chrono::steady_clock::now();
-      const std::string doc = rr::sim::encode_checkpoint_v2(
-          engine.engine_name(), descriptor, state, n, pool.num_threads(),
-          &pool);
-      const double enc = now_minus(t0);
-      t0 = std::chrono::steady_clock::now();
-      RR_REQUIRE(rr::sim::save_checkpoint_file_atomic(path, doc),
-                 "periodic-save atomic write failed");
-      const double wr = now_minus(t0);
-      bytes = doc.size();
-      ser_ms.push_back(1e3 * ser);
-      enc_ms.push_back(1e3 * enc);
-      write_ms.push_back(1e3 * wr);
-      save_ms.push_back(1e3 * (ser + enc + wr));
+      for (Row& row : rows) {
+        row.engine->step();
+        auto t0 = std::chrono::steady_clock::now();
+        rr::sim::StateWriter state;
+        dynamic_cast<const rr::sim::StateIO&>(*row.engine)
+            .serialize_state(state);
+        const double ser = now_minus(t0);
+        t0 = std::chrono::steady_clock::now();
+        row.doc = rr::sim::encode_checkpoint_v2(
+            row.engine->engine_name(), descriptor, state, n,
+            pool.num_threads(), row.pool);
+        const double enc = now_minus(t0);
+        t0 = std::chrono::steady_clock::now();
+        RR_REQUIRE(rr::sim::save_checkpoint_file_atomic(path, row.doc),
+                   "periodic-save atomic write failed");
+        const double wr = now_minus(t0);
+        row.ser_ms.push_back(1e3 * ser);
+        row.enc_ms.push_back(1e3 * enc);
+        row.write_ms.push_back(1e3 * wr);
+        row.save_ms.push_back(1e3 * (ser + enc + wr));
+      }
     }
     std::remove(path.c_str());
+    RR_REQUIRE(rows[0].doc == rows[1].doc,
+               "1-shard and 4-shard saves must be byte-identical");
     const auto median = [](std::vector<double> v) {
       std::sort(v.begin(), v.end());
       return v[v.size() / 2];
     };
-    const double save = median(save_ms);
-    Table t({"n", "agents", "bytes", "serialize ms", "encode ms",
+    Table t({"shards", "n", "agents", "bytes", "serialize ms", "encode ms",
              "write+fsync ms", "save ms"});
-    t.add_row({Table::integer(n), Table::integer(agents.size()),
-               Table::integer(bytes), Table::num(median(ser_ms), 2),
-               Table::num(median(enc_ms), 2), Table::num(median(write_ms), 2),
-               Table::num(save, 2)});
+    for (const Row& row : rows) {
+      t.add_row({row.pool ? "4" : "1", Table::integer(n),
+                 Table::integer(agents.size()),
+                 Table::integer(row.doc.size()),
+                 Table::num(median(row.ser_ms), 2),
+                 Table::num(median(row.enc_ms), 2),
+                 Table::num(median(row.write_ms), 2),
+                 Table::num(median(row.save_ms), 2)});
+    }
     t.print();
-    std::printf("\nperiodic save: median of %d interleaved repetitions on a "
-                "%u-thread pool\n",
+    std::printf("\nperiodic save: median of %d interleaved repetitions; "
+                "4 shards on a %u-thread pool, 1 shard inline\n",
                 kSaveReps, pool.num_threads());
     json.add("CkptIO/periodic/save_nodes_per_s",
-             static_cast<double>(n) / (1e-3 * save));
+             static_cast<double>(n) / (1e-3 * median(rows[0].save_ms)));
+    json.add("CkptIO/periodic/sequential_save_nodes_per_s",
+             static_cast<double>(n) / (1e-3 * median(rows[1].save_ms)));
   }
   return 0;
 }

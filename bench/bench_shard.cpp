@@ -8,15 +8,24 @@
 // line up with earlier ledgers), and higher rows show the scaling the
 // partition buys on multi-core hosts. Every row reports wall time
 // (UseRealTime): the shard pool's work happens off the main thread.
+// The pool lane times batches of a few 50-400 us jobs, the shape of a
+// save's pooled collect and encode jobs, back to back and after an idle
+// gap longer than the pool's spin-then-park window.
 // CI uploads the JSON next to bench_perf's so tools/bench_diff.py flags
 // scaling regressions commit over commit.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <iterator>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rotor_router.hpp"
 #include "graph/generators.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -79,6 +88,47 @@ void BM_ShardedRotorRouterPileUp(benchmark::State& state) {
 BENCHMARK(BM_ShardedRotorRouterPileUp)
     ->Args({4096, 0})
     ->Args({4096, 8})
+    ->UseRealTime();
+
+// Pool batches of 4 busy jobs of `us` microseconds each on a 4-thread
+// pool, either back to back (gap 0) or each after the caller idled for
+// `gap` microseconds (not timed), longer than the workers' spin window,
+// so the batch finds them parked. Reports wall time per batch and the
+// mean number of threads that ran a job of it; the ideal is one job
+// length on 4 threads. A parked worker that wakes after the caller has
+// claimed every job adds nothing.
+void BM_PoolBatches(benchmark::State& state) {
+  const auto job = std::chrono::microseconds(state.range(0));
+  const auto gap = std::chrono::microseconds(state.range(1));
+  constexpr std::uint64_t kJobs = 4;
+  rr::sim::ThreadPool pool(4);
+  std::thread::id ran[kJobs];
+  double threads = 0;
+  for (auto _ : state) {
+    if (gap.count() > 0) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(gap);
+      state.ResumeTiming();
+    }
+    pool.for_each(kJobs, [&](std::uint64_t i) {
+      const auto until = std::chrono::steady_clock::now() + job;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      ran[i] = std::this_thread::get_id();
+    }, /*chunk=*/1);
+    std::sort(std::begin(ran), std::end(ran));
+    threads += static_cast<double>(
+        std::unique(std::begin(ran), std::end(ran)) - std::begin(ran));
+  }
+  state.counters["threads"] =
+      benchmark::Counter(threads, benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::to_string(kJobs) + " x " +
+                 std::to_string(state.range(0)) + " us, gap " +
+                 std::to_string(state.range(1)) + " us");
+}
+// args: {job us, gap us}.
+BENCHMARK(BM_PoolBatches)
+    ->ArgsProduct({{50, 200, 400}, {0, 1000}})
     ->UseRealTime();
 
 }  // namespace

@@ -38,12 +38,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/parse.hpp"
 #include "common/rng.hpp"
@@ -59,6 +61,7 @@
 #include "graph/generators.hpp"
 #include "graph/mmap_substrate.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/ckpt_v2.hpp"
 #include "sim/cycle_jump.hpp"
 #include "sim/registry.hpp"
 #include "sim/trace.hpp"
@@ -422,8 +425,9 @@ bool fill_dist_config(const Flags& f, rr::sim::EngineConfig& config) {
   return false;
 }
 
-std::unique_ptr<rr::sim::Engine> build_engine(const Flags& f,
-                                              const std::string& descriptor) {
+std::unique_ptr<rr::sim::Engine> build_engine(
+    const Flags& f, const std::string& descriptor,
+    rr::sim::ThreadPool* pool = nullptr) {
   const auto& registry = rr::sim::EngineRegistry::instance();
   const auto d = rr::graph::GraphDescriptor::parse(descriptor);
   if (!d) {
@@ -448,6 +452,7 @@ std::unique_ptr<rr::sim::Engine> build_engine(const Flags& f,
   config.agents = spread_agents(*n, f.k);
   config.seed = f.seed;
   config.shards = f.shards;
+  config.pool = pool;
   if (!fill_dist_config(f, config)) return nullptr;
   std::string error;
   auto engine = registry.create(f.engine, *d, config, &error);
@@ -463,6 +468,16 @@ int cmd_engines() {
 int cmd_run(const Flags& f) {
   rr::sim::CkptFormat format;
   if (!parse_ckpt_format(f.ckpt_format, format)) return 2;
+  // One pool for the whole run, sized like a sharded engine's own: it
+  // steps the shards, decodes the resumed document's segments and
+  // encodes every save. The saves name their segment count, so a
+  // checkpoint's bytes do not depend on the pool's width.
+  std::unique_ptr<rr::sim::ThreadPool> pool;
+  if (f.shards > 1) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    pool = std::make_unique<rr::sim::ThreadPool>(
+        std::min<unsigned>(f.shards, hw ? hw : 1));
+  }
 
   std::shared_ptr<rr::graph::MappedSubstrate> substrate;
   if (!f.graph_image.empty()) {
@@ -555,7 +570,8 @@ int cmd_run(const Flags& f) {
                      "engines; resuming %s sequentially\n",
                      parsed->engine.c_str());
       }
-      engine = rr::sim::restore_checkpoint_sharded(*parsed, f.shards);
+      engine =
+          rr::sim::restore_checkpoint_sharded(*parsed, f.shards, pool.get());
       if (!engine) {
         std::fprintf(stderr, "rr_cli: malformed checkpoint %s\n",
                      f.resume.c_str());
@@ -585,7 +601,7 @@ int cmd_run(const Flags& f) {
   } else {
     descriptor = topo_descriptor(f);
     if (descriptor.empty()) return 2;
-    engine = build_engine(f, descriptor);
+    engine = build_engine(f, descriptor, pool.get());
     if (!engine) return 2;
   }
   // Kept across the cycle-jump wrap so the halt check below still reaches
@@ -612,7 +628,8 @@ int cmd_run(const Flags& f) {
     engine->set_auto_checkpoint(
         f.checkpoint_every,
         rr::sim::checkpoint_file_sink(f.checkpoint, descriptor, format,
-                                      /*pool=*/nullptr, sink_stats));
+                                      pool.get(), sink_stats,
+                                      rr::sim::kV2DefaultSegments));
   }
   const std::uint64_t rounds = f.rounds ? f.rounds : engine->num_nodes();
   engine->run(rounds);
@@ -645,8 +662,8 @@ int cmd_run(const Flags& f) {
   }
   if (!f.checkpoint.empty()) {
     if (substrate) substrate->advise_sequential();
-    const std::string text =
-        rr::sim::write_checkpoint(*engine, descriptor, format);
+    const std::string text = rr::sim::write_checkpoint(
+        *engine, descriptor, format, rr::sim::kV2DefaultSegments, pool.get());
     // Atomic like the auto-checkpoint sink: a crash mid-write must not
     // destroy the last good checkpoint at the same path.
     if (!rr::sim::save_checkpoint_file_atomic(f.checkpoint, text)) {

@@ -107,7 +107,16 @@ std::uint64_t RotorRouter::config_hash() const {
 }
 
 void RotorRouter::serialize_state(sim::StateWriter& out) const {
-  serialize_rotor_state(out, time_, node_, initial_pointers_, stats_);
+  // Each shard's rows hold exactly its occupied list's sites, so the
+  // shards compact their own rows into disjoint slices on the pool.
+  std::vector<SiteRange> ranges(shards_.size());
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    ranges[s] = {part_ ? part_->begin(s) : 0,
+                 part_ ? part_->end(s) : csr_.num_nodes(),
+                 shards_[s].occupied.size()};
+  }
+  serialize_rotor_state(out, time_, collect_rotor_sites(node_, ranges, pool_),
+                        node_, initial_pointers_, stats_);
 }
 
 bool RotorRouter::apply_cycle_leap(

@@ -206,7 +206,10 @@ class RotorRouter final : public sim::Engine,
 
   /// Full dynamical state: time, pointer field (current and initial, the
   /// latter backing arc_traversals), sparse agent counts, visit/exit
-  /// statistics. A deserialized engine continues bit-exactly.
+  /// statistics. A deserialized engine continues bit-exactly. The agent
+  /// sites come from the shards' own rows: a sharded engine compacts each
+  /// partition range on its pool, sized by that shard's occupied list
+  /// (collect_rotor_sites); one shard scans [0, n) inline.
   void serialize_state(sim::StateWriter& out) const override;
   [[nodiscard]] bool deserialize_state(const sim::StateReader& in) override;
 

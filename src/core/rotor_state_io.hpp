@@ -7,7 +7,9 @@
 // writes the same field set over its gathered state. This header is that
 // field set, written once: both steppers' serialize_state/
 // deserialize_state/config_hash delegate here, so a field added for one
-// is automatically read and written by the other.
+// is automatically read and written by the other. The agent sites come
+// from collect_rotor_sites over the caller's node ranges: a sharded
+// engine's partition, compacted shard-parallel, or [0, n) inline.
 //
 // The helpers are templated over the per-node array types so the same
 // code serves owned std::vector state (in-RAM construction) and
@@ -157,23 +159,73 @@ inline std::uint64_t rotor_config_hash(const NodeArray& node) {
   return h.value();
 }
 
-/// Writes the full rotor-router field set: time, sparse agent sites
-/// (ascending node id), pointer fields, visit statistics. The per-node
+/// The sparse "agents" field: (node, count) for every node hosting an
+/// agent, in ascending node id.
+using AgentSites = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// A contiguous node range [begin, end) and the number of agent sites it
+/// holds — a shard's rows and its occupied list's size.
+struct SiteRange {
+  graph::NodeId begin = 0;
+  graph::NodeId end = 0;
+  std::size_t sites = 0;
+};
+
+/// Collects the agent sites of `ranges` (ascending, disjoint) from
+/// node[v].count. Each range compacts into its own slice of one
+/// pre-sized list, at the prefix sum of the earlier ranges' counts, so
+/// slices in range order are already in ascending node id. With a pool
+/// and several ranges (a sharded engine's partition) every range is one
+/// pool job; one range (the sequential, mmap-backed and distributed
+/// steppers, over [0, n)) runs inline. The store is branch-free until the
+/// slice is full, and never lands past it: the next range's job owns
+/// that slot. A range holding a different number of sites than declared
+/// is a broken occupied list and aborts.
+template <typename NodeArray>
+inline AgentSites collect_rotor_sites(const NodeArray& node,
+                                      const std::vector<SiteRange>& ranges,
+                                      sim::ThreadPool* pool = nullptr) {
+  std::vector<std::size_t> offset(ranges.size() + 1, 0);
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    offset[r + 1] = offset[r] + ranges[r].sites;
+  }
+  AgentSites sites(offset.back());
+  const auto collect = [&](std::uint64_t r) {
+    const SiteRange& range = ranges[r];
+    std::pair<std::uint64_t, std::uint64_t>* out = sites.data() + offset[r];
+    std::size_t w = 0;
+    graph::NodeId v = range.begin;
+    for (; v < range.end && w < range.sites; ++v) {
+      const std::uint32_t c = node[v].count;
+      out[w] = {v, c};
+      w += c != 0;
+    }
+    std::uint32_t stray = 0;  // sites past a full slice
+    for (; v < range.end; ++v) stray |= node[v].count;
+    RR_REQUIRE(w == range.sites && stray == 0,
+               "agent sites disagree with the occupied list");
+  };
+  if (pool != nullptr && ranges.size() > 1) {
+    pool->for_each(ranges.size(), collect, /*chunk=*/1);
+  } else {
+    for (std::size_t r = 0; r < ranges.size(); ++r) collect(r);
+  }
+  return sites;
+}
+
+/// Writes the full rotor-router field set: time, the sparse agent sites
+/// (collect_rotor_sites), pointer fields, visit statistics. The per-node
 /// fields are recorded as lazy views straight over the engine arrays —
 /// nothing O(n) is materialized, so checkpointing an mmap-backed 1e8-node
 /// engine allocates only the sparse site list (the codecs stream the
 /// views; the engine outlives the writer inside write_checkpoint).
 template <typename NodeArray, typename StatsArray>
 inline void serialize_rotor_state(sim::StateWriter& out, std::uint64_t time,
-                                  const NodeArray& node,
+                                  AgentSites sites, const NodeArray& node,
                                   const std::vector<std::uint32_t>& initial_pointers,
                                   const StatsArray& stats) {
   const std::size_t n = node.size();
   out.field_u64("time", time);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sites;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (node[v].count > 0) sites.emplace_back(v, node[v].count);
-  }
   out.field_pairs("agents", std::move(sites));
   const std::uint32_t node_stride = sizeof(node[0]);
   const std::uint32_t stats_stride = sizeof(stats[0]);

@@ -513,6 +513,7 @@ bool DistributedRotorRouter::refresh_gather() const {
   gather_node_.assign(n, graph::NodeState{});
   gather_ip_.assign(n, 0);
   gather_stats_.assign(n, core::VisitStats{});
+  gather_sites_ = 0;
   DistMsg q;
   q.kind = MsgKind::kGather;
   for (std::uint32_t w = 0; w < part_.num_shards(); ++w) self->queue_msg(w, q);
@@ -547,6 +548,7 @@ bool DistributedRotorRouter::refresh_gather() const {
             shape_ok = false;
             return;
           }
+          if (gather_node_[v].count == 0) ++gather_sites_;
           gather_node_[v].count = static_cast<std::uint32_t>(c);
         }
       });
@@ -570,7 +572,9 @@ std::uint64_t DistributedRotorRouter::first_visit_time(sim::NodeId v) const {
 
 void DistributedRotorRouter::serialize_state(sim::StateWriter& out) const {
   if (!refresh_gather()) return;  // halted: drivers never checkpoint here
-  serialize_rotor_state(out, time_, gather_node_, gather_ip_, gather_stats_);
+  const std::vector<SiteRange> all{{0, csr_.num_nodes(), gather_sites_}};
+  serialize_rotor_state(out, time_, collect_rotor_sites(gather_node_, all),
+                        gather_node_, gather_ip_, gather_stats_);
 }
 
 bool DistributedRotorRouter::deserialize_state(const sim::StateReader& in) {

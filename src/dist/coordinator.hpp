@@ -203,6 +203,7 @@ class DistributedRotorRouter final : public sim::Engine, public sim::StateIO {
   mutable std::vector<graph::NodeState> gather_node_;
   mutable std::vector<std::uint32_t> gather_ip_;
   mutable std::vector<core::VisitStats> gather_stats_;
+  mutable std::size_t gather_sites_ = 0;  // nodes with a gathered count
 };
 
 }  // namespace rr::core

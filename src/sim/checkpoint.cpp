@@ -320,14 +320,15 @@ bool save_checkpoint_file_atomic(const std::string& path,
 
 std::function<void(const Engine&)> checkpoint_file_sink(
     std::string path, std::string graph_descriptor, CkptFormat format,
-    ThreadPool* pool, std::shared_ptr<CheckpointSinkStats> stats) {
+    ThreadPool* pool, std::shared_ptr<CheckpointSinkStats> stats,
+    std::uint32_t segments) {
   if (!stats) stats = std::make_shared<CheckpointSinkStats>();
   return [path = std::move(path),
           graph_descriptor = std::move(graph_descriptor), format, pool,
-          stats = std::move(stats)](const Engine& engine) {
+          stats = std::move(stats), segments](const Engine& engine) {
     const bool ok = save_checkpoint_file_atomic(
-        path, write_checkpoint(engine, graph_descriptor, format,
-                               /*segments=*/0, pool));
+        path, write_checkpoint(engine, graph_descriptor, format, segments,
+                               pool));
     stats->last_failed = !ok;
     if (ok) {
       ++stats->saves;

@@ -142,10 +142,13 @@ struct CheckpointSinkStats {
 /// itself must not die because a disk filled), but it is not swallowed
 /// either: the first failure warns on stderr naming `path`, and every
 /// fire is counted in `stats` (optional) so the caller can report it.
+/// `segments` and `pool` are write_checkpoint's: a non-zero segment
+/// count keeps the bytes independent of the pool's width.
 std::function<void(const Engine&)> checkpoint_file_sink(
     std::string path, std::string graph_descriptor,
     CkptFormat format = CkptFormat::kV2, ThreadPool* pool = nullptr,
-    std::shared_ptr<CheckpointSinkStats> stats = nullptr);
+    std::shared_ptr<CheckpointSinkStats> stats = nullptr,
+    std::uint32_t segments = 0);
 
 namespace detail {
 /// Test-only fault injection for save_checkpoint_file_atomic: when set

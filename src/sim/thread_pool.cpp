@@ -24,10 +24,13 @@ inline void cpu_relax() {
 #endif
 }
 
-// Spin budget before parking (workers) or blocking (caller). Roughly a
-// few microseconds: long enough to bridge the gap between per-round
-// dispatches of a continuously stepped sharded engine, short enough that
-// an idle pool parks promptly.
+// Spin budget before parking (workers) or blocking (caller), in `pause`
+// instructions. A pause costs tens to ~140 cycles depending on the core:
+// on a 4-vCPU Xeon VM 4096 of them took 69-124 us (median 83 us). That
+// bridges the gap between per-round dispatches of a continuously stepped
+// sharded engine and between back-to-back batches; an idle pool parks
+// about 0.1 ms after its last batch, and the next batch then pays the
+// wake-up (bench_shard's BM_PoolBatches with a gap measures it).
 constexpr int kSpinLimit = 1 << 12;
 
 // Owner take granularity inside a published claim range. Small enough

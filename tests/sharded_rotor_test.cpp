@@ -6,11 +6,15 @@
 // that change the shard count mid-run: checkpoints are interchangeable
 // between the sequential and sharded engines).
 //
+// The save's agent-site collector gets its own cases (SiteCollector*):
+// a sharded engine's v2 bytes against its 1-shard twin's.
+//
 // RR_TEST_POOL_THREADS narrows the thread matrix to one value; the ASan
-// CI job re-runs this suite across the matrix that way.
+// and TSan CI jobs re-run this suite across the matrix that way.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -21,6 +25,8 @@
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/ckpt_v2.hpp"
+#include "sim/cycle_jump.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -98,18 +104,23 @@ TEST(ShardedRotor, BitEqualToSequentialAcrossShardCountsAndTopologies) {
   }
 }
 
-TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
-  // Pool threads are an execution resource, shards a partition choice;
-  // neither may leak into the dynamics. RR_TEST_POOL_THREADS=t narrows
-  // the matrix (the ASan CI job sweeps t = 1, 2, 4).
+/// Pool widths of the thread matrix; RR_TEST_POOL_THREADS=t narrows it
+/// to one (the ASan and TSan CI jobs sweep t = 1, 2, 4).
+std::vector<unsigned> pool_thread_counts() {
   std::vector<unsigned> thread_counts{1, 2, 4};
   if (const char* env = std::getenv("RR_TEST_POOL_THREADS")) {
     const unsigned t = static_cast<unsigned>(std::atoi(env));
     if (t > 0) thread_counts.assign(1, t);
   }
+  return thread_counts;
+}
+
+TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
+  // Pool threads are an execution resource, shards a partition choice;
+  // neither may leak into the dynamics.
   const graph::Graph g = graph::torus(9, 8);
   Rng rng(0x7EADC07ULL);
-  for (unsigned threads : thread_counts) {
+  for (unsigned threads : pool_thread_counts()) {
     sim::ThreadPool pool(threads);
     for (int config = 0; config < 10; ++config) {
       const GraphScenario sc = GraphScenario::random(g, rng);
@@ -254,6 +265,169 @@ TEST(ShardedRotor, PooledV2RestoreMatchesSequentialRestore) {
   }
   const Mismatch m = compare_engines(*sequential, *sharded);
   ASSERT_TRUE(m.ok) << m.detail;
+}
+
+// The save's agent-site collector: a 4-shard engine compacts each
+// shard's rows into its own slice of the site list on the pool, the
+// 1-shard engine scans [0, n) inline. Both must write the same bytes, and
+// the sites must be exactly the nodes hosting agents, in the states that
+// stress the slices: empty shards, held agents, a leap, a restore.
+
+constexpr std::uint32_t kCollectShards = 4;
+
+/// v2 bytes at the default segment count, so independent of any pool.
+std::string v2_bytes(const sim::Engine& e, const std::string& descriptor) {
+  return sim::write_checkpoint(e, descriptor, sim::CkptFormat::kV2,
+                               sim::kV2DefaultSegments);
+}
+
+/// `sharded`'s document equals `single`'s, and its "agents" field lists
+/// every node hosting an agent, ascending, with its count.
+void expect_same_sites(const sim::Engine& sharded, const sim::Engine& single,
+                       const std::string& descriptor) {
+  const std::string doc = v2_bytes(sharded, descriptor);
+  EXPECT_EQ(doc, v2_bytes(single, descriptor));
+  const auto parsed = sim::parse_checkpoint(doc);
+  ASSERT_TRUE(parsed.has_value());
+  const auto sites = parsed->state.pairs("agents");
+  ASSERT_TRUE(sites.has_value());
+  const auto& rotor = dynamic_cast<const core::RotorRouter&>(single);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+  for (graph::NodeId v = 0; v < rotor.num_nodes(); ++v) {
+    if (rotor.agents_at(v) > 0) expected.emplace_back(v, rotor.agents_at(v));
+  }
+  EXPECT_EQ(*sites, expected);
+}
+
+/// The first and last row of every shard of `g`'s 4-shard partition.
+std::vector<graph::NodeId> shard_edges(const graph::Graph& g) {
+  const graph::Partition part(graph::CsrGraph(g), kCollectShards);
+  std::vector<graph::NodeId> edges;
+  for (std::uint32_t s = 0; s < part.num_shards(); ++s) {
+    edges.push_back(part.begin(s));
+    edges.push_back(part.end(s) - 1);
+  }
+  return edges;
+}
+
+/// D(v, t, present) holding every agent on `edges` and half elsewhere.
+sim::DelayFn hold_edges(std::vector<graph::NodeId> edges) {
+  return [edges = std::move(edges)](graph::NodeId v, std::uint64_t,
+                                    std::uint32_t present) {
+    const bool edge = std::find(edges.begin(), edges.end(), v) != edges.end();
+    return edge ? present : present / 2;
+  };
+}
+
+TEST(ShardedRotor, SiteCollectorLeavesEmptyShardsEmpty) {
+  // Every agent in shard 0's rows, its last row included: shards 1-3
+  // collect nothing, before and after a round that holds every agent.
+  const graph::GraphDescriptor descriptor =
+      graph::GraphDescriptor::torus(16, 16);
+  const graph::Graph g = *descriptor.build();
+  const graph::Partition part(graph::CsrGraph(g), kCollectShards);
+  ASSERT_EQ(part.num_shards(), kCollectShards);
+  const graph::NodeId last = part.end(0) - 1;
+  const std::vector<graph::NodeId> agents{0, 5, 5, last, last, last / 2};
+  const auto hold_all = [](graph::NodeId, std::uint64_t,
+                           std::uint32_t present) { return present; };
+  for (unsigned threads : pool_thread_counts()) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    sim::ThreadPool pool(threads);
+    core::RotorRouter sharded(g, agents, {}, kCollectShards, &pool);
+    core::RotorRouter single(g, agents);
+    expect_same_sites(sharded, single, descriptor.text());
+    sharded.step_delayed(hold_all);
+    single.step_delayed(hold_all);
+    expect_same_sites(sharded, single, descriptor.text());
+  }
+}
+
+TEST(ShardedRotor, SiteCollectorKeepsHeldAgents) {
+  // A delayed deployment holds every agent on the shards' first and last
+  // rows and half of the others': held rows stay occupied round after
+  // round, on both sides of every slice boundary.
+  const graph::GraphDescriptor descriptor =
+      graph::GraphDescriptor::torus(16, 16);
+  const graph::Graph g = *descriptor.build();
+  const std::vector<graph::NodeId> edges = shard_edges(g);
+  std::vector<graph::NodeId> agents = edges;
+  agents.insert(agents.end(), {17, 17, 100, 200, 255, 255});
+  const sim::DelayFn delay = hold_edges(edges);
+  for (unsigned threads : pool_thread_counts()) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    sim::ThreadPool pool(threads);
+    core::RotorRouter sharded(g, agents, {}, kCollectShards, &pool);
+    core::RotorRouter single(g, agents);
+    for (int t = 0; t < 24; ++t) {
+      sharded.step_delayed(delay);
+      single.step_delayed(delay);
+      for (const graph::NodeId v : edges) ASSERT_GT(single.agents_at(v), 0u);
+      expect_same_sites(sharded, single, descriptor.text());
+    }
+  }
+}
+
+TEST(ShardedRotor, SiteCollectorAfterCycleLeap) {
+  // A leap patches time and the visit counters only; the occupied lists
+  // the collector sizes its slices from must still match the rows. At
+  // least deg = 4 agents per node keep every node occupied forever (each
+  // sends one or more along every port), so every slice is full.
+  const graph::GraphDescriptor descriptor = graph::GraphDescriptor::torus(8, 8);
+  const graph::Graph g = *descriptor.build();
+  std::vector<graph::NodeId> agents = shard_edges(g);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    agents.insert(agents.end(), 4, v);
+  }
+  const std::vector<std::string> accumulators = {"time", "visits", "exits",
+                                                 "last_visit"};
+  sim::CycleJumpOptions opt;
+  opt.min_stride = 8;
+  opt.samples_per_generation = 64;
+  for (unsigned threads : pool_thread_counts()) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    sim::ThreadPool pool(threads);
+    sim::CycleJumpEngine sharded(
+        std::make_unique<core::RotorRouter>(g, agents,
+                                            std::vector<std::uint32_t>{},
+                                            kCollectShards, &pool),
+        accumulators, opt);
+    sim::CycleJumpEngine single(std::make_unique<core::RotorRouter>(g, agents),
+                                accumulators, opt);
+    sharded.run(100003);
+    single.run(100003);
+    ASSERT_GE(sharded.stats().leaps, 1u);
+    const auto& rotor = dynamic_cast<const core::RotorRouter&>(single.inner());
+    ASSERT_EQ(rotor.occupied_count(), g.num_nodes());
+    expect_same_sites(sharded, single.inner(), descriptor.text());
+  }
+}
+
+TEST(ShardedRotor, SiteCollectorAfterRestore) {
+  // A restore rebuilds every shard's occupied list from the document's
+  // sites; the next save must write the document back unchanged. The
+  // document holds agents on every shard's first and last row.
+  const graph::GraphDescriptor descriptor =
+      graph::GraphDescriptor::torus(16, 16);
+  const graph::Graph g = *descriptor.build();
+  const std::vector<graph::NodeId> edges = shard_edges(g);
+  std::vector<graph::NodeId> agents = edges;
+  agents.insert(agents.end(), {3, 3, 3, 90, 160, 161});
+  core::RotorRouter source(g, agents);
+  const sim::DelayFn delay = hold_edges(edges);
+  for (int t = 0; t < 37; ++t) source.step_delayed(delay);
+  const std::string doc = v2_bytes(source, descriptor.text());
+  const auto parsed = sim::parse_checkpoint(doc);
+  ASSERT_TRUE(parsed.has_value());
+  for (unsigned threads : pool_thread_counts()) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    sim::ThreadPool pool(threads);
+    const auto sharded =
+        sim::restore_checkpoint_sharded(*parsed, kCollectShards, &pool);
+    ASSERT_NE(sharded, nullptr);
+    EXPECT_EQ(v2_bytes(*sharded, descriptor.text()), doc);
+    expect_same_sites(*sharded, source, descriptor.text());
+  }
 }
 
 TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
