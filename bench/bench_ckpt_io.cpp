@@ -3,13 +3,11 @@
 //
 // Three measurements back the out-of-core scale work:
 //
-//   1. Checkpoint codec throughput, v1 text vs v2 binary, across
-//      2^20..2^24-node rings: save (serialize) and load (parse +
-//      deserialize into a live engine) in nodes/s, plus bytes/node.
-//      The v2 acceptance bar is a >= 5x combined save+load speedup at
-//      the largest size.
+//   1. Checkpoint codec throughput across 2^20..2^24-node rings: save
+//      (serialize + encode) and load (parse + deserialize into a live
+//      engine) in nodes/s, plus bytes/node.
 //   2. The paper-scale density point: 256^2 torus, k = 64 — v2 must
-//      stay at <= 6 bytes/node where v1 text costs ~20.
+//      stay at <= 6 bytes/node.
 //   3. Out-of-core stepping: a ~1e8-node ring image (8.8 GB on disk at
 //      scale 1) stepped through the mmap substrate, reporting rounds/s
 //      and the process peak RSS (VmHWM) against the image size — the
@@ -52,7 +50,6 @@ using rr::analysis::Table;
 using rr::core::RotorRouter;
 using rr::graph::MappedSubstrate;
 using rr::graph::NodeId;
-using rr::sim::CkptFormat;
 
 double now_minus(const std::chrono::steady_clock::time_point& t0) {
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
@@ -90,10 +87,6 @@ std::vector<NodeId> spread_agents(std::uint64_t n, std::uint32_t k) {
   return agents;
 }
 
-const char* format_name(CkptFormat f) {
-  return f == CkptFormat::kV1 ? "v1" : "v2";
-}
-
 struct IoSample {
   double save_s = 0;
   double load_s = 0;
@@ -101,7 +94,7 @@ struct IoSample {
 };
 
 // One save + load measurement of `engine` (which must be a RotorRouter
-// over an image at `image_path`) in `format`. Load goes through
+// over an image at `image_path`). Load goes through
 // parse_checkpoint and deserialize_state on an engine over a *fresh
 // open* of the image — the exact resume path minus the disk: engines
 // sharing one open share the COW mapping, so resuming always starts
@@ -109,12 +102,12 @@ struct IoSample {
 // skip pages that match the image).
 IoSample measure_io(const std::string& image_path,
                     const std::shared_ptr<MappedSubstrate>& substrate,
-                    const rr::sim::Engine& engine, CkptFormat format) {
+                    const rr::sim::Engine& engine) {
   IoSample s;
   substrate->advise_sequential();
   auto t0 = std::chrono::steady_clock::now();
   const std::string text =
-      rr::sim::write_checkpoint(engine, substrate->descriptor(), format);
+      rr::sim::write_checkpoint(engine, substrate->descriptor());
   s.save_s = now_minus(t0);
   s.bytes = text.size();
 
@@ -135,15 +128,14 @@ IoSample measure_io(const std::string& image_path,
 
 int main() {
   rr::sim::print_bench_header(
-      "Checkpoint codec throughput (rr-ckpt v1 vs v2) and out-of-core "
-      "stepping",
+      "Checkpoint codec throughput (rr-ckpt v2) and out-of-core stepping",
       "observation layer; Sec. 1.3 state (pointers, counts, n_v/e_v)");
   rr::sim::BenchJsonWriter json;
   const std::string dir = tmp_dir();
   constexpr std::uint32_t kAgents = 64;
   constexpr int kReps = 3;
 
-  // --- 1. v1 vs v2 save/load across sizes. ---
+  // --- 1. v2 save/load across sizes. ---
   std::vector<std::uint64_t> sizes;
   for (std::uint64_t base : {1ull << 20, 1ull << 22, 1ull << 24}) {
     const std::uint64_t n = rr::sim::scaled_pow2(base);
@@ -151,9 +143,8 @@ int main() {
       sizes.push_back(n);
     }
   }
-  double v1_rate_largest = 0, v2_rate_largest = 0;
   {
-    Table t({"n", "fmt", "save s", "load s", "MB", "bytes/node",
+    Table t({"n", "save s", "load s", "MB", "bytes/node",
              "save+load Mnodes/s"});
     for (const std::uint64_t n : sizes) {
       const std::string image = dir + "/bench_ckpt_io_ring.rrg";
@@ -167,43 +158,28 @@ int main() {
       substrate->advise_random();
       engine.run(rr::sim::scaled(1000));
 
-      for (const CkptFormat format : {CkptFormat::kV1, CkptFormat::kV2}) {
-        const std::string tag = std::string("CkptIO/") + format_name(format) +
-                                "/ring_n" + std::to_string(n);
-        double best_rate = 0;
-        IoSample last;
-        for (int rep = 0; rep < kReps; ++rep) {
-          const IoSample s = measure_io(image, substrate, engine, format);
-          const double rate =
-              static_cast<double>(n) / (s.save_s + s.load_s);
-          best_rate = std::max(best_rate, rate);
-          last = s;
-          json.add(tag + "/save_nodes_per_s",
-                   static_cast<double>(n) / s.save_s);
-          json.add(tag + "/load_nodes_per_s",
-                   static_cast<double>(n) / s.load_s);
-          json.add_metric(tag, "bytes_per_node",
-                          static_cast<double>(s.bytes) / n);
-        }
-        if (n == sizes.back()) {
-          (format == CkptFormat::kV1 ? v1_rate_largest : v2_rate_largest) =
-              best_rate;
-        }
-        t.add_row({Table::integer(n), format_name(format),
-                   Table::num(last.save_s, 3), Table::num(last.load_s, 3),
-                   Table::num(static_cast<double>(last.bytes) / (1u << 20), 1),
-                   Table::num(static_cast<double>(last.bytes) / n, 2),
-                   Table::num(best_rate / 1e6, 1)});
+      const std::string tag = "CkptIO/v2/ring_n" + std::to_string(n);
+      double best_rate = 0;
+      IoSample last;
+      for (int rep = 0; rep < kReps; ++rep) {
+        const IoSample s = measure_io(image, substrate, engine);
+        const double rate = static_cast<double>(n) / (s.save_s + s.load_s);
+        best_rate = std::max(best_rate, rate);
+        last = s;
+        json.add(tag + "/save_nodes_per_s", static_cast<double>(n) / s.save_s);
+        json.add(tag + "/load_nodes_per_s", static_cast<double>(n) / s.load_s);
+        json.add_metric(tag, "bytes_per_node",
+                        static_cast<double>(s.bytes) / n);
       }
+      t.add_row({Table::integer(n), Table::num(last.save_s, 3),
+                 Table::num(last.load_s, 3),
+                 Table::num(static_cast<double>(last.bytes) / (1u << 20), 1),
+                 Table::num(static_cast<double>(last.bytes) / n, 2),
+                 Table::num(best_rate / 1e6, 1)});
       std::remove(image.c_str());
     }
     t.print();
-    const double speedup =
-        v1_rate_largest > 0 ? v2_rate_largest / v1_rate_largest : 0;
-    std::printf("\nv2 save+load speedup at n=%llu: %.1fx (acceptance: >= 5x)"
-                " %s\n\n",
-                static_cast<unsigned long long>(sizes.back()), speedup,
-                speedup >= 5.0 ? "PASS" : "WARN");
+    std::printf("\n");
   }
 
   // --- 2. Density at the paper-scale torus point. ---
@@ -217,19 +193,12 @@ int main() {
     const std::uint64_t n = substrate->num_nodes();
     RotorRouter engine(substrate, spread_agents(n, kAgents));
     engine.run(rr::sim::scaled(20000));
-    Table t({"fmt", "bytes", "bytes/node"});
-    double v2_density = 0;
-    for (const CkptFormat format : {CkptFormat::kV1, CkptFormat::kV2}) {
-      const std::string text =
-          rr::sim::write_checkpoint(engine, substrate->descriptor(), format);
-      const double density = static_cast<double>(text.size()) / n;
-      if (format == CkptFormat::kV2) v2_density = density;
-      json.add_metric(std::string("CkptIO/") + format_name(format) +
-                          "/torus256_k64",
-                      "bytes_per_node", density);
-      t.add_row({format_name(format), Table::integer(text.size()),
-                 Table::num(density, 2)});
-    }
+    Table t({"bytes", "bytes/node"});
+    const std::string text =
+        rr::sim::write_checkpoint(engine, substrate->descriptor());
+    const double v2_density = static_cast<double>(text.size()) / n;
+    json.add_metric("CkptIO/v2/torus256_k64", "bytes_per_node", v2_density);
+    t.add_row({Table::integer(text.size()), Table::num(v2_density, 2)});
     t.print();
     std::printf("\nv2 density on torus 256^2, k=64: %.2f bytes/node"
                 " (acceptance: <= 6) %s\n\n",
@@ -307,7 +276,7 @@ int main() {
     substrate->advise_random();
     engine.run(rr::sim::scaled(1000));
     const std::string text = rr::sim::write_checkpoint(
-        engine, substrate->descriptor(), CkptFormat::kV2);
+        engine, substrate->descriptor());
 
     rr::sim::ThreadPool pool;  // hardware width
     double seq_s = 1e300, par_s = 1e300;
@@ -374,7 +343,7 @@ int main() {
     sharded.run(600);
     const std::string descriptor = desc.text();
     const auto sequential = rr::sim::restore_checkpoint(
-        rr::sim::write_checkpoint(sharded, descriptor, CkptFormat::kV2));
+        rr::sim::write_checkpoint(sharded, descriptor));
     RR_REQUIRE(sequential != nullptr, "periodic-save restore failed");
     const std::string path = dir + "/bench_ckpt_io_periodic.ckpt";
 

@@ -12,7 +12,6 @@
 //   rr_cli lockin  --topo ring|grid|torus|clique|hypercube|tree --size 64
 //   rr_cli engines                                     list registered backends
 //   rr_cli build-graph --graph "ring 100000000" --out big.rrg   stream an image
-//   rr_cli convert old.ckpt new.ckpt --ckpt-format v1|v2        transcode a checkpoint
 //
 // `run` drives any registered engine (--engine NAME; `rr_cli engines` or
 // `--engine help` lists them) on any substrate (--topo/--size sugar or a
@@ -24,8 +23,9 @@
 // (bit-equal to sequential; also applies when resuming their
 // checkpoints), and --checkpoint-every N rewrites --checkpoint atomically
 // every N rounds while the run is in flight (crash-tolerant sweeps).
-// --ckpt-format picks the checkpoint wire format (v2 binary by default;
-// v1 is the interop text form — readers sniff, so either resumes).
+// Checkpoints are rr-ckpt v2, the one format (sim/checkpoint.hpp), so
+// there is no format flag; a document with any other header, the retired
+// v1 text format included, is rejected as malformed.
 //
 // Out-of-core: `build-graph` streams a descriptor into an `rr-graph v1`
 // image (graph/mmap_substrate.hpp) without materializing the graph, and
@@ -85,7 +85,6 @@ struct Flags {
   std::string resume;      // restore the engine state from here first
   std::uint32_t shards = 1;          // > 1: shard-parallel rotor stepping
   std::uint64_t checkpoint_every = 0;  // auto-checkpoint period (rounds)
-  std::string ckpt_format = "v2";  // checkpoint wire format: v1 | v2
   std::string graph_image;  // rr-graph image to step out-of-core (run)
   std::string out;          // output path (build-graph)
   // Steady-state cycle leaping (sim/cycle_jump.hpp): auto wraps
@@ -104,19 +103,6 @@ struct Flags {
   std::string noded;
   std::string dist_socket;
 };
-
-bool parse_ckpt_format(const std::string& s, rr::sim::CkptFormat& format) {
-  if (s == "v1") {
-    format = rr::sim::CkptFormat::kV1;
-  } else if (s == "v2") {
-    format = rr::sim::CkptFormat::kV2;
-  } else {
-    std::fprintf(stderr, "rr_cli: --ckpt-format must be v1 or v2 (got %s)\n",
-                 s.c_str());
-    return false;
-  }
-  return true;
-}
 
 // Lists the registered backends straight from the registry, so the help
 // text can never drift from what `run` actually accepts.
@@ -152,7 +138,7 @@ int usage() {
                "       [--topo ... --size N | --graph DESC |"
                " --graph-image FILE]\n"
                "       --checkpoint FILE --resume FILE\n"
-               "       --checkpoint-every N --shards N --ckpt-format v1|v2\n"
+               "       --checkpoint-every N --shards N\n"
                "       --cycle-jump on|off|auto (leap confirmed steady-state"
                " cycles; default auto)\n"
                "       --cycle-hint on|off (persist/adopt confirmed periods"
@@ -164,24 +150,9 @@ int usage() {
                "  engines: list registered backends with substrate"
                " requirements (also: --engine help)\n"
                "  build-graph: [--graph DESC | --topo ... --size N]"
-               " --out FILE\n"
-               "  convert: <in.ckpt> <out.ckpt> [--ckpt-format v1|v2]\n",
+               " --out FILE\n",
                engine_names().c_str());
   return 2;
-}
-
-// True if `v` is one of `allowed`; otherwise prints the error naming the
-// flag and its values.
-bool one_of(const char* flag, const std::string& v,
-            std::initializer_list<const char*> allowed) {
-  std::string list;
-  for (const char* a : allowed) {
-    if (v == a) return true;
-    list += list.empty() ? a : std::string(", ") + a;
-  }
-  std::fprintf(stderr, "rr_cli: %s must be one of %s (got %s)\n", flag,
-               list.c_str(), v.c_str());
-  return false;
 }
 
 bool parse_flags(int argc, char** argv, int start, Flags& f) {
@@ -219,20 +190,26 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       }
     } else if (a == "--place") {
       const char* v = next("--place");
-      if (!v || !one_of("--place", v, {"one", "spaced", "random"})) {
+      if (!v || !rr::parse_flag_enum("rr_cli", "--place", v,
+                                     {"one", "spaced", "random"})) {
         return false;
       }
       f.place = v;
     } else if (a == "--ptr") {
       const char* v = next("--ptr");
-      if (!v || !one_of("--ptr", v,
-                        {"toward", "negative", "uniform", "random"})) {
+      if (!v || !rr::parse_flag_enum("rr_cli", "--ptr", v,
+                                     {"toward", "negative", "uniform",
+                                      "random"})) {
         return false;
       }
       f.ptr = v;
     } else if (a == "--topo") {
       const char* v = next("--topo");
-      if (!v) return false;
+      if (!v || !rr::parse_flag_enum("rr_cli", "--topo", v,
+                                     {"ring", "grid", "torus", "clique",
+                                      "hypercube", "tree"})) {
+        return false;
+      }
       f.topo = v;
     } else if (a == "--size") {
       const char* v = next("--size");
@@ -267,10 +244,6 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       const char* v = next("--resume");
       if (!v) return false;
       f.resume = v;
-    } else if (a == "--ckpt-format") {
-      const char* v = next("--ckpt-format");
-      if (!v) return false;
-      f.ckpt_format = v;
     } else if (a == "--graph-image") {
       const char* v = next("--graph-image");
       if (!v) return false;
@@ -303,21 +276,15 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       f.dist_socket = v;
     } else if (a == "--cycle-jump") {
       const char* v = next("--cycle-jump");
-      if (!v) return false;
-      if (!rr::sim::cycle_jump_mode_from_name(v)) {
-        std::fprintf(stderr,
-                     "rr_cli: --cycle-jump must be one of on, off, auto "
-                     "(got %s)\n",
-                     v);
+      if (!v || !rr::parse_flag_enum("rr_cli", "--cycle-jump", v,
+                                     {"on", "off", "auto"})) {
         return false;
       }
       f.cycle_jump = v;
     } else if (a == "--cycle-hint") {
       const char* v = next("--cycle-hint");
-      if (!v) return false;
-      if (std::string(v) != "on" && std::string(v) != "off") {
-        std::fprintf(stderr,
-                     "rr_cli: --cycle-hint must be on or off (got %s)\n", v);
+      if (!v || !rr::parse_flag_enum("rr_cli", "--cycle-hint", v,
+                                     {"on", "off"})) {
         return false;
       }
       f.cycle_hint = v;
@@ -361,8 +328,7 @@ std::uint32_t hypercube_dim(rr::graph::NodeId size) {
 }
 
 // Descriptor text for the --topo/--size sugar; --graph passes through.
-// The one list of --topo values: an unknown one prints an error and
-// returns "" (callers exit 2).
+// --topo was checked against its value list when parsed.
 std::string topo_descriptor(const Flags& f) {
   using rr::graph::GraphDescriptor;
   if (!f.graph.empty()) return f.graph;
@@ -373,12 +339,7 @@ std::string topo_descriptor(const Flags& f) {
     return GraphDescriptor::hypercube(hypercube_dim(f.size)).text();
   }
   if (f.topo == "tree") return GraphDescriptor::binary_tree(f.size).text();
-  if (f.topo == "ring") return GraphDescriptor::ring(f.size).text();
-  std::fprintf(stderr,
-               "rr_cli: --topo must be one of ring, grid, torus, clique, "
-               "hypercube, tree (got %s)\n",
-               f.topo.c_str());
-  return {};
+  return GraphDescriptor::ring(f.size).text();
 }
 
 // k agents spread evenly over the node-id range.
@@ -466,8 +427,6 @@ int cmd_engines() {
 }
 
 int cmd_run(const Flags& f) {
-  rr::sim::CkptFormat format;
-  if (!parse_ckpt_format(f.ckpt_format, format)) return 2;
   // One pool for the whole run, sized like a sharded engine's own: it
   // steps the shards, decodes the resumed document's segments and
   // encodes every save. The saves name their segment count, so a
@@ -600,7 +559,6 @@ int cmd_run(const Flags& f) {
                 static_cast<double>(substrate->image_bytes()) / (1u << 30));
   } else {
     descriptor = topo_descriptor(f);
-    if (descriptor.empty()) return 2;
     engine = build_engine(f, descriptor, pool.get());
     if (!engine) return 2;
   }
@@ -627,8 +585,9 @@ int cmd_run(const Flags& f) {
     }
     engine->set_auto_checkpoint(
         f.checkpoint_every,
-        rr::sim::checkpoint_file_sink(f.checkpoint, descriptor, format,
-                                      pool.get(), sink_stats,
+        rr::sim::checkpoint_file_sink(f.checkpoint, descriptor,
+                                      rr::sim::CkptFormat::kV2, pool.get(),
+                                      sink_stats,
                                       rr::sim::kV2DefaultSegments));
   }
   const std::uint64_t rounds = f.rounds ? f.rounds : engine->num_nodes();
@@ -663,7 +622,8 @@ int cmd_run(const Flags& f) {
   if (!f.checkpoint.empty()) {
     if (substrate) substrate->advise_sequential();
     const std::string text = rr::sim::write_checkpoint(
-        *engine, descriptor, format, rr::sim::kV2DefaultSegments, pool.get());
+        *engine, descriptor, rr::sim::CkptFormat::kV2,
+        rr::sim::kV2DefaultSegments, pool.get());
     // Atomic like the auto-checkpoint sink: a crash mid-write must not
     // destroy the last good checkpoint at the same path.
     if (!rr::sim::save_checkpoint_file_atomic(f.checkpoint, text)) {
@@ -682,7 +642,6 @@ int cmd_build_graph(const Flags& f) {
     return 2;
   }
   const std::string descriptor = topo_descriptor(f);
-  if (descriptor.empty()) return 2;
   std::string error;
   if (!rr::graph::MappedSubstrate::build(descriptor, f.out, &error)) {
     std::fprintf(stderr, "rr_cli: build-graph: %s\n", error.c_str());
@@ -699,39 +658,6 @@ int cmd_build_graph(const Flags& f) {
               static_cast<unsigned long long>(s->num_nodes()),
               static_cast<unsigned long long>(s->num_arcs()),
               static_cast<unsigned long long>(s->image_bytes()));
-  return 0;
-}
-
-int cmd_convert(int argc, char** argv) {
-  if (argc < 4 || argv[2][0] == '-' || argv[3][0] == '-') return usage();
-  const std::string in_path = argv[2];
-  const std::string out_path = argv[3];
-  Flags f;
-  if (!parse_flags(argc, argv, 4, f)) return 2;
-  rr::sim::CkptFormat format;
-  if (!parse_ckpt_format(f.ckpt_format, format)) return 2;
-  const auto parsed = rr::sim::parse_checkpoint_file(in_path);
-  if (!parsed) {
-    std::fprintf(stderr, "rr_cli: malformed checkpoint %s\n", in_path.c_str());
-    return 2;
-  }
-  // Transcode through a restored engine rather than field-by-field: the
-  // engine re-serializes its canonical field set, so the output is
-  // byte-identical to a checkpoint written directly in the target format.
-  auto engine = rr::sim::restore_checkpoint(*parsed);
-  if (!engine) {
-    std::fprintf(stderr, "rr_cli: cannot restore %s (engine %s)\n",
-                 in_path.c_str(), parsed->engine.c_str());
-    return 2;
-  }
-  const std::string text =
-      rr::sim::write_checkpoint(*engine, parsed->graph_descriptor, format);
-  if (!rr::sim::save_checkpoint_file_atomic(out_path, text)) {
-    std::fprintf(stderr, "rr_cli: cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  std::printf("converted %s -> %s (%s, %zu bytes)\n", in_path.c_str(),
-              out_path.c_str(), f.ckpt_format.c_str(), text.size());
   return 0;
 }
 
@@ -765,7 +691,6 @@ int cmd_trace(Flags f) {
     // Non-ring substrates draw through the engine-generic renderer; torus
     // and grid runs lay out as 2-D blocks (one line per row).
     const std::string descriptor = topo_descriptor(f);
-    if (descriptor.empty()) return 2;
     auto engine = build_engine(f, descriptor);
     if (!engine) return 2;
     const auto d = rr::graph::GraphDescriptor::parse(descriptor);
@@ -818,7 +743,6 @@ int cmd_config(int argc, char** argv) {
 
 int cmd_lockin(const Flags& f) {
   const std::string descriptor = topo_descriptor(f);
-  if (descriptor.empty()) return 2;
   const auto built = rr::graph::graph_from_descriptor(descriptor);
   if (!built) {
     std::fprintf(stderr, "rr_cli: cannot build graph '%s'\n",
@@ -847,7 +771,6 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   if (cmd == "engines") return cmd_engines();
   if (cmd == "config") return cmd_config(argc, argv);
-  if (cmd == "convert") return cmd_convert(argc, argv);
   Flags f;
   if (!parse_flags(argc, argv, 2, f)) return 2;
   if (f.engine == "help" || f.engine == "list") return cmd_engines();

@@ -173,22 +173,12 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
   // Enumerated string flags fail as loudly as the numeric ones: a typo'd
   // policy or class must abort the command, not silently run a different
   // scheduler.
-  if (f.policy != "fifo" && f.policy != "qos") {
-    std::fprintf(stderr, "rr_serverd: --policy must be 'fifo' or 'qos' "
-                         "(got '%s')\n",
-                 f.policy.c_str());
-    return false;
-  }
-  if (!rr::serve::qos_class_from_name(f.qos)) {
-    std::fprintf(stderr, "rr_serverd: --qos must be one of interactive, "
-                         "batch, background (got '%s')\n",
-                 f.qos.c_str());
-    return false;
-  }
-  if (!rr::sim::cycle_jump_mode_from_name(f.cycle_jump)) {
-    std::fprintf(stderr, "rr_serverd: --cycle-jump must be one of on, off, "
-                         "auto (got '%s')\n",
-                 f.cycle_jump.c_str());
+  constexpr const char* kProg = "rr_serverd";
+  if (!rr::parse_flag_enum(kProg, "--policy", f.policy, {"fifo", "qos"}) ||
+      !rr::parse_flag_enum(kProg, "--qos", f.qos,
+                           {"interactive", "batch", "background"}) ||
+      !rr::parse_flag_enum(kProg, "--cycle-jump", f.cycle_jump,
+                           {"on", "off", "auto"})) {
     return false;
   }
   const std::pair<const char*, const std::string*> class_modes[] = {
@@ -197,10 +187,8 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       {"--cycle-jump-background", &f.cycle_jump_background},
   };
   for (const auto& [flag, value] : class_modes) {
-    if (!value->empty() && !rr::sim::cycle_jump_mode_from_name(*value)) {
-      std::fprintf(stderr, "rr_serverd: %s must be one of on, off, auto "
-                           "(got '%s')\n",
-                   flag, value->c_str());
+    if (!value->empty() &&
+        !rr::parse_flag_enum(kProg, flag, *value, {"on", "off", "auto"})) {
       return false;
     }
   }

@@ -8,6 +8,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -75,6 +76,23 @@ inline bool parse_flag_u32(const char* prog, const char* flag,
   }
   out = static_cast<std::uint32_t>(v);
   return true;
+}
+
+/// Checks an enumerated CLI-flag value against the names it may take. On
+/// failure prints "<prog>: <flag> must be one of a, b, c (got <text>)"
+/// to stderr and returns false.
+inline bool parse_flag_enum(const char* prog, const char* flag,
+                            std::string_view text,
+                            std::initializer_list<std::string_view> names) {
+  std::string list;
+  for (const std::string_view name : names) {
+    if (text == name) return true;
+    if (!list.empty()) list += ", ";
+    list += name;
+  }
+  std::fprintf(stderr, "%s: %s must be one of %s (got %s)\n", prog, flag,
+               list.c_str(), std::string(text).c_str());
+  return false;
 }
 
 }  // namespace rr

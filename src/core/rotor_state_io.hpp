@@ -353,8 +353,8 @@ inline std::optional<graph::NodeId> apply_rotor_span(
 /// all six fields share the same segment layout — always true for
 /// documents the v2 encoder wrote — the node range splits at those
 /// boundaries and each window deserializes on a pool thread (disjoint
-/// node ranges, disjoint writes). v1 text documents, mismatched layouts,
-/// a single segment or no pool decode as one window. Identical results
+/// node ranges, disjoint writes). Mismatched layouts (only a hand-built
+/// document has them), a single segment or no pool decode as one window. Identical results
 /// either way (restore is a pure function of the document); only
 /// wall-clock differs — this is what keeps session rehydration under
 /// server load from serializing on one core.

@@ -123,7 +123,18 @@ bool SessionService::evict(Session& s) {
   const std::string text =
       sim::write_checkpoint(*s.engine, s.descriptor, sim::CkptFormat::kV2,
                             sim::kV2DefaultSegments, opt_.pool);
-  if (!sim::save_checkpoint_file_atomic(evict_path(s.id), text)) return false;
+  if (!sim::save_checkpoint_file_atomic(evict_path(s.id), text)) {
+    // The session stays resident and keeps serving; the failure is
+    // counted (kInfo's evict_failures=) and reported once.
+    if (stats_.evict_failures++ == 0) {
+      std::fprintf(stderr,
+                   "rr-serve: warning: eviction write to %s failed; the "
+                   "session stays resident (further failures counted, not "
+                   "reported)\n",
+                   evict_path(s.id).c_str());
+    }
+    return false;
+  }
   s.engine.reset();
   s.idle_pumps = 0;
   --live_;
@@ -533,38 +544,38 @@ void SessionService::handle(std::uint64_t conn, const std::uint8_t* payload,
     case Op::kInfo: {
       Reply rep;
       rep.id = req->id;
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "sessions=%llu live=%llu created=%llu destroyed=%llu "
-                    "evictions=%llu rehydrations=%llu busy=%llu "
-                    "evicted=%llu step_requests=%llu rounds=%llu",
-                    static_cast<unsigned long long>(sessions_.size()),
-                    static_cast<unsigned long long>(live_),
-                    static_cast<unsigned long long>(stats_.created),
-                    static_cast<unsigned long long>(stats_.destroyed),
-                    static_cast<unsigned long long>(stats_.evictions),
-                    static_cast<unsigned long long>(stats_.rehydrations),
-                    static_cast<unsigned long long>(stats_.busy_replies),
-                    static_cast<unsigned long long>(stats_.evicted_replies),
-                    static_cast<unsigned long long>(stats_.step_requests),
-                    static_cast<unsigned long long>(stats_.rounds_stepped));
-      rep.message = buf;
+      std::string& m = rep.message;
+      const auto put = [&m](const char* key, std::uint64_t value) {
+        if (!m.empty() && m.back() != '{') m += ' ';
+        m += key;
+        m += '=';
+        m += std::to_string(value);
+      };
+      put("sessions", sessions_.size());
+      put("live", live_);
+      put("created", stats_.created);
+      put("destroyed", stats_.destroyed);
+      put("evictions", stats_.evictions);
+      put("evict_failures", stats_.evict_failures);
+      put("rehydrations", stats_.rehydrations);
+      put("busy", stats_.busy_replies);
+      put("evicted", stats_.evicted_replies);
+      put("step_requests", stats_.step_requests);
+      put("rounds", stats_.rounds_stepped);
       for (std::size_t c = 0; c < kNumQosClasses; ++c) {
         const QosClassStats& q = stats_.qos[c];
-        std::snprintf(
-            buf, sizeof buf,
-            " qos[%s]={steps=%llu rounds=%llu waits=%llu busy=%llu "
-            "evictions=%llu rehydrations=%llu deferred=%llu cj=%llu}",
-            qos_class_name(static_cast<QosClass>(c)),
-            static_cast<unsigned long long>(q.step_requests),
-            static_cast<unsigned long long>(q.rounds_scheduled),
-            static_cast<unsigned long long>(q.wait_pumps),
-            static_cast<unsigned long long>(q.busy_replies),
-            static_cast<unsigned long long>(q.evictions),
-            static_cast<unsigned long long>(q.rehydrations),
-            static_cast<unsigned long long>(q.rehydrations_deferred),
-            static_cast<unsigned long long>(q.cj_wrapped));
-        rep.message += buf;
+        m += " qos[";
+        m += qos_class_name(static_cast<QosClass>(c));
+        m += "]={";
+        put("steps", q.step_requests);
+        put("rounds", q.rounds_scheduled);
+        put("waits", q.wait_pumps);
+        put("busy", q.busy_replies);
+        put("evictions", q.evictions);
+        put("rehydrations", q.rehydrations);
+        put("deferred", q.rehydrations_deferred);
+        put("cj", q.cj_wrapped);
+        m += '}';
       }
       emit(out, conn, rep);
       return;
@@ -691,7 +702,12 @@ bool SessionService::pump(std::vector<Outgoing>& out) {
     }
     for (std::uint64_t id : to_evict) {
       Session* s = find_session(id);
-      if (s && s->engine && evict(*s)) progress = true;
+      if (!s || !s->engine) continue;
+      if (evict(*s)) {
+        progress = true;
+      } else {
+        s->idle_pumps = 0;  // a broken disk costs one try per evict_after
+      }
     }
   }
 

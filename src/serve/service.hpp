@@ -146,6 +146,7 @@ struct ServiceStats {
   std::uint64_t created = 0;
   std::uint64_t destroyed = 0;
   std::uint64_t evictions = 0;
+  std::uint64_t evict_failures = 0;  ///< eviction writes that failed
   std::uint64_t rehydrations = 0;
   std::uint64_t busy_replies = 0;
   std::uint64_t evicted_replies = 0;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -29,10 +28,12 @@ namespace {
 constexpr const char* kEnginePrefix = " engine=";
 constexpr const char* kGraphPrefix = " graph=";
 
-/// Both formats share the header-line grammar after their magic:
-/// " engine=<name> graph=<descriptor>". nullopt on malformed.
+/// Parses the header line "rr-ckpt v2 engine=<name> graph=<descriptor>"
+/// into (engine, descriptor). nullopt on malformed, any other magic
+/// included.
 std::optional<std::pair<std::string, std::string>> parse_header_line(
-    std::string_view header, std::string_view magic) {
+    std::string_view header) {
+  const std::string_view magic(kCheckpointMagicV2);
   if (header.substr(0, magic.size()) != magic) return std::nullopt;
   std::string_view rest = header.substr(magic.size());
   const std::string_view engine_prefix(kEnginePrefix);
@@ -49,111 +50,30 @@ std::optional<std::pair<std::string, std::string>> parse_header_line(
   return std::make_pair(std::string(engine), std::string(descriptor));
 }
 
-/// Buffered line reader for the streaming v1 path: holds one read chunk
-/// plus the line under construction — O(longest line), never O(file).
-class LineReader {
- public:
-  explicit LineReader(std::FILE* f) : f_(f) {}
-
-  /// Next '\n'-terminated (or final unterminated) line, without the
-  /// newline. False at clean EOF; *error on a read error.
-  bool next(std::string& line, bool* error) {
-    line.clear();
-    while (true) {
-      if (pos_ < buf_len_) {
-        const char* nl = static_cast<const char*>(
-            std::memchr(buf_ + pos_, '\n', buf_len_ - pos_));
-        if (nl != nullptr) {
-          line.append(buf_ + pos_, nl - (buf_ + pos_));
-          pos_ = static_cast<std::size_t>(nl - buf_) + 1;
-          return true;
-        }
-        line.append(buf_ + pos_, buf_len_ - pos_);
-        pos_ = buf_len_ = 0;
-      }
-      buf_len_ = std::fread(buf_, 1, sizeof buf_, f_);
-      pos_ = 0;
-      if (buf_len_ == 0) {
-        if (std::ferror(f_) != 0) {
-          *error = true;
-          return false;
-        }
-        return !line.empty();
-      }
-    }
-  }
-
- private:
-  std::FILE* f_;
-  char buf_[1 << 16];
-  std::size_t buf_len_ = 0;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string write_checkpoint(const Engine& engine,
-                             const std::string& graph_descriptor) {
-  return write_checkpoint(engine, graph_descriptor, CkptFormat::kV1);
-}
-
-std::string write_checkpoint(const Engine& engine,
                              const std::string& graph_descriptor,
-                             CkptFormat format, std::uint32_t segments,
+                             CkptFormat /*format*/, std::uint32_t segments,
                              ThreadPool* pool) {
   const auto* io = dynamic_cast<const StateIO*>(&engine);
   RR_REQUIRE(io != nullptr, "engine does not implement sim::StateIO");
   StateWriter body;
   io->serialize_state(body);
-  if (format == CkptFormat::kV2) {
-    if (segments == 0 && pool != nullptr) segments = pool->num_threads();
-    return encode_checkpoint_v2(engine.engine_name(), graph_descriptor, body,
-                                engine.num_nodes(), segments, pool);
-  }
-  std::string out = std::string(kCheckpointMagic) + kEnginePrefix +
-                    engine.engine_name() + kGraphPrefix + graph_descriptor +
-                    "\n";
-  out += body.text();
-  out += "end\n";
-  return out;
+  if (segments == 0 && pool != nullptr) segments = pool->num_threads();
+  return encode_checkpoint_v2(engine.engine_name(), graph_descriptor, body,
+                              engine.num_nodes(), segments, pool);
 }
 
 std::optional<ParsedCheckpoint> parse_checkpoint(const std::string& text,
                                                  ThreadPool* pool) {
-  std::size_t eol = text.find('\n');
+  const std::size_t eol = text.find('\n');
   if (eol == std::string::npos) return std::nullopt;
-  const std::string_view header(text.data(), eol);
-
-  if (header.substr(0, std::string_view(kCheckpointMagicV2).size()) ==
-      kCheckpointMagicV2) {
-    const auto names = parse_header_line(header, kCheckpointMagicV2);
-    if (!names) return std::nullopt;
-    auto state = decode_checkpoint_v2_body(
-        reinterpret_cast<const std::uint8_t*>(text.data()) + eol + 1,
-        text.size() - eol - 1, pool);
-    if (!state) return std::nullopt;
-    return ParsedCheckpoint{names->first, names->second, std::move(*state)};
-  }
-
-  const auto names = parse_header_line(header, kCheckpointMagic);
+  const auto names = parse_header_line(std::string_view(text.data(), eol));
   if (!names) return std::nullopt;
-
-  // Body: everything after the header up to the terminating "end" line.
-  const std::string_view tail(text.data() + eol + 1, text.size() - eol - 1);
-  std::size_t end_at = std::string_view::npos;
-  if (tail == "end\n" || tail == "end") {
-    end_at = 0;
-  } else {
-    const std::size_t marker = tail.rfind("\nend");
-    // "end" must terminate the document (optionally newline-terminated).
-    if (marker != std::string_view::npos &&
-        (marker + 4 == tail.size() ||
-         (marker + 5 == tail.size() && tail[marker + 4] == '\n'))) {
-      end_at = marker + 1;
-    }
-  }
-  if (end_at == std::string_view::npos) return std::nullopt;
-  const auto state = StateReader::parse(tail.substr(0, end_at));
+  auto state = decode_checkpoint_v2_body(
+      reinterpret_cast<const std::uint8_t*>(text.data()) + eol + 1,
+      text.size() - eol - 1, pool);
   if (!state) return std::nullopt;
   return ParsedCheckpoint{names->first, names->second, std::move(*state)};
 }
@@ -168,47 +88,19 @@ std::optional<ParsedCheckpoint> parse_checkpoint_file(const std::string& path,
     ~Closer() { std::fclose(f); }
   } closer{f};
 
-  LineReader lines(f);
-  bool error = false;
   std::string header;
-  if (!lines.next(header, &error) || error) return std::nullopt;
-
-  if (std::string_view(header).substr(
-          0, std::string_view(kCheckpointMagicV2).size()) ==
-      kCheckpointMagicV2) {
-    const auto names = parse_header_line(header, kCheckpointMagicV2);
-    if (!names) return std::nullopt;
-    const std::uint64_t body_offset = header.size() + 1;
-    if (std::fseek(f, 0, SEEK_END) != 0) return std::nullopt;
-    const long size = std::ftell(f);
-    if (size < 0) return std::nullopt;
-    auto state = decode_checkpoint_v2_file(
-        f, body_offset, static_cast<std::uint64_t>(size), pool);
-    if (!state) return std::nullopt;
-    return ParsedCheckpoint{names->first, names->second, std::move(*state)};
+  for (int c = std::fgetc(f); c != '\n'; c = std::fgetc(f)) {
+    if (c == EOF) return std::nullopt;
+    header.push_back(static_cast<char>(c));
   }
-
-  const auto names = parse_header_line(header, kCheckpointMagic);
+  const auto names = parse_header_line(header);
   if (!names) return std::nullopt;
-  std::vector<std::pair<std::string, ReaderValue>> fields;
-  std::string line;
-  bool saw_end = false;
-  while (lines.next(line, &error)) {
-    if (saw_end) return std::nullopt;  // content after the "end" line
-    if (line == "end") {
-      saw_end = true;
-      continue;
-    }
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    ReaderValue value;
-    value.kind = ReaderValue::Kind::kText;
-    value.text = line.substr(eq + 1);
-    fields.emplace_back(line.substr(0, eq), std::move(value));
-  }
-  if (error || !saw_end) return std::nullopt;
-  auto state = StateReader::from_fields(std::move(fields));
+  const std::uint64_t body_offset = header.size() + 1;
+  if (std::fseek(f, 0, SEEK_END) != 0) return std::nullopt;
+  const long size = std::ftell(f);
+  if (size < 0) return std::nullopt;
+  auto state = decode_checkpoint_v2_file(
+      f, body_offset, static_cast<std::uint64_t>(size), pool);
   if (!state) return std::nullopt;
   return ParsedCheckpoint{names->first, names->second, std::move(*state)};
 }

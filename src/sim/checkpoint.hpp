@@ -5,18 +5,13 @@
 // A checkpoint is a document that fully determines a running simulation —
 // which engine, on which graph, in which dynamical state — so a
 // multi-million-round sweep can stop, move hosts, and resume bit-exactly.
-// Two wire formats share one header convention:
+// It has one wire format, rr-ckpt v2: a header line
 //
-//   rr-ckpt v1 engine=<engine-name> graph=<graph-descriptor>
-//   <key>=<value>          (engine state fields, sim/state_io.hpp)
-//   ...
-//   end
+//   rr-ckpt v2 engine=<engine-name> graph=<graph-descriptor>
 //
-// and `rr-ckpt v2`, same header line followed by delta/varint binary
-// frames with per-frame CRC32 and a footer index (sim/ckpt_v2.hpp has
-// the full wire spec). v1 stays fully supported for interop — both
-// directions — and readers sniff the version from the magic, so every
-// consumer accepts either.
+// followed by delta/varint binary frames with per-frame CRC32 and a
+// footer index (sim/ckpt_v2.hpp has the full wire spec). Any other
+// magic, the retired v1 text header included, is malformed.
 //
 // The header names the engine backend (sim::Engine::engine_name) and the
 // substrate (graph/descriptor.hpp), making the document sufficient to
@@ -28,10 +23,10 @@
 // backend by name.
 //
 // Correctness contract (enforced by the differential harness's
-// save→load→continue lane, which alternates formats): for every backend,
-// a run checkpointed at any round and resumed in a fresh process
-// produces per-round config_hash, visits, and cover times identical to
-// the uninterrupted run — in either format.
+// save→load→continue lane, which alternates segment layouts): for every
+// backend, a run checkpointed at any round and resumed in a fresh
+// process produces per-round config_hash, visits, and cover times
+// identical to the uninterrupted run.
 //
 // Parsing is total: malformed headers, bodies, frames, or descriptors
 // yield nullopt/nullptr, never an abort (checkpoints are external
@@ -50,26 +45,21 @@
 
 namespace rr::sim {
 
-inline constexpr const char* kCheckpointMagic = "rr-ckpt v1";
+/// Checkpoint wire format selector. v2 is the only format; the enum
+/// stays so the callers that name it (the benchmark harness among them)
+/// keep compiling, and nothing branches on it.
+enum class CkptFormat { kV2 };
 
-/// Checkpoint wire format selector. v1: self-describing text, ~20
-/// bytes/node, one frame. v2: delta/varint binary, ~3-6 bytes/node on
-/// lattice topologies, parallel frames (sim/ckpt_v2.hpp).
-enum class CkptFormat { kV1, kV2 };
-
-/// Serializes a running engine as rr-ckpt v1. `graph_descriptor` names
+/// Serializes a running engine as rr-ckpt v2. `graph_descriptor` names
 /// the substrate (graph/descriptor.hpp text form; "ring <n>" for the
 /// ring engines). The engine must implement sim::StateIO (all in-tree
-/// backends do).
-std::string write_checkpoint(const Engine& engine,
-                             const std::string& graph_descriptor);
-
-/// Format-selecting variant. For kV2, `segments` is the per-node frame
-/// count (0 picks a default aligned with `pool`'s width) and frames
-/// encode in parallel on `pool` when given.
+/// backends do). `segments` is the per-node frame count (0 picks a
+/// default aligned with `pool`'s width) and frames encode in parallel on
+/// `pool` when given.
 std::string write_checkpoint(const Engine& engine,
                              const std::string& graph_descriptor,
-                             CkptFormat format, std::uint32_t segments = 0,
+                             CkptFormat format = CkptFormat::kV2,
+                             std::uint32_t segments = 0,
                              ThreadPool* pool = nullptr);
 
 /// A parsed checkpoint: header fields plus the state body.
@@ -79,18 +69,16 @@ struct ParsedCheckpoint {
   StateReader state;             ///< body fields
 };
 
-/// Splits and validates an in-memory document (either format, sniffed
-/// from the magic); nullopt on any malformed framing. With a `pool`, v2
-/// frames decode in parallel (the wire makes per-node frames
-/// independently decodable on purpose); the result is identical either
-/// way.
+/// Splits and validates an in-memory document; nullopt on any malformed
+/// framing. With a `pool`, frames decode in parallel (the wire makes
+/// per-node frames independently decodable on purpose); the result is
+/// identical either way.
 std::optional<ParsedCheckpoint> parse_checkpoint(const std::string& text,
                                                  ThreadPool* pool = nullptr);
 
-/// Streaming file parse: reads the document incrementally (v1 line by
-/// line, v2 frame by frame via the footer index), so peak memory is
-/// O(largest frame/field), not O(file). With a `pool`, batches of v2
-/// frames are read then decoded in parallel.
+/// Streaming file parse: reads the document frame by frame via the
+/// footer index, so peak memory is O(largest frame), not O(file). With a
+/// `pool`, batches of frames are read then decoded in parallel.
 std::optional<ParsedCheckpoint> parse_checkpoint_file(
     const std::string& path, ThreadPool* pool = nullptr);
 
@@ -105,7 +93,7 @@ std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed);
 
 /// As restore_checkpoint, but "rotor-router" checkpoints restore into a
 /// core::RotorRouter stepping `shards` shards on `pool` (the shard count
-/// is an execution choice, not state), and a pool decodes v2 per-node
+/// is an execution choice, not state), and a pool decodes per-node
 /// segments in parallel. Other engines restore exactly as
 /// restore_checkpoint. shards <= 1 restores the sequential engine.
 std::unique_ptr<Engine> restore_checkpoint_sharded(
@@ -136,9 +124,7 @@ struct CheckpointSinkStats {
 };
 
 /// Sink for Engine::set_auto_checkpoint: serializes the engine against
-/// `graph_descriptor` in `format` (v2 by default — auto-checkpointing is
-/// the hot path the binary codec exists for) and saves it atomically to
-/// `path` on every fire. A failed save does not stop the run (the run
+/// `graph_descriptor` and saves it atomically to `path` on every fire. A failed save does not stop the run (the run
 /// itself must not die because a disk filled), but it is not swallowed
 /// either: the first failure warns on stderr naming `path`, and every
 /// fire is counted in `stats` (optional) so the caller can report it.

@@ -447,9 +447,9 @@ std::optional<std::vector<DecodedField>> decode_frame(const std::uint8_t* data,
       case kTagRaw: {
         const auto len = wire::get_varint(data, size, &pos);
         if (!len || *len > size - pos) return std::nullopt;
-        field.value.kind = ReaderValue::Kind::kText;
-        field.value.text.assign(reinterpret_cast<const char*>(data + pos),
-                                static_cast<std::size_t>(*len));
+        field.value.kind = ReaderValue::Kind::kRaw;
+        field.value.raw.assign(reinterpret_cast<const char*>(data + pos),
+                               static_cast<std::size_t>(*len));
         pos += static_cast<std::size_t>(*len);
         break;
       }
@@ -867,6 +867,16 @@ std::optional<StateReader> decode_checkpoint_v2_file(std::FILE* f,
     }
   }
   return assembler.finish();
+}
+
+std::optional<StateReader> round_trip_v2(const StateWriter& state,
+                                         std::uint64_t num_nodes) {
+  const std::string doc =
+      encode_checkpoint_v2("", "", state, num_nodes, /*segments=*/1);
+  const std::size_t body = doc.find('\n') + 1;
+  return decode_checkpoint_v2_body(
+      reinterpret_cast<const std::uint8_t*>(doc.data()) + body,
+      doc.size() - body);
 }
 
 }  // namespace rr::sim

@@ -2,10 +2,9 @@
 
 // Binary checkpoint codec: `rr-ckpt v2` (sim layer).
 //
-// v1 (sim/checkpoint.hpp) renders every per-node array as decimal text —
-// ~20 bytes/node and one monolithic frame. v2 keeps the text header line
-// (self-description and version sniffing stay trivial) but encodes the
-// state body as delta/varint binary frames:
+// The one serialized form of engine state. A document starts with a
+// text header line (self-description and version sniffing stay trivial)
+// and encodes the state body as delta/varint binary frames:
 //
 //   rr-ckpt v2 engine=<engine-name> graph=<graph-descriptor>\n
 //   frame 0  ... frame F-1                      (binary, concatenated)
@@ -111,5 +110,14 @@ std::optional<StateReader> decode_checkpoint_v2_body(const std::uint8_t* data,
 std::optional<StateReader> decode_checkpoint_v2_file(
     std::FILE* f, std::uint64_t body_offset, std::uint64_t file_size,
     ThreadPool* pool = nullptr);
+
+/// The codec as a writer -> reader step: encodes `state` (one per-node
+/// segment, no pool) and decodes the body back, the same path a save ->
+/// resume takes. Cycle-jump's generic leap restores its advanced state
+/// through it, and hostile-state tests build their patched states the
+/// same way. `num_nodes` as encode_checkpoint_v2. nullopt only if the
+/// encoder and decoder disagree (a codec bug).
+std::optional<StateReader> round_trip_v2(const StateWriter& state,
+                                         std::uint64_t num_nodes);
 
 }  // namespace rr::sim

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/require.hpp"
+#include "sim/ckpt_v2.hpp"
 #include "sim/registry.hpp"
 
 namespace rr::sim {
@@ -183,128 +184,85 @@ const AccumulatorDelta* find_delta(const std::vector<AccumulatorDelta>& deltas,
   return nullptr;
 }
 
-void append_u64_or_sentinel(std::string& out, std::uint64_t v) {
-  if (v == kStateSentinel) {
-    out.push_back('-');
-  } else {
-    out.append(std::to_string(v));
-  }
-}
-
-/// Renders one serialized field as the ReaderValue its v1 text parse
-/// would produce (state_io.cpp's text() formats), with accumulator
-/// fields advanced by `cycles` periods. `deltas` nullptr renders the
-/// state unchanged (the restore path after a rejected round-trip).
-std::optional<ReaderValue> render_field(
-    const WriterField& f, const std::vector<AccumulatorDelta>* deltas,
+/// Copies one serialized field with its accumulator (if `deltas` names
+/// one) advanced by `cycles` periods. Fields without a delta are copied
+/// as recorded; view fields keep aliasing live engine memory, so the
+/// copy must be encoded before any restore. nullopt when a delta does
+/// not fit its field's shape.
+std::optional<WriterField> advance_field(
+    const WriterField& f, const std::vector<AccumulatorDelta>& deltas,
     std::uint64_t cycles) {
-  const AccumulatorDelta* d =
-      deltas == nullptr ? nullptr : find_delta(*deltas, f.key);
-  ReaderValue v;
-  switch (f.kind) {
-    case WriterField::Kind::kRaw:
-      v.kind = ReaderValue::Kind::kText;
-      v.text = f.raw;
-      break;
-    case WriterField::Kind::kU64:
-      v.kind = ReaderValue::Kind::kU64;
-      v.scalar = f.scalar;
-      if (d != nullptr) {
-        if (!d->scalar) return std::nullopt;
-        v.scalar += cycles * d->scalar_delta;
-      }
-      break;
-    case WriterField::Kind::kU64List:
-    case WriterField::Kind::kU64ListView: {
-      const std::uint64_t count = f.kind == WriterField::Kind::kU64List
-                                      ? f.list.size()
-                                      : f.view_size;
-      if (d != nullptr) {
-        if (d->scalar) return std::nullopt;
-        std::uint64_t covered = 0;
-        for (const DeltaRun& r : d->runs) covered += r.len;
-        if (covered != count) return std::nullopt;  // topology changed?
-      }
-      v.kind = ReaderValue::Kind::kText;
-      std::size_t run = 0;
-      std::uint64_t run_used = 0;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        if (i > 0) v.text.push_back(',');
-        std::uint64_t x =
-            f.kind == WriterField::Kind::kU64List ? f.list[i] : f.view_at(i);
-        if (d != nullptr) {
-          while (run_used == d->runs[run].len) {
-            ++run;
-            run_used = 0;
-          }
-          x += cycles * d->runs[run].delta;
-          ++run_used;
-        }
-        append_u64_or_sentinel(v.text, x);
-      }
-      break;
-    }
-    case WriterField::Kind::kDirs:
-      v.kind = ReaderValue::Kind::kText;
-      v.text.reserve(f.symbols.size());
-      for (std::uint8_t s : f.symbols) v.text.push_back(s ? 'w' : 'c');
-      break;
-    case WriterField::Kind::kBits:
-      v.kind = ReaderValue::Kind::kText;
-      v.text.reserve(f.symbols.size());
-      for (std::uint8_t s : f.symbols) v.text.push_back(s ? '1' : '0');
-      break;
-    case WriterField::Kind::kPairs:
-      v.kind = ReaderValue::Kind::kPairs;
-      v.pair_list = f.pairs;
-      break;
+  const AccumulatorDelta* d = find_delta(deltas, f.key);
+  if (d == nullptr) return f;
+  if (f.kind == WriterField::Kind::kU64) {
+    if (!d->scalar) return std::nullopt;
+    WriterField out = f;
+    out.scalar += cycles * d->scalar_delta;
+    return out;
   }
-  return v;
+  // Accumulators are counter-shaped (capture_image), so any other kind
+  // carries no delta.
+  if (f.kind != WriterField::Kind::kU64List &&
+      f.kind != WriterField::Kind::kU64ListView) {
+    return f;
+  }
+  if (d->scalar) return std::nullopt;
+  const std::uint64_t count = f.kind == WriterField::Kind::kU64List
+                                  ? f.list.size()
+                                  : f.view_size;
+  std::uint64_t covered = 0;
+  for (const DeltaRun& r : d->runs) covered += r.len;
+  if (covered != count) return std::nullopt;  // topology changed?
+  WriterField out;
+  out.kind = WriterField::Kind::kU64List;
+  out.key = f.key;
+  out.list.resize(count);
+  std::uint64_t i = 0;
+  for (const DeltaRun& r : d->runs) {
+    const std::uint64_t step = cycles * r.delta;
+    for (std::uint64_t j = 0; j < r.len; ++j, ++i) {
+      const std::uint64_t x =
+          f.kind == WriterField::Kind::kU64List ? f.list[i] : f.view_at(i);
+      out.list[i] = x + step;
+    }
+  }
+  return out;
 }
 
 /// Generic leap: serialize, advance accumulators by `cycles` periods, and
 /// restore through the engine's own deserialize_state (whose validation
-/// still applies). On any failure the pre-leap state is reinstated and
-/// false returned — the engine is never left mid-leap.
-bool generic_leap(StateIO& io, const std::vector<AccumulatorDelta>& deltas,
+/// still applies). The advanced state reaches the engine through the v2
+/// codec (round_trip_v2), the path a save -> resume takes. On any
+/// failure the pre-leap state is reinstated and false returned — the
+/// engine is never left mid-leap.
+bool generic_leap(StateIO& io, std::uint64_t num_nodes,
+                  const std::vector<AccumulatorDelta>& deltas,
                   std::uint64_t cycles) {
   StateWriter w;
   io.serialize_state(w);
-  // Both renders happen before any deserialize: view fields alias live
-  // engine memory, which the first restore attempt may rewrite.
-  std::vector<std::pair<std::string, ReaderValue>> patched;
-  std::vector<std::pair<std::string, ReaderValue>> pristine;
-  patched.reserve(w.fields().size());
-  pristine.reserve(w.fields().size());
-  bool renderable = true;
-  for (const WriterField& f : w.fields()) {
-    auto pat = render_field(f, &deltas, cycles);
-    auto pri = render_field(f, nullptr, 0);
-    if (!pat || !pri) {
-      renderable = false;
-      break;
-    }
-    patched.emplace_back(f.key, std::move(*pat));
-    pristine.emplace_back(f.key, std::move(*pri));
-  }
   // Every declared accumulator must exist in the serialized state;
   // leaping a delta the state no longer carries would silently drop it.
   for (const AccumulatorDelta& d : deltas) {
     bool present = false;
     for (const WriterField& f : w.fields()) present |= f.key == d.key;
-    if (!present) renderable = false;
+    if (!present) return false;  // nothing attempted, state untouched
   }
-  if (!renderable) return false;  // nothing attempted, state untouched
-  auto patched_reader = StateReader::from_fields(std::move(patched));
-  if (!patched_reader) return false;
-  if (io.deserialize_state(*patched_reader)) return true;
+  StateWriter advanced;
+  for (const WriterField& f : w.fields()) {
+    auto field = advance_field(f, deltas, cycles);
+    if (!field) return false;
+    advanced.add(std::move(*field));
+  }
+  // Both readers are decoded before any deserialize: view fields alias
+  // live engine memory, which the first restore attempt may rewrite.
+  const auto patched = round_trip_v2(advanced, num_nodes);
+  const auto pristine = round_trip_v2(w, num_nodes);
+  RR_REQUIRE(patched && pristine, "cycle-jump: v2 state failed to round-trip");
+  if (io.deserialize_state(*patched)) return true;
   // The engine rejected the advanced state: put the original back (its
   // own serialize round-trips by the checkpoint contract) and report
   // failure so the caller falls back to dense stepping.
-  auto pristine_reader = StateReader::from_fields(std::move(pristine));
-  RR_REQUIRE(pristine_reader != std::nullopt,
-             "cycle-jump: pristine state failed to re-parse");
-  if (!io.deserialize_state(*pristine_reader)) {
+  if (!io.deserialize_state(*pristine)) {
     // Both restores rejected. A healthy engine round-trips its own
     // serialize output, so this is an engine refusing *all* state — a
     // distributed backend whose workers died mid-run rejects every
@@ -680,7 +638,9 @@ std::uint64_t CycleJumpEngine::dense_chunk(std::uint64_t rounds) {
 void CycleJumpEngine::apply_leap(std::uint64_t cycles) {
   bool ok = false;
   if (inner_leap_ != nullptr) ok = inner_leap_->apply_cycle_leap(deltas_, cycles);
-  if (!ok) ok = generic_leap(*inner_io_, deltas_, cycles);
+  if (!ok) {
+    ok = generic_leap(*inner_io_, inner_->num_nodes(), deltas_, cycles);
+  }
   if (!ok) {
     // The inner engine would not accept the advanced state (spec bug or
     // an exotic validation rule): never leap again, dense stepping is

@@ -209,7 +209,7 @@ struct AccumulatorDelta {
 
 /// A confirmed cycle as persisted in checkpoints: the "cycle.hint" raw
 /// field CycleJumpEngine appends when CycleJumpOptions::persist_hint is
-/// set. Text format (newline-free, so it is a legal v1 raw value):
+/// set. Text format (the hint codec's own version tag, "v1"):
 ///
 ///   v1 p=<period>;<key>=s:<delta>;<key>=r:<len>x<delta>,<len>x<delta>
 ///

@@ -1,91 +1,8 @@
 #include "sim/state_io.hpp"
 
-#include "common/parse.hpp"
-#include "sim/wire.hpp"
-
 namespace rr::sim {
 
-// ---- writer: v1 text rendering ----
-
-const std::string& StateWriter::text() const {
-  if (!text_.empty() || fields_.empty()) return text_;
-  std::string out;
-  for (const WriterField& f : fields_) {
-    out.append(f.key);
-    out.push_back('=');
-    switch (f.kind) {
-      case WriterField::Kind::kRaw:
-        out.append(f.raw);
-        break;
-      case WriterField::Kind::kU64:
-        out.append(std::to_string(f.scalar));
-        break;
-      case WriterField::Kind::kU64List:
-        for (std::size_t i = 0; i < f.list.size(); ++i) {
-          if (i > 0) out.push_back(',');
-          if (f.list[i] == kStateSentinel) {
-            out.push_back('-');
-          } else {
-            out.append(std::to_string(f.list[i]));
-          }
-        }
-        break;
-      case WriterField::Kind::kU64ListView:
-        for (std::uint64_t i = 0; i < f.view_size; ++i) {
-          const std::uint64_t v = f.view_at(i);
-          if (i > 0) out.push_back(',');
-          if (v == kStateSentinel) {
-            out.push_back('-');
-          } else {
-            out.append(std::to_string(v));
-          }
-        }
-        break;
-      case WriterField::Kind::kDirs:
-        for (std::uint8_t s : f.symbols) out.push_back(s ? 'w' : 'c');
-        break;
-      case WriterField::Kind::kBits:
-        for (std::uint8_t s : f.symbols) out.push_back(s ? '1' : '0');
-        break;
-      case WriterField::Kind::kPairs:
-        for (std::size_t i = 0; i < f.pairs.size(); ++i) {
-          if (i > 0) out.push_back(',');
-          out.append(std::to_string(f.pairs[i].first));
-          out.push_back(':');
-          out.append(std::to_string(f.pairs[i].second));
-        }
-        break;
-    }
-    out.push_back('\n');
-  }
-  text_ = std::move(out);
-  return text_;
-}
-
 // ---- reader: construction ----
-
-std::optional<StateReader> StateReader::parse(std::string_view body) {
-  StateReader reader;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    std::size_t eol = body.find('\n', pos);
-    if (eol == std::string_view::npos) eol = body.size();
-    const std::string_view line = body.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos || eq == 0) return std::nullopt;
-    const std::string_view key = line.substr(0, eq);
-    for (const auto& [k, v] : reader.fields_) {
-      if (k == key) return std::nullopt;  // duplicate key
-    }
-    ReaderValue value;
-    value.kind = ReaderValue::Kind::kText;
-    value.text = std::string(line.substr(eq + 1));
-    reader.fields_.emplace_back(std::string(key), std::move(value));
-  }
-  return reader;
-}
 
 std::optional<StateReader> StateReader::from_fields(
     std::vector<std::pair<std::string, ReaderValue>> fields) {
@@ -121,103 +38,32 @@ bool decode_packed_symbols(const PackedSegment& seg,
 
 // ---- reader: accessors ----
 
-std::optional<std::uint64_t> StateReader::u64(std::string_view key) const {
-  const ReaderValue* v = find(key);
-  if (!v) return std::nullopt;
-  if (v->kind == ReaderValue::Kind::kU64) return v->scalar;
-  if (v->kind == ReaderValue::Kind::kText) return parse_u64(v->text);
-  return std::nullopt;
-}
-
 std::optional<std::vector<std::uint64_t>> StateReader::u64_list(
     std::string_view key, std::size_t expected) const {
-  const ReaderValue* v = find(key);
-  if (!v) return std::nullopt;
   std::vector<std::uint64_t> out;
+  out.reserve(expected);
   const auto collect = [&out](std::uint64_t, std::uint64_t value) {
     out.push_back(value);
     return true;
   };
-  if (v->kind == ReaderValue::Kind::kPackedList) {
-    const auto total = detail::packed_count(v->segs);
-    if (!total) return std::nullopt;
-    if (expected > 0 ? *total != expected : *total > kMaxLooseListElements) {
-      return std::nullopt;
-    }
-    out.reserve(*total);
-    std::uint64_t index = 0;
-    for (const PackedSegment& seg : v->segs) {
-      if (!detail::decode_packed_list(seg, &index, collect)) {
-        return std::nullopt;
-      }
-    }
-    return out;
-  }
-  if (v->kind != ReaderValue::Kind::kText) return std::nullopt;
-  std::uint64_t index = 0;
-  if (!detail::visit_text_list(std::string_view(v->text), &index, collect)) {
-    return std::nullopt;
-  }
-  if (expected > 0 && out.size() != expected) return std::nullopt;
+  if (!u64_list_each(key, expected, collect)) return std::nullopt;
   return out;
 }
 
 std::optional<std::vector<std::uint8_t>> StateReader::symbols(
-    std::string_view key, std::size_t expected, std::uint8_t enc, char zero,
-    char one) const {
+    std::string_view key, std::size_t expected, std::uint8_t enc) const {
   const ReaderValue* v = find(key);
-  if (!v) return std::nullopt;
-  if (v->kind == ReaderValue::Kind::kPackedSymbols) {
-    // Dirs and bits use distinct wire tags; asking for the wrong one is
-    // a type confusion and rejects.
-    const auto total = detail::packed_count(v->segs);
-    if (!total || *total != expected) return std::nullopt;
-    std::vector<std::uint8_t> out;
-    out.reserve(*total);
-    for (const PackedSegment& seg : v->segs) {
-      if (seg.enc != enc || !decode_packed_symbols(seg, out)) {
-        return std::nullopt;
-      }
-    }
-    return out;
-  }
-  if (v->kind != ReaderValue::Kind::kText || v->text.size() != expected) {
-    return std::nullopt;
-  }
-  std::vector<std::uint8_t> out(v->text.size());
-  for (std::size_t i = 0; i < v->text.size(); ++i) {
-    if (v->text[i] == one) {
-      out[i] = 1;
-    } else if (v->text[i] != zero) {
+  if (!v || v->kind != ReaderValue::Kind::kPackedSymbols) return std::nullopt;
+  // Dirs and bits use distinct wire tags; asking for the wrong one is a
+  // type confusion and rejects.
+  const auto total = detail::packed_count(v->segs);
+  if (!total || *total != expected) return std::nullopt;
+  std::vector<std::uint8_t> out;
+  out.reserve(*total);
+  for (const PackedSegment& seg : v->segs) {
+    if (seg.enc != enc || !decode_packed_symbols(seg, out)) {
       return std::nullopt;
     }
-  }
-  return out;
-}
-
-std::optional<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-StateReader::pairs(std::string_view key) const {
-  const ReaderValue* v = find(key);
-  if (!v) return std::nullopt;
-  if (v->kind == ReaderValue::Kind::kPairs) return v->pair_list;
-  if (v->kind != ReaderValue::Kind::kText) return std::nullopt;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  const std::string_view text = v->text;
-  if (text.empty()) return out;
-  std::size_t pos = 0;
-  while (true) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string_view::npos) comma = text.size();
-    const std::string_view item = text.substr(pos, comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    const auto index = parse_u64(item.substr(0, colon));
-    const auto value = parse_u64(item.substr(colon + 1));
-    if (!index || !value) return std::nullopt;
-    if (!out.empty() && *index <= out.back().first) return std::nullopt;
-    out.emplace_back(*index, *value);
-    if (comma == text.size()) break;
-    pos = comma + 1;
   }
   return out;
 }

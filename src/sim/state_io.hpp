@@ -14,13 +14,14 @@
 // differential harness's save→load→continue lane).
 //
 // The writer records fields *typed* (scalar, u64 list, direction/bit
-// string, sparse pairs) and the two checkpoint codecs render them:
-// rr-ckpt v1 as key=value text lines (text(), byte-identical to the
-// historical format), rr-ckpt v2 as delta/varint binary frames
-// (sim/ckpt_v2.hpp). The reader symmetrically holds either text values
-// (v1 parse) or packed binary values (v2 decode); accessors handle both,
-// and packed lists stay encoded until an accessor names its expected
+// string, sparse pairs) and the rr-ckpt v2 codec (sim/ckpt_v2.hpp)
+// renders them as delta/varint binary frames. The reader holds what the
+// v2 decoder produced: raw strings, scalars, sparse pairs, and *packed*
+// list payloads that stay encoded until an accessor names its expected
 // length, so a crafted element count cannot force a giant allocation.
+// Code that needs a reader for state it built in memory (cycle-jump's
+// leap, hostile-state tests) goes through the same codec
+// (sim::round_trip_v2), so there is one serialized form of engine state.
 //
 // Framing (header with engine name and graph descriptor, versioning,
 // file I/O, the engine factory) lives in sim/checkpoint.{hpp,cpp}.
@@ -35,14 +36,13 @@
 #include <utility>
 #include <vector>
 
-#include "common/parse.hpp"
 #include "sim/wire.hpp"
 
 namespace rr::sim {
 
-/// Sentinel encoded as '-' in v1 u64 lists (kNotCovered entries of
-/// first_visit vectors and friends). v2 needs no special case: deltas
-/// are mod 2^64, so the sentinel is just a wrapping step.
+/// Sentinel value of u64 list entries (kNotCovered entries of
+/// first_visit vectors and friends). The codec needs no special case:
+/// deltas are mod 2^64, so the sentinel is just a wrapping step.
 inline constexpr std::uint64_t kStateSentinel = ~std::uint64_t{0};
 
 /// Upper bound on the length of a packed v2 list decoded through an
@@ -96,8 +96,7 @@ struct WriterField {
   }
 };
 
-/// Accumulates typed fields. Keys must be unique per state block; raw
-/// values must not contain newlines (the codecs below never produce any).
+/// Accumulates typed fields. Keys must be unique per state block.
 class StateWriter {
  public:
   void field(std::string_view key, std::string_view value) {
@@ -116,7 +115,7 @@ class StateWriter {
     push(std::move(f));
   }
 
-  /// u64 list; kStateSentinel entries render as '-' in v1 text.
+  /// u64 list.
   template <typename Int>
   void field_list(std::string_view key, const std::vector<Int>& values) {
     WriterField f;
@@ -161,13 +160,13 @@ class StateWriter {
     push(std::move(f));
   }
 
-  /// Direction field for ring pointer state: 0 = clockwise ('c' in v1),
-  /// 1 = anticlockwise ('w'); matches core/snapshot's encoding.
+  /// Direction field for ring pointer state: 0 = clockwise,
+  /// 1 = anticlockwise; matches core/snapshot's encoding.
   void field_dirs(std::string_view key, const std::vector<std::uint8_t>& dirs) {
     push_symbols(WriterField::Kind::kDirs, key, dirs);
   }
 
-  /// Per-node boolean field ('0'/'1' in v1 text).
+  /// Per-node boolean field.
   void field_bits(std::string_view key, const std::vector<std::uint8_t>& bits) {
     push_symbols(WriterField::Kind::kBits, key, bits);
   }
@@ -184,19 +183,16 @@ class StateWriter {
     push(std::move(f));
   }
 
+  /// Appends a field built by hand: cycle-jump's advanced copy of a
+  /// serialized state, and tests that patch one into a hostile state.
+  void add(WriterField f) { fields_.push_back(std::move(f)); }
+
   /// The recorded field sequence, in append order (consumed by the v2
   /// frame encoder).
   const std::vector<WriterField>& fields() const { return fields_; }
 
-  /// v1 text rendering (key=value lines, one per field, append order).
-  /// Rendered on demand and cached — the v2 path never materializes it.
-  const std::string& text() const;
-
  private:
-  void push(WriterField f) {
-    fields_.push_back(std::move(f));
-    text_.clear();
-  }
+  void push(WriterField f) { fields_.push_back(std::move(f)); }
 
   void push_symbols(WriterField::Kind kind, std::string_view key,
                     const std::vector<std::uint8_t>& symbols) {
@@ -209,7 +205,6 @@ class StateWriter {
   }
 
   std::vector<WriterField> fields_;
-  mutable std::string text_;  ///< lazily rendered v1 cache
 };
 
 // ---- reader ----
@@ -224,20 +219,19 @@ struct PackedSegment {
   std::string bytes;        ///< encoded payload
 };
 
-/// One decoded field value. v1 parsing stores the raw text value
-/// (kText); the v2 decoder stores scalars, sparse pairs, and *packed*
-/// list payloads that the accessors decode lazily.
+/// One decoded field value: raw strings, scalars, sparse pairs, and
+/// *packed* list payloads that the accessors decode lazily.
 struct ReaderValue {
   enum class Kind : std::uint8_t {
-    kText,           ///< v1 text value, or a v2 raw field
+    kRaw,            ///< raw string field
     kU64,            ///< decoded scalar
     kPackedList,     ///< u64 list: varint segments (see PackedSegment)
     kPackedSymbols,  ///< LSB-first bit-packed segments
     kPairs,          ///< decoded sparse pairs, indices strictly increasing
   };
 
-  Kind kind = Kind::kText;
-  std::string text;                   ///< kText value
+  Kind kind = Kind::kRaw;
+  std::string raw;                    ///< kRaw value
   std::uint64_t scalar = 0;           ///< kU64
   std::vector<PackedSegment> segs;    ///< packed forms, in node order
   std::vector<std::pair<std::uint64_t, std::uint64_t>> pair_list;  ///< kPairs
@@ -298,33 +292,6 @@ bool decode_packed_list(const PackedSegment& seg, std::uint64_t* index,
   return pos == size;  // trailing payload bytes -> malformed
 }
 
-/// Streams a text (v1) list value: comma-separated u64s, '-' for the
-/// sentinel. Visits each element in order; false on malformed numbers
-/// or a rejecting visitor. Leaves the element count in *index.
-template <typename Visit>
-bool visit_text_list(std::string_view text, std::uint64_t* index,
-                     Visit&& visit) {
-  if (text.empty()) return true;
-  std::size_t pos = 0;
-  while (true) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string_view::npos) comma = text.size();
-    const std::string_view item = text.substr(pos, comma - pos);
-    std::uint64_t value = 0;
-    if (item == "-") {
-      value = kStateSentinel;
-    } else {
-      const auto parsed = parse_u64(item);
-      if (!parsed) return false;
-      value = *parsed;
-    }
-    if (!visit((*index)++, value)) return false;
-    if (comma == text.size()) break;
-    pos = comma + 1;
-  }
-  return true;
-}
-
 }  // namespace detail
 
 /// Forward cursor over one u64 list field, for restores that pull
@@ -335,11 +302,11 @@ bool visit_text_list(std::string_view text, std::uint64_t* index,
 /// upfront. The unit of progress is a *run*: element j of a run holds
 /// value + j*delta (mod 2^64), matching the v2 delta-RLE wire form, so
 /// a caller can recognize a constant span (delta == 0) and handle it in
-/// O(1) instead of per element. Plain-delta segments and v1 text yield
-/// length-1 runs. nullopt on any malformed payload; a run never crosses
-/// a segment boundary. After exactly `expected` elements the caller
-/// must check finished(), which rejects trailing payload bytes or
-/// surplus text elements (the same canonical-form rules as u64_list).
+/// O(1) instead of per element. Plain-delta segments yield length-1
+/// runs. nullopt on any malformed payload; a run never crosses a
+/// segment boundary. After exactly `expected` elements the caller must
+/// check finished(), which rejects trailing payload bytes (the same
+/// canonical-form rule as u64_list).
 class U64ListCursor {
  public:
   struct Run {
@@ -349,7 +316,6 @@ class U64ListCursor {
   };
 
   std::optional<Run> next_run() {
-    if (segs_ == nullptr) return next_text();
     while (seg_i_ < seg_end_) {
       const PackedSegment& s = (*segs_)[seg_i_];
       if (seg_produced_ == s.count) {
@@ -385,10 +351,9 @@ class U64ListCursor {
     return std::nullopt;  // pulled past the validated total
   }
 
-  /// True once the field is consumed exactly: every packed segment's
-  /// payload fully read, or the text value has no surplus elements.
+  /// True once the field is consumed exactly: every segment's payload
+  /// fully read.
   bool finished() {
-    if (segs_ == nullptr) return tpos_ == text_.size() + 1 || text_.empty();
     while (seg_i_ < seg_end_) {
       const PackedSegment& s = (*segs_)[seg_i_];
       if (seg_produced_ != s.count || pos_ != s.bytes.size()) return false;
@@ -401,70 +366,51 @@ class U64ListCursor {
 
  private:
   friend class StateReader;
-  explicit U64ListCursor(const std::vector<PackedSegment>* segs)
-      : U64ListCursor(segs, 0, segs->size()) {}
-  /// Window form: iterates segments [seg_begin, seg_end) only. Each
-  /// segment's delta stream restarts from the 0 baseline, so a window is
-  /// decodable with no knowledge of the segments before it — this is
-  /// what lets the restore path hand disjoint windows to pool threads.
+  /// Iterates segments [seg_begin, seg_end) only. Each segment's delta
+  /// stream restarts from the 0 baseline, so a window is decodable with
+  /// no knowledge of the segments before it — this is what lets the
+  /// restore path hand disjoint windows to pool threads. The whole-field
+  /// cursor is the window over every segment.
   U64ListCursor(const std::vector<PackedSegment>* segs, std::size_t seg_begin,
                 std::size_t seg_end)
       : segs_(segs), seg_i_(seg_begin), seg_end_(seg_end) {}
-  explicit U64ListCursor(std::string_view text) : text_(text) {}
 
-  std::optional<Run> next_text() {
-    if (tpos_ >= text_.size()) return std::nullopt;
-    std::size_t comma = text_.find(',', tpos_);
-    if (comma == std::string_view::npos) comma = text_.size();
-    const std::string_view item = text_.substr(tpos_, comma - tpos_);
-    tpos_ = comma + 1;  // lands at size()+1 after the final element
-    if (item == "-") return Run{kStateSentinel, 0, 1};
-    const auto v = parse_u64(item);
-    if (!v) return std::nullopt;
-    return Run{*v, 0, 1};
-  }
-
-  // Packed mode (segs_ != nullptr).
   const std::vector<PackedSegment>* segs_ = nullptr;
   std::size_t seg_i_ = 0;
   std::size_t seg_end_ = 0;
   std::size_t pos_ = 0;
   std::uint64_t seg_produced_ = 0;
   std::uint64_t value_ = 0;
-  // Text mode.
-  std::string_view text_;
-  std::size_t tpos_ = 0;
 };
 
-/// Field lookup over either representation. All accessors are total:
-/// missing keys, malformed numbers, out-of-range entries, truncated or
+/// Field lookup over decoded values. All accessors are total: missing
+/// keys, wrong-typed fields, out-of-range entries, truncated or
 /// non-minimal varints return nullopt (never abort — checkpoints are
 /// external input).
 class StateReader {
  public:
-  /// v1 path: parses the `key=value` body of a state block (no header).
-  /// Duplicate keys make the block malformed.
-  static std::optional<StateReader> parse(std::string_view body);
-
-  /// v2 / streaming path: adopts already-decoded values. nullopt on
+  /// Adopts already-decoded values (the v2 decoder's output). nullopt on
   /// duplicate keys.
   static std::optional<StateReader> from_fields(
       std::vector<std::pair<std::string, ReaderValue>> fields);
 
   bool has(std::string_view key) const { return find(key) != nullptr; }
 
-  /// Raw text value; nullopt for keys holding typed v2 values.
+  /// Raw string value; nullopt for keys holding typed values.
   std::optional<std::string_view> raw(std::string_view key) const {
     const ReaderValue* v = find(key);
-    if (!v || v->kind != ReaderValue::Kind::kText) return std::nullopt;
-    return std::string_view(v->text);
+    if (!v || v->kind != ReaderValue::Kind::kRaw) return std::nullopt;
+    return std::string_view(v->raw);
   }
 
-  std::optional<std::uint64_t> u64(std::string_view key) const;
+  std::optional<std::uint64_t> u64(std::string_view key) const {
+    const ReaderValue* v = find(key);
+    if (!v || v->kind != ReaderValue::Kind::kU64) return std::nullopt;
+    return v->scalar;
+  }
 
-  /// u64 list ('-' decodes to kStateSentinel in v1 text). `expected` > 0
-  /// requires that exact length; 0 accepts any length up to
-  /// kMaxLooseListElements.
+  /// u64 list. `expected` > 0 requires that exact length; 0 accepts any
+  /// length up to kMaxLooseListElements.
   std::optional<std::vector<std::uint64_t>> u64_list(std::string_view key,
                                                      std::size_t expected = 0) const;
 
@@ -480,61 +426,40 @@ class StateReader {
   bool u64_list_each(std::string_view key, std::size_t expected,
                      Visit&& visit) const {
     const ReaderValue* v = find(key);
-    if (!v) return false;
-    if (v->kind == ReaderValue::Kind::kPackedList) {
-      const auto total = detail::packed_count(v->segs);
-      if (!total) return false;
-      if (expected > 0 ? *total != expected : *total > kMaxLooseListElements) {
-        return false;
-      }
-      std::uint64_t index = 0;
-      for (const PackedSegment& seg : v->segs) {
-        if (!detail::decode_packed_list(seg, &index, visit)) return false;
-      }
-      return true;
-    }
-    if (v->kind != ReaderValue::Kind::kText) return false;
-    // Text length bounds the element count, so streaming cannot be
-    // forced past the document's own size; the length rule still
-    // applies exactly.
-    std::uint64_t index = 0;
-    const std::uint64_t cap = expected > 0 ? expected : kMaxLooseListElements;
-    const auto bounded = [&](std::uint64_t i, std::uint64_t value) {
-      return i < cap && visit(i, value);
-    };
-    if (!detail::visit_text_list(std::string_view(v->text), &index, bounded)) {
+    if (!v || v->kind != ReaderValue::Kind::kPackedList) return false;
+    const auto total = detail::packed_count(v->segs);
+    if (!total) return false;
+    if (expected > 0 ? *total != expected : *total > kMaxLooseListElements) {
       return false;
     }
-    return expected == 0 || index == expected;
+    std::uint64_t index = 0;
+    for (const PackedSegment& seg : v->segs) {
+      if (!detail::decode_packed_list(seg, &index, visit)) return false;
+    }
+    return true;
   }
 
   /// Cursor form of u64_list_each, for restores that pull several
   /// per-node lists in lockstep (one pass over the engine's state arrays
-  /// instead of one per field). Requires expected > 0; for packed fields
-  /// the total element count is validated here, for v1 text the caller's
-  /// next()/finished() protocol enforces it. nullopt on a missing or
-  /// wrong-typed field or a count mismatch.
+  /// instead of one per field). Requires expected > 0 and validates the
+  /// total element count here. nullopt on a missing or wrong-typed field
+  /// or a count mismatch.
   std::optional<U64ListCursor> u64_list_cursor(std::string_view key,
                                                std::size_t expected) const {
     if (expected == 0) return std::nullopt;
     const ReaderValue* v = find(key);
-    if (!v) return std::nullopt;
-    if (v->kind == ReaderValue::Kind::kPackedList) {
-      const auto total = detail::packed_count(v->segs);
-      if (!total || *total != expected) return std::nullopt;
-      return U64ListCursor(&v->segs);
-    }
-    if (v->kind != ReaderValue::Kind::kText) return std::nullopt;
-    return U64ListCursor(std::string_view(v->text));
+    if (!v || v->kind != ReaderValue::Kind::kPackedList) return std::nullopt;
+    const auto total = detail::packed_count(v->segs);
+    if (!total || *total != expected) return std::nullopt;
+    return U64ListCursor(&v->segs, 0, v->segs.size());
   }
 
   /// Cumulative element counts at the packed-segment boundaries of a u64
   /// list field: [0, c0, c0+c1, ..., expected]. The parallel restore
   /// path compares boundary vectors across its lockstep fields — when
   /// they agree, the node range splits into windows each thread can
-  /// decode independently. nullopt for v1 text fields (no segment
-  /// structure — callers fall back to the sequential walk), missing or
-  /// wrong-typed keys, and count mismatches.
+  /// decode independently. nullopt for missing or wrong-typed keys and
+  /// count mismatches.
   std::optional<std::vector<std::uint64_t>> u64_list_segment_bounds(
       std::string_view key, std::size_t expected) const {
     if (expected == 0) return std::nullopt;
@@ -553,10 +478,10 @@ class StateReader {
     return bounds;
   }
 
-  /// Cursor over segments [seg_begin, seg_end) of a *packed* u64 list
-  /// field. Segments restart their delta baseline, so a window decodes
-  /// with no knowledge of earlier segments; the parallel restore hands
-  /// disjoint windows to pool threads. Validate the segment layout with
+  /// Cursor over segments [seg_begin, seg_end) of a u64 list field.
+  /// Segments restart their delta baseline, so a window decodes with no
+  /// knowledge of earlier segments; the parallel restore hands disjoint
+  /// windows to pool threads. Validate the segment layout with
   /// u64_list_segment_bounds first — this only checks the indices.
   std::optional<U64ListCursor> u64_list_cursor_window(
       std::string_view key, std::size_t seg_begin, std::size_t seg_end) const {
@@ -566,27 +491,31 @@ class StateReader {
     return U64ListCursor(&v->segs, seg_begin, seg_end);
   }
 
-  /// Direction field: v1 'c' -> 0, 'w' -> 1; exact length `expected`.
+  /// Direction field (0 clockwise, 1 anticlockwise); exact length
+  /// `expected`.
   std::optional<std::vector<std::uint8_t>> dirs(std::string_view key,
                                                 std::size_t expected) const {
-    return symbols(key, expected, /*enc=*/0, 'c', 'w');
+    return symbols(key, expected, /*enc=*/0);
   }
 
-  /// Bit field: v1 '0' -> 0, '1' -> 1; exact length `expected`.
+  /// Bit field; exact length `expected`.
   std::optional<std::vector<std::uint8_t>> bits(std::string_view key,
                                                 std::size_t expected) const {
-    return symbols(key, expected, /*enc=*/1, '0', '1');
+    return symbols(key, expected, /*enc=*/1);
   }
 
   /// Sparse "index:value" list, indices strictly increasing.
   std::optional<std::vector<std::pair<std::uint64_t, std::uint64_t>>> pairs(
-      std::string_view key) const;
+      std::string_view key) const {
+    const ReaderValue* v = find(key);
+    if (!v || v->kind != ReaderValue::Kind::kPairs) return std::nullopt;
+    return v->pair_list;
+  }
 
  private:
   std::optional<std::vector<std::uint8_t>> symbols(std::string_view key,
                                                    std::size_t expected,
-                                                   std::uint8_t enc, char zero,
-                                                   char one) const;
+                                                   std::uint8_t enc) const;
 
   const ReaderValue* find(std::string_view key) const {
     for (const auto& [k, v] : fields_) {

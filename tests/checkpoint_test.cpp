@@ -20,6 +20,7 @@
 #include "core/snapshot.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
+#include "sim/ckpt_v2.hpp"
 #include "sim/runner.hpp"
 #include "temp_path.hpp"
 #include "walk/random_walk.hpp"
@@ -214,40 +215,70 @@ TEST(Checkpoint, RejectsMalformedFraming) {
   rr.run(10);
   const std::string good = write_checkpoint(rr, "ring 16");
   ASSERT_TRUE(restore_checkpoint(good) != nullptr);
+  // The frames and footer after the header line, '\n' included.
+  const std::string body = good.substr(good.find('\n'));
+  ASSERT_TRUE(
+      parse_checkpoint("rr-ckpt v2 engine=x graph=ring 16" + body).has_value());
 
+  // Header grammar: "rr-ckpt v2 engine=<name> graph=<descriptor>".
   EXPECT_FALSE(parse_checkpoint("").has_value());
   EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 engine=x graph=ring 16\nend\n")
-                   .has_value());
-  EXPECT_FALSE(parse_checkpoint("rr-ckpt v1 engine= graph=ring 16\nend\n")
-                   .has_value());
-  EXPECT_FALSE(parse_checkpoint("rr-ckpt v1 engine=x graph=\nend\n")
-                   .has_value());
+                   .has_value());  // text body
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 engine= graph=ring 16" + body)
+                   .has_value());  // empty engine
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 engine=x graph=" + body)
+                   .has_value());  // empty descriptor
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 engine=x" + body)
+                   .has_value());  // no graph
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 graph=ring 16" + body)
+                   .has_value());  // no engine
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 engine=x graph=ring 16")
+                   .has_value());  // no header newline
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v2 engine=x graph=ring 16\n")
+                   .has_value());  // no body
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v3 engine=x graph=ring 16" + body)
+                   .has_value());  // unknown version
+  StateWriter duplicate;
+  duplicate.field_u64("time", 1);
+  duplicate.field_u64("time", 2);
   EXPECT_FALSE(
-      parse_checkpoint("rr-ckpt v1 engine=x graph=ring 16\n").has_value());
-  EXPECT_FALSE(parse_checkpoint("rr-ckpt v1 engine=x graph=ring 16\ntime=1\n")
-                   .has_value());  // missing end
-  EXPECT_FALSE(parse_checkpoint("rr-ckpt v1 engine=x graph=ring 16\n=v\nend\n")
-                   .has_value());  // empty key
-  EXPECT_FALSE(
-      parse_checkpoint(
-          "rr-ckpt v1 engine=x graph=ring 16\ntime=1\ntime=2\nend\n")
+      parse_checkpoint(encode_checkpoint_v2("x", "ring 16", duplicate, 16))
           .has_value());  // duplicate key
 
+  // rr-ckpt v1 text is not a format: its header is malformed, whatever
+  // body follows.
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v1 engine=ring-rotor-router "
+                                "graph=ring 16\ntime=10\nend\n")
+                   .has_value());
+  EXPECT_FALSE(parse_checkpoint("rr-ckpt v1 engine=ring-rotor-router "
+                                "graph=ring 16" + body)
+                   .has_value());
+
   // Valid framing, bogus content: parse succeeds, restore must not.
-  EXPECT_TRUE(restore_checkpoint(
-                  "rr-ckpt v1 engine=rotor-router graph=ring 16\nend\n") ==
+  StateWriter state;
+  rr.serialize_state(state);
+  const auto framed = [&](const char* engine, const char* graph,
+                          const StateWriter& w) {
+    const std::string doc = encode_checkpoint_v2(engine, graph, w, 16);
+    EXPECT_TRUE(parse_checkpoint(doc).has_value()) << engine;
+    return doc;
+  };
+  EXPECT_TRUE(restore_checkpoint(framed("rotor-router", "ring 16",
+                                        StateWriter{})) ==
               nullptr);  // missing fields
-  EXPECT_TRUE(restore_checkpoint("rr-ckpt v1 engine=warp-drive graph=ring "
-                                 "16\nend\n") == nullptr);  // unknown engine
-  EXPECT_TRUE(restore_checkpoint("rr-ckpt v1 engine=ring-rotor-router "
-                                 "graph=torus 4 4\nend\n") ==
+  EXPECT_TRUE(restore_checkpoint(framed("warp-drive", "ring 16", state)) ==
+              nullptr);  // unknown engine
+  EXPECT_TRUE(restore_checkpoint(framed("ring-rotor-router", "torus 4 4",
+                                        state)) ==
               nullptr);  // ring engine on a non-ring substrate
 }
 
 TEST(Checkpoint, FuzzedDocumentsNeverAbort) {
-  // Truncations, point mutations, and line drops over real checkpoints of
-  // every backend: every variant must come back nullopt/nullptr (or a
-  // well-formed engine for benign mutations) without aborting.
+  // Truncations, point mutations, span drops and duplications over real
+  // v2 checkpoints of every backend (dist writes the rotor-router
+  // document, byte for byte): every variant must come back
+  // nullopt/nullptr (or a well-formed engine for benign mutations)
+  // without aborting.
   graph::Graph torus = graph::torus(6, 6);
   std::vector<std::string> seeds;
   {
@@ -278,7 +309,7 @@ TEST(Checkpoint, FuzzedDocumentsNeverAbort) {
   }
   Rng rng(0xF022);
   for (const std::string& seed : seeds) {
-    // Every prefix at line granularity plus sampled byte truncations.
+    // Sampled byte truncations.
     for (std::size_t cut = 0; cut < seed.size();
          cut += 1 + rng.bounded(23)) {
       (void)restore_checkpoint(seed.substr(0, cut));

@@ -399,7 +399,7 @@ TEST(CkptV2, SegmentsAndPoolChoicesEncodeIdentically) {
 // holds construction defaults. Restores into a pristine target, an
 // evolved target (which must be fully overwritten), and a
 // pointer-overridden target (constructed non-pristine) must all
-// reproduce the source state exactly, in both formats.
+// reproduce the source state exactly, from one segment or several.
 TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
   const std::string path =
       rr::testing::test_temp_path("ckpt_v2_pristine.rrg");
@@ -418,9 +418,10 @@ TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
 
   core::RotorRouter source(substrate, {0, 1000, 1000, 3000});
   source.run(257);  // touches a small region; most spans stay default
-  for (const CkptFormat format : {CkptFormat::kV1, CkptFormat::kV2}) {
-    SCOPED_TRACE(static_cast<int>(format));
-    const std::string text = write_checkpoint(source, "ring 4096", format);
+  for (const std::uint32_t segments : {1u, kV2DefaultSegments}) {
+    SCOPED_TRACE(segments);
+    const std::string text =
+        write_checkpoint(source, "ring 4096", CkptFormat::kV2, segments);
 
     core::RotorRouter mapped_fresh(reopen(), {5});
     core::RotorRouter ram_fresh(ring, {5});
@@ -461,28 +462,6 @@ TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
   std::remove(path.c_str());
 }
 
-// ---- transcoding: v1 -> v2 -> v1 is the identity ----
-
-TEST(CkptV2, ConvertRoundTripIsIdentityForEveryBackend) {
-  for (auto& c : all_backends_mid_run(83)) {
-    SCOPED_TRACE(c.engine->engine_name());
-    const std::string v1 = write_checkpoint(*c.engine, c.descriptor,
-                                            CkptFormat::kV1);
-    // v1 -> engine -> v2.
-    auto from_v1 = restore_checkpoint(v1);
-    ASSERT_TRUE(from_v1 != nullptr);
-    const std::string v2 =
-        write_checkpoint(*from_v1, c.descriptor, CkptFormat::kV2);
-    // v2 -> engine -> v1 must reproduce the original document exactly:
-    // the codec preserves every field bit, and v1 rendering is canonical.
-    auto from_v2 = restore_checkpoint(v2);
-    ASSERT_TRUE(from_v2 != nullptr);
-    EXPECT_EQ(write_checkpoint(*from_v2, c.descriptor, CkptFormat::kV1), v1);
-    // And a second v2 rendering is byte-stable too.
-    EXPECT_EQ(write_checkpoint(*from_v2, c.descriptor, CkptFormat::kV2), v2);
-  }
-}
-
 // ---- adversarial documents ----
 
 std::string v2_seed_document() {
@@ -518,7 +497,7 @@ TEST(CkptV2, EveryPostHeaderByteFlipIsRejected) {
 TEST(CkptV2, FuzzedDocumentsNeverAbort) {
   // Random mutations (flips, deletions, duplications) over real v2
   // documents of several backends: reject or restore-and-step, never
-  // abort. Mirrors the v1 fuzz lane in checkpoint_test.cpp.
+  // abort. Mirrors the fuzz lane in checkpoint_test.cpp.
   std::vector<std::string> seeds;
   for (auto& c : all_backends_mid_run(41)) {
     seeds.push_back(write_checkpoint(*c.engine, c.descriptor,
@@ -636,12 +615,13 @@ TEST(CkptV2, CraftedListCountCannotForceAllocation) {
 // ---- streaming file parse matches in-memory parse ----
 
 TEST(CkptV2, StreamingFileParseMatchesInMemory) {
-  for (const CkptFormat format : {CkptFormat::kV1, CkptFormat::kV2}) {
-    SCOPED_TRACE(format == CkptFormat::kV1 ? "v1" : "v2");
+  for (const std::uint32_t segments : {1u, kV2DefaultSegments}) {
+    SCOPED_TRACE(segments);
     graph::Graph torus = graph::torus(8, 8);
     core::RotorRouter engine(torus, {0, 17, 40});
     engine.run(123);
-    const std::string text = write_checkpoint(engine, "torus 8 8", format);
+    const std::string text =
+        write_checkpoint(engine, "torus 8 8", CkptFormat::kV2, segments);
     const std::string path =
         rr::testing::test_temp_path("rr_ckpt_v2_stream.ckpt");
     ASSERT_TRUE(save_checkpoint_file(path, text));
@@ -708,24 +688,6 @@ TEST(CkptV2, PooledFileRestoreMatchesSequential) {
   EXPECT_EQ(par->config_hash(), engine.config_hash());
   expect_lockstep(*seq, *par, 50);
   std::remove(path.c_str());
-}
-
-TEST(CkptV2, PooledLoadOfV1DocumentsFallsBackToSequential) {
-  // v1 text bodies have no independently decodable segments: the pool
-  // overloads must quietly take the sequential path and still restore
-  // exactly.
-  graph::Graph torus = graph::torus(8, 8);
-  core::RotorRouter engine(torus, {0, 17});
-  engine.run(99);
-  const std::string text = write_checkpoint(engine, "torus 8 8",
-                                            CkptFormat::kV1);
-  ThreadPool pool(3);
-  const auto parsed = parse_checkpoint(text, &pool);
-  ASSERT_TRUE(parsed.has_value());
-  core::RotorRouter sink(torus, {0});
-  ASSERT_TRUE(sink.deserialize_state(parsed->state, &pool));
-  EXPECT_EQ(sink.config_hash(), engine.config_hash());
-  expect_lockstep(engine, sink, 50);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/initializers.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/ckpt_v2.hpp"
 #include "sim/engine.hpp"
 
 namespace rr::testing {
@@ -137,14 +138,13 @@ inline Mismatch run_lockstep_with_restart(
   }
   for (std::uint64_t t = 0; t < rounds; ++t) {
     if (t == restart_round) {
-      // Alternate the wire format with the restart round so every
-      // scenario sweep gates both v1 text and v2 binary resume paths
-      // without any caller changes.
-      const sim::CkptFormat format = restart_round % 2 == 1
-                                         ? sim::CkptFormat::kV2
-                                         : sim::CkptFormat::kV1;
-      const std::string text =
-          sim::write_checkpoint(*candidate, graph_descriptor, format);
+      // Alternate the segment layout with the restart round so every
+      // scenario sweep gates both decoder shapes (one per-node segment,
+      // and the default split) without any caller changes.
+      const std::uint32_t segments =
+          restart_round % 2 == 1 ? 1 : sim::kV2DefaultSegments;
+      const std::string text = sim::write_checkpoint(
+          *candidate, graph_descriptor, sim::CkptFormat::kV2, segments);
       candidate = sim::restore_checkpoint(text);
       if (!candidate) {
         return {false, reference.time(),

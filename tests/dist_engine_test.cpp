@@ -144,8 +144,8 @@ TEST(DistEngine, CreateRejectsDescriptorsTheCsrBuilderRejects) {
 
 TEST(DistEngine, CheckpointsAreByteIdenticalToSequential) {
   // The coordinator gathers into the exact serialize_rotor_state field
-  // set, so its rr-ckpt documents — v1 text and v2 binary — are the
-  // sequential engine's, byte for byte.
+  // set, so its rr-ckpt documents are the sequential engine's, byte for
+  // byte.
   const auto d = graph::GraphDescriptor::parse("torus 6 8");
   ASSERT_TRUE(d.has_value());
   const graph::Graph g = *d->build();
@@ -156,10 +156,8 @@ TEST(DistEngine, CheckpointsAreByteIdenticalToSequential) {
   ASSERT_NE(dist, nullptr);
   sequential.run(157);
   dist->run(157);
-  for (const auto format : {sim::CkptFormat::kV1, sim::CkptFormat::kV2}) {
-    EXPECT_EQ(sim::write_checkpoint(sequential, d->text(), format),
-              sim::write_checkpoint(*dist, d->text(), format));
-  }
+  EXPECT_EQ(sim::write_checkpoint(sequential, d->text()),
+            sim::write_checkpoint(*dist, d->text()));
 }
 
 TEST(DistEngine, RestartMayChangeTheWorkerCountOrTheBackend) {

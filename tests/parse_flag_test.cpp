@@ -64,5 +64,28 @@ TEST(ParseFlagU32, RejectsValuesBeyond32Bits) {
   EXPECT_EQ(out, std::numeric_limits<std::uint32_t>::max());
 }
 
+TEST(ParseFlagEnum, AcceptsExactlyTheListedNames) {
+  EXPECT_TRUE(parse_flag_enum("prog", "--policy", "fifo", {"fifo", "qos"}));
+  EXPECT_TRUE(parse_flag_enum("prog", "--policy", "qos", {"fifo", "qos"}));
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_flag_enum("prog", "--policy", "FIFO", {"fifo", "qos"}));
+  EXPECT_FALSE(parse_flag_enum("prog", "--policy", "", {"fifo", "qos"}));
+  EXPECT_FALSE(parse_flag_enum("prog", "--policy", "qos ", {"fifo", "qos"}));
+  EXPECT_FALSE(parse_flag_enum("prog", "--policy", "fi", {"fifo", "qos"}));
+  (void)::testing::internal::GetCapturedStderr();
+}
+
+TEST(ParseFlagEnum, ErrorNamesTheFlagItsValuesAndTheInput) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_flag_enum("rr_cli", "--topo", "bogus",
+                               {"ring", "grid", "torus"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "rr_cli: --topo must be one of ring, grid, torus (got bogus)\n");
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_flag_enum("p", "--x", "b", {"a"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "p: --x must be one of a (got b)\n");
+}
+
 }  // namespace
 }  // namespace rr

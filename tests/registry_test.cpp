@@ -12,6 +12,7 @@
 
 #include "core/rotor_router.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/ckpt_v2.hpp"
 
 namespace rr::sim {
 namespace {
@@ -120,9 +121,21 @@ TEST(EngineRegistry, SubstrateMismatchFailsCleanly) {
     EXPECT_NE(error.find("needs"), std::string::npos) << error;
   }
   // Restore checks the same requirement (a crafted checkpoint header must
-  // not push a ring engine onto a torus).
-  EXPECT_EQ(restore_checkpoint(
-                "rr-ckpt v1 engine=continuous-domain graph=torus 4 4\nend\n"),
+  // not push a ring engine onto a torus), before the state is looked at.
+  auto ode = r.create("ode", "ring 16", config);
+  ASSERT_NE(ode, nullptr);
+  StateWriter state;
+  dynamic_cast<const StateIO&>(*ode).serialize_state(state);
+  const auto reader = round_trip_v2(state, ode->num_nodes());
+  ASSERT_TRUE(reader.has_value());
+  std::string error;
+  EXPECT_EQ(r.restore("continuous-domain", *graph::GraphDescriptor::parse(
+                                               "torus 4 4"),
+                      *reader, {}, &error),
+            nullptr);
+  EXPECT_NE(error.find("needs"), std::string::npos) << error;
+  EXPECT_NE(r.restore("continuous-domain",
+                      *graph::GraphDescriptor::parse("ring 16"), *reader),
             nullptr);
 }
 

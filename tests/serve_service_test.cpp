@@ -283,6 +283,68 @@ TEST(ServeService, ResumeRoundTripsASnapshot) {
   EXPECT_EQ(drv.call(bad).status, Status::kError);
 }
 
+TEST(ServeService, ResumeRejectsAV1TextCheckpoint) {
+  // rr-ckpt v1 text is not a checkpoint format. The committed document
+  // (written by rr_cli run --ckpt-format v1 before v1 was removed) gets
+  // an error reply, and no session is created.
+  const auto v1 =
+      sim::read_text_file(RR_TEST_DATA_DIR "/ring16_k2_t10.v1.ckpt");
+  ASSERT_TRUE(v1.has_value());
+  ASSERT_EQ(v1->rfind("rr-ckpt v1 ", 0), 0u);
+  ServiceOptions opt;
+  opt.ckpt_dir = test_dir();
+  Driver drv(opt);
+  Request resume;
+  resume.op = Op::kResume;
+  resume.blob = *v1;
+  const Reply& rep = drv.call(resume);
+  EXPECT_EQ(rep.status, Status::kError);
+  EXPECT_NE(rep.message.find("malformed checkpoint"), std::string::npos)
+      << rep.message;
+  EXPECT_EQ(drv.service.total_sessions(), 0u);
+  EXPECT_EQ(drv.service.live_sessions(), 0u);
+}
+
+TEST(ServeService, EvictionWriteFailuresAreCountedOncePerIdlePeriod) {
+  // The eviction directory does not exist, so every eviction write
+  // fails. Each failure is counted, warned about once, and restarts the
+  // idle count: one attempt per evict_after pumps, and the session stays
+  // resident and keeps serving.
+  ServiceOptions opt;
+  opt.ckpt_dir = test_dir() + "/no-such-dir";
+  opt.evict_after = 2;
+  Driver drv(opt);
+  const Reply& created = drv.call(create_req("rotor", "ring 96", 4));
+  ASSERT_EQ(created.status, Status::kOk);
+  const std::uint64_t session = created.session;
+
+  constexpr std::uint64_t kPumps = 9;
+  ::testing::internal::CaptureStderr();
+  for (std::uint64_t i = 0; i < kPumps; ++i) {
+    drv.service.pump(drv.out);
+    drv.drain();
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(drv.service.stats().evict_failures, kPumps / 2);
+  EXPECT_EQ(drv.service.stats().evictions, 0u);
+  EXPECT_EQ(drv.service.live_sessions(), 1u);
+  const std::size_t warned = err.find("eviction write to " + opt.ckpt_dir);
+  EXPECT_NE(warned, std::string::npos) << err;
+  EXPECT_EQ(err.find("eviction write", warned + 1), std::string::npos) << err;
+
+  const Reply& stepped = drv.call(step_req(session, 10));
+  EXPECT_EQ(stepped.status, Status::kOk);
+  EXPECT_EQ(stepped.time, 10u);
+  Request info;
+  info.op = Op::kInfo;
+  const Reply& rep = drv.call(info);
+  EXPECT_NE(rep.message.find(
+                " evict_failures=" +
+                std::to_string(drv.service.stats().evict_failures) + " "),
+            std::string::npos)
+      << rep.message;
+}
+
 TEST(ServeService, AdmissionBusyAndPipelinedStepsCoalesce) {
   ServiceOptions opt;
   opt.ckpt_dir = test_dir();
