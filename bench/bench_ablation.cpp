@@ -20,9 +20,9 @@
 #include "sim/runner.hpp"
 #include "analysis/table.hpp"
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
-#include "core/limit_cycle.hpp"
+#include "core/ring_rotor_router.hpp"
+#include "sim/measure.hpp"
 #include "walk/ring_walk.hpp"
 
 namespace {
@@ -124,12 +124,15 @@ int main() {
              "exact s"});
     for (NodeId n : {60u, 120u, 240u}) {
       const std::uint32_t k = 4;
-      rr::core::RingConfig c{n, rr::core::place_equally_spaced(n, k), {}};
+      const auto agents = rr::core::place_equally_spaced(n, k);
+      const auto ring = rr::graph::GraphDescriptor::ring(n);
       auto t0 = std::chrono::steady_clock::now();
-      const auto win = rr::core::ring_return_time(c);
+      const auto win = rr::sim::windowed_return_time(
+          *rr::sim::create_engine("ring", ring, agents));
       const double win_s = seconds_since(t0);
       t0 = std::chrono::steady_clock::now();
-      const auto exact = rr::core::exact_return_time(c, 1ULL << 26);
+      const auto exact = rr::sim::exact_return_time(
+          *rr::sim::create_engine("ring", ring, agents), 1ULL << 26);
       const double exact_s = seconds_since(t0);
       t.add_row({Table::integer(n), Table::integer(k),
                  Table::integer(win.max_gap),

@@ -23,11 +23,11 @@
 #include "analysis/continuous_engine.hpp"
 #include "analysis/fit.hpp"
 #include "analysis/table.hpp"
-#include "core/cover_time.hpp"
 #include "core/domains.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "graph/descriptor.hpp"
+#include "sim/measure.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 
@@ -145,10 +145,10 @@ int main() {
     Table t({"k", "discrete cover", "ODE cover", "discrete/ODE"});
     for (std::uint32_t kk : {4u, 8u, 16u}) {
       const auto agents = rr::core::place_equally_spaced(n, kk);
-      rr::core::RingConfig c{n, agents,
-                             rr::core::pointers_negative(n, agents)};
-      const double discrete =
-          static_cast<double>(rr::core::ring_cover_time(c));
+      const double discrete = static_cast<double>(
+          rr::sim::cover_time(*rr::sim::create_engine(
+              "ring", rr::graph::GraphDescriptor::ring(n), agents,
+              rr::core::pointers_negative(n, agents))));
       auto model = make_ode(n, agents);
       const double ode_t =
           static_cast<double>(model->run_until_covered(8ULL * n * n));

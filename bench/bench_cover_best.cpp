@@ -13,18 +13,19 @@
 #include "analysis/fit.hpp"
 #include "analysis/table.hpp"
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
+#include "sim/measure.hpp"
 
 namespace {
 
 using rr::analysis::Table;
 using rr::core::NodeId;
-using rr::core::RingConfig;
 
-double cover_spaced(NodeId n, std::uint32_t k, std::vector<std::uint8_t> ptrs) {
-  RingConfig c{n, rr::core::place_equally_spaced(n, k), std::move(ptrs)};
-  return static_cast<double>(rr::core::ring_cover_time(c));
+double cover_spaced(NodeId n, std::uint32_t k,
+                    const std::vector<std::uint8_t>& ptrs) {
+  return static_cast<double>(rr::sim::cover_time(*rr::sim::create_engine(
+      "ring", rr::graph::GraphDescriptor::ring(n),
+      rr::core::place_equally_spaced(n, k), ptrs)));
 }
 
 }  // namespace

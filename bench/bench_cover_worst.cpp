@@ -19,24 +19,24 @@
 #include "analysis/fit.hpp"
 #include "analysis/table.hpp"
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
+#include "sim/measure.hpp"
 #include "sim/runner.hpp"
 
 namespace {
 
 using rr::analysis::Table;
 using rr::core::NodeId;
-using rr::core::RingConfig;
 
 rr::sim::Runner& runner() {
   static rr::sim::Runner r;
   return r;
 }
 
-double cover(NodeId n, std::uint32_t k, std::vector<std::uint8_t> ptrs) {
-  RingConfig c{n, rr::core::place_all_on_one(k, 0), std::move(ptrs)};
-  const auto t = rr::core::ring_cover_time(c);
+double cover(NodeId n, std::uint32_t k, const std::vector<std::uint8_t>& ptrs) {
+  const auto t = rr::sim::cover_time(
+      *rr::sim::create_engine("ring", rr::graph::GraphDescriptor::ring(n),
+                              rr::core::place_all_on_one(k, 0), ptrs));
   return static_cast<double>(t);
 }
 

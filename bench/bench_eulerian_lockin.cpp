@@ -13,11 +13,11 @@
 
 #include "sim/runner.hpp"
 #include "analysis/table.hpp"
-#include "core/cover_time.hpp"
 #include "core/eulerian_rotor_router.hpp"
-#include "core/limit_cycle.hpp"
+#include "core/rotor_router.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
+#include "sim/measure.hpp"
 #include "sim/registry.hpp"
 
 namespace {
@@ -56,7 +56,8 @@ int main() {
   {
     Table t({"topology", "D", "|E|", "lock-in", "2 D |E|", "lock-in/(2D|E|)"});
     for (const auto& topo : topologies) {
-      const auto res = rr::core::single_agent_lock_in(topo.g, 0);
+      rr::core::RotorRouter rotor(topo.g, {0});
+      const auto res = rr::core::single_agent_lock_in(rotor);
       const double bound = 2.0 * topo.g.diameter() * topo.g.num_edges();
       t.add_row({topo.name, Table::integer(topo.g.diameter()),
                  Table::integer(topo.g.num_edges()),
@@ -82,8 +83,9 @@ int main() {
       bool monotone = true;
       double c16 = 0.0;
       for (std::uint32_t k : {1u, 2u, 4u, 8u, 16u}) {
-        std::vector<rr::graph::NodeId> agents(k, 0);
-        const auto c = rr::core::graph_cover_time(topo.g, agents);
+        rr::core::RotorRouter rotor(topo.g,
+                                    std::vector<rr::graph::NodeId>(k, 0));
+        const auto c = rr::sim::cover_time(rotor);
         const double cd = static_cast<double>(c);
         if (k == 1) c1 = cd;
         if (k == 16) c16 = cd;

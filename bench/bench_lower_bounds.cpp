@@ -17,14 +17,19 @@
 #include "sim/runner.hpp"
 #include "analysis/table.hpp"
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
+#include "sim/measure.hpp"
 
 namespace {
 
 using rr::analysis::Table;
 using rr::core::NodeId;
-using rr::core::RingConfig;
+
+double cover(NodeId n, const std::vector<NodeId>& agents,
+             const std::vector<std::uint8_t>& ptrs) {
+  return static_cast<double>(rr::sim::cover_time(*rr::sim::create_engine(
+      "ring", rr::graph::GraphDescriptor::ring(n), agents, ptrs)));
+}
 
 }  // namespace
 
@@ -43,11 +48,9 @@ int main() {
              "adv/(n/k)^2", "slowdown"});
     const double floor = std::pow(static_cast<double>(n) / k, 2.0);
     auto row = [&](const char* name, std::vector<NodeId> agents) {
-      RingConfig benign{n, agents, rr::core::pointers_uniform(n, 0)};
-      const double cb = static_cast<double>(rr::core::ring_cover_time(benign));
+      const double cb = cover(n, agents, rr::core::pointers_uniform(n, 0));
       const auto adv = rr::core::adversarial_remote_init(n, agents);
-      RingConfig hard{n, agents, adv.pointers};
-      const double ca = static_cast<double>(rr::core::ring_cover_time(hard));
+      const double ca = cover(n, agents, adv.pointers);
       t.add_row({name, Table::integer(static_cast<std::uint64_t>(cb)),
                  Table::integer(static_cast<std::uint64_t>(ca)),
                  Table::num(ca / floor, 3), Table::num(ca / cb, 1)});
@@ -86,15 +89,13 @@ int main() {
   {
     Table t({"placement", "cover", "vs all-on-one"});
     const auto worst = rr::core::place_all_on_one(k, 0);
-    RingConfig cw{n, worst, rr::core::pointers_toward(n, 0)};
-    const double c_worst = static_cast<double>(rr::core::ring_cover_time(cw));
+    const double c_worst = cover(n, worst, rr::core::pointers_toward(n, 0));
     t.add_row({"all on one (Thm 1)",
                Table::integer(static_cast<std::uint64_t>(c_worst)), "1.00"});
     for (int trial = 0; trial < 3; ++trial) {
       auto agents = rr::core::place_random(n, k, rng);
       const auto adv = rr::core::adversarial_remote_init(n, agents);
-      RingConfig c{n, agents, adv.pointers};
-      const double cv = static_cast<double>(rr::core::ring_cover_time(c));
+      const double cv = cover(n, agents, adv.pointers);
       t.add_row({"random placement + adversary #" + std::to_string(trial),
                  Table::integer(static_cast<std::uint64_t>(cv)),
                  Table::num(cv / c_worst, 2)});

@@ -17,13 +17,13 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
+#include "sim/measure.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
@@ -105,9 +105,9 @@ void BM_CoverTimeWorstCase(benchmark::State& state) {
   const auto n = static_cast<rr::core::NodeId>(state.range(0));
   const std::uint32_t k = 16;
   for (auto _ : state) {
-    rr::core::RingConfig c{n, rr::core::place_all_on_one(k, 0),
-                           rr::core::pointers_toward(n, 0)};
-    benchmark::DoNotOptimize(rr::core::ring_cover_time(c));
+    benchmark::DoNotOptimize(rr::sim::cover_time(*rr::sim::create_engine(
+        "ring", rr::graph::GraphDescriptor::ring(n),
+        rr::core::place_all_on_one(k, 0), rr::core::pointers_toward(n, 0))));
   }
 }
 BENCHMARK(BM_CoverTimeWorstCase)->Arg(512)->Arg(1024)->Arg(2048)

@@ -12,15 +12,14 @@
 #include "sim/runner.hpp"
 #include "analysis/table.hpp"
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
-#include "core/limit_cycle.hpp"
+#include "sim/measure.hpp"
 
 namespace {
 
 using rr::analysis::Table;
 using rr::core::NodeId;
-using rr::core::RingConfig;
+using rr::graph::GraphDescriptor;
 
 }  // namespace
 
@@ -38,11 +37,11 @@ int main() {
     for (std::uint32_t k : {2u, 4u, 8u, 16u, 32u, 64u}) {
       // Equally spaced (best case) and all-on-one (worst case): Thm 6 says
       // the limit refresh rate is the same.
-      RingConfig spaced{n, rr::core::place_equally_spaced(n, k), {}};
-      const auto rs = rr::core::ring_return_time(spaced);
-      RingConfig one{n, rr::core::place_all_on_one(k, 0),
-                     rr::core::pointers_toward(n, 0)};
-      const auto ro = rr::core::ring_return_time(one);
+      const auto rs = rr::sim::windowed_return_time(*rr::sim::create_engine(
+          "ring", GraphDescriptor::ring(n), rr::core::place_equally_spaced(n, k)));
+      const auto ro = rr::sim::windowed_return_time(*rr::sim::create_engine(
+          "ring", GraphDescriptor::ring(n), rr::core::place_all_on_one(k, 0),
+          rr::core::pointers_toward(n, 0)));
       const double pred = static_cast<double>(n) / k;
       t.add_row({"equally spaced", Table::integer(k), Table::integer(n / k),
                  Table::integer(rs.max_gap), Table::num(rs.mean_gap, 1),
@@ -70,8 +69,10 @@ int main() {
     Table t({"n", "k", "period", "exact max gap", "exact min gap",
              "max/(n/k)"});
     for (std::uint32_t k : {1u, 2u, 3u, 4u, 6u, 8u}) {
-      RingConfig c{ns, rr::core::place_equally_spaced(ns, k), {}};
-      const auto ret = rr::core::exact_return_time(c, 1ULL << 26);
+      const auto ret = rr::sim::exact_return_time(
+          *rr::sim::create_engine("ring", GraphDescriptor::ring(ns),
+                                  rr::core::place_equally_spaced(ns, k)),
+          1ULL << 26);
       if (!ret) {
         std::printf("k=%u: no cycle within cap\n", k);
         continue;

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "analysis/table.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
+#include "sim/measure.hpp"
 #include "sim/runner.hpp"
 #include "walk/ring_walk.hpp"
 
@@ -21,7 +21,6 @@ namespace {
 
 using rr::analysis::Table;
 using rr::core::NodeId;
-using rr::core::RingConfig;
 
 // One pool for every Monte-Carlo estimate in this driver.
 rr::sim::Runner& runner() {
@@ -48,27 +47,34 @@ int main() {
   const auto n = static_cast<NodeId>(rr::sim::scaled_pow2(1024));
   const std::uint64_t trials = rr::sim::scaled(16, 6);
 
+  const auto ring = [n](std::vector<NodeId> agents,
+                        const std::vector<std::uint8_t>& ptrs) {
+    return rr::sim::create_engine("ring", rr::graph::GraphDescriptor::ring(n),
+                                  std::move(agents), ptrs);
+  };
+
   // Single-agent baselines.
-  RingConfig single{n, {0}, rr::core::pointers_toward(n, 0)};
-  const double rr_c1 = static_cast<double>(rr::core::ring_cover_time(single));
+  const auto single_ptrs = rr::core::pointers_toward(n, 0);
+  const double rr_c1 =
+      static_cast<double>(rr::sim::cover_time(*ring({0}, single_ptrs)));
   const double rw_c1 = walk_cover_mean(n, {0}, trials, 11);
-  const auto rr_r1 = rr::core::ring_return_time(single);
+  const auto rr_r1 = rr::sim::windowed_return_time(*ring({0}, single_ptrs));
 
   Table t({"k", "rotor worst (log k?)", "rotor best (k^2?)",
            "walks worst (log k?)", "walks best (k^2/log^2 k?)",
            "rotor return (k?)"});
   for (std::uint32_t k : {2u, 4u, 8u, 16u, 32u, 64u}) {
-    RingConfig worst{n, rr::core::place_all_on_one(k, 0),
-                     rr::core::pointers_toward(n, 0)};
-    const double rrw = static_cast<double>(rr::core::ring_cover_time(worst));
-    RingConfig best{n, rr::core::place_equally_spaced(n, k), {}};
-    best.pointers = rr::core::pointers_negative(n, best.agents);
-    const double rrb = static_cast<double>(rr::core::ring_cover_time(best));
+    const double rrw = static_cast<double>(rr::sim::cover_time(
+        *ring(rr::core::place_all_on_one(k, 0), rr::core::pointers_toward(n, 0))));
+    const auto best = rr::core::place_equally_spaced(n, k);
+    const auto best_ptrs = rr::core::pointers_negative(n, best);
+    const double rrb =
+        static_cast<double>(rr::sim::cover_time(*ring(best, best_ptrs)));
     const double rww =
         walk_cover_mean(n, rr::core::place_all_on_one(k, 0), trials, 200 + k);
     const double rwb = walk_cover_mean(
         n, rr::core::place_equally_spaced(n, k), trials, 300 + k);
-    const auto ret = rr::core::ring_return_time(best);
+    const auto ret = rr::sim::windowed_return_time(*ring(best, best_ptrs));
 
     const double lk = std::log2(static_cast<double>(k));
     auto cell = [](double speedup, double normalizer) {

@@ -9,8 +9,8 @@
 
 #include "sim/runner.hpp"
 #include "analysis/table.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
+#include "sim/measure.hpp"
 #include "walk/ring_walk.hpp"
 
 namespace {
@@ -44,26 +44,26 @@ int main() {
 
   // --- rotor-router, worst placement (Thm 1): all on one node, pointers
   // along the shortest path to the start.
-  rr::core::RingConfig worst;
-  worst.n = n;
-  worst.agents = rr::core::place_all_on_one(k, 0);
-  worst.pointers = rr::core::pointers_toward(n, 0);
-  const double rr_worst = static_cast<double>(rr::core::ring_cover_time(worst));
+  const auto ring = rr::graph::GraphDescriptor::ring(n);
+  const auto worst_agents = rr::core::place_all_on_one(k, 0);
+  const double rr_worst = static_cast<double>(rr::sim::cover_time(
+      *rr::sim::create_engine("ring", ring, worst_agents,
+                              rr::core::pointers_toward(n, 0))));
 
   // --- rotor-router, best placement (Thm 3): equally spaced, adversarial
   // (negative) pointers.
-  rr::core::RingConfig best;
-  best.n = n;
-  best.agents = rr::core::place_equally_spaced(n, k);
-  best.pointers = rr::core::pointers_negative(n, best.agents);
-  const double rr_best = static_cast<double>(rr::core::ring_cover_time(best));
+  const auto best_agents = rr::core::place_equally_spaced(n, k);
+  const auto best_pointers = rr::core::pointers_negative(n, best_agents);
+  const double rr_best = static_cast<double>(rr::sim::cover_time(
+      *rr::sim::create_engine("ring", ring, best_agents, best_pointers)));
 
   // --- rotor-router return time (Thm 6).
-  const auto ret = rr::core::ring_return_time(best);
+  const auto ret = rr::sim::windowed_return_time(
+      *rr::sim::create_engine("ring", ring, best_agents, best_pointers));
 
   // --- k random walks (Table 1 row 2).
-  const double rw_worst = walk_cover_mean(n, worst.agents, trials, 101);
-  const double rw_best = walk_cover_mean(n, best.agents, trials, 202);
+  const double rw_worst = walk_cover_mean(n, worst_agents, trials, 101);
+  const double rw_best = walk_cover_mean(n, best_agents, trials, 202);
   const auto gaps = rr::walk::ring_walk_gap_stats(
       n, k, 303, /*warmup=*/4ULL * n, /*window=*/64ULL * n / k + 1024);
 

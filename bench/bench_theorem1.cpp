@@ -7,7 +7,6 @@
 
 #include "sim/runner.hpp"
 #include "analysis/table.hpp"
-#include "core/cover_time.hpp"
 #include "core/theorem1_deployment.hpp"
 #include "graph/generators.hpp"
 

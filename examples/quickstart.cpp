@@ -9,10 +9,10 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/cover_time.hpp"
 #include "core/domains.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
+#include "sim/measure.hpp"
 #include "sim/runner.hpp"
 #include "walk/ring_walk.hpp"
 
@@ -24,35 +24,34 @@ int main(int argc, char** argv) {
 
   // 1) Worst-case initialization (Thm 1): all agents on node 0, every
   //    pointer aimed back at node 0.
-  rr::core::RingConfig worst;
-  worst.n = n;
-  worst.agents = rr::core::place_all_on_one(k, 0);
-  worst.pointers = rr::core::pointers_toward(n, 0);
-  const std::uint64_t cover_worst = rr::core::ring_cover_time(worst);
+  const auto ring = rr::graph::GraphDescriptor::ring(n);
+  const std::uint64_t cover_worst = rr::sim::cover_time(
+      *rr::sim::create_engine("ring", ring, rr::core::place_all_on_one(k, 0),
+                              rr::core::pointers_toward(n, 0)));
   std::printf("cover time, all-on-one + adversarial pointers: %llu rounds"
               " (paper: Theta(n^2/log k))\n",
               static_cast<unsigned long long>(cover_worst));
 
   // 2) Best-case initialization (Thm 3): equally spaced agents.
-  rr::core::RingConfig best;
-  best.n = n;
-  best.agents = rr::core::place_equally_spaced(n, k);
-  best.pointers = rr::core::pointers_negative(n, best.agents);
-  const std::uint64_t cover_best = rr::core::ring_cover_time(best);
+  const auto agents = rr::core::place_equally_spaced(n, k);
+  const auto pointers = rr::core::pointers_negative(n, agents);
+  const std::uint64_t cover_best = rr::sim::cover_time(
+      *rr::sim::create_engine("ring", ring, agents, pointers));
   std::printf("cover time, equally spaced:                    %llu rounds"
               " (paper: Theta((n/k)^2))\n",
               static_cast<unsigned long long>(cover_best));
 
   // 3) Limit behaviour (Thm 6): after stabilization every node is visited
   //    every Theta(n/k) rounds.
-  const auto ret = rr::core::ring_return_time(best);
+  const auto ret = rr::sim::windowed_return_time(
+      *rr::sim::create_engine("ring", ring, agents, pointers));
   std::printf("return time (max inter-visit gap):             %llu rounds"
               " (paper: Theta(n/k) = ~%u)\n",
               static_cast<unsigned long long>(ret.max_gap), n / k);
 
   // 4) Domains: the visited ring partitions into per-agent domains whose
   //    sizes converge (Lemma 12).
-  rr::core::RingRotorRouter engine = best.make();
+  rr::core::RingRotorRouter engine(n, agents, pointers);
   engine.run_until_covered(8ULL * n * n);
   engine.run(4ULL * n * n / k);
   const auto snapshot = rr::core::compute_domains(engine);
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
   //    runner's thread pool).
   rr::sim::Runner runner;
   const auto walk_stats = runner.stats(10, [&](std::uint64_t trial) {
-    rr::walk::RingRandomWalks walks(n, best.agents, 1000 + trial);
+    rr::walk::RingRandomWalks walks(n, agents, 1000 + trial);
     return static_cast<double>(walks.run_until_covered(~0ULL / 2));
   });
   std::printf("k random walks from the same placement:        %.0f rounds"

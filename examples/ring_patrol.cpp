@@ -13,9 +13,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
-#include "core/limit_cycle.hpp"
+#include "sim/measure.hpp"
 #include "walk/ring_walk.hpp"
 
 int main(int argc, char** argv) {
@@ -26,24 +25,28 @@ int main(int argc, char** argv) {
 
   // Deploy the rotor-router patrol from an arbitrary (bad) initial state:
   // all robots start at the depot, every pointer aimed at the depot.
-  rr::core::RingConfig config{n, rr::core::place_all_on_one(k, 0),
-                              rr::core::pointers_toward(n, 0)};
+  const auto agents = rr::core::place_all_on_one(k, 0);
+  const auto depot_pointers = rr::core::pointers_toward(n, 0);
+  auto patrol = [&] {
+    return rr::sim::create_engine("ring", rr::graph::GraphDescriptor::ring(n),
+                                  agents, depot_pointers);
+  };
 
   // Phase 1: deployment. How long until every sensor has been checked once?
-  const std::uint64_t first_sweep = rr::core::ring_cover_time(config);
+  const std::uint64_t first_sweep = rr::sim::cover_time(*patrol());
   std::printf("first full sweep completed after %llu rounds"
               " (worst-case deployment, Thm 1: Theta(n^2/log k))\n",
               static_cast<unsigned long long>(first_sweep));
 
   // Phase 2: steady state. Exact idleness bound on the limit cycle.
-  const auto exact = rr::core::exact_return_time(config, 1ULL << 34);
+  const auto exact = rr::sim::exact_return_time(*patrol(), 1ULL << 34);
   if (exact) {
     std::printf("steady-state guarantee: every sensor checked at least once"
                 " every %llu rounds (period %llu)\n",
                 static_cast<unsigned long long>(exact->max_gap),
                 static_cast<unsigned long long>(exact->period));
   } else {
-    const auto ret = rr::core::ring_return_time(config);
+    const auto ret = rr::sim::windowed_return_time(*patrol());
     std::printf("steady-state (windowed): max idleness %llu rounds\n",
                 static_cast<unsigned long long>(ret.max_gap));
   }
@@ -51,7 +54,7 @@ int main(int argc, char** argv) {
   // The randomized alternative: same fleet doing independent random walks.
   // Track worst idleness over a long horizon.
   const std::uint64_t horizon = 200ULL * n;
-  rr::walk::RingRandomWalks walks(n, config.agents, 12345);
+  rr::walk::RingRandomWalks walks(n, agents, 12345);
   walks.run(4ULL * n);  // mix first
   std::vector<std::uint64_t> last_seen(n, walks.time());
   std::uint64_t worst_idle = 0;

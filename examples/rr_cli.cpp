@@ -1,28 +1,32 @@
 // rr_cli: command-line driver for one-off rotor-ring experiments.
 //
-//   rr_cli cover   --n 1024 --k 8 --place one|spaced|random --ptr toward|negative|uniform|random [--seed S]
+//   rr_cli cover   --size 1024 --k 8 --place one|spaced|random --ptr toward|negative|uniform|random [--seed S]
 //   rr_cli return  (same flags)                       measure the limit refresh time
-//   rr_cli trace   --n 72 --k 4 --rounds 200 --stride 8 [--domains]   ASCII space-time diagram
+//   rr_cli trace   --size 72 --k 4 --rounds 200 --stride 8 [--domains]   ASCII space-time diagram
 //   rr_cli trace   --topo torus --size 12 --k 4 --rounds 200 --stride 20   2-D space-time blocks
 //   rr_cli run     --topo torus --size 16 --k 8 --rounds 400 --checkpoint state.ckpt
 //   rr_cli run     --resume state.ckpt --rounds 400 [--checkpoint state.ckpt]
 //   rr_cli run     --topo torus --size 256 --k 64 --shards 8 --rounds 4000
 //   rr_cli run     --graph-image big.rrg --k 64 --rounds 1000   out-of-core stepping
-//   rr_cli config  "ring n=12 agents=0,6 pointers=cccccccccccc" [--rounds R]
 //   rr_cli lockin  --topo ring|grid|torus|clique|hypercube|tree --size 64
 //   rr_cli engines                                     list registered backends
 //   rr_cli build-graph --graph "ring 100000000" --out big.rrg   stream an image
 //
+// Every subcommand that steps an engine builds it through
+// sim::EngineRegistry — rr_cli knows no backend by name — on the
+// substrate of --topo/--size (or a raw --graph "torus 16 16" descriptor),
+// with the agents of --k/--place and the rotor field of --ptr. A flag a
+// subcommand does not read, or a --ptr or --domains its
+// substrate or engine cannot take, is an error, never silently ignored.
+//
 // `run` drives any registered engine (--engine NAME; `rr_cli engines` or
-// `--engine help` lists them) on any substrate (--topo/--size sugar or a
-// raw --graph "torus 16 16" descriptor) through the engine-generic
-// checkpoint layer: --checkpoint serializes the full state after the run,
-// --resume restores one and continues bit-exactly. Engines are built
-// exclusively through sim::EngineRegistry — this driver knows no backend
-// by name. --shards N steps shard-capable engines shard-parallel
-// (bit-equal to sequential; also applies when resuming their
-// checkpoints), and --checkpoint-every N rewrites --checkpoint atomically
-// every N rounds while the run is in flight (crash-tolerant sweeps).
+// `--engine help` lists them) through the engine-generic checkpoint
+// layer: --checkpoint serializes the full state after the run, --resume
+// restores one and continues bit-exactly. --shards N steps shard-capable
+// engines shard-parallel (bit-equal to sequential; also applies when
+// resuming their checkpoints), and --checkpoint-every N rewrites
+// --checkpoint atomically every N rounds while the run is in flight
+// (crash-tolerant sweeps).
 // Checkpoints are rr-ckpt v2, the one format (sim/checkpoint.hpp), so
 // there is no format flag; a document with any other header, the retired
 // v1 text format included, is rejected as malformed.
@@ -44,42 +48,40 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/parse.hpp"
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
+#include "core/domains.hpp"
+#include "core/eulerian_rotor_router.hpp"
 #include "core/initializers.hpp"
-#include "core/limit_cycle.hpp"
-#include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/snapshot.hpp"
-#include "core/trace.hpp"
 #include "dist/coordinator.hpp"
 #include "graph/descriptor.hpp"
-#include "graph/generators.hpp"
 #include "graph/mmap_substrate.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
 #include "sim/cycle_jump.hpp"
+#include "sim/measure.hpp"
 #include "sim/registry.hpp"
 #include "sim/trace.hpp"
 
 namespace {
 
 struct Flags {
-  rr::core::NodeId n = 1024;
   std::uint32_t k = 8;
   std::string place = "spaced";
-  std::string ptr = "negative";
+  std::string ptr;  // empty: the subcommand's default (see usage)
   std::uint64_t seed = 1;
   std::uint64_t rounds = 0;
   std::uint64_t stride = 1;
   bool domains = false;
   std::string topo = "ring";
   rr::graph::NodeId size = 64;
-  std::string engine = "rotor";
+  std::string engine;  // empty: the subcommand's default (see usage)
   std::string graph;       // raw descriptor; overrides --topo/--size
   std::string checkpoint;  // write the engine state here after the run
   std::string resume;      // restore the engine state from here first
@@ -102,6 +104,7 @@ struct Flags {
   std::uint64_t spill_batch = 256;
   std::string noded;
   std::string dist_socket;
+  std::set<std::string> given;  // every flag on the command line
 };
 
 // Lists the registered backends straight from the registry, so the help
@@ -128,29 +131,33 @@ std::string engine_names() {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: rr_cli <cover|return|trace|run|config|lockin|engines>"
-               " [flags]\n"
-               "  common flags: --n N --k K --place one|spaced|random"
-               " --ptr toward|negative|uniform|random --seed S\n"
-               "  trace: --rounds R --stride S --domains"
-               " [--topo ... --size N | --graph DESC]\n"
-               "  run: --engine %s --rounds R\n"
-               "       [--topo ... --size N | --graph DESC |"
-               " --graph-image FILE]\n"
-               "       --checkpoint FILE --resume FILE\n"
-               "       --checkpoint-every N --shards N\n"
+               "usage: rr_cli <cover|return|trace|run|lockin|engines|"
+               "build-graph> [flags]\n"
+               "  substrate: --topo ring|grid|torus|clique|hypercube|tree"
+               " --size N (default ring 64) | --graph DESC\n"
+               "  engine: --engine %s --k K --seed S\n"
+               "          --place one|spaced|random (default spaced)\n"
+               "          --ptr toward|negative|uniform|random (toward,"
+               " negative and random need a ring)\n"
+               "          --shards N; --engine dist: --workers N"
+               " --spill-batch N [--noded PATH|threads | --dist-socket PATH]\n"
+               "  cover, return: engine flags (default --engine ring and"
+               " --ptr negative on a ring, else rotor and uniform)\n"
+               "  trace: cover's flags plus --rounds R (default 4n)"
+               " --stride S --domains (ring engine only)\n"
+               "  run: engine flags (default --engine rotor, --ptr uniform)"
+               " --rounds R (default n)\n"
+               "       [--graph-image FILE] --checkpoint FILE --resume FILE\n"
+               "       --checkpoint-every N\n"
                "       --cycle-jump on|off|auto (leap confirmed steady-state"
                " cycles; default auto)\n"
                "       --cycle-hint on|off (persist/adopt confirmed periods"
                " via checkpoint cycle.hint; default off)\n"
-               "       --engine dist: --workers N --spill-batch N"
-               " [--noded PATH|threads | --dist-socket PATH]\n"
-               "  lockin: --topo ring|grid|torus|clique|hypercube|tree"
-               " --size N\n"
+               "  lockin: one agent; substrate flags, --engine (rotor only),"
+               " --place, --ptr (default uniform), --seed\n"
                "  engines: list registered backends with substrate"
                " requirements (also: --engine help)\n"
-               "  build-graph: [--graph DESC | --topo ... --size N]"
-               " --out FILE\n",
+               "  build-graph: substrate flags --out FILE\n",
                engine_names().c_str());
   return 2;
 }
@@ -158,6 +165,7 @@ int usage() {
 bool parse_flags(int argc, char** argv, int start, Flags& f) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
+    f.given.insert(a);
     auto next = [&](const char* what) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "rr_cli: %s needs a value\n", what);
@@ -167,9 +175,6 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
     };
     if (a == "--domains") {
       f.domains = true;
-    } else if (a == "--n") {
-      const char* v = next("--n");
-      if (!v || !rr::parse_flag_u32("rr_cli", "--n", v, f.n)) return false;
     } else if (a == "--k") {
       const char* v = next("--k");
       if (!v || !rr::parse_flag_u32("rr_cli", "--k", v, f.k)) return false;
@@ -296,30 +301,6 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
   return true;
 }
 
-// --place and --ptr were checked against their value lists when parsed.
-rr::core::RingConfig build_config(const Flags& f) {
-  rr::Rng rng(f.seed);
-  rr::core::RingConfig config;
-  config.n = f.n;
-  if (f.place == "one") {
-    config.agents = rr::core::place_all_on_one(f.k, 0);
-  } else if (f.place == "spaced") {
-    config.agents = rr::core::place_equally_spaced(f.n, f.k);
-  } else {
-    config.agents = rr::core::place_random(f.n, f.k, rng);
-  }
-  if (f.ptr == "toward") {
-    config.pointers = rr::core::pointers_toward(f.n, config.agents.front());
-  } else if (f.ptr == "negative") {
-    config.pointers = rr::core::pointers_negative(f.n, config.agents);
-  } else if (f.ptr == "uniform") {
-    config.pointers = rr::core::pointers_uniform(f.n, rr::core::kClockwise);
-  } else {
-    config.pointers = rr::core::pointers_random(f.n, rng);
-  }
-  return config;
-}
-
 // Smallest d with 2^d >= size, clamped so the shift never overflows.
 std::uint32_t hypercube_dim(rr::graph::NodeId size) {
   std::uint32_t d = 1;
@@ -342,15 +323,44 @@ std::string topo_descriptor(const Flags& f) {
   return GraphDescriptor::ring(f.size).text();
 }
 
-// k agents spread evenly over the node-id range.
-std::vector<rr::graph::NodeId> spread_agents(rr::graph::NodeId n,
-                                             std::uint32_t k) {
-  std::vector<rr::graph::NodeId> agents(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    agents[i] = static_cast<rr::graph::NodeId>(
-        static_cast<std::uint64_t>(i) * n / k);
+// Fills config.agents with k agents placed by --place over the node ids
+// ("spaced": agent i on i*n/k; "one": all on node 0; "random": uniform)
+// and config.pointers with --ptr, or `default_ptr` when not given
+// ("uniform" is every port 0, the engine default). toward, negative and
+// random pointers are ring arrangements: false, with a message naming the
+// flag, on any other substrate. Both values were checked when parsed.
+bool fill_agents(const Flags& f, const rr::graph::GraphDescriptor& d,
+                 std::uint32_t k, const std::string& default_ptr,
+                 rr::sim::EngineConfig& config) {
+  const auto n = static_cast<rr::graph::NodeId>(*d.num_nodes());
+  rr::Rng rng(f.seed);
+  if (f.place == "one") {
+    config.agents = rr::core::place_all_on_one(k, 0);
+  } else if (f.place == "random") {
+    config.agents = rr::core::place_random(n, k, rng);
+  } else {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      config.agents.push_back(static_cast<rr::graph::NodeId>(
+          static_cast<std::uint64_t>(i) * n / k));
+    }
   }
-  return agents;
+  const std::string& ptr = f.ptr.empty() ? default_ptr : f.ptr;
+  if (ptr == "uniform") return true;
+  if (d.kind != "ring") {
+    std::fprintf(stderr, "rr_cli: --ptr %s needs a ring substrate (got '%s')\n",
+                 ptr.c_str(), d.text().c_str());
+    return false;
+  }
+  std::vector<std::uint8_t> dirs;
+  if (ptr == "toward") {
+    dirs = rr::core::pointers_toward(n, config.agents.front());
+  } else if (ptr == "negative") {
+    dirs = rr::core::pointers_negative(n, config.agents);
+  } else {
+    dirs = rr::core::pointers_random(n, rng);
+  }
+  config.pointers.assign(dirs.begin(), dirs.end());
+  return true;
 }
 
 // Fills the dist-backend fields of an EngineConfig. For --engine dist
@@ -386,8 +396,12 @@ bool fill_dist_config(const Flags& f, rr::sim::EngineConfig& config) {
   return false;
 }
 
+// The engine of --engine (or `default_engine`) on `descriptor`, with k
+// agents placed by --place and the rotor field of --ptr (or
+// `default_ptr`). nullptr after printing why.
 std::unique_ptr<rr::sim::Engine> build_engine(
-    const Flags& f, const std::string& descriptor,
+    const Flags& f, const std::string& descriptor, std::uint32_t k,
+    const std::string& default_engine, const std::string& default_ptr,
     rr::sim::ThreadPool* pool = nullptr) {
   const auto& registry = rr::sim::EngineRegistry::instance();
   const auto d = rr::graph::GraphDescriptor::parse(descriptor);
@@ -402,7 +416,8 @@ std::unique_ptr<rr::sim::Engine> build_engine(
                  descriptor.c_str());
     return nullptr;
   }
-  const auto* spec = registry.find(f.engine);
+  const std::string& engine = f.engine.empty() ? default_engine : f.engine;
+  const auto* spec = registry.find(engine);
   if (spec && f.shards > 1 && !spec->supports_shards) {
     std::fprintf(stderr,
                  "rr_cli: --shards only applies to shard-capable engines; "
@@ -410,15 +425,26 @@ std::unique_ptr<rr::sim::Engine> build_engine(
                  spec->name.c_str());
   }
   rr::sim::EngineConfig config;
-  config.agents = spread_agents(*n, f.k);
+  if (!fill_agents(f, *d, k, default_ptr, config)) return nullptr;
   config.seed = f.seed;
   config.shards = f.shards;
   config.pool = pool;
   if (!fill_dist_config(f, config)) return nullptr;
   std::string error;
-  auto engine = registry.create(f.engine, *d, config, &error);
-  if (!engine) std::fprintf(stderr, "rr_cli: %s\n", error.c_str());
-  return engine;
+  auto built = registry.create(engine, *d, config, &error);
+  if (!built) std::fprintf(stderr, "rr_cli: %s\n", error.c_str());
+  return built;
+}
+
+// cover, return and trace measure the paper's ring: on a ring they default
+// to the ring engine and negative pointers, elsewhere to the rotor engine
+// with every port 0.
+std::unique_ptr<rr::sim::Engine> build_measured_engine(
+    const Flags& f, const std::string& descriptor) {
+  const auto d = rr::graph::GraphDescriptor::parse(descriptor);
+  const bool ring = d && d->kind == "ring";
+  return build_engine(f, descriptor, f.k, ring ? "ring" : "rotor",
+                      ring ? "negative" : "uniform");
 }
 
 int cmd_engines() {
@@ -426,7 +452,31 @@ int cmd_engines() {
   return 0;
 }
 
+// False, naming the first of `flags` that was given, with `why` it cannot
+// apply.
+bool reject_given(const Flags& f, std::initializer_list<const char*> flags,
+                  const char* why) {
+  for (const char* flag : flags) {
+    if (f.given.count(flag)) {
+      std::fprintf(stderr, "rr_cli: %s does not apply: %s\n", flag, why);
+      return false;
+    }
+  }
+  return true;
+}
+
 int cmd_run(const Flags& f) {
+  if (!f.resume.empty() &&
+      !reject_given(f, {"--topo", "--size", "--graph", "--k", "--place",
+                        "--ptr", "--seed"},
+                    "--resume restores the checkpoint's configuration")) {
+    return 2;
+  }
+  if (!f.graph_image.empty() &&
+      !reject_given(f, {"--topo", "--size", "--graph"},
+                    "--graph-image steps the image's graph")) {
+    return 2;
+  }
   // One pool for the whole run, sized like a sharded engine's own: it
   // steps the shards, decodes the resumed document's segments and
   // encodes every save. The saves name their segment count, so a
@@ -550,8 +600,11 @@ int cmd_run(const Flags& f) {
       return 2;
     }
     descriptor = substrate->descriptor();
+    const auto d = rr::graph::GraphDescriptor::parse(descriptor);
+    rr::sim::EngineConfig config;
+    if (!d || !fill_agents(f, *d, f.k, "uniform", config)) return 2;
     engine = std::make_unique<rr::core::RotorRouter>(
-        substrate, spread_agents(substrate->num_nodes(), f.k));
+        substrate, config.agents, std::move(config.pointers));
     substrate->advise_random();
     std::printf("image %s: '%s' %llu nodes, %.2f GB mapped\n",
                 f.graph_image.c_str(), descriptor.c_str(),
@@ -559,7 +612,7 @@ int cmd_run(const Flags& f) {
                 static_cast<double>(substrate->image_bytes()) / (1u << 30));
   } else {
     descriptor = topo_descriptor(f);
-    engine = build_engine(f, descriptor, pool.get());
+    engine = build_engine(f, descriptor, f.k, "rotor", "uniform", pool.get());
     if (!engine) return 2;
   }
   // Kept across the cycle-jump wrap so the halt check below still reaches
@@ -662,106 +715,109 @@ int cmd_build_graph(const Flags& f) {
 }
 
 int cmd_cover(const Flags& f) {
-  const rr::core::RingConfig config = build_config(f);
-  const auto cover = rr::core::ring_cover_time(config);
-  std::printf("config: %s\n", rr::core::to_text(config).substr(0, 96).c_str());
-  if (cover == rr::core::kRingNotCovered) {
+  const auto engine = build_measured_engine(f, topo_descriptor(f));
+  if (!engine) return 2;
+  const auto cover = rr::sim::cover_time(*engine);
+  if (cover == rr::sim::kNotCovered) {
     std::printf("cover: not covered within the default cap\n");
     return 1;
   }
+  const double n = engine->num_nodes();
+  const double k = engine->num_agents();
   std::printf("cover: %llu rounds (n^2/log2k = %.0f, (n/k)^2 = %.0f)\n",
               static_cast<unsigned long long>(cover),
-              static_cast<double>(f.n) * f.n /
-                  (f.k > 1 ? std::log2(static_cast<double>(f.k)) : 1.0),
-              static_cast<double>(f.n) / f.k * f.n / f.k);
+              n * n / (k > 1 ? std::log2(k) : 1.0), n / k * n / k);
   return 0;
 }
 
 int cmd_return(const Flags& f) {
-  const rr::core::RingConfig config = build_config(f);
-  const auto ret = rr::core::ring_return_time(config);
+  const auto engine = build_measured_engine(f, topo_descriptor(f));
+  if (!engine) return 2;
+  const auto ret = rr::sim::windowed_return_time(*engine);
   std::printf("return: max gap %llu, mean gap %.1f (n/k = %u); covered=%s\n",
               static_cast<unsigned long long>(ret.max_gap), ret.mean_gap,
-              f.n / f.k, ret.covered ? "yes" : "no");
+              engine->num_nodes() / engine->num_agents(),
+              ret.covered ? "yes" : "no");
   return 0;
 }
 
-int cmd_trace(Flags f) {
-  if (!f.graph.empty() || f.topo != "ring") {
-    // Non-ring substrates draw through the engine-generic renderer; torus
-    // and grid runs lay out as 2-D blocks (one line per row).
-    const std::string descriptor = topo_descriptor(f);
-    auto engine = build_engine(f, descriptor);
-    if (!engine) return 2;
-    const auto d = rr::graph::GraphDescriptor::parse(descriptor);
-    rr::sim::TraceOptions opt;
-    opt.rounds = f.rounds ? f.rounds : 4ULL * engine->num_nodes();
-    opt.stride = f.stride ? f.stride : 1;
-    if (d->kind == "torus" || d->kind == "grid") {
-      // Descriptor args were validated by GraphDescriptor::parse; the
-      // strict parse keeps this from silently drawing width-0 layouts
-      // if that ever changes.
-      opt.width = static_cast<rr::graph::NodeId>(
-          rr::parse_u64(d->args[0]).value_or(0));
-    }
-    std::fputs(
-        rr::sim::format_trace(rr::sim::record_trace(*engine, opt)).c_str(),
-        stdout);
-    return 0;
-  }
-  const rr::core::RingConfig config = build_config(f);
-  if (f.rounds == 0) f.rounds = 4ULL * f.n;
-  rr::core::RingRotorRouter engine = config.make();
-  rr::core::TraceOptions opt;
-  opt.rounds = f.rounds;
-  opt.stride = f.stride ? f.stride : 1;
-  opt.domains = f.domains;
-  std::fputs(rr::core::format_trace(rr::core::record_trace(engine, opt)).c_str(),
-             stdout);
-  return 0;
-}
-
-int cmd_config(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const auto config = rr::core::ring_config_from_text(argv[2]);
-  if (!config) {
-    std::fprintf(stderr, "rr_cli: malformed config text\n");
+int cmd_trace(const Flags& f) {
+  const std::string descriptor = topo_descriptor(f);
+  const auto engine = build_measured_engine(f, descriptor);
+  if (!engine) return 2;
+  // The ring engine draws agent counts and, with --domains, domain
+  // letters; other engines draw coverage through the generic renderer,
+  // torus and grid runs as 2-D blocks (one line per row).
+  const auto painter = rr::core::ring_painter(*engine, f.domains);
+  if (f.domains && !painter) {
+    std::fprintf(stderr,
+                 "rr_cli: --domains needs the ring engine on a ring (got %s "
+                 "on '%s')\n",
+                 engine->engine_name(), descriptor.c_str());
     return 2;
   }
-  Flags f;
-  if (!parse_flags(argc, argv, 3, f)) return 2;
-  rr::core::RingRotorRouter engine = config->make();
-  const std::uint64_t rounds = f.rounds ? f.rounds : 1;
-  engine.run(rounds);
-  std::printf("after %llu rounds: %s\n",
-              static_cast<unsigned long long>(rounds),
-              rr::core::to_text(rr::core::checkpoint(engine)).c_str());
-  std::printf("covered %u/%u nodes\n", engine.covered_count(),
-              engine.num_nodes());
+  rr::sim::TraceOptions opt;
+  opt.rounds = f.rounds ? f.rounds : 4ULL * engine->num_nodes();
+  opt.stride = f.stride ? f.stride : 1;
+  const auto d = rr::graph::GraphDescriptor::parse(descriptor);
+  if (d->kind == "torus" || d->kind == "grid") {
+    // Descriptor args were validated by GraphDescriptor::parse; the
+    // strict parse keeps this from silently drawing width-0 layouts
+    // if that ever changes.
+    opt.width = static_cast<rr::graph::NodeId>(
+        rr::parse_u64(d->args[0]).value_or(0));
+  }
+  std::fputs(rr::sim::format_trace(rr::sim::record_trace(
+                                       *engine, opt, painter.value_or(nullptr)))
+                 .c_str(),
+             stdout);
   return 0;
 }
 
 int cmd_lockin(const Flags& f) {
   const std::string descriptor = topo_descriptor(f);
-  const auto built = rr::graph::graph_from_descriptor(descriptor);
-  if (!built) {
-    std::fprintf(stderr, "rr_cli: cannot build graph '%s'\n",
-                 descriptor.c_str());
+  const auto engine =
+      build_engine(f, descriptor, /*k=*/1, "rotor", "uniform");
+  if (!engine) return 2;
+  auto* rotor = dynamic_cast<rr::core::RotorRouter*>(engine.get());
+  if (rotor == nullptr) {
+    std::fprintf(stderr, "rr_cli: lockin steps the rotor engine (got %s)\n",
+                 engine->engine_name());
     return 2;
   }
-  const rr::graph::Graph& g = *built;
-  const auto res = rr::core::single_agent_lock_in(g, 0);
+  const auto res = rr::core::single_agent_lock_in(*rotor);
   if (!res.locked_in) {
     std::printf("lockin: not found within cap (%llu steps)\n",
                 static_cast<unsigned long long>(res.steps_simulated));
     return 1;
   }
+  // The diameter comes from a graph::Graph until CsrGraph computes one.
+  const auto g = rr::graph::GraphDescriptor::parse(descriptor)->build();
   std::printf("lockin: t=%llu, bound 2D|E|=%llu (%s, %u nodes, %zu edges)\n",
               static_cast<unsigned long long>(res.lock_in_time),
-              static_cast<unsigned long long>(2ULL * g.diameter() *
-                                              g.num_edges()),
-              descriptor.c_str(), g.num_nodes(), g.num_edges());
+              static_cast<unsigned long long>(2ULL * g->diameter() *
+                                              g->num_edges()),
+              descriptor.c_str(), g->num_nodes(), g->num_edges());
   return 0;
+}
+
+// The flags `cmd` reads, each padded by spaces; empty for an unknown
+// subcommand. Giving a subcommand any other flag is an error.
+std::string flags_of(const std::string& cmd) {
+  const std::string substrate = " --topo --size --graph ";
+  const std::string engine = substrate +
+                             "--engine --k --place --ptr --seed --shards "
+                             "--workers --spill-batch --noded --dist-socket ";
+  if (cmd == "cover" || cmd == "return") return engine;
+  if (cmd == "trace") return engine + "--rounds --stride --domains ";
+  if (cmd == "run") {
+    return engine +
+           "--rounds --checkpoint --checkpoint-every --resume --graph-image "
+           "--cycle-jump --cycle-hint ";
+  }
+  if (cmd == "lockin") return substrate + "--engine --place --ptr --seed ";
+  if (cmd == "build-graph") return substrate + "--out ";
+  return "";
 }
 
 }  // namespace
@@ -770,19 +826,27 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "engines") return cmd_engines();
-  if (cmd == "config") return cmd_config(argc, argv);
+  const std::string takes = flags_of(cmd);
+  if (takes.empty()) return usage();
   Flags f;
   if (!parse_flags(argc, argv, 2, f)) return 2;
   if (f.engine == "help" || f.engine == "list") return cmd_engines();
-  if (cmd == "run") return cmd_run(f);  // validates against its substrate
-  if (cmd == "build-graph") return cmd_build_graph(f);
-  if (f.n < 3 || f.k < 1 || f.k > f.n) {
-    std::fprintf(stderr, "rr_cli: need n >= 3 and 1 <= k <= n\n");
+  for (const std::string& flag : f.given) {
+    if (takes.find(" " + flag + " ") == std::string::npos) {
+      std::fprintf(stderr, "rr_cli: %s does not take %s\n", cmd.c_str(),
+                   flag.c_str());
+      return 2;
+    }
+  }
+  if (f.k == 0) {
+    std::fprintf(stderr, "rr_cli: --k must be at least 1\n");
     return 2;
   }
   if (cmd == "cover") return cmd_cover(f);
   if (cmd == "return") return cmd_return(f);
   if (cmd == "trace") return cmd_trace(f);
   if (cmd == "lockin") return cmd_lockin(f);
-  return usage();
+  if (cmd == "build-graph") return cmd_build_graph(f);
+  if (f.engine.empty()) f.engine = "rotor";
+  return cmd_run(f);  // validates against its substrate
 }

@@ -13,7 +13,6 @@
 #include "core/domains.hpp"
 #include "core/initializers.hpp"
 #include "core/rotor_router.hpp"
-#include "core/trace.hpp"
 #include "graph/generators.hpp"
 #include "sim/trace.hpp"
 
@@ -30,10 +29,12 @@ int main(int argc, char** argv) {
   rr::core::RingRotorRouter explore(
       n, rr::core::place_all_on_one(k, n / 2),
       rr::core::pointers_toward(n, n / 2));
-  rr::core::TraceOptions opt;
+  rr::sim::TraceOptions opt;
   opt.rounds = 30ULL * n / 4;
   opt.stride = opt.rounds / 24;
-  std::fputs(rr::core::format_trace(rr::core::record_trace(explore, opt))
+  std::fputs(rr::sim::format_trace(
+                 rr::sim::record_trace(
+                     explore, opt, *rr::core::ring_painter(explore, false)))
                  .c_str(),
              stdout);
   std::printf("\n(the frontier advances ~sqrt(t): each extra node costs a"
@@ -47,11 +48,12 @@ int main(int argc, char** argv) {
                                   rr::core::pointers_negative(n, agents));
   limit.run_until_covered(8ULL * n * n);
   limit.run(4ULL * n * n / k);
-  rr::core::TraceOptions opt2;
+  rr::sim::TraceOptions opt2;
   opt2.rounds = 2ULL * n / k;
   opt2.stride = std::max<std::uint64_t>(1, opt2.rounds / 24);
-  opt2.domains = true;
-  std::fputs(rr::core::format_trace(rr::core::record_trace(limit, opt2))
+  std::fputs(rr::sim::format_trace(
+                 rr::sim::record_trace(
+                     limit, opt2, *rr::core::ring_painter(limit, true)))
                  .c_str(),
              stdout);
 

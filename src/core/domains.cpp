@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 namespace rr::core {
 
@@ -254,6 +255,38 @@ BorderCensus census_borders(const RingRotorRouter& rr,
     }
   }
   return census;
+}
+
+std::optional<sim::CellPainter> ring_painter(const sim::Engine& engine,
+                                             bool domains) {
+  if (dynamic_cast<const RingRotorRouter*>(&engine) == nullptr) {
+    return std::nullopt;
+  }
+  return [domains](const sim::Engine& e) {
+    const auto& rr = static_cast<const RingRotorRouter&>(e);
+    const NodeId n = rr.num_nodes();
+    std::string cells(n, ' ');
+    if (domains) {
+      const auto snap = compute_domains(rr);
+      for (std::size_t d = 0; d < snap.domains.size(); ++d) {
+        const char label = static_cast<char>('a' + (d % 26));
+        NodeId v = snap.domains[d].begin;
+        for (std::uint32_t i = 0; i < snap.domains[d].size; ++i) {
+          cells[v] = label;
+          v = rr.clockwise(v);
+        }
+      }
+    } else {
+      for (NodeId v = 0; v < n; ++v) {
+        if (rr.visited(v)) cells[v] = '.';
+      }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint32_t c = rr.agents_at(v);
+      if (c > 0) cells[v] = c == 1 ? 'o' : c == 2 ? '8' : '*';
+    }
+    return cells;
+  };
 }
 
 }  // namespace rr::core

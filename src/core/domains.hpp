@@ -15,9 +15,11 @@
 // separated by a vertex-type or edge-type border (Fig. 1).
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/ring_rotor_router.hpp"
+#include "sim/trace.hpp"
 
 namespace rr::core {
 
@@ -71,5 +73,16 @@ struct ONode {
   NodeId value;
 };
 ONode o_of(const RingRotorRouter& rr, NodeId v);
+
+/// Ring trace painter for sim::record_trace: 'o' one agent, '8' two
+/// agents, '*' three or more, '.' visited, ' ' unvisited. With `domains`,
+/// visited nodes show the letter of their owning agent's domain (a..z,
+/// cycling) instead of '.'. It reads a RingRotorRouter: nullopt for any
+/// other engine. Two agents on a 20-node ring, with domains:
+///
+///   t=0 |o         o         |
+///   t=4 |ob       aoa       b|
+std::optional<sim::CellPainter> ring_painter(const sim::Engine& engine,
+                                             bool domains);
 
 }  // namespace rr::core

@@ -266,4 +266,46 @@ EulerianLockIn eulerian_from_lock_in(const graph::Graph& g, NodeId start,
   return out;
 }
 
+LockInResult single_agent_lock_in(RotorRouter& rotor,
+                                  std::uint64_t max_steps) {
+  RR_REQUIRE(rotor.num_agents() == 1, "lock-in runs a single agent");
+  const CsrGraph& g = rotor.graph();
+  const std::size_t m2 = g.num_arcs();
+  if (max_steps == 0) {
+    max_steps = 4ULL * g.num_nodes() * g.num_edges() + 4ULL * m2 + 64;
+  }
+
+  // Sliding window of the last 2|E| traversed arcs (arc id: row offset +
+  // port); lock-in when all distinct (each arc exactly once).
+  std::vector<std::uint32_t> in_window(m2, 0);
+  std::vector<std::size_t> window(m2, 0);
+  std::size_t head = 0, filled = 0, distinct = 0;
+
+  LockInResult result;
+  for (std::uint64_t steps = 1; steps <= max_steps; ++steps) {
+    const NodeId pos = rotor.occupied_nodes().front();
+    const std::size_t arc = g.row_offset(pos) + rotor.pointer(pos);
+    rotor.step();
+
+    if (filled == m2) {
+      const std::size_t old = window[head];
+      if (--in_window[old] == 0) --distinct;
+    } else {
+      ++filled;
+    }
+    window[head] = arc;
+    if (++in_window[arc] == 1) ++distinct;
+    head = (head + 1 == m2) ? 0 : head + 1;
+
+    if (filled == m2 && distinct == m2) {
+      result.locked_in = true;
+      result.lock_in_time = rotor.time() - m2 + 1;
+      result.steps_simulated = steps;
+      return result;
+    }
+  }
+  result.steps_simulated = max_steps;
+  return result;
+}
+
 }  // namespace rr::core

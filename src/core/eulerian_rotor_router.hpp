@@ -201,4 +201,18 @@ EulerianLockIn eulerian_from_lock_in(const graph::Graph& g,
                                      std::vector<std::uint32_t> pointers = {},
                                      std::uint64_t max_steps = 0);
 
+struct LockInResult {
+  bool locked_in = false;
+  std::uint64_t lock_in_time = 0;  ///< first round of a fully-Eulerian window
+  std::uint64_t steps_simulated = 0;
+};
+
+/// Steps a one-agent `rotor` until rounds [t0, t0 + 2|E|) traverse every
+/// arc exactly once: the agent has locked into its Eulerian circuit
+/// (Yanovski et al.: within 2 D |E| rounds). Each round's arc is read as
+/// (position, pointer(position)) before the step, so the rotor rule stays
+/// RotorRouter's own. `max_steps` 0 = 4 n |E| + 8 |E| + 64 (n bounds D).
+LockInResult single_agent_lock_in(RotorRouter& rotor,
+                                  std::uint64_t max_steps = 0);
+
 }  // namespace rr::core

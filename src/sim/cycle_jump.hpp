@@ -73,8 +73,8 @@
 // `detect_confirmed_cycle` exposes the stride-1 exact form of the same
 // machinery: it returns the *minimal* state period (the hash sequence's
 // period always divides the state period, so the smallest confirming
-// multiple is exact), replacing the hash-only trust in
-// core/limit_cycle.hpp and core::eulerian_from_lock_in.
+// multiple is exact). sim::exact_return_time (sim/measure.hpp) and
+// core::eulerian_from_lock_in build on it.
 
 #include <cstdint>
 #include <memory>

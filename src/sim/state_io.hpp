@@ -161,7 +161,7 @@ class StateWriter {
   }
 
   /// Direction field for ring pointer state: 0 = clockwise,
-  /// 1 = anticlockwise; matches core/snapshot's encoding.
+  /// 1 = anticlockwise.
   void field_dirs(std::string_view key, const std::vector<std::uint8_t>& dirs) {
     push_symbols(WriterField::Kind::kDirs, key, dirs);
   }

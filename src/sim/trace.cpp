@@ -6,20 +6,13 @@
 
 namespace rr::sim {
 
-TraceFrame render_frame(const Engine& engine, NodeId width,
-                        const std::vector<std::uint64_t>* prev_visits) {
-  const NodeId n = engine.num_nodes();
+namespace {
+
+TraceFrame frame_of(std::uint64_t round, std::string cells, NodeId width) {
+  const NodeId n = static_cast<NodeId>(cells.size());
   RR_REQUIRE(width <= n, "trace width exceeds node count");
-  std::string cells(n, ' ');
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint64_t first = engine.first_visit_time(v);
-    if (first == kNotCovered) continue;
-    const bool active = prev_visits ? engine.visits(v) > (*prev_visits)[v]
-                                    : first == engine.time();
-    cells[v] = active ? 'o' : '.';
-  }
   TraceFrame frame;
-  frame.round = engine.time();
+  frame.round = round;
   if (width == 0) {
     frame.lines.push_back(std::move(cells));
   } else {
@@ -31,20 +24,43 @@ TraceFrame render_frame(const Engine& engine, NodeId width,
   return frame;
 }
 
+}  // namespace
+
+TraceFrame render_frame(const Engine& engine, NodeId width,
+                        const std::vector<std::uint64_t>* prev_visits) {
+  const NodeId n = engine.num_nodes();
+  std::string cells(n, ' ');
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t first = engine.first_visit_time(v);
+    if (first == kNotCovered) continue;
+    const bool active = prev_visits ? engine.visits(v) > (*prev_visits)[v]
+                                    : first == engine.time();
+    cells[v] = active ? 'o' : '.';
+  }
+  return frame_of(engine.time(), std::move(cells), width);
+}
+
 std::vector<TraceFrame> record_trace(Engine& engine,
-                                     const TraceOptions& options) {
+                                     const TraceOptions& options,
+                                     const CellPainter& painter) {
   RR_REQUIRE(options.stride > 0, "stride must be positive");
   const NodeId n = engine.num_nodes();
+  std::vector<std::uint64_t> prev;  // visits at the last sample; none yet
+  auto sample = [&]() {
+    if (painter) {
+      return frame_of(engine.time(), painter(engine), options.width);
+    }
+    TraceFrame frame =
+        render_frame(engine, options.width, prev.empty() ? nullptr : &prev);
+    prev.resize(n);
+    for (NodeId v = 0; v < n; ++v) prev[v] = engine.visits(v);
+    return frame;
+  };
   std::vector<TraceFrame> frames;
-  frames.push_back(render_frame(engine, options.width, nullptr));
-  std::vector<std::uint64_t> prev(n);
-  for (NodeId v = 0; v < n; ++v) prev[v] = engine.visits(v);
+  frames.push_back(sample());
   for (std::uint64_t t = 0; t < options.rounds; ++t) {
     engine.step();
-    if ((t + 1) % options.stride == 0) {
-      frames.push_back(render_frame(engine, options.width, &prev));
-      for (NodeId v = 0; v < n; ++v) prev[v] = engine.visits(v);
-    }
+    if ((t + 1) % options.stride == 0) frames.push_back(sample());
   }
   return frames;
 }

@@ -17,11 +17,12 @@
 // grid) set TraceOptions::width to the row length and each frame becomes
 // a stacked block of `width`-column lines in row-major node order.
 //
-// The ring-specialized renderer (core/trace.hpp) keeps its richer
-// per-agent glyphs and domain labels; its formatting is a thin shim over
-// format_trace here.
+// A CellPainter replaces these glyphs with a backend's own: the ring
+// painter (core::ring_painter, core/domains.hpp) draws per-agent counts
+// and domain letters.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,10 +49,15 @@ struct TraceFrame {
 TraceFrame render_frame(const Engine& engine, NodeId width,
                         const std::vector<std::uint64_t>* prev_visits);
 
+/// Paints one frame's num_nodes() cells from the engine's current state.
+using CellPainter = std::function<std::string(const Engine&)>;
+
 /// Advances `engine` options.rounds rounds, sampling a frame every
-/// options.stride rounds (including the initial state).
+/// options.stride rounds (including the initial state). A non-empty
+/// `painter` paints each frame in place of render_frame's glyphs.
 std::vector<TraceFrame> record_trace(Engine& engine,
-                                     const TraceOptions& options);
+                                     const TraceOptions& options,
+                                     const CellPainter& painter = {});
 
 /// Joins frames into a printable diagram with aligned round labels.
 /// Single-line frames print as `t=<round> |cells|`; multi-line frames as

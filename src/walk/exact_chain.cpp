@@ -12,10 +12,6 @@ double ring_hitting_time(std::uint32_t n, std::uint32_t d) {
   return static_cast<double>(d) * static_cast<double>(n - d);
 }
 
-double ring_cover_time_expected(std::uint32_t n) {
-  return static_cast<double>(n) * (n - 1) / 2.0;
-}
-
 double gamblers_ruin_up_probability(std::uint32_t x, std::uint32_t L) {
   RR_REQUIRE(L > 0 && x <= L, "need 0 <= x <= L, L > 0");
   return static_cast<double>(x) / static_cast<double>(L);

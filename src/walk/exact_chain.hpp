@@ -24,9 +24,6 @@ namespace rr::walk {
 /// (closed form: d * (n - d)).
 double ring_hitting_time(std::uint32_t n, std::uint32_t d);
 
-/// Expected cover time of the n-cycle for a single walk: n(n-1)/2.
-double ring_cover_time_expected(std::uint32_t n);
-
 /// Gambler's ruin (Lemma 17's tool): probability that a +-1 walk started
 /// at position x in {0..L} hits L before 0 (= x / L).
 double gamblers_ruin_up_probability(std::uint32_t x, std::uint32_t L);

@@ -77,11 +77,11 @@ bool GraphRandomWalks::deserialize_state(const sim::StateReader& in) {
   return true;
 }
 
-CoverEstimate estimate_graph_cover_time(const graph::Graph& g,
-                                        const std::vector<graph::NodeId>& starts,
-                                        std::uint64_t trials,
-                                        std::uint64_t seed,
-                                        std::uint64_t max_rounds) {
+CoverEstimate estimate_walk_cover_time(const graph::Graph& g,
+                                       const std::vector<graph::NodeId>& starts,
+                                       std::uint64_t trials,
+                                       std::uint64_t seed,
+                                       std::uint64_t max_rounds) {
   RR_REQUIRE(trials >= 2, "need at least two trials for a CI");
   Rng seeder(seed);
   double sum = 0.0, sum_sq = 0.0;

@@ -133,10 +133,10 @@ struct CoverEstimate {
   std::uint64_t trials = 0;
 };
 
-CoverEstimate estimate_graph_cover_time(const graph::Graph& g,
-                                        const std::vector<graph::NodeId>& starts,
-                                        std::uint64_t trials,
-                                        std::uint64_t seed,
-                                        std::uint64_t max_rounds);
+CoverEstimate estimate_walk_cover_time(const graph::Graph& g,
+                                       const std::vector<graph::NodeId>& starts,
+                                       std::uint64_t trials,
+                                       std::uint64_t seed,
+                                       std::uint64_t max_rounds);
 
 }  // namespace rr::walk

@@ -10,6 +10,13 @@
 // bench_ablation compares this against drawing one RNG word per step: the
 // buffers cost a little throughput and are kept for the stream-stability
 // property, not for speed.
+//
+// Why this engine stays beside the registry's `walks` backend
+// (walk::GraphRandomWalks): `walks` draws every walker from one shared
+// RNG, so walker i's path there depends on k. Folding this engine onto it
+// would change every random-walk number it produces, among them Table 1's
+// random-walk rows (bench_table1) and the quickstart and ring_patrol
+// examples' output.
 
 #include <cstdint>
 #include <vector>

@@ -17,7 +17,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/snapshot.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "sim/ckpt_v2.hpp"
@@ -337,37 +336,48 @@ TEST(Checkpoint, FuzzedDocumentsNeverAbort) {
   }
 }
 
-TEST(Snapshot, FuzzedRingConfigTextNeverAborts) {
-  // The S15 single-line manifest parser under the same torture: truncated
-  // lines, bad counts, wrong prefixes must return nullopt, never abort.
-  core::RingConfig base{40, core::place_equally_spaced(40, 5), {}};
-  base.pointers = core::pointers_negative(40, base.agents);
-  const std::string good = core::to_text(base);
-  ASSERT_TRUE(core::ring_config_from_text(good).has_value());
-  Rng rng(0xF15C);
-  for (std::size_t cut = 0; cut <= good.size(); ++cut) {
-    (void)core::ring_config_from_text(good.substr(0, cut));
+// ---- ring configurations through the checkpoint document ----
+//
+// A ring run's checkpoint carries its configuration (pointers and agent
+// multiset) exactly, so a resumed run continues it.
+
+core::RingRotorRouter& as_ring(Engine& engine) {
+  return dynamic_cast<core::RingRotorRouter&>(engine);
+}
+
+TEST(Snapshot, CheckpointResumesExactly) {
+  // Run A for 500 rounds; checkpoint at 200 and run the resumed engine for
+  // 300: identical final configurations.
+  const auto agents = core::place_equally_spaced(40, 3);
+  core::RingRotorRouter full(40, agents, core::pointers_negative(40, agents));
+  full.run(200);
+  auto resumed = restore_checkpoint(write_checkpoint(full, "ring 40"));
+  ASSERT_TRUE(resumed != nullptr);
+  full.run(300);
+  resumed->run(300);
+  for (NodeId v = 0; v < 40; ++v) {
+    ASSERT_EQ(full.agents_at(v), as_ring(*resumed).agents_at(v)) << "v " << v;
+    ASSERT_EQ(full.pointer(v), as_ring(*resumed).pointer(v)) << "v " << v;
   }
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string mutated = good;
-    const int op = static_cast<int>(rng.bounded(3));
-    if (op == 0) {
-      mutated[rng.bounded(static_cast<std::uint32_t>(mutated.size()))] =
-          static_cast<char>(rng.bounded(256));
-    } else if (op == 1) {
-      mutated.erase(rng.bounded(static_cast<std::uint32_t>(mutated.size())),
-                    1 + rng.bounded(8));
-    } else {
-      const std::size_t at =
-          rng.bounded(static_cast<std::uint32_t>(mutated.size()));
-      mutated.insert(at, mutated.substr(at, 1 + rng.bounded(8)));
-    }
-    const auto parsed = core::ring_config_from_text(mutated);
-    if (parsed) {
-      EXPECT_GE(parsed->n, 3u);  // anything accepted must be constructible
-      EXPECT_EQ(parsed->pointers.size(), parsed->n);
-    }
+}
+
+TEST(Snapshot, CheckpointRoundTripsThroughText) {
+  core::RingRotorRouter rr(24, {0, 0, 12, 17});
+  rr.run(77);
+  auto parsed = restore_checkpoint(write_checkpoint(rr, "ring 24"));
+  ASSERT_TRUE(parsed != nullptr);
+  for (NodeId v = 0; v < 24; ++v) {
+    EXPECT_EQ(as_ring(*parsed).agents_at(v), rr.agents_at(v)) << "v " << v;
+    EXPECT_EQ(as_ring(*parsed).pointer(v), rr.pointer(v)) << "v " << v;
   }
+}
+
+TEST(Snapshot, CheckpointPreservesAgentCount) {
+  core::RingRotorRouter rr(30, core::place_all_on_one(7, 4),
+                           core::pointers_toward(30, 4));
+  rr.run(123);
+  EXPECT_EQ(restore_checkpoint(write_checkpoint(rr, "ring 30"))->num_agents(),
+            7u);
 }
 
 // ---- RNG stream state ----

@@ -17,12 +17,12 @@
 #include <vector>
 
 #include "differential.hpp"
-#include "core/cover_time.hpp"
 #include "core/domains.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
+#include "sim/measure.hpp"
 #include "state_patch.hpp"
 
 namespace rr::analysis {
@@ -39,8 +39,9 @@ TEST(ContinuousEngine, CoverTimeMatchesDiscreteEquallySpaced) {
   for (std::uint32_t k : {4u, 8u, 16u}) {
     SCOPED_TRACE(::testing::Message() << "k=" << k);
     const auto agents = core::place_equally_spaced(n, k);
-    core::RingConfig config{n, agents, core::pointers_negative(n, agents)};
-    const auto discrete = core::ring_cover_time(config);
+    const auto discrete = sim::cover_time(
+        *sim::create_engine("ring", graph::GraphDescriptor::ring(n), agents,
+                            core::pointers_negative(n, agents)));
     ASSERT_NE(discrete, core::kRingNotCovered);
 
     ContinuousDomainEngine ode(n, agents);

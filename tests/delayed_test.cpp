@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
 #include "graph/generators.hpp"
+#include "sim/measure.hpp"
 
 namespace rr::core {
 namespace {
@@ -142,8 +142,8 @@ TEST(Delayed, Lemma3SlowdownBoundsCoverTime) {
   const std::uint64_t T = tracker.total_rounds();
   const std::uint64_t tau = tracker.active_rounds();
 
-  RingConfig config{n, agents, ptrs};
-  const std::uint64_t cover = ring_cover_time(config);
+  const std::uint64_t cover = sim::cover_time(*sim::create_engine(
+      "ring", graph::GraphDescriptor::ring(n), agents, ptrs));
   EXPECT_GE(cover, tau);
   EXPECT_LE(cover, T);
 }

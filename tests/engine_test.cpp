@@ -11,12 +11,12 @@
 #include "core/delayed.hpp"
 #include "core/initializers.hpp"
 #include "core/lazy_ring_rotor_router.hpp"
-#include "core/limit_cycle.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/cycle_jump.hpp"
+#include "sim/measure.hpp"
 #include "sim/runner.hpp"
 #include "walk/random_walk.hpp"
 
@@ -146,11 +146,13 @@ TEST(HashCycleDetection, MatchesExactRingPeriod) {
   // The generic detector (Brent over config_hash, confirmed on the full
   // state, accumulators from the registry) must find the same period as
   // the ring-specific machinery.
-  core::RingConfig config{24, core::place_equally_spaced(24, 3), {}};
-  const auto exact = core::detect_limit_cycle(config, 1 << 16);
+  const auto agents = core::place_equally_spaced(24, 3);
+  const auto exact = detect_confirmed_cycle(
+      *create_engine("ring", graph::GraphDescriptor::ring(24), agents),
+      1 << 16, &EngineRegistry::instance().find("ring")->cycle_accumulators);
   ASSERT_TRUE(exact.has_value());
 
-  core::RingRotorRouter rr = config.make();
+  core::RingRotorRouter rr(24, agents);
   const auto hashed = detect_confirmed_cycle(rr, 1 << 16);
   ASSERT_TRUE(hashed.has_value());
   EXPECT_EQ(hashed->period, exact->period);

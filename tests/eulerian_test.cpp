@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/limit_cycle.hpp"
 #include "graph/generators.hpp"
+#include "core/eulerian_rotor_router.hpp"
+#include "core/rotor_router.hpp"
 
 namespace rr::graph {
 namespace {
@@ -50,7 +51,8 @@ TEST_P(EulerianTopology, LockedInRotorWalkIsEulerian) {
   // Simulate past lock-in, slice out one 2|E| window, verify it is a
   // directed Eulerian circuit — the Yanovski et al. limit behaviour.
   Graph g = make();
-  const auto lock = rr::core::single_agent_lock_in(g, 0);
+  rr::core::RotorRouter rotor(g, {0});
+  const auto lock = rr::core::single_agent_lock_in(rotor);
   ASSERT_TRUE(lock.locked_in);
   const auto walk =
       rotor_walk_arcs(g, 0, lock.lock_in_time - 1 + g.num_arcs());

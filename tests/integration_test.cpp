@@ -10,25 +10,29 @@
 #include "sim/runner.hpp"
 #include "analysis/sequence.hpp"
 #include "analysis/stats.hpp"
-#include "core/cover_time.hpp"
 #include "core/domains.hpp"
 #include "core/initializers.hpp"
-#include "core/limit_cycle.hpp"
+#include "sim/measure.hpp"
 #include "walk/ring_walk.hpp"
 
 namespace rr {
 namespace {
 
 using core::NodeId;
-using core::RingConfig;
+
+std::unique_ptr<sim::Engine> ring(NodeId n, std::vector<NodeId> agents,
+                                  const std::vector<std::uint8_t>& ptrs = {}) {
+  return sim::create_engine("ring", graph::GraphDescriptor::ring(n),
+                            std::move(agents), ptrs);
+}
 
 TEST(Integration, Table1RotorWorstShape) {
   // cover(all-on-one) / (n^2/log2 k) flat across the n sweep.
   const std::uint32_t k = 8;
   std::vector<double> measured, predicted;
   for (NodeId n : {128u, 256u, 512u, 1024u}) {
-    RingConfig c{n, core::place_all_on_one(k, 0), core::pointers_toward(n, 0)};
-    measured.push_back(static_cast<double>(core::ring_cover_time(c)));
+    measured.push_back(static_cast<double>(sim::cover_time(
+        *ring(n, core::place_all_on_one(k, 0), core::pointers_toward(n, 0)))));
     predicted.push_back(static_cast<double>(n) * n / std::log2(8.0));
   }
   EXPECT_LT(analysis::ratio_spread(measured, predicted), 1.3);
@@ -44,9 +48,9 @@ TEST(Integration, Table1RotorBestShape) {
   for (std::uint32_t s : {1u, 2u, 4u}) {
     const NodeId n = 256 * s;
     const std::uint32_t k = 4 * s;
-    RingConfig c{n, core::place_equally_spaced(n, k), {}};
-    c.pointers = core::pointers_negative(n, c.agents);
-    covers.push_back(static_cast<double>(core::ring_cover_time(c)));
+    const auto agents = core::place_equally_spaced(n, k);
+    covers.push_back(static_cast<double>(sim::cover_time(
+        *ring(n, agents, core::pointers_negative(n, agents)))));
   }
   EXPECT_LT(analysis::ratio_spread(covers,
                                    std::vector<double>(covers.size(), 1.0)),
@@ -131,11 +135,10 @@ TEST(Integration, OdeAndDiscreteAgreeOnGrowthExponent) {
 TEST(Integration, ReturnTimeSpeedupIsLinearInK) {
   // Thm 6 consequence: return-time speed-up over a single agent ~ k.
   const NodeId n = 512;
-  RingConfig single{n, {0}, {}};
-  const auto r1 = core::ring_return_time(single);
+  const auto r1 = sim::windowed_return_time(*ring(n, {0}));
   for (std::uint32_t k : {4u, 16u}) {
-    RingConfig many{n, core::place_equally_spaced(n, k), {}};
-    const auto rk = core::ring_return_time(many);
+    const auto rk =
+        sim::windowed_return_time(*ring(n, core::place_equally_spaced(n, k)));
     const double speedup =
         static_cast<double>(r1.max_gap) / static_cast<double>(rk.max_gap);
     EXPECT_NEAR(speedup, static_cast<double>(k), 0.35 * k) << "k " << k;
@@ -145,10 +148,10 @@ TEST(Integration, ReturnTimeSpeedupIsLinearInK) {
 TEST(Integration, ExactAndWindowedReturnTimesAgree) {
   const NodeId n = 96;
   const std::uint32_t k = 4;
-  RingConfig c{n, core::place_equally_spaced(n, k), {}};
-  const auto exact = core::exact_return_time(c, 1ULL << 24);
+  const auto agents = core::place_equally_spaced(n, k);
+  const auto exact = sim::exact_return_time(*ring(n, agents), 1ULL << 24);
   ASSERT_TRUE(exact.has_value());
-  const auto windowed = core::ring_return_time(c);
+  const auto windowed = sim::windowed_return_time(*ring(n, agents));
   // The windowed estimate observes gaps on the same limit cycle.
   EXPECT_NEAR(static_cast<double>(windowed.max_gap),
               static_cast<double>(exact->max_gap),
@@ -159,11 +162,11 @@ TEST(Integration, RemoteAdversaryBeatsBenignByPolynomialFactor) {
   const NodeId n = 2048;
   const std::uint32_t k = 8;
   auto agents = core::place_equally_spaced(n, k);
-  RingConfig benign{n, agents, core::pointers_uniform(n, 0)};
   const auto adv = core::adversarial_remote_init(n, agents);
-  RingConfig hard{n, agents, adv.pointers};
-  const double cb = static_cast<double>(core::ring_cover_time(benign));
-  const double ch = static_cast<double>(core::ring_cover_time(hard));
+  const double cb = static_cast<double>(
+      sim::cover_time(*ring(n, agents, core::pointers_uniform(n, 0))));
+  const double ch =
+      static_cast<double>(sim::cover_time(*ring(n, agents, adv.pointers)));
   EXPECT_GT(ch, 10.0 * cb);  // the adversary really hurts
   EXPECT_GE(ch, 0.2 * std::pow(static_cast<double>(n) / k, 2.0));  // Thm 4
 }
@@ -174,8 +177,8 @@ TEST(Integration, WalksBestPlacementCarriesLogSquaredPenalty) {
   const NodeId n = 512;
   const std::uint32_t k = 8;
   const auto agents = core::place_equally_spaced(n, k);
-  RingConfig rcfg{n, agents, core::pointers_negative(n, agents)};
-  const double rotor = static_cast<double>(core::ring_cover_time(rcfg));
+  const double rotor = static_cast<double>(
+      sim::cover_time(*ring(n, agents, core::pointers_negative(n, agents))));
   const double walks = sim::Runner().stats(60, [&](std::uint64_t i) {
     walk::RingRandomWalks w(n, agents, sim::derive_seed(777, i));
     return static_cast<double>(w.run_until_covered(~0ULL / 2));

@@ -1,22 +1,33 @@
 // Tests for limit-cycle detection, exact return times (Sec. 4) and the
 // single-agent Eulerian lock-in substrate (Yanovski et al. / Bampas et al.).
 
-#include "core/limit_cycle.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/eulerian_rotor_router.hpp"
 #include "core/initializers.hpp"
+#include "core/rotor_router.hpp"
 #include "graph/generators.hpp"
+#include "sim/cycle_jump.hpp"
+#include "sim/measure.hpp"
 
 namespace rr::core {
 namespace {
+
+using sim::detect_confirmed_cycle;
+using sim::exact_return_time;
+
+std::unique_ptr<sim::Engine> ring(NodeId n, std::vector<NodeId> agents,
+                                  const std::vector<std::uint8_t>& ptrs = {}) {
+  return sim::create_engine("ring", graph::GraphDescriptor::ring(n),
+                            std::move(agents), ptrs);
+}
 
 TEST(LimitCycle, SingleAgentOnRingHasPeriodDividingTwoN) {
   // A single agent stabilizes to the Eulerian cycle of the ring: period
   // divides 2n (the directed ring traversal visits each arc once).
   const NodeId n = 16;
-  RingConfig c{n, {0}, pointers_toward(n, 0)};
-  const auto cycle = detect_limit_cycle(c, 1u << 20);
+  const auto cycle =
+      detect_confirmed_cycle(*ring(n, {0}, pointers_toward(n, 0)), 1u << 20);
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ((2 * n) % cycle->period, 0u)
       << "period " << cycle->period << " does not divide 2n";
@@ -24,24 +35,24 @@ TEST(LimitCycle, SingleAgentOnRingHasPeriodDividingTwoN) {
 
 TEST(LimitCycle, MultiAgentSystemsStabilize) {
   for (std::uint32_t k : {2u, 3u, 5u}) {
-    RingConfig c{24, place_equally_spaced(24, k), {}};
-    const auto cycle = detect_limit_cycle(c, 1u << 22);
+    const auto cycle =
+        detect_confirmed_cycle(*ring(24, place_equally_spaced(24, k)), 1u << 22);
     ASSERT_TRUE(cycle.has_value()) << "k " << k;
     EXPECT_GT(cycle->period, 0u);
   }
 }
 
 TEST(LimitCycle, DetectionRespectsMaxSteps) {
-  RingConfig c{64, {0}, pointers_toward(64, 0)};
-  EXPECT_FALSE(detect_limit_cycle(c, 4).has_value());
+  EXPECT_FALSE(
+      detect_confirmed_cycle(*ring(64, {0}, pointers_toward(64, 0)), 4)
+          .has_value());
 }
 
 TEST(ExactReturnTime, SingleAgentGapIsTwoNMinusSomething) {
   // On the Eulerian limit cycle of a single agent, each node is visited
   // twice per 2n rounds (once per direction), so the worst gap is < 2n.
   const NodeId n = 12;
-  RingConfig c{n, {0}, {}};
-  const auto ret = exact_return_time(c, 1u << 20);
+  const auto ret = exact_return_time(*ring(n, {0}), 1u << 20);
   ASSERT_TRUE(ret.has_value());
   EXPECT_LE(ret->max_gap, 2u * n);
   EXPECT_GE(ret->max_gap, n / 2u);
@@ -51,8 +62,8 @@ TEST(ExactReturnTime, MatchesTheorem6Scaling) {
   // Exact max gap ~ Theta(n/k) on small instances.
   const NodeId n = 60;
   for (std::uint32_t k : {2u, 3u, 6u}) {
-    RingConfig c{n, place_equally_spaced(n, k), {}};
-    const auto ret = exact_return_time(c, 1u << 22);
+    const auto ret = exact_return_time(*ring(n, place_equally_spaced(n, k)),
+                                       1u << 22);
     ASSERT_TRUE(ret.has_value()) << "k " << k;
     const double expected = static_cast<double>(n) / k;
     EXPECT_GE(static_cast<double>(ret->max_gap), 0.5 * expected) << "k " << k;
@@ -61,8 +72,8 @@ TEST(ExactReturnTime, MatchesTheorem6Scaling) {
 }
 
 TEST(ExactReturnTime, MinGapNeverExceedsMaxGap) {
-  RingConfig c{30, place_equally_spaced(30, 3), {}};
-  const auto ret = exact_return_time(c, 1u << 20);
+  const auto ret = exact_return_time(*ring(30, place_equally_spaced(30, 3)),
+                                     1u << 20);
   ASSERT_TRUE(ret.has_value());
   EXPECT_LE(ret->min_gap, ret->max_gap);
   EXPECT_GT(ret->min_gap, 0u);
@@ -77,8 +88,8 @@ TEST_P(PeriodStructure, EquallySpacedLimitPeriodIsTwoNOverK) {
   const NodeId n = 120;
   const std::uint32_t k = GetParam();
   ASSERT_EQ(n % k, 0u);
-  RingConfig c{n, place_equally_spaced(n, k), {}};
-  const auto cycle = detect_limit_cycle(c, 1ULL << 24);
+  const auto cycle =
+      detect_confirmed_cycle(*ring(n, place_equally_spaced(n, k)), 1ULL << 24);
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ(cycle->period, 2ULL * n / k);
 }
@@ -89,7 +100,8 @@ INSTANTIATE_TEST_SUITE_P(KDividesN, PeriodStructure,
 
 TEST(LockIn, RingLockInWithinBound) {
   graph::Graph g = graph::ring(32);
-  const auto res = single_agent_lock_in(g, 0);
+  RotorRouter rotor(g, {0});
+  const auto res = single_agent_lock_in(rotor);
   ASSERT_TRUE(res.locked_in);
   EXPECT_LE(res.lock_in_time, 2ULL * g.diameter() * g.num_edges() + 1);
 }
@@ -99,7 +111,8 @@ TEST(LockIn, VariousTopologiesLockInWithinTwoDE) {
        {graph::grid(5, 5), graph::clique(7), graph::hypercube(4),
         graph::binary_tree(15), graph::star(9),
         graph::random_regular(20, 3, 5)}) {
-    const auto res = single_agent_lock_in(g, 0);
+    RotorRouter rotor(g, {0});
+    const auto res = single_agent_lock_in(rotor);
     ASSERT_TRUE(res.locked_in);
     EXPECT_LE(res.lock_in_time, 2ULL * g.diameter() * g.num_edges() + 1)
         << "graph with " << g.num_nodes() << " nodes";
@@ -113,7 +126,8 @@ TEST(LockIn, AdversarialPointersStillLockIn) {
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     ptrs[v] = g.degree(v) - 1;
   }
-  const auto res = single_agent_lock_in(g, 5, ptrs);
+  RotorRouter rotor(g, {5}, ptrs);
+  const auto res = single_agent_lock_in(rotor);
   ASSERT_TRUE(res.locked_in);
   EXPECT_LE(res.lock_in_time, 2ULL * g.diameter() * g.num_edges() + 1);
 }
@@ -122,7 +136,8 @@ TEST(LockIn, EulerianWindowTraversesEveryArcOnce) {
   // After lock-in, re-simulate and verify the window property directly:
   // the 2|E| rounds starting at lock_in_time traverse all arcs distinctly.
   graph::Graph g = graph::ring(10);
-  const auto res = single_agent_lock_in(g, 0);
+  RotorRouter rotor(g, {0});
+  const auto res = single_agent_lock_in(rotor);
   ASSERT_TRUE(res.locked_in);
 
   std::vector<std::uint32_t> ptr(g.num_nodes(), 0);

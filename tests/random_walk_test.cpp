@@ -183,7 +183,7 @@ TEST(GraphWalks, CliqueCoverIsCouponCollector) {
 
 TEST(CoverEstimate, ReportsSaneCI) {
   graph::Graph g = graph::ring(32);
-  const auto est = estimate_graph_cover_time(g, {0}, 50, 7, ~0ULL / 2);
+  const auto est = estimate_walk_cover_time(g, {0}, 50, 7, ~0ULL / 2);
   EXPECT_EQ(est.trials, 50u);
   EXPECT_GT(est.mean, 31.0);
   EXPECT_GT(est.stddev, 0.0);

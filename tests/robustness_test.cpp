@@ -3,19 +3,39 @@
 // here we exercise the agent-fleet analogue the model supports natively):
 // crashing or adding agents re-converges to the Thm 6 limit behaviour for
 // the new k, and visit-count monotonicity (Lemma 1) survives the change.
-// The snapshot module makes the surgery exact.
+// Reading the pointers and agents off the engine makes the surgery exact.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/cover_time.hpp"
 #include "core/domains.hpp"
 #include "core/initializers.hpp"
-#include "core/snapshot.hpp"
 
 namespace rr::core {
 namespace {
+
+// A ring fleet: n, agent multiset, pointer vector.
+struct Fleet {
+  NodeId n = 0;
+  std::vector<NodeId> agents;
+  std::vector<std::uint8_t> pointers;
+
+  RingRotorRouter make() const { return RingRotorRouter(n, agents, pointers); }
+};
+
+// The engine's current pointers and agents (read through pointer and
+// agents_at), so `make()` resumes the run exactly with fresh visit
+// statistics.
+Fleet capture(const RingRotorRouter& rr) {
+  Fleet fleet;
+  fleet.n = rr.num_nodes();
+  for (NodeId v = 0; v < rr.num_nodes(); ++v) {
+    fleet.pointers.push_back(rr.pointer(v));
+    fleet.agents.insert(fleet.agents.end(), rr.agents_at(v), v);
+  }
+  return fleet;
+}
 
 // Runs `rr` until coverage plus a stabilization tail, then measures max
 // inter-visit gap over a window.
@@ -43,8 +63,8 @@ std::uint64_t settle_and_measure_gap(RingRotorRouter& rr,
   return worst;
 }
 
-RingConfig crash_one_agent(const RingRotorRouter& rr) {
-  RingConfig cp = checkpoint(rr);
+Fleet crash_one_agent(const RingRotorRouter& rr) {
+  Fleet cp = capture(rr);
   cp.agents.pop_back();
   return cp;
 }
@@ -73,7 +93,7 @@ TEST(Robustness, RepeatedCrashesDegradeGracefullyToSingleAgent) {
   RingRotorRouter rr(n, agents, pointers_negative(n, agents));
   rr.run_until_covered(8ULL * n * n);
   while (k > 1) {
-    RingConfig cp = crash_one_agent(rr);
+    Fleet cp = crash_one_agent(rr);
     --k;
     ASSERT_EQ(cp.agents.size(), k);
     rr = cp.make();
@@ -91,8 +111,8 @@ TEST(Robustness, AddedAgentNeverSlowsVisits) {
   const auto agents = place_equally_spaced(n, 3);
   RingRotorRouter base(n, agents, pointers_negative(n, agents));
   base.run(500);
-  RingConfig cp = checkpoint(base);
-  RingConfig reinforced = cp;
+  Fleet cp = capture(base);
+  Fleet reinforced = cp;
   reinforced.agents.push_back(0);
 
   RingRotorRouter plain = cp.make();
@@ -117,7 +137,7 @@ TEST(Robustness, AddedAgentImprovesRefreshRate) {
   const std::uint64_t before =
       settle_and_measure_gap(rr, 0, 16ULL * n / k + 64);
 
-  RingConfig cp = checkpoint(rr);
+  Fleet cp = capture(rr);
   for (std::uint32_t i = 0; i < k; ++i) {
     cp.agents.push_back(static_cast<NodeId>((i * n) / k + n / (2 * k)));
   }

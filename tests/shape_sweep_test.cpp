@@ -9,15 +9,20 @@
 #include <cmath>
 
 #include "sim/runner.hpp"
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
+#include "sim/measure.hpp"
 #include "walk/ring_walk.hpp"
 
 namespace rr {
 namespace {
 
 using core::NodeId;
-using core::RingConfig;
+
+std::unique_ptr<sim::Engine> ring(NodeId n, std::vector<NodeId> agents,
+                                  const std::vector<std::uint8_t>& ptrs = {}) {
+  return sim::create_engine("ring", graph::GraphDescriptor::ring(n),
+                            std::move(agents), ptrs);
+}
 
 struct SweepPoint {
   NodeId n;
@@ -33,8 +38,8 @@ class ShapeSweep : public ::testing::TestWithParam<SweepPoint> {};
 
 TEST_P(ShapeSweep, RotorWorstCoverBand) {
   const auto [n, k] = GetParam();
-  RingConfig c{n, core::place_all_on_one(k, 0), core::pointers_toward(n, 0)};
-  const double cover = static_cast<double>(core::ring_cover_time(c));
+  const double cover = static_cast<double>(sim::cover_time(
+      *ring(n, core::place_all_on_one(k, 0), core::pointers_toward(n, 0))));
   const double pred =
       static_cast<double>(n) * n / std::log2(static_cast<double>(k));
   // Measured band across all sweeps: 0.23 - 0.30 (see EXPERIMENTS.md).
@@ -44,9 +49,9 @@ TEST_P(ShapeSweep, RotorWorstCoverBand) {
 
 TEST_P(ShapeSweep, RotorBestCoverBand) {
   const auto [n, k] = GetParam();
-  RingConfig c{n, core::place_equally_spaced(n, k), {}};
-  c.pointers = core::pointers_negative(n, c.agents);
-  const double cover = static_cast<double>(core::ring_cover_time(c));
+  const auto agents = core::place_equally_spaced(n, k);
+  const double cover = static_cast<double>(
+      sim::cover_time(*ring(n, agents, core::pointers_negative(n, agents))));
   const double pred = std::pow(static_cast<double>(n) / k, 2.0);
   // Measured: ~0.50 with O(1/(n/k)) wobble.
   EXPECT_GE(cover / pred, 0.35);
@@ -55,8 +60,8 @@ TEST_P(ShapeSweep, RotorBestCoverBand) {
 
 TEST_P(ShapeSweep, RotorReturnTimeBand) {
   const auto [n, k] = GetParam();
-  RingConfig c{n, core::place_equally_spaced(n, k), {}};
-  const auto ret = core::ring_return_time(c);
+  const auto ret =
+      sim::windowed_return_time(*ring(n, core::place_equally_spaced(n, k)));
   ASSERT_TRUE(ret.covered);
   const double unit = static_cast<double>(n) / k;
   // The limit constant is 2 (exact analysis); allow the windowed wobble.

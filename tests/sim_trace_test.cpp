@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/ring_rotor_router.hpp"
+#include "core/domains.hpp"
 #include "core/rotor_router.hpp"
-#include "core/trace.hpp"
 #include "graph/generators.hpp"
 #include "walk/random_walk.hpp"
 
@@ -110,14 +110,14 @@ TEST(SimTrace, GoldenTorusDiagram) {
 }
 
 TEST(SimTrace, RingShimFormatsIdentically) {
-  // core::format_trace delegates here; single-line frames must keep the
-  // historical "t=<round> |cells|" shape byte-for-byte.
+  // The ring painter's single-line frames keep the historical
+  // "t=<round> |cells|" shape byte-for-byte.
   core::RingRotorRouter rr(6, {0});
-  core::TraceOptions opt;
+  TraceOptions opt;
   opt.rounds = 12;
   opt.stride = 6;
-  const auto rows = core::record_trace(rr, opt);
-  const auto text = core::format_trace(rows);
+  const auto rows = record_trace(rr, opt, *core::ring_painter(rr, false));
+  const auto text = format_trace(rows);
   EXPECT_NE(text.find("t= 0 |"), std::string::npos);
   EXPECT_NE(text.find("t=12 |"), std::string::npos);
 }

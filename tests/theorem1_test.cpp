@@ -9,7 +9,6 @@
 
 #include <cmath>
 
-#include "core/cover_time.hpp"
 #include "core/initializers.hpp"
 #include "graph/generators.hpp"
 

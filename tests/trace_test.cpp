@@ -1,15 +1,30 @@
-// Tests for the space-time trace renderer and the arc-traversal identity
-// added to the general engine.
-
-#include "core/trace.hpp"
+// Tests for the ring trace painter (core::ring_painter through
+// sim::record_trace) and the arc-traversal identity added to the general
+// engine.
 
 #include <gtest/gtest.h>
 
+#include "core/domains.hpp"
 #include "core/rotor_router.hpp"
 #include "graph/generators.hpp"
+#include "sim/trace.hpp"
 
 namespace rr::core {
 namespace {
+
+struct Row {
+  std::uint64_t round;
+  std::string cells;
+};
+
+// The current configuration as the ring painter draws it (no stepping).
+Row render_row(RingRotorRouter& rr, bool domains) {
+  sim::TraceOptions opt;
+  opt.rounds = 0;
+  const auto frame =
+      sim::record_trace(rr, opt, *ring_painter(rr, domains)).front();
+  return {frame.round, frame.lines.front()};
+}
 
 TEST(Trace, InitialRowShowsAgentsAndUnvisited) {
   RingRotorRouter rr(8, {2, 2, 5});
@@ -38,14 +53,6 @@ TEST(Trace, VisitedNodesBecomeDots) {
   EXPECT_EQ(row.cells[4], ' ');
 }
 
-TEST(Trace, PointerLineUsesArrows) {
-  std::vector<std::uint8_t> ptrs(6, kClockwise);
-  ptrs[4] = kAnticlockwise;
-  RingRotorRouter rr(6, {0}, ptrs);
-  const auto line = render_pointers(rr);
-  EXPECT_EQ(line, ">>>><>");
-}
-
 TEST(Trace, DomainsModeLabelsOwnedArcs) {
   RingRotorRouter rr(12, {0, 6});
   rr.run(2);
@@ -60,10 +67,10 @@ TEST(Trace, DomainsModeLabelsOwnedArcs) {
 
 TEST(Trace, RecordTraceSamplesWithStride) {
   RingRotorRouter rr(10, {0});
-  TraceOptions opt;
+  sim::TraceOptions opt;
   opt.rounds = 10;
   opt.stride = 2;
-  const auto rows = record_trace(rr, opt);
+  const auto rows = sim::record_trace(rr, opt, *ring_painter(rr, false));
   ASSERT_EQ(rows.size(), 6u);  // initial + 5 samples
   EXPECT_EQ(rows[0].round, 0u);
   EXPECT_EQ(rows[1].round, 2u);
@@ -72,11 +79,11 @@ TEST(Trace, RecordTraceSamplesWithStride) {
 
 TEST(Trace, FormatAlignsRoundLabels) {
   RingRotorRouter rr(6, {0});
-  TraceOptions opt;
+  sim::TraceOptions opt;
   opt.rounds = 12;
   opt.stride = 6;
-  const auto rows = record_trace(rr, opt);
-  const auto text = format_trace(rows);
+  const auto rows = sim::record_trace(rr, opt, *ring_painter(rr, false));
+  const auto text = sim::format_trace(rows);
   EXPECT_NE(text.find("t= 0 |"), std::string::npos);
   EXPECT_NE(text.find("t=12 |"), std::string::npos);
   // Every line ends with a closing frame.
