@@ -18,6 +18,9 @@
 //      after 600 rounds), split into its layers — serialize, encode,
 //      atomic write with fsync — as medians of interleaved repetitions,
 //      next to the same state saved by the 1-shard engine.
+//   6. Sustained periodic saves: the same state steps for a fixed wall
+//      time with checkpoint_file_sink armed, reporting each fire's
+//      caller-side pause and whether the background writer kept up.
 //
 // Engines here are built over rr-graph images rather than in-RAM
 // Graphs, so instance construction is O(agents) and the bench itself
@@ -31,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +126,63 @@ IoSample measure_io(const std::string& image_path,
   RR_REQUIRE(sink.config_hash() == engine.config_hash(),
              "bench round-trip changed the configuration");
   return s;
+}
+
+/// One sustained-save run (section 6).
+struct Sustained {
+  std::uint64_t fires = 0;
+  std::uint64_t waits = 0;  // fires that found the previous write running
+  double p50_ms = 0, p99_ms = 0;
+  double rounds_per_s = 0;
+};
+
+/// Steps `engine` for `seconds` of wall time with a periodic save every
+/// `every` rounds to `path`, timing each fire on the stepping thread.
+/// `behind` saves through checkpoint_file_sink (write-behind); otherwise
+/// the fire encodes and writes inline, fsync included.
+Sustained sustained_saves(rr::sim::Engine& engine, const std::string& path,
+                          const std::string& descriptor,
+                          rr::sim::ThreadPool* pool, std::uint64_t every,
+                          double seconds, bool behind) {
+  auto stats = std::make_shared<rr::sim::CheckpointSinkStats>();
+  std::function<void(const rr::sim::Engine&)> save;
+  if (behind) {
+    save = rr::sim::checkpoint_file_sink(path, descriptor,
+                                         rr::sim::CkptFormat::kV2, pool, stats);
+  } else {
+    save = [&](const rr::sim::Engine& e) {
+      const bool ok = rr::sim::save_checkpoint_file_atomic(
+          path, rr::sim::write_checkpoint(e, descriptor,
+                                          rr::sim::CkptFormat::kV2, 0, pool));
+      if (ok) ++stats->saves;
+    };
+  }
+  std::vector<double> pause_ms;
+  engine.set_auto_checkpoint(
+      every, [&pause_ms, save = std::move(save)](const rr::sim::Engine& e) {
+        const auto t0 = std::chrono::steady_clock::now();
+        save(e);
+        pause_ms.push_back(1e3 * now_minus(t0));
+      });
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t rounds = 0;
+  while (now_minus(t0) < seconds) {
+    engine.run(every);
+    rounds += every;
+  }
+  engine.set_auto_checkpoint(0, {});  // joins the last write
+  const double wall = now_minus(t0);
+  std::remove(path.c_str());
+  RR_REQUIRE(stats->saves == pause_ms.size(), "sustained saves failed");
+  std::sort(pause_ms.begin(), pause_ms.end());
+  Sustained out;
+  out.fires = pause_ms.size();
+  out.waits = stats->waits;
+  out.p50_ms = pause_ms[pause_ms.size() / 2];
+  out.p99_ms = pause_ms[std::min(pause_ms.size() - 1,
+                                 (pause_ms.size() * 99 + 99) / 100 - 1)];
+  out.rounds_per_s = static_cast<double>(rounds) / wall;
+  return out;
 }
 
 }  // namespace
@@ -405,6 +466,43 @@ int main() {
              static_cast<double>(n) / (1e-3 * median(rows[0].save_ms)));
     json.add("CkptIO/periodic/sequential_save_nodes_per_s",
              static_cast<double>(n) / (1e-3 * median(rows[1].save_ms)));
+
+    // --- 6. Sustained periodic saves while the engine steps. ---
+    //
+    // A sustained I/O run in the usual sense, one save size and a fixed
+    // duration: the 4-shard engine above steps for kSustainSeconds with
+    // a save every `every` rounds. The pause is what a fire costs the
+    // stepping loop. Write-behind pays serialize + encode there and
+    // hands the write to the background thread; `waited` counts fires
+    // that found the previous write still running, i.e. the writer not
+    // keeping up. The inline rows write on the stepping thread, fsync
+    // included. Every 50 rounds is torus-explore's schedule; every 2
+    // rounds keeps a write in flight almost all the time. Not scaled.
+    constexpr double kSustainSeconds = 2.0;
+    Table st({"every", "save", "fires", "pause p50 ms", "pause p99 ms",
+              "waited", "rounds/s"});
+    for (const std::uint64_t every : {50, 2}) {
+      for (const bool behind : {true, false}) {
+        const Sustained r = sustained_saves(sharded, path, descriptor, &pool,
+                                            every, kSustainSeconds, behind);
+        st.add_row({Table::integer(every), behind ? "behind" : "inline",
+                    Table::integer(r.fires), Table::num(r.p50_ms, 2),
+                    Table::num(r.p99_ms, 2),
+                    behind ? Table::integer(r.waits) : "-",
+                    Table::num(r.rounds_per_s, 0)});
+        if (behind) {
+          const std::string tag =
+              "CkptIO/sustained/every" + std::to_string(every);
+          json.add_metric(tag, "p99_seconds", 1e-3 * r.p99_ms);
+          json.add(tag + "/rounds_per_s", r.rounds_per_s);
+        }
+      }
+    }
+    std::printf("\n");
+    st.print();
+    std::printf("\nsustained saves: %.0f s per row on the 4-shard engine; "
+                "waited = fires that joined a write still running\n",
+                kSustainSeconds);
   }
   return 0;
 }

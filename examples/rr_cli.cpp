@@ -418,6 +418,11 @@ std::unique_ptr<rr::sim::Engine> build_engine(
   }
   const std::string& engine = f.engine.empty() ? default_engine : f.engine;
   const auto* spec = registry.find(engine);
+  if (spec && !spec->takes_pointers && f.given.count("--ptr")) {
+    std::fprintf(stderr, "rr_cli: --ptr does not apply: %s has no rotor field\n",
+                 spec->name.c_str());
+    return nullptr;
+  }
   if (spec && f.shards > 1 && !spec->supports_shards) {
     std::fprintf(stderr,
                  "rr_cli: --shards only applies to shard-capable engines; "
@@ -658,9 +663,12 @@ int cmd_run(const Flags& f) {
               static_cast<unsigned long long>(engine->time()),
               engine->covered_count(), engine->num_nodes(),
               static_cast<unsigned long long>(engine->config_hash()));
-  // A failed periodic checkpoint leaves nothing to resume from at the
-  // round it was due: report it and exit non-zero (after still trying
-  // the final save below).
+  // Dropping the sink joins its last background write: after this the
+  // stats are final and the final save below cannot race it on the same
+  // path. A failed periodic checkpoint leaves nothing to resume from at
+  // the round it was due: report it and exit non-zero (after still
+  // trying the final save below).
+  engine->set_auto_checkpoint(0, {});
   int status = 0;
   if (sink_stats->last_failed) {
     std::fprintf(stderr,

@@ -532,10 +532,8 @@ void LazyRingRotorRouter::serialize_state(sim::StateWriter& out) const {
   }
   out.field("phase", "lazy");
   out.field_u64("time", time_);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs(runs_.begin(),
-                                                            runs_.end());
-  out.field_pairs("runs", std::move(runs));
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sites;
+  out.field_pairs("runs", sim::PairList(runs_.begin(), runs_.end()));
+  sim::PairList sites;
   sites.reserve(sites_.size());
   for (const Site& s : sites_) sites.emplace_back(s.node, s.count);
   out.field_pairs("agents", std::move(sites));

@@ -92,7 +92,7 @@ std::uint64_t RingRotorRouter::config_hash() const {
 
 void RingRotorRouter::serialize_state(sim::StateWriter& out) const {
   out.field_u64("time", time_);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sites;
+  sim::PairList sites;
   std::vector<std::uint8_t> travel_dir(n_), single_prop(n_);
   for (NodeId v = 0; v < n_; ++v) {
     if (node_[v].count > 0) sites.emplace_back(v, node_[v].count);

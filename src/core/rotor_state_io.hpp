@@ -161,7 +161,8 @@ inline std::uint64_t rotor_config_hash(const NodeArray& node) {
 
 /// The sparse "agents" field: (node, count) for every node hosting an
 /// agent, in ascending node id.
-using AgentSites = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+/// Sized without a zero fill: collect_rotor_sites writes every element.
+using AgentSites = sim::PairList;
 
 /// A contiguous node range [begin, end) and the number of agent sites it
 /// holds — a shard's rows and its occupied list's size.

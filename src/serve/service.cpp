@@ -49,7 +49,8 @@ SessionService::SessionService(ServiceOptions opt) : opt_(std::move(opt)) {
 }
 
 SessionService::~SessionService() {
-  for (const auto& [id, s] : sessions_) {
+  for (auto& [id, s] : sessions_) {
+    s.engine.reset();  // joins a periodic write still landing the file
     std::remove(evict_path(id).c_str());
   }
 }
@@ -117,6 +118,10 @@ void SessionService::arm_auto_checkpoint(Session& s) {
 
 bool SessionService::evict(Session& s) {
   refresh_summary(s);
+  // The periodic sink writes the same file behind the stepping loop:
+  // dropping it joins its last write, so the two cannot race on the tmp
+  // file and the eviction write lands last.
+  s.engine->set_auto_checkpoint(0, {});
   // Pinning the segment count makes the document byte-identical to what
   // any other writer (rr_cli, the differential tests) produces for the
   // same state, regardless of this service's pool width.
@@ -133,6 +138,7 @@ bool SessionService::evict(Session& s) {
                    "reported)\n",
                    evict_path(s.id).c_str());
     }
+    arm_auto_checkpoint(s);
     return false;
   }
   s.engine.reset();
@@ -190,8 +196,10 @@ void SessionService::destroy(std::uint64_t id) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   if (it->second.engine) --live_;
-  std::remove(evict_path(id).c_str());
+  // Erase first: destroying the engine joins a periodic write that would
+  // otherwise land the file after its removal.
   sessions_.erase(it);  // stale ready_/waiting_ entries are skipped later
+  std::remove(evict_path(id).c_str());
   ++stats_.destroyed;
 }
 

@@ -70,6 +70,7 @@ void register_rotor(EngineRegistry& r) {
                  "--shards N steps it shard-parallel, bit-equal)",
       .substrate_kinds = {},
       .supports_shards = true,
+      .takes_pointers = true,
       .deterministic = true,
       .cycle_accumulators = {"time", "visits", "exits", "last_visit"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
@@ -111,6 +112,7 @@ void register_ring(EngineRegistry& r) {
       .summary = "ring-specialized rotor-router with Sec. 2.2 visit "
                  "classification (domains/borders)",
       .substrate_kinds = {"ring"},
+      .takes_pointers = true,
       .deterministic = true,
       // last_arrival is a per-node agent *count* (periodic on the cycle,
       // so rigid comparison both confirms it and keeps it unchanged);
@@ -143,6 +145,7 @@ void register_lazy(EngineRegistry& r) {
       .summary = "O(k log k)/round domain-dynamics ring engine with "
                  "ballistic fast-forward in run()",
       .substrate_kinds = {"ring"},
+      .takes_pointers = true,
       .deterministic = true,
       // A crowded engine (wide() false) that does not promote at
       // construction is the dense ring engine for good: its promotion
@@ -280,6 +283,7 @@ void register_dist(EngineRegistry& r) {
                  "sequential (--workers N, --noded PATH|threads)",
       .substrate_kinds = {},
       .supports_shards = false,
+      .takes_pointers = true,
       .deterministic = true,
       .shares_engine_name = true,
       .cycle_accumulators = {"time", "visits", "exits", "last_visit"},

@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,9 +20,9 @@
 namespace rr::sim {
 
 namespace detail {
-std::size_t g_atomic_write_cap = ~std::size_t{0};
-bool g_dir_fsync_fail = false;
-bool g_dir_fsync_warned = false;
+std::atomic<std::size_t> g_atomic_write_cap{~std::size_t{0}};
+std::atomic<bool> g_dir_fsync_fail{false};
+std::atomic<bool> g_dir_fsync_warned{false};
 }  // namespace detail
 
 namespace {
@@ -198,8 +200,7 @@ bool save_checkpoint_file_atomic(const std::string& path,
     dir_synced = ::fsync(dfd) == 0;
     ::close(dfd);
   }
-  if (!dir_synced && !detail::g_dir_fsync_warned) {
-    detail::g_dir_fsync_warned = true;
+  if (!dir_synced && !detail::g_dir_fsync_warned.exchange(true)) {
     std::fprintf(stderr,
                  "rr-ckpt: warning: cannot fsync directory %s (%s); a system "
                  "crash may revert %s to its previous contents "
@@ -210,28 +211,92 @@ bool save_checkpoint_file_atomic(const std::string& path,
   return true;
 }
 
+namespace {
+
+/// The write-behind half of checkpoint_file_sink: write() hands an
+/// encoded document to a thread of its own, after joining the previous
+/// one, and the destructor joins the last. Each write's result is counted
+/// into `stats` at its join, on the joining thread, so the stats need no
+/// lock.
+class BackgroundWriter {
+ public:
+  BackgroundWriter(std::string path, std::shared_ptr<CheckpointSinkStats> stats)
+      : path_(std::move(path)), stats_(std::move(stats)) {}
+  BackgroundWriter(const BackgroundWriter&) = delete;
+  BackgroundWriter& operator=(const BackgroundWriter&) = delete;
+  ~BackgroundWriter() { join(); }
+
+  /// Saves `text`, the state at round `time`, behind the caller.
+  void write(std::string text, std::uint64_t time) {
+    if (thread_.joinable() && !done_) ++stats_->waits;
+    join();
+    text_ = std::move(text);
+    time_ = time;
+    done_ = false;
+    try {
+      thread_ = std::thread([this] { save(); });
+    } catch (const std::system_error&) {
+      save();  // no thread to be had: save on the caller's thread
+      count();
+    }
+  }
+
+ private:
+  void save() {
+    try {
+      ok_ = save_checkpoint_file_atomic(path_, text_);
+    } catch (...) {  // std::bad_alloc: counted as a failed save
+      ok_ = false;
+    }
+    std::string().swap(text_);
+    done_ = true;
+  }
+
+  void join() {
+    if (!thread_.joinable()) return;
+    thread_.join();
+    count();
+  }
+
+  void count() {
+    stats_->last_failed = !ok_;
+    if (ok_) {
+      ++stats_->saves;
+    } else if (stats_->failures++ == 0) {
+      std::fprintf(stderr,
+                   "rr-ckpt: warning: periodic checkpoint to %s failed at "
+                   "t=%llu; the run continues (further failures counted, "
+                   "not reported)\n",
+                   path_.c_str(), static_cast<unsigned long long>(time_));
+    }
+  }
+
+  const std::string path_;
+  const std::shared_ptr<CheckpointSinkStats> stats_;
+  std::string text_;  // the document in flight; the writer frees it
+  std::uint64_t time_ = 0;
+  bool ok_ = false;
+  std::atomic<bool> done_{true};
+  std::thread thread_;
+};
+
+}  // namespace
+
 std::function<void(const Engine&)> checkpoint_file_sink(
     std::string path, std::string graph_descriptor, CkptFormat format,
     ThreadPool* pool, std::shared_ptr<CheckpointSinkStats> stats,
     std::uint32_t segments) {
   if (!stats) stats = std::make_shared<CheckpointSinkStats>();
-  return [path = std::move(path),
+  // Shared: std::function copies the sink, and the last copy's
+  // destruction joins the write in flight.
+  auto writer =
+      std::make_shared<BackgroundWriter>(std::move(path), std::move(stats));
+  return [writer = std::move(writer),
           graph_descriptor = std::move(graph_descriptor), format, pool,
-          stats = std::move(stats), segments](const Engine& engine) {
-    const bool ok = save_checkpoint_file_atomic(
-        path, write_checkpoint(engine, graph_descriptor, format, segments,
-                               pool));
-    stats->last_failed = !ok;
-    if (ok) {
-      ++stats->saves;
-    } else if (stats->failures++ == 0) {
-      std::fprintf(stderr,
-                   "rr-ckpt: warning: periodic checkpoint to %s failed at "
-                   "t=%llu; the run continues (further failures counted, "
-                   "not reported)\n",
-                   path.c_str(),
-                   static_cast<unsigned long long>(engine.time()));
-    }
+          segments](const Engine& engine) {
+    writer->write(
+        write_checkpoint(engine, graph_descriptor, format, segments, pool),
+        engine.time());
   };
 }
 

@@ -32,6 +32,7 @@
 // yield nullopt/nullptr, never an abort (checkpoints are external
 // input).
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -117,17 +118,31 @@ bool save_checkpoint_file_atomic(const std::string& path,
 std::optional<std::string> read_text_file(const std::string& path);
 
 /// What a checkpoint_file_sink has done so far; shared with its caller.
+/// A write is counted when it is joined (see checkpoint_file_sink), so
+/// read these after dropping the sink.
 struct CheckpointSinkStats {
   std::uint64_t saves = 0;     ///< fires that wrote their document
   std::uint64_t failures = 0;  ///< fires whose save failed
   bool last_failed = false;    ///< the most recent fire failed
+  std::uint64_t waits = 0;     ///< fires that found the previous write running
 };
 
 /// Sink for Engine::set_auto_checkpoint: serializes the engine against
-/// `graph_descriptor` and saves it atomically to `path` on every fire. A failed save does not stop the run (the run
-/// itself must not die because a disk filled), but it is not swallowed
-/// either: the first failure warns on stderr naming `path`, and every
-/// fire is counted in `stats` (optional) so the caller can report it.
+/// `graph_descriptor` and saves it atomically to `path` on every fire.
+/// The save writes behind: the firing thread serializes and encodes the
+/// document (on `pool` when given) and returns once a background thread
+/// has taken it over for save_checkpoint_file_atomic. At most one write
+/// is in flight: the next fire joins it first, so files land in fire
+/// order and at most two documents exist at once. Dropping the sink is
+/// the join: set_auto_checkpoint(0, {}), re-arming, or destroying the
+/// engine waits for the last write, after which the file and `stats` are
+/// final. Callers that read either, or write `path` themselves, drop the
+/// sink first.
+///
+/// A failed save does not stop the run (the run itself must not die
+/// because a disk filled), but it is not swallowed either: the first
+/// failure warns on stderr naming `path`, and every fire is counted in
+/// `stats` (optional) when its write is joined, on the joining thread.
 /// `segments` and `pool` are write_checkpoint's: a non-zero segment
 /// count keeps the bytes independent of the pool's width.
 std::function<void(const Engine&)> checkpoint_file_sink(
@@ -141,15 +156,16 @@ namespace detail {
 /// below SIZE_MAX, at most this many bytes reach the tmp file before the
 /// write reports failure — simulating ENOSPC / a short write mid-frame.
 /// The fault-injection test asserts the previous checkpoint survives.
-extern std::size_t g_atomic_write_cap;
+extern std::atomic<std::size_t> g_atomic_write_cap;
 /// Test-only: forces the directory-fsync step of
 /// save_checkpoint_file_atomic to take its failure path (as if the
 /// parent could not be opened), so the warn-once behavior is testable.
-extern bool g_dir_fsync_fail;
+extern std::atomic<bool> g_dir_fsync_fail;
 /// True once save_checkpoint_file_atomic has warned about a failed
 /// directory fsync (it warns at most once per process — auto-checkpoint
-/// sinks fire thousands of times). Tests may reset it.
-extern bool g_dir_fsync_warned;
+/// sinks fire thousands of times). Tests may reset it. Atomic: the
+/// background writers of several sinks save concurrently.
+extern std::atomic<bool> g_dir_fsync_warned;
 }  // namespace detail
 
 }  // namespace rr::sim

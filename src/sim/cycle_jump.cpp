@@ -43,7 +43,7 @@ struct ImageField {
   std::uint64_t scalar = 0;
   std::vector<std::uint64_t> list;
   std::vector<std::uint8_t> symbols;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  PairList pairs;
   bool accumulator = false;
 };
 

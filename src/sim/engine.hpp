@@ -73,7 +73,10 @@ class Engine {
   /// time() is `every` apart, starting `every` rounds from now), so a
   /// crash mid-sweep loses at most `every` rounds of work. The sink
   /// should persist atomically — sim::checkpoint_file_sink writes
-  /// tmp+rename. `every` 0 (or an empty sink) disables.
+  /// tmp+rename, behind the stepping loop. `every` 0 (or an empty sink)
+  /// disables. Replacing or dropping the sink destroys it, and for
+  /// checkpoint_file_sink that is the join: once this returns (or the
+  /// engine is destroyed) its last write is on disk and counted.
   void set_auto_checkpoint(std::uint64_t every,
                            std::function<void(const Engine&)> sink) {
     if (every == 0 || !sink) {

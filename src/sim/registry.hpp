@@ -91,6 +91,9 @@ struct EngineSpec {
   std::vector<std::string> substrate_kinds;
   /// True if EngineConfig::shards > 1 selects a shard-parallel stepper.
   bool supports_shards = false;
+  /// True if the backend has a rotor field that EngineConfig::pointers
+  /// sets; backends without one ignore or reject it.
+  bool takes_pointers = false;
   /// True if the trajectory is a pure function of the configuration (no
   /// RNG, no floating point): eligible for steady-state cycle leaping
   /// (sim/cycle_jump.hpp). Stochastic and continuous backends stay false.

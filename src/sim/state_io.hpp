@@ -33,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,30 @@ inline constexpr std::uint64_t kMaxLooseListElements = 1ull << 28;
 
 // ---- writer ----
 
+/// Allocator whose argument-less construct() runs no constructor, so a
+/// vector sized up front for a pass that then writes every element (the
+/// shard-parallel agent-site collection) skips the zero fill. Only for
+/// element types that are valid as allocated (trivial copy and
+/// destruction, e.g. a pair of integers).
+template <typename T>
+struct NoInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = NoInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U*) noexcept {
+    static_assert(std::is_trivially_copy_constructible_v<U> &&
+                  std::is_trivially_destructible_v<U>);
+  }
+  // Construction with arguments falls back to std::construct_at.
+};
+
+/// Sparse (index, value) pairs as the writer records them.
+using PairList =
+    std::vector<std::pair<std::uint64_t, std::uint64_t>,
+                NoInitAllocator<std::pair<std::uint64_t, std::uint64_t>>>;
+
 /// One recorded field. Engines only append through the typed helpers
 /// below; the struct is public so the checkpoint codecs can walk the
 /// recorded sequence.
@@ -67,7 +92,7 @@ struct WriterField {
   std::uint64_t scalar = 0;               ///< kU64
   std::vector<std::uint64_t> list;        ///< kU64List
   std::vector<std::uint8_t> symbols;      ///< kDirs / kBits (0 or 1 per entry)
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;  ///< kPairs
+  PairList pairs;                         ///< kPairs
   std::uint64_t view_size = 0;            ///< kU64ListView element count
   /// kU64ListView element accessor; must be pure and thread-safe (the v2
   /// codec evaluates disjoint index ranges from parallel frame encoders).
@@ -174,8 +199,7 @@ class StateWriter {
   /// Sparse "index:value" field (agent sites, pointer runs); indices must
   /// be strictly increasing. Taken by value: callers that build the list
   /// for the save pass it as an rvalue and nothing is copied.
-  void field_pairs(std::string_view key,
-                   std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs) {
+  void field_pairs(std::string_view key, PairList pairs) {
     WriterField f;
     f.kind = WriterField::Kind::kPairs;
     f.key = key;

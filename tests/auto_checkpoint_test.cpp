@@ -28,6 +28,11 @@ std::string temp_path(const char* name) {
   return rr::testing::test_temp_path(name);
 }
 
+// checkpoint_file_sink writes behind the stepping loop; dropping the
+// engine's sink joins its last write, after which the file and the
+// sink's stats are final.
+void drain(Engine& engine) { engine.set_auto_checkpoint(0, {}); }
+
 TEST(AutoCheckpoint, FiresOnTheExactRoundSchedule) {
   const graph::Graph g = graph::torus(6, 6);
   core::RotorRouter rr(g, {0, 9});
@@ -84,6 +89,7 @@ TEST(AutoCheckpoint, FileSinkPersistsARestorableCheckpoint) {
   core::RotorRouter rr(g, {0, 17, 40}, {}, /*shards=*/4);
   rr.set_auto_checkpoint(32, checkpoint_file_sink(path, descriptor.text()));
   rr.run(100);  // fires at 32, 64, 96; file holds the t=96 state
+  drain(rr);
 
   const auto text = read_text_file(path);
   ASSERT_TRUE(text.has_value());
@@ -109,6 +115,7 @@ TEST(AutoCheckpoint, StochasticEngineResumesItsRngStream) {
   walk::GraphRandomWalks walks(g, {0, 5}, /*seed=*/99);
   walks.set_auto_checkpoint(25, checkpoint_file_sink(path, descriptor.text()));
   walks.run(60);  // file holds t=50
+  drain(walks);
 
   const auto text = read_text_file(path);
   ASSERT_TRUE(text.has_value());
@@ -209,17 +216,27 @@ TEST(AutoCheckpoint, SinkSurvivesWriteFaultsAndRecovers) {
   std::remove(path.c_str());
 
   core::RotorRouter rr(g, {0});
-  rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text()));
+  // Each phase re-arms the sink (the schedule stays on multiples of 10)
+  // and drains it, so the fault is set while that phase's writes run.
+  const auto arm = [&] {
+    rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text()));
+  };
+  arm();
   rr.run(10);  // good checkpoint at t=10
+  drain(rr);
   const auto good = read_text_file(path);
   ASSERT_TRUE(good.has_value());
 
   detail::g_atomic_write_cap = 16;
+  arm();
   rr.run(20);  // fires at 20 and 30 both fail short
+  drain(rr);
   detail::g_atomic_write_cap = ~std::size_t{0};
   EXPECT_EQ(read_text_file(path), good);  // t=10 state survives the faults
 
+  arm();
   rr.run(10);  // fire at t=40 succeeds again
+  drain(rr);
   auto restored = restore_checkpoint_file(path);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->time(), 40u);
@@ -234,16 +251,24 @@ TEST(AutoCheckpoint, SinkCountsFailuresAndWarnsOnceNamingThePath) {
   auto stats = std::make_shared<CheckpointSinkStats>();
 
   core::RotorRouter rr(*descriptor.build_csr(), {0, 9});
-  rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text(),
-                                                  CkptFormat::kV2, nullptr,
-                                                  stats));
+  // Re-armed per phase and drained before the stats are read; the
+  // shared stats carry the warn-once across sinks.
+  const auto arm = [&] {
+    rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text(),
+                                                    CkptFormat::kV2, nullptr,
+                                                    stats));
+  };
+  arm();
   rr.run(10);
+  drain(rr);
   EXPECT_EQ(stats->saves, 1u);
   EXPECT_FALSE(stats->last_failed);
 
   ::testing::internal::CaptureStderr();
   detail::g_atomic_write_cap = 16;
+  arm();
   rr.run(30);  // fires at 20, 30 and 40 all fail short
+  drain(rr);
   detail::g_atomic_write_cap = ~std::size_t{0};
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(stats->failures, 3u);
@@ -256,11 +281,74 @@ TEST(AutoCheckpoint, SinkCountsFailuresAndWarnsOnceNamingThePath) {
             std::string::npos)
       << err;
 
+  arm();
   rr.run(10);  // the fire at t=50 succeeds again
+  drain(rr);
   EXPECT_EQ(stats->saves, 2u);
   EXPECT_EQ(stats->failures, 3u);
   EXPECT_FALSE(stats->last_failed);
   std::remove(path.c_str());
+}
+
+TEST(AutoCheckpoint, DestroyingTheEngineJoinsTheWriteInFlight) {
+  // The engine is destroyed right after its last fire, while that
+  // fire's write may still be running: destruction joins it, so the file
+  // on disk is the last fire's document, complete, with no tmp residue.
+  const auto descriptor = graph::GraphDescriptor::torus(128, 128);
+  const std::string path = temp_path("auto_ckpt_destroy.rrc");
+  std::remove(path.c_str());
+  std::vector<graph::NodeId> agents;
+  for (graph::NodeId v = 0; v < 128 * 128; v += 37) agents.push_back(v);
+
+  std::string last;
+  {
+    core::RotorRouter rr(*descriptor.build_csr(), agents, {}, /*shards=*/2);
+    rr.set_auto_checkpoint(
+        10, [&, sink = checkpoint_file_sink(path, descriptor.text())](
+                const Engine& e) {
+          last = write_checkpoint(e, descriptor.text());
+          sink(e);
+        });
+    rr.run(30);  // fires at 10, 20 and 30
+  }
+  EXPECT_EQ(read_text_file(path), std::optional<std::string>{last});
+  EXPECT_EQ(std::optional<std::string>{std::nullopt},
+            read_text_file(path + ".tmp"));
+  auto restored = restore_checkpoint_file(path);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->time(), 30u);
+  std::remove(path.c_str());
+}
+
+TEST(AutoCheckpoint, FailedBackgroundWriteIsReportedAtTheDrain) {
+  // A write is counted when it is joined, on the joining thread: the
+  // last fire's failure is not in the stats until the sink is dropped,
+  // and then it is, with the one warning naming the path and the round.
+  const auto descriptor = graph::GraphDescriptor::ring(32);
+  const std::string path = temp_path("auto_ckpt_fail_drain.rrc");
+  std::remove(path.c_str());
+  auto stats = std::make_shared<CheckpointSinkStats>();
+
+  core::RotorRouter rr(*descriptor.build_csr(), {0, 9});
+  rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text(),
+                                                  CkptFormat::kV2, nullptr,
+                                                  stats));
+  ::testing::internal::CaptureStderr();
+  detail::g_atomic_write_cap = 16;
+  rr.run(10);  // one fire, its write behind the loop
+  EXPECT_EQ(stats->saves + stats->failures, 0u);
+  drain(rr);
+  detail::g_atomic_write_cap = ~std::size_t{0};
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(stats->saves, 0u);
+  EXPECT_EQ(stats->failures, 1u);
+  EXPECT_TRUE(stats->last_failed);
+  EXPECT_NE(err.find("periodic checkpoint to " + path + " failed at t=10"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(std::optional<std::string>{std::nullopt}, read_text_file(path));
+  EXPECT_EQ(std::optional<std::string>{std::nullopt},
+            read_text_file(path + ".tmp"));
 }
 
 TEST(AutoCheckpoint, DirFsyncFailureWarnsOncePerProcess) {

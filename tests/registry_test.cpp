@@ -61,6 +61,18 @@ TEST(EngineRegistry, FindMatchesCliKeyAndEngineName) {
   EXPECT_EQ(r.find("warp-drive"), nullptr);
 }
 
+TEST(EngineRegistry, RotorFieldBackendsTakePointers) {
+  // rr_cli rejects --ptr for a backend whose spec says it has no rotor
+  // field, so the flag is never silently ignored.
+  const auto& r = EngineRegistry::instance();
+  for (const char* name : {"rotor", "ring", "lazy", "dist"}) {
+    EXPECT_TRUE(r.find(name)->takes_pointers) << name;
+  }
+  for (const char* name : {"walks", "eulerian", "ode"}) {
+    EXPECT_FALSE(r.find(name)->takes_pointers) << name;
+  }
+}
+
 TEST(EngineRegistry, UnknownNameFailsCleanly) {
   std::string error;
   EngineConfig config;

@@ -664,6 +664,38 @@ TEST(ServeService, DestroyRemovesTheSessionAndItsFile) {
   EXPECT_EQ(drv.call(destroy).status, Status::kError);  // already gone
 }
 
+TEST(ServeService, PeriodicSinkJoinsBeforeEvictionAndDestroy) {
+  // A session's periodic sink writes its eviction file behind the
+  // stepping loop. Eviction drops the sink first, so the eviction write
+  // lands last (the file holds t=64, not the last fire's t=60); destroy
+  // drops it before removing the file, so no late write brings it back.
+  ServiceOptions opt;
+  opt.ckpt_dir = test_dir();
+  opt.max_live = 1;
+  opt.evict_after = 1;
+  opt.auto_checkpoint_every = 10;
+  Driver drv(opt);
+  const Reply& a = drv.call(create_req("rotor", "ring 96", 4));
+  ASSERT_EQ(drv.call(step_req(a.session, 64)).status, Status::kOk);
+  const Reply& b = drv.call(create_req("rotor", "ring 96", 4));  // evicts a
+  ASSERT_EQ(b.status, Status::kOk);
+  auto direct = direct_engine("rotor", "ring 96", 4);
+  direct->run(64);
+  const std::string dir = opt.ckpt_dir + "/rr-session-";
+  EXPECT_EQ(sim::read_text_file(dir + std::to_string(a.session) + ".ckpt"),
+            std::optional<std::string>{sim::write_checkpoint(
+                *direct, "ring 96", sim::CkptFormat::kV2,
+                sim::kV2DefaultSegments)});
+
+  ASSERT_EQ(drv.call(step_req(b.session, 25)).status, Status::kOk);
+  Request destroy;
+  destroy.op = Op::kDestroy;
+  destroy.session = b.session;
+  ASSERT_EQ(drv.call(destroy).status, Status::kOk);
+  EXPECT_FALSE(
+      sim::read_text_file(dir + std::to_string(b.session) + ".ckpt").has_value());
+}
+
 TEST(ServeService, ShutdownAndInfoAnswer) {
   ServiceOptions opt;
   opt.ckpt_dir = test_dir();
