@@ -21,6 +21,11 @@
 //   6. Sustained periodic saves: the same state steps for a fixed wall
 //      time with checkpoint_file_sink armed, reporting each fire's
 //      caller-side pause and whether the background writer kept up.
+//   7. Construction on the same shape, layer by layer: build_csr, the
+//      partition, the engine constructor, the registry create and the
+//      resume's parse + restore, each on a 1-thread pool (every job on
+//      the caller) against a 4-thread pool, interleaved, with how many
+//      threads ran the pooled jobs.
 //
 // Engines here are built over rr-graph images rather than in-RAM
 // Graphs, so instance construction is O(agents) and the bench itself
@@ -37,7 +42,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <dirent.h>
+#include <time.h>
+#endif
 
 #include "analysis/table.hpp"
 #include "common/rng.hpp"
@@ -46,6 +58,7 @@
 #include "graph/mmap_substrate.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
+#include "sim/registry.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -127,6 +140,55 @@ IoSample measure_io(const std::string& image_path,
              "bench round-trip changed the configuration");
   return s;
 }
+
+/// CPU seconds each thread of this process has used so far, by thread
+/// id: the kernel's per-thread CPU clock of every /proc/self/task entry
+/// (the clock id pthread_getcpuclockid would return for it). Empty
+/// where unavailable; section 7 then prints no thread counts.
+std::vector<std::pair<long, double>> thread_cpu_s() {
+  std::vector<std::pair<long, double>> out;
+#if defined(__linux__)
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return out;
+  while (const dirent* e = readdir(dir)) {
+    const long tid = std::strtol(e->d_name, nullptr, 10);
+    if (tid <= 0) continue;
+    const auto clock = static_cast<clockid_t>(
+        (~static_cast<std::uint32_t>(tid) << 3) | 6u);
+    timespec ts{};
+    if (clock_gettime(clock, &ts) == 0) {
+      out.emplace_back(tid, static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec);
+    }
+  }
+  closedir(dir);
+#endif
+  return out;
+}
+
+/// Threads whose CPU time grew by at least `min_s` between two
+/// thread_cpu_s() snapshots, and the total growth.
+std::pair<int, double> busy_threads(
+    const std::vector<std::pair<long, double>>& before,
+    const std::vector<std::pair<long, double>>& after, double min_s) {
+  int busy = 0;
+  double total = 0;
+  for (const auto& [tid, cpu] : after) {
+    double start = 0;  // a thread started in between counts from zero
+    for (const auto& [t0, c0] : before) {
+      if (t0 == tid) start = c0;
+    }
+    total += cpu - start;
+    busy += cpu - start >= min_s;
+  }
+  return {busy, total};
+}
+
+/// One layer of section 7: wall time and, for the pooled side, the
+/// threads that ran its jobs, per repetition.
+struct LedgerRow {
+  const char* layer;
+  std::vector<double> inline_ms, pooled_ms, threads, cpu_per_wall;
+};
 
 /// One sustained-save run (section 6).
 struct Sustained {
@@ -387,10 +449,10 @@ int main() {
   // so host noise spreads over all three, and each reports its median.
   // The 4-shard row collects agent sites shard-parallel and encodes on
   // the pool; the 1-shard row is the same state restored into the
-  // sequential engine, which collects inline and encodes without a pool
-  // (`rr_cli run --shards 1`). Both rows run in one interleaved loop, and
-  // each save follows a round of its engine, as a periodic save does
-  // (the pool's workers are still awake from the round).
+  // sequential engine, which collects inline and encodes on the same
+  // pool (`rr_cli run --shards 1 --checkpoint-every`, whose saves get a
+  // pool of their own). Both rows run in one interleaved loop, and each
+  // save follows a round of its engine, as a periodic save does.
   {
     const auto desc = rr::graph::GraphDescriptor::torus(512, 512);
     auto csr = desc.build_csr();
@@ -410,12 +472,12 @@ int main() {
 
     struct Row {
       rr::sim::Engine* engine;
-      rr::sim::ThreadPool* pool;
+      const char* shards;
       std::vector<double> ser_ms, enc_ms, write_ms, save_ms;
       std::string doc;
     };
-    Row rows[] = {{&sharded, &pool, {}, {}, {}, {}, {}},
-                  {sequential.get(), nullptr, {}, {}, {}, {}, {}}};
+    Row rows[] = {{&sharded, "4", {}, {}, {}, {}, {}},
+                  {sequential.get(), "1", {}, {}, {}, {}, {}}};
     constexpr int kSaveReps = 15;
     for (int rep = 0; rep < kSaveReps; ++rep) {
       for (Row& row : rows) {
@@ -428,7 +490,7 @@ int main() {
         t0 = std::chrono::steady_clock::now();
         row.doc = rr::sim::encode_checkpoint_v2(
             row.engine->engine_name(), descriptor, state, n,
-            pool.num_threads(), row.pool);
+            pool.num_threads(), &pool);
         const double enc = now_minus(t0);
         t0 = std::chrono::steady_clock::now();
         RR_REQUIRE(rr::sim::save_checkpoint_file_atomic(path, row.doc),
@@ -450,7 +512,7 @@ int main() {
     Table t({"shards", "n", "agents", "bytes", "serialize ms", "encode ms",
              "write+fsync ms", "save ms"});
     for (const Row& row : rows) {
-      t.add_row({row.pool ? "4" : "1", Table::integer(n),
+      t.add_row({row.shards, Table::integer(n),
                  Table::integer(agents.size()),
                  Table::integer(row.doc.size()),
                  Table::num(median(row.ser_ms), 2),
@@ -460,7 +522,7 @@ int main() {
     }
     t.print();
     std::printf("\nperiodic save: median of %d interleaved repetitions; "
-                "4 shards on a %u-thread pool, 1 shard inline\n",
+                "both rows encode on one %u-thread pool\n",
                 kSaveReps, pool.num_threads());
     json.add("CkptIO/periodic/save_nodes_per_s",
              static_cast<double>(n) / (1e-3 * median(rows[0].save_ms)));
@@ -503,6 +565,102 @@ int main() {
     std::printf("\nsustained saves: %.0f s per row on the 4-shard engine; "
                 "waited = fires that joined a write still running\n",
                 kSustainSeconds);
+
+    // --- 7. Construction, layer by layer. ---
+    //
+    // What torus-explore's registry create and resume cost before the
+    // first round, on the pool they are given. The inline side passes a
+    // 1-thread pool, so every per-range job runs on the caller, as a
+    // graph under sim::kPoolMinNodes does; the pooled side passes a
+    // 4-thread pool. Each layer runs after a 2 ms idle gap, so the
+    // workers are parked when it starts, as they are before a create or
+    // a resume. `threads` counts the threads (caller included) that used
+    // at least 0.5 ms of CPU during the layer; a worker that wakes and
+    // finds every job claimed spins for about 0.1 ms and parks again.
+    // cpu/wall is the CPU time of all threads over the layer's wall time.
+    // Not scaled.
+    const std::string doc = rr::sim::write_checkpoint(
+        sharded, descriptor, rr::sim::CkptFormat::kV2, 0, &pool);
+    rr::sim::ThreadPool one(1);
+    LedgerRow ledger[] = {{"build_csr", {}, {}, {}, {}},
+                          {"Partition (4 shards)", {}, {}, {}, {}},
+                          {"RotorRouter ctor (4 shards)", {}, {}, {}, {}},
+                          {"EngineRegistry::create", {}, {}, {}, {}},
+                          {"parse + restore", {}, {}, {}, {}}};
+    constexpr int kLedgerReps = 11;
+    for (int rep = 0; rep < kLedgerReps; ++rep) {
+      std::uint64_t hashes[2] = {0, 0};
+      for (int side = 0; side < 2; ++side) {
+        rr::sim::ThreadPool* p = side == 0 ? &one : &pool;
+        std::size_t layer = 0;
+        // Times fn after the idle gap and files it under the next layer.
+        const auto timed = [&](const auto& fn) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          const auto cpu0 = thread_cpu_s();
+          const auto t0 = std::chrono::steady_clock::now();
+          fn();
+          const double wall = now_minus(t0);
+          LedgerRow& row = ledger[layer++];
+          (side == 0 ? row.inline_ms : row.pooled_ms).push_back(1e3 * wall);
+          if (side == 1 && !cpu0.empty()) {
+            const auto [busy, cpu] = busy_threads(cpu0, thread_cpu_s(), 5e-4);
+            row.threads.push_back(busy);
+            row.cpu_per_wall.push_back(cpu / wall);
+          }
+        };
+        std::optional<rr::graph::CsrGraph> built;
+        timed([&] { built = desc.build_csr(p); });
+        RR_REQUIRE(built.has_value(), "ledger build_csr failed");
+        timed([&] { rr::graph::Partition part(*built, 4, p); });
+        rr::graph::CsrGraph copy = *built;
+        timed([&] { RotorRouter e(std::move(copy), agents, {}, 4, p); });
+        rr::sim::EngineConfig config;
+        config.agents = agents;
+        config.shards = 4;
+        config.pool = p;
+        std::unique_ptr<rr::sim::Engine> created;
+        timed([&] {
+          created = rr::sim::EngineRegistry::instance().create(
+              "rotor", desc, config, nullptr);
+        });
+        RR_REQUIRE(created != nullptr, "ledger create failed");
+        created.reset();
+        std::unique_ptr<rr::sim::Engine> restored;
+        timed([&] {
+          const auto parsed = rr::sim::parse_checkpoint(doc, p);
+          if (parsed) {
+            restored = rr::sim::restore_checkpoint_sharded(*parsed, 4, p);
+          }
+        });
+        RR_REQUIRE(restored != nullptr &&
+                       restored->config_hash() == sharded.config_hash(),
+                   "ledger restore must reproduce the saved configuration");
+        hashes[side] = restored->config_hash();
+      }
+      RR_REQUIRE(hashes[0] == hashes[1],
+                 "inline and pooled restores must agree");
+    }
+    Table lt({"layer", "inline ms", "pooled ms", "speedup", "threads",
+              "cpu/wall"});
+    for (const LedgerRow& row : ledger) {
+      const double in = median(row.inline_ms);
+      const double po = median(row.pooled_ms);
+      lt.add_row({row.layer, Table::num(in, 2), Table::num(po, 2),
+                  Table::num(in / po, 2),
+                  row.threads.empty() ? "-" : Table::num(median(row.threads), 0),
+                  row.cpu_per_wall.empty() ? "-"
+                                           : Table::num(median(row.cpu_per_wall), 2)});
+    }
+    std::printf("\n");
+    lt.print();
+    std::printf("\nconstruction: median of %d interleaved repetitions; "
+                "inline = 1-thread pool, pooled = %u-thread pool, each "
+                "layer after a 2 ms idle gap\n",
+                kLedgerReps, pool.num_threads());
+    json.add("CkptIO/construct/create_nodes_per_s",
+             static_cast<double>(n) / (1e-3 * median(ledger[3].pooled_ms)));
+    json.add("CkptIO/construct/resume_nodes_per_s",
+             static_cast<double>(n) / (1e-3 * median(ledger[4].pooled_ms)));
   }
   return 0;
 }

@@ -483,14 +483,19 @@ int cmd_run(const Flags& f) {
     return 2;
   }
   // One pool for the whole run, sized like a sharded engine's own: it
-  // steps the shards, decodes the resumed document's segments and
-  // encodes every save. The saves name their segment count, so a
+  // builds the engine, steps the shards, decodes the resumed document's
+  // segments and encodes every save. A sequential run that saves gets
+  // one too, as wide as a save has segments, so its saves stay off the
+  // single stepping thread. The saves name their segment count, so a
   // checkpoint's bytes do not depend on the pool's width.
   std::unique_ptr<rr::sim::ThreadPool> pool;
-  if (f.shards > 1) {
+  const bool saves = !f.checkpoint.empty() || f.checkpoint_every > 0;
+  if (f.shards > 1 || saves) {
     const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned width =
+        f.shards > 1 ? f.shards : rr::sim::kV2DefaultSegments;
     pool = std::make_unique<rr::sim::ThreadPool>(
-        std::min<unsigned>(f.shards, hw ? hw : 1));
+        std::min<unsigned>(width, hw ? hw : 1));
   }
 
   std::shared_ptr<rr::graph::MappedSubstrate> substrate;

@@ -19,27 +19,55 @@ RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
     : csr_(std::move(csr)),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
       node_(csr_.num_nodes()),
+      initial_pointers_(csr_.num_nodes()),
       stats_(csr_.num_nodes()) {
+  const NodeId n = csr_.num_nodes();
+  // Partition's clamp, applied first so a sharded engine's own pool
+  // exists before the build work that runs on it.
+  if (shards > n) shards = n;
   if (shards > 1) {
-    part_.emplace(csr_, shards);
-    if (part_->num_shards() == 1) part_.reset();  // clamped to the nodes
+    if (!pool) {
+      const unsigned hw = std::thread::hardware_concurrency();
+      owned_pool_ = std::make_unique<sim::ThreadPool>(
+          std::min<unsigned>(shards, hw ? hw : 1));
+      pool = owned_pool_.get();
+    }
+    pool_ = pool;
+    part_.emplace(csr_, shards, pool);
   }
   shards_.resize(part_ ? part_->num_shards() : 1);
   if (part_) {
     for (std::uint32_t s = 0; s < shards_.size(); ++s) {
       shards_[s].attach(*part_, s);
     }
-    if (!pool) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      owned_pool_ = std::make_unique<sim::ThreadPool>(
-          std::min<unsigned>(part_->num_shards(), hw ? hw : 1));
-      pool = owned_pool_.get();
-    }
-    pool_ = pool;
   }
-  covered_ = init_rotor_nodes(
-      csr_, agents, pointers, node_, initial_pointers_, stats_,
-      [&](NodeId v) { shards_[owner(v)].occupied.push_back(v); });
+  // The per-node build runs over the shards' rows, so each shard's
+  // occupied list is its agents in `agents` order, as a sequential
+  // placement makes it. The sequential engine splits its rows into one
+  // range per pool thread and chains the ranges' lists.
+  std::vector<NodeId> bounds;
+  if (part_) {
+    for (std::uint32_t s = 0; s < part_->num_shards(); ++s) {
+      bounds.push_back(part_->begin(s));
+    }
+    bounds.push_back(n);
+  } else {
+    const std::uint64_t ranges = pool ? pool->num_threads() : 1;
+    for (std::uint64_t r = 0; r <= ranges; ++r) {
+      bounds.push_back(static_cast<NodeId>(n * r / ranges));
+    }
+  }
+  std::vector<std::vector<NodeId>> sites;
+  covered_ = init_rotor_nodes(csr_, agents, pointers, bounds, node_,
+                              initial_pointers_, stats_, pool, sites);
+  for (std::size_t r = 0; r < sites.size(); ++r) {
+    std::vector<NodeId>& occupied = shards_[part_ ? r : 0].occupied;
+    if (occupied.empty()) {
+      occupied = std::move(sites[r]);
+    } else {
+      occupied.insert(occupied.end(), sites[r].begin(), sites[r].end());
+    }
+  }
   pristine_ = pointers.empty();
 }
 
@@ -53,12 +81,24 @@ RotorRouter::RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrat
       shards_(1) {
   // The image builder verified connectivity (streamed kinds by
   // construction, built kinds explicitly) and precomputed
-  // degree/row_begin, so only agent placement remains.
-  covered_ = place_rotor_agents(csr_, agents, pointers, node_,
-                                initial_pointers_, stats_,
-                                [&](NodeId v) {
-                                  shards_[0].occupied.push_back(v);
-                                });
+  // degree/row_begin, so only the pointer field and agent placement
+  // remain. A given pointer field touches every node.
+  const NodeId n = csr_.num_nodes();
+  if (pointers.empty()) {
+    initial_pointers_.assign(n, 0);
+  } else {
+    RR_REQUIRE(pointers.size() == n, "pointer vector size mismatch");
+    for (NodeId v = 0; v < n; ++v) {
+      RR_REQUIRE(pointers[v] < csr_.degree_unchecked(v),
+                 "pointer out of range");
+      node_[v].pointer = pointers[v];
+    }
+    initial_pointers_.assign(pointers.begin(), pointers.end());
+  }
+  require_rotor_agents(agents, n);
+  covered_ = place_rotor_agents(
+      agents, 0, n, node_, stats_,
+      [&](NodeId v) { shards_[0].occupied.push_back(v); });
   // Only the first engine over this open may assume the mapping still
   // holds image defaults — engines sharing a handle share COW pages.
   // The claim is consumed unconditionally: this construction dirtied

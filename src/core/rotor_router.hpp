@@ -64,6 +64,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/no_init.hpp"
 #include "common/require.hpp"
 #include "core/shard_step.hpp"
 #include "graph/csr_graph.hpp"
@@ -252,7 +253,7 @@ class RotorRouter final : public sim::Engine,
   // Owned vectors for in-RAM construction, views into the image mapping
   // for substrate construction — same indexing either way.
   graph::MappedArray<graph::NodeState> node_;  // packed per-node hot state
-  std::vector<std::uint32_t> initial_pointers_;
+  NoInitVector<std::uint32_t> initial_pointers_;
   graph::MappedArray<VisitStats> stats_;  // packed visits/exits/first/last
   std::vector<RotorShard> shards_;        // one per partition shard
 

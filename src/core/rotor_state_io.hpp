@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/no_init.hpp"
 #include "common/require.hpp"
 #include "core/shard_step.hpp"
 #include "graph/csr_graph.hpp"
@@ -82,38 +83,31 @@ inline bool leap_rotor_accumulators(
   return true;
 }
 
-/// The substrate-independent tail of engine construction: validates and
-/// applies the optional initial pointer field, places the agent multiset
-/// (counts + the paper's n_v(0) visits), and marks initial hosts
-/// covered. Assumes node[v].degree/row_begin are already cached (by
-/// init_rotor_nodes below, or by the substrate image builder) and stats
-/// carry the never-visited sentinel. on_first_occupy(v) fires the first
-/// time a node gains an agent, in `agents` order — engines seed their
-/// occupied bookkeeping with it. Returns the initially covered count.
-/// Touches only the agent nodes (plus every node when a pointer field is
-/// given), so out-of-core construction faults in O(agents) pages.
+/// Aborts unless `agents` is a non-empty multiset of nodes below `n`.
+inline void require_rotor_agents(const std::vector<graph::NodeId>& agents,
+                                 graph::NodeId n) {
+  RR_REQUIRE(!agents.empty(), "at least one agent required");
+  for (const graph::NodeId v : agents) {
+    RR_REQUIRE(v < n, "agent start node out of range");
+  }
+}
+
+/// The substrate-independent tail of engine construction: places the
+/// agents that start in rows [lo, hi), in `agents` order — counts plus
+/// the paper's n_v(0) visits, first visit 0 for initial hosts. Assumes
+/// node/stats hold their construction state (init_rotor_nodes below, or
+/// the substrate image). on_first_occupy(v) fires the first time a node
+/// gains an agent — engines seed their occupied bookkeeping with it.
+/// Returns the number of nodes it covered. Touches only the agent nodes,
+/// so out-of-core construction faults in O(agents) pages.
 template <typename NodeArray, typename StatsArray, typename OnFirstOccupy>
 inline graph::NodeId place_rotor_agents(
-    const graph::CsrGraph& csr, const std::vector<graph::NodeId>& agents,
-    const std::vector<std::uint32_t>& pointers, NodeArray& node,
-    std::vector<std::uint32_t>& initial_pointers, StatsArray& stats,
+    const std::vector<graph::NodeId>& agents, graph::NodeId lo,
+    graph::NodeId hi, NodeArray& node, StatsArray& stats,
     OnFirstOccupy&& on_first_occupy) {
-  RR_REQUIRE(!agents.empty(), "at least one agent required");
-  const graph::NodeId n = csr.num_nodes();
-  if (pointers.empty()) {
-    initial_pointers.assign(n, 0);
-  } else {
-    RR_REQUIRE(pointers.size() == n, "pointer vector size mismatch");
-    for (graph::NodeId v = 0; v < n; ++v) {
-      RR_REQUIRE(pointers[v] < csr.degree_unchecked(v),
-                 "pointer out of range");
-      node[v].pointer = pointers[v];
-    }
-    initial_pointers.assign(pointers.begin(), pointers.end());
-  }
   graph::NodeId covered = 0;
-  for (graph::NodeId v : agents) {
-    RR_REQUIRE(v < n, "agent start node out of range");
+  for (const graph::NodeId v : agents) {
+    if (v < lo || v >= hi) continue;
     if (node[v].count == 0) {
       on_first_occupy(v);
       stats[v].first_visit = 0;
@@ -125,26 +119,67 @@ inline graph::NodeId place_rotor_agents(
   return covered;
 }
 
-/// Constructor-time initialization of an in-RAM engine: validates
-/// connectivity, caches degree/row offsets into the NodeState block, then
-/// places the agents via place_rotor_agents. Returns the initially
-/// covered count.
-template <typename NodeArray, typename StatsArray, typename OnFirstOccupy>
-inline graph::NodeId init_rotor_nodes(const graph::CsrGraph& csr,
-                                      const std::vector<graph::NodeId>& agents,
-                                      const std::vector<std::uint32_t>& pointers,
-                                      NodeArray& node,
-                                      std::vector<std::uint32_t>& initial_pointers,
-                                      StatsArray& stats,
-                                      OnFirstOccupy&& on_first_occupy) {
-  RR_REQUIRE(csr.is_connected(), "rotor-router requires a connected graph");
-  for (graph::NodeId v = 0; v < csr.num_nodes(); ++v) {
-    node[v].degree = csr.degree_unchecked(v);
-    node[v].row_begin = csr.row_offset(v);
-  }
-  return place_rotor_agents(csr, agents, pointers, node, initial_pointers,
-                            stats,
-                            std::forward<OnFirstOccupy>(on_first_occupy));
+/// Constructor-time initialization of an in-RAM engine over the node
+/// ranges [bounds[r], bounds[r+1]), one job per range plus one job that
+/// checks connectivity over the finished CSR, all in one batch on `pool`
+/// (sim::for_each_node_job: graphs under its cutoff stay on the caller).
+/// Range r's job writes every element of its rows — NodeState caches
+/// degree and row offset with the pointer field (`pointers`, or all
+/// ports 0 when empty), initial_pointers repeats it, VisitStats gets its
+/// defaults — so the arrays may come unfilled; it then places the agents
+/// starting in its rows, appending each newly occupied node to sites[r]
+/// in `agents` order. After the batch it requires a connected graph,
+/// every given pointer below its node's degree, and the agents in range.
+/// Returns the initially covered count.
+template <typename NodeArray, typename PointerArray, typename StatsArray>
+inline graph::NodeId init_rotor_nodes(
+    const graph::CsrGraph& csr, const std::vector<graph::NodeId>& agents,
+    const std::vector<std::uint32_t>& pointers,
+    const std::vector<graph::NodeId>& bounds, NodeArray& node,
+    PointerArray& initial_pointers, StatsArray& stats, sim::ThreadPool* pool,
+    std::vector<std::vector<graph::NodeId>>& sites) {
+  const graph::NodeId n = csr.num_nodes();
+  RR_REQUIRE(pointers.empty() || pointers.size() == n,
+             "pointer vector size mismatch");
+  const std::size_t ranges = bounds.size() - 1;
+  sites.assign(ranges, {});
+  // ok[0]: connected; ok[r + 1]: range r's pointers are in range.
+  std::vector<std::uint8_t> ok(ranges + 1, 1);
+  std::vector<graph::NodeId> covered(ranges, 0);
+  NoInitVector<graph::NodeId> bfs_queue(n);  // allocated here, not on a worker
+  std::vector<std::uint8_t> bfs_seen(n, 0);
+  sim::for_each_node_job(pool, n, ranges + 1, [&](std::uint64_t job) {
+    if (job == 0) {  // first: the longest job, claimed before the fills
+      ok[0] = csr.is_connected(bfs_queue.data(), bfs_seen.data());
+      return;
+    }
+    const std::size_t r = job - 1;
+    bool in_range = true;
+    for (graph::NodeId v = bounds[r]; v < bounds[r + 1]; ++v) {
+      const std::uint32_t degree = csr.degree_unchecked(v);
+      std::uint32_t p = 0;
+      if (!pointers.empty()) {
+        p = pointers[v];
+        in_range &= p < degree;
+      }
+      node[v] = graph::NodeState{.pointer = p,
+                                 .degree = degree,
+                                 .row_begin = csr.row_offset(v)};
+      initial_pointers[v] = p;
+      stats[v] = VisitStats{};
+    }
+    ok[job] = in_range;
+    covered[r] = place_rotor_agents(
+        agents, bounds[r], bounds[r + 1], node, stats,
+        [&](graph::NodeId v) { sites[r].push_back(v); });
+  });
+  RR_REQUIRE(ok[0], "rotor-router requires a connected graph");
+  RR_REQUIRE(std::all_of(ok.begin(), ok.end(), [](std::uint8_t b) { return b; }),
+             "pointer out of range");
+  require_rotor_agents(agents, n);
+  graph::NodeId total = 0;
+  for (const graph::NodeId c : covered) total += c;
+  return total;
 }
 
 /// FNV-1a over (pointer, count) per node — the configuration identity
@@ -220,10 +255,10 @@ inline AgentSites collect_rotor_sites(const NodeArray& node,
 /// nothing O(n) is materialized, so checkpointing an mmap-backed 1e8-node
 /// engine allocates only the sparse site list (the codecs stream the
 /// views; the engine outlives the writer inside write_checkpoint).
-template <typename NodeArray, typename StatsArray>
+template <typename NodeArray, typename PointerArray, typename StatsArray>
 inline void serialize_rotor_state(sim::StateWriter& out, std::uint64_t time,
                                   AgentSites sites, const NodeArray& node,
-                                  const std::vector<std::uint32_t>& initial_pointers,
+                                  const PointerArray& initial_pointers,
                                   const StatsArray& stats) {
   const std::size_t n = node.size();
   out.field_u64("time", time);
@@ -272,10 +307,10 @@ inline constexpr std::uint64_t kRotorFieldDefaults[kRotorFields] = {
 /// may then be partially written (the StateIO failed-restore contract).
 /// Ranges are disjoint, so the parallel restore runs one call per
 /// segment window from pool threads.
-template <typename NodeArray, typename StatsArray>
+template <typename NodeArray, typename PointerArray, typename StatsArray>
 inline std::optional<graph::NodeId> apply_rotor_span(
     std::optional<sim::U64ListCursor>* cursors, const graph::CsrGraph& csr,
-    NodeArray& node, std::vector<std::uint32_t>& initial_pointers,
+    NodeArray& node, PointerArray& initial_pointers,
     StatsArray& stats, graph::NodeId v0, graph::NodeId v1, bool allow_skip) {
   graph::NodeId covered = 0;
   sim::U64ListCursor::Run run[kRotorFields];
@@ -359,10 +394,10 @@ inline std::optional<graph::NodeId> apply_rotor_span(
 /// either way (restore is a pure function of the document); only
 /// wall-clock differs — this is what keeps session rehydration under
 /// server load from serializing on one core.
-template <typename NodeArray, typename StatsArray>
+template <typename NodeArray, typename PointerArray, typename StatsArray>
 inline std::optional<RestoredRotorState> deserialize_rotor_state(
     const sim::StateReader& in, const graph::CsrGraph& csr, NodeArray& node,
-    std::vector<std::uint32_t>& initial_pointers, StatsArray& stats,
+    PointerArray& initial_pointers, StatsArray& stats,
     bool assume_defaults = false, sim::ThreadPool* pool = nullptr) {
   const graph::NodeId n = csr.num_nodes();
   const auto time = in.u64("time");

@@ -6,27 +6,31 @@
 
 namespace rr::graph {
 
-CsrGraph::CsrGraph(const Graph& g) : num_nodes_(g.num_nodes()) {
+CsrGraph::CsrGraph(const Graph& g, sim::ThreadPool* pool)
+    : offsets_store_(static_cast<std::size_t>(g.num_nodes()) + 1),
+      num_nodes_(g.num_nodes()) {
   const NodeId n = num_nodes_;
-  offsets_store_.resize(static_cast<std::size_t>(n) + 1);
   offsets_store_[0] = 0;
   for (NodeId v = 0; v < n; ++v) {
     offsets_store_[v + 1] = offsets_store_[v] + g.degree(v);
   }
   neighbors_store_.resize(offsets_store_[n]);
   ports_store_.resize(offsets_store_[n]);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto row = g.neighbors(v);
-    NodeId* heads = neighbors_store_.data() + offsets_store_[v];
-    std::copy(row.begin(), row.end(), heads);
-    sort_row_ports(heads, g.degree(v),
-                   ports_store_.data() + offsets_store_[v]);
-  }
+  const std::uint64_t jobs = row_jobs(pool);
+  sim::for_each_node_job(pool, n, jobs, [&](std::uint64_t j) {
+    for (NodeId v = static_cast<NodeId>(n * j / jobs);
+         v < static_cast<NodeId>(n * (j + 1) / jobs); ++v) {
+      const auto row = g.neighbors(v);
+      NodeId* heads = neighbors_store_.data() + offsets_store_[v];
+      std::copy(row.begin(), row.end(), heads);
+      sort_row_ports(heads, g.degree(v),
+                     ports_store_.data() + offsets_store_[v]);
+    }
+  });
   bind_owned();
 }
 
-CsrGraph::CsrGraph(std::vector<std::size_t> offsets, std::vector<NodeId> arcs,
-                   std::vector<std::uint32_t> sorted_ports)
+CsrGraph::CsrGraph(OffsetList offsets, ArcList arcs, PortList sorted_ports)
     : offsets_store_(std::move(offsets)),
       neighbors_store_(std::move(arcs)),
       ports_store_(std::move(sorted_ports)) {
@@ -119,9 +123,13 @@ bool CsrGraph::has_edge(NodeId v, NodeId u) const {
 }
 
 bool CsrGraph::is_connected() const {
-  if (num_nodes_ == 0) return true;
+  NoInitVector<NodeId> queue(num_nodes_);  // [0, tail) written before read
   std::vector<std::uint8_t> seen(num_nodes_, 0);
-  std::vector<NodeId> queue(num_nodes_);
+  return is_connected(queue.data(), seen.data());
+}
+
+bool CsrGraph::is_connected(NodeId* queue, std::uint8_t* seen) const {
+  if (num_nodes_ == 0) return true;
   std::size_t head = 0;
   std::size_t tail = 0;
   seen[0] = 1;

@@ -32,38 +32,46 @@
 #include <utility>
 #include <vector>
 
+#include "common/no_init.hpp"
 #include "common/require.hpp"
 #include "graph/graph.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace rr::graph {
 
 class CsrGraph {
  public:
   /// The empty graph (no nodes).
-  CsrGraph() : CsrGraph(std::vector<std::size_t>{0}, {}, {}) {}
+  CsrGraph() : CsrGraph(OffsetList(1, 0), {}, {}) {}
 
-  explicit CsrGraph(const Graph& g);
-
-  /// Owned mode over prebuilt arrays: `offsets` (n+1 prefix sums),
-  /// `arcs` (offsets[n] heads in port order) and `sorted_ports` (same
-  /// length, each row in sort_row_ports order).
-  CsrGraph(std::vector<std::size_t> offsets, std::vector<NodeId> arcs,
-           std::vector<std::uint32_t> sorted_ports);
+  /// Snapshots `g`'s port-ordered adjacency. The offsets are one serial
+  /// prefix sum; with a pool the rows then split into one range per pool
+  /// thread, each job copying its rows' heads and sorting their ports
+  /// (sim::for_each_node_job: graphs under its cutoff stay on the
+  /// caller). The arrays are identical at any pool width.
+  explicit CsrGraph(const Graph& g, sim::ThreadPool* pool = nullptr);
 
   /// Streams a fixed-degree row source (graph/lattice_rows.hpp) into an
-  /// owned graph, with no intermediate Graph.
+  /// owned graph, with no intermediate Graph. Rows split into ranges as
+  /// in CsrGraph(const Graph&, pool); each job writes its rows' offsets,
+  /// arcs and sorted ports into unfilled storage, so it is the first
+  /// thread to touch those pages.
   template <typename Rows>
-  static CsrGraph from_rows(const Rows& rows) {
+  static CsrGraph from_rows(const Rows& rows, sim::ThreadPool* pool = nullptr) {
     constexpr std::uint32_t deg = Rows::kDegree;
     const std::uint64_t n = rows.num_nodes();
-    std::vector<std::size_t> offsets(n + 1);
-    std::vector<NodeId> arcs(n * deg);
-    std::vector<std::uint32_t> ports(n * deg);
-    for (std::uint64_t v = 0; v <= n; ++v) offsets[v] = v * deg;
-    for (std::uint64_t v = 0; v < n; ++v) {
-      rows.row(v, &arcs[v * deg]);
-      sort_row_ports(&arcs[v * deg], deg, &ports[v * deg]);
-    }
+    OffsetList offsets(n + 1);
+    ArcList arcs(n * deg);
+    PortList ports(n * deg);
+    offsets[n] = n * deg;
+    const std::uint64_t jobs = row_jobs(pool);
+    sim::for_each_node_job(pool, n, jobs, [&](std::uint64_t j) {
+      for (std::uint64_t v = n * j / jobs; v < n * (j + 1) / jobs; ++v) {
+        offsets[v] = v * deg;
+        rows.row(v, &arcs[v * deg]);
+        sort_row_ports(&arcs[v * deg], deg, &ports[v * deg]);
+      }
+    });
     return CsrGraph(std::move(offsets), std::move(arcs), std::move(ports));
   }
 
@@ -142,20 +150,40 @@ class CsrGraph {
   /// True iff every node is reachable from node 0 (BFS over the flat
   /// arrays; the empty graph is connected).
   bool is_connected() const;
+  /// The same BFS over caller-owned scratch: `queue` has room for
+  /// num_nodes() ids and `seen` holds num_nodes() zero bytes. A pool job
+  /// checks connectivity this way so that it allocates nothing: a large
+  /// block freed on a worker thread stays resident in that thread's
+  /// malloc arena.
+  bool is_connected(NodeId* queue, std::uint8_t* seen) const;
 
  private:
+  using OffsetList = NoInitVector<std::size_t>;
+  using ArcList = NoInitVector<NodeId>;
+  using PortList = NoInitVector<std::uint32_t>;
+
+  /// Owned mode over prebuilt arrays: `offsets` (n+1 prefix sums),
+  /// `arcs` (offsets[n] heads in port order) and `sorted_ports` (same
+  /// length, each row in sort_row_ports order).
+  CsrGraph(OffsetList offsets, ArcList arcs, PortList sorted_ports);
+
+  /// Row ranges of a build: one per pool thread, one without a pool.
+  static std::uint64_t row_jobs(const sim::ThreadPool* pool) {
+    return pool != nullptr ? pool->num_threads() : 1;
+  }
+
   /// Owned mode: points the accessors at this object's vectors.
   void bind_owned();
 
   // Owned-mode storage (empty in view mode).
-  std::vector<std::size_t> offsets_store_;  // n+1 prefix sums of degrees
-  std::vector<NodeId> neighbors_store_;     // arc heads, port order per node
+  OffsetList offsets_store_;  // n+1 prefix sums of degrees
+  ArcList neighbors_store_;   // arc heads, port order per node
   // Per-node port permutation sorted by (neighbor, port): sorted_ports_[i]
   // for i in [offsets_[v], offsets_[v+1]) enumerates v's ports so that
   // neighbors_[offsets_[v] + sorted_ports_[i]] is nondecreasing, with ties
   // (parallel edges) broken by smaller port. Supports binary-search
   // port_to/has_edge without disturbing the cyclic port order.
-  std::vector<std::uint32_t> ports_store_;
+  PortList ports_store_;
 
   std::shared_ptr<const void> backing_;  // view mode: keeps the arrays alive
 

@@ -195,16 +195,19 @@ std::optional<Graph> GraphDescriptor::build() const {
   return std::nullopt;
 }
 
-std::optional<CsrGraph> GraphDescriptor::build_csr() const {
+std::optional<CsrGraph> GraphDescriptor::build_csr(
+    sim::ThreadPool* pool) const {
   if (!num_nodes()) return std::nullopt;  // build()'s precondition check
-  if (kind == "ring") return CsrGraph::from_rows(RingRows{*arg_node(args[0])});
+  if (kind == "ring") {
+    return CsrGraph::from_rows(RingRows{*arg_node(args[0])}, pool);
+  }
   if (kind == "torus") {
     return CsrGraph::from_rows(
-        TorusRows{*arg_node(args[0]), *arg_node(args[1])});
+        TorusRows{*arg_node(args[0]), *arg_node(args[1])}, pool);
   }
   const auto g = build();
   if (!g) return std::nullopt;
-  return CsrGraph(*g);
+  return CsrGraph(*g, pool);
 }
 
 GraphDescriptor GraphDescriptor::ring(NodeId n) {

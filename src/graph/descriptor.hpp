@@ -48,8 +48,10 @@ struct GraphDescriptor {
   /// CsrGraph(*build()) without the intermediate Graph for the lattice
   /// kinds: "ring" and "torus" stream their rows (graph/lattice_rows.hpp)
   /// into the owned arrays, every other kind snapshots build(). Total in
-  /// exactly the way build() is: nullopt for the same descriptors.
-  std::optional<CsrGraph> build_csr() const;
+  /// exactly the way build() is: nullopt for the same descriptors. A
+  /// pool writes the rows in per-thread ranges (CsrGraph::from_rows);
+  /// the arrays are the same with or without one.
+  std::optional<CsrGraph> build_csr(sim::ThreadPool* pool = nullptr) const;
 
   /// Number of nodes the built graph would have, without building it
   /// (checkpoint loaders size per-node arrays up front). nullopt on

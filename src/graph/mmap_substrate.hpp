@@ -54,6 +54,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/no_init.hpp"
 #include "common/require.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/partition.hpp"
@@ -69,7 +70,8 @@ template <typename T>
 class MappedArray {
  public:
   MappedArray() = default;
-  /// Owned mode: `n` value-initialized elements.
+  /// Owned mode: `n` elements left unwritten (common/no_init.hpp); the
+  /// owner writes every one before reading it.
   explicit MappedArray(std::size_t n)
       : store_(n), data_(store_.data()), size_(n) {}
   /// View mode over [data, data + n); `backing` is held for the view's
@@ -101,7 +103,7 @@ class MappedArray {
   const T* end() const { return data_ + size_; }
 
  private:
-  std::vector<T> store_;           // owned mode
+  NoInitVector<T> store_;          // owned mode
   std::shared_ptr<void> backing_;  // view mode: keeps the mapping alive
   T* data_ = nullptr;
   std::size_t size_ = 0;

@@ -4,7 +4,8 @@
 
 namespace rr::graph {
 
-Partition::Partition(const CsrGraph& g, std::uint32_t shards) {
+Partition::Partition(const CsrGraph& g, std::uint32_t shards,
+                     sim::ThreadPool* pool) {
   const NodeId n = g.num_nodes();
   RR_REQUIRE(n > 0, "cannot partition an empty graph");
   if (shards == 0) shards = 1;
@@ -15,9 +16,7 @@ Partition::Partition(const CsrGraph& g, std::uint32_t shards) {
   // so the split tracks per-round work (scan cost + exit fan-out). The
   // max(.., previous + 1) keeps every shard non-empty even when a single
   // hub node carries most of the weight.
-  std::uint64_t total = 0;
-  for (NodeId v = 0; v < n; ++v) total += 1 + g.degree_unchecked(v);
-
+  const std::uint64_t total = std::uint64_t{n} + g.num_arcs();
   starts_.assign(shards + 1, 0);
   std::uint64_t prefix = 0;
   NodeId v = 0;
@@ -33,38 +32,39 @@ Partition::Partition(const CsrGraph& g, std::uint32_t shards) {
   }
   starts_[shards] = n;
 
+  // Per shard, in its own job: the frontier (sorted unique heads of the
+  // boundary arcs), each frontier node's owner, and the slot of every arc
+  // leaving the shard's rows. Each job writes only shard s's entries.
   frontier_.resize(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
+  frontier_owners_.resize(shards);
+  if (shards > 1) arc_slots_.resize(g.num_arcs());
+  sim::for_each_node_job(pool, n, shards, [&](std::uint64_t job) {
+    const auto s = static_cast<std::uint32_t>(job);
+    const NodeId lo = starts_[s];
+    const NodeId hi = starts_[s + 1];
     auto& fr = frontier_[s];
-    for (NodeId w = starts_[s]; w < starts_[s + 1]; ++w) {
+    for (NodeId w = lo; w < hi; ++w) {
       for (NodeId u : g.neighbors(w)) {
-        if (u < starts_[s] || u >= starts_[s + 1]) fr.push_back(u);
+        if (u < lo || u >= hi) fr.push_back(u);
       }
     }
     std::sort(fr.begin(), fr.end());
     fr.erase(std::unique(fr.begin(), fr.end()), fr.end());
-  }
-
-  frontier_owners_.resize(shards);
-  if (shards > 1) {
-    arc_slots_.resize(g.num_arcs());
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      frontier_owners_[s].resize(frontier_[s].size());
-      for (std::uint32_t slot = 0; slot < frontier_[s].size(); ++slot) {
-        frontier_owners_[s][slot] = owner(frontier_[s][slot]);
-      }
-      for (NodeId w = starts_[s]; w < starts_[s + 1]; ++w) {
-        const std::size_t base = g.row_offset(w);
-        const auto row = g.neighbors(w);
-        for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(row.size()); ++p) {
-          const NodeId u = row[p];
-          arc_slots_[base + p] = (u >= starts_[s] && u < starts_[s + 1])
-                                     ? kInShard
-                                     : frontier_slot(s, u);
-        }
+    if (shards == 1) return;
+    frontier_owners_[s].resize(fr.size());
+    for (std::uint32_t slot = 0; slot < fr.size(); ++slot) {
+      frontier_owners_[s][slot] = owner(fr[slot]);
+    }
+    for (NodeId w = lo; w < hi; ++w) {
+      const std::size_t base = g.row_offset(w);
+      const auto row = g.neighbors(w);
+      for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(row.size()); ++p) {
+        const NodeId u = row[p];
+        arc_slots_[base + p] =
+            (u >= lo && u < hi) ? kInShard : frontier_slot(s, u);
       }
     }
-  }
+  });
 }
 
 std::uint32_t Partition::owner(NodeId v) const {

@@ -32,8 +32,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/no_init.hpp"
 #include "common/require.hpp"
 #include "graph/csr_graph.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace rr::graph {
 
@@ -55,8 +57,13 @@ class Partition {
   /// Splits `g`'s rows into at most `shards` contiguous ranges balanced
   /// by arc count (each node weighted 1 + deg, so both huge-degree hubs
   /// and seas of tiny nodes split evenly). `shards` is clamped to
-  /// [1, num_nodes]; every shard is non-empty.
-  Partition(const CsrGraph& g, std::uint32_t shards);
+  /// [1, num_nodes]; every shard is non-empty. The boundaries are one
+  /// serial O(n) scan; each shard's frontier, frontier owners and arc
+  /// slots are then one job per shard, on `pool` when one is given
+  /// (sim::for_each_node_job: graphs under its cutoff stay on the
+  /// caller). The index is identical either way.
+  Partition(const CsrGraph& g, std::uint32_t shards,
+            sim::ThreadPool* pool = nullptr);
 
   std::uint32_t num_shards() const {
     return static_cast<std::uint32_t>(starts_.size() - 1);
@@ -96,7 +103,7 @@ class Partition {
  private:
   std::vector<NodeId> starts_;                 // size num_shards()+1
   std::vector<std::vector<NodeId>> frontier_;  // per shard, sorted unique
-  std::vector<std::uint32_t> arc_slots_;       // per arc; empty if 1 shard
+  NoInitVector<std::uint32_t> arc_slots_;      // per arc; empty if 1 shard
   std::vector<std::vector<std::uint32_t>> frontier_owners_;
 };
 

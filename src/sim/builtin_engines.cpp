@@ -75,7 +75,9 @@ void register_rotor(EngineRegistry& r) {
       .cycle_accumulators = {"time", "visits", "exits", "last_visit"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        auto csr = d.build_csr();
+        // The CSR rows, the partition and the per-node state are written
+        // per range on the config's pool (inline under kPoolMinNodes).
+        auto csr = d.build_csr(c.pool);
         if (!csr) {
           fail(error, "invalid graph parameters");
           return nullptr;
@@ -89,12 +91,13 @@ void register_rotor(EngineRegistry& r) {
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig& c) -> std::unique_ptr<Engine> {
-        auto csr = d.build_csr();
+        auto csr = d.build_csr(c.pool);
         if (!csr) return nullptr;
         // The shard count is an execution choice, not checkpoint state:
-        // the same document restores sequentially or shard-parallel. A
-        // pool (shared, or a sharded engine's own) decodes v2 per-node
-        // segments in parallel (bit-identical; see deserialize_rotor_state).
+        // the same document restores sequentially or shard-parallel. The
+        // engine builds as the factory's does; a pool (shared, or a
+        // sharded engine's own) decodes v2 per-node segments in parallel
+        // (bit-identical; see deserialize_rotor_state).
         auto engine = std::make_unique<core::RotorRouter>(
             std::move(*csr), std::vector<graph::NodeId>{0},
             std::vector<std::uint32_t>{}, c.shards, c.pool);

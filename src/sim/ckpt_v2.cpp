@@ -27,13 +27,6 @@ constexpr std::size_t kFooterEntryBytes = 40;
 constexpr std::size_t kFooterTailBytes = 16;  // num_frames, crc, magic
 constexpr std::size_t kMaxKeyBytes = 255;
 
-/// Documents of fewer nodes encode inline even when a pool is given:
-/// waking parked workers for the two batches costs more than the work.
-/// Median encode, 4-segment documents, 4-vCPU Xeon VM, after 2 ms idle:
-/// a 4096-node ring snapshot 0.10 ms inline against 0.42 ms pooled, a
-/// 128^2 torus 0.66 against 1.06 ms; a 256^2 torus 2.5 against 1.0 ms.
-constexpr std::uint64_t kPoolMinNodes = std::uint64_t{1} << 16;
-
 // ---- encoding ----
 //
 // Size, then write. A frame is planned first: every field record gets
@@ -695,13 +688,6 @@ std::string encode_checkpoint_v2(const std::string& engine_name,
   if (per_node.empty()) nseg = 0;
   if (nseg > num_nodes) nseg = num_nodes;
   const std::size_t num_frames = static_cast<std::size_t>(1 + nseg);
-  const auto run_frames = [&](const auto& job) {
-    if (pool != nullptr && num_frames > 1 && num_nodes >= kPoolMinNodes) {
-      pool->for_each(num_frames, job, /*chunk=*/1);
-    } else {
-      for (std::uint64_t j = 0; j < num_frames; ++j) job(j);
-    }
-  };
 
   // Pass 1: size every frame (per-node frame j covers node range j-1).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges(num_frames,
@@ -710,7 +696,7 @@ std::string encode_checkpoint_v2(const std::string& engine_name,
     ranges[j + 1] = {num_nodes * j / nseg, num_nodes * (j + 1) / nseg};
   }
   std::vector<FramePlan> plans(num_frames);
-  run_frames([&](std::uint64_t j) {
+  for_each_node_job(pool, num_nodes, num_frames, [&](std::uint64_t j) {
     plans[j] = j == 0 ? plan_frame(frame0, false, 0, 0)
                       : plan_frame(per_node, true, ranges[j].first,
                                    ranges[j].second);
@@ -730,7 +716,7 @@ std::string encode_checkpoint_v2(const std::string& engine_name,
 
   // Pass 2: each frame writes and checksums its own slice.
   std::vector<std::uint32_t> crcs(num_frames);
-  run_frames([&](std::uint64_t j) {
+  for_each_node_job(pool, num_nodes, num_frames, [&](std::uint64_t j) {
     write_frame(plans[j], frames + offsets[j]);
     crcs[j] = wire::crc32(frames + offsets[j], plans[j].size);
   });

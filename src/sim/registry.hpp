@@ -66,7 +66,8 @@ struct EngineConfig {
   std::uint64_t seed = 1;
   /// > 1 requests shard-parallel stepping from shard-capable backends.
   std::uint32_t shards = 1;
-  /// Shared fork-join pool for sharded stepping (nullptr = engine-owned).
+  /// Shared fork-join pool for sharded stepping and for building an
+  /// in-RAM rotor engine range by range (nullptr = engine-owned).
   ThreadPool* pool = nullptr;
   /// Worker count for the distributed backend ("dist"); clamped to
   /// [1, num_nodes] like shard counts.

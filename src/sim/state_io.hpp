@@ -33,10 +33,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/no_init.hpp"
 #include "sim/wire.hpp"
 
 namespace rr::sim {
@@ -54,29 +54,10 @@ inline constexpr std::uint64_t kMaxLooseListElements = 1ull << 28;
 
 // ---- writer ----
 
-/// Allocator whose argument-less construct() runs no constructor, so a
-/// vector sized up front for a pass that then writes every element (the
-/// shard-parallel agent-site collection) skips the zero fill. Only for
-/// element types that are valid as allocated (trivial copy and
-/// destruction, e.g. a pair of integers).
-template <typename T>
-struct NoInitAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = NoInitAllocator<U>;
-  };
-  template <typename U>
-  void construct(U*) noexcept {
-    static_assert(std::is_trivially_copy_constructible_v<U> &&
-                  std::is_trivially_destructible_v<U>);
-  }
-  // Construction with arguments falls back to std::construct_at.
-};
-
 /// Sparse (index, value) pairs as the writer records them.
-using PairList =
-    std::vector<std::pair<std::uint64_t, std::uint64_t>,
-                NoInitAllocator<std::pair<std::uint64_t, std::uint64_t>>>;
+/// Sized without a zero fill (common/no_init.hpp): the shard-parallel
+/// agent-site collection writes every element.
+using PairList = NoInitVector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /// One recorded field. Engines only append through the typed helpers
 /// below; the struct is public so the checkpoint codecs can walk the

@@ -4,7 +4,8 @@
 // must be complete — every out-of-shard arc head reachable from a shard
 // resolves to exactly one slot, and no slot is unreachable. The sharded
 // engine's race-freedom and determinism arguments (README "Sharded
-// stepping & determinism") rest on these invariants.
+// stepping & determinism") rest on these invariants. A partition built
+// on a pool must equal the inline one element for element.
 
 #include "graph/partition.hpp"
 
@@ -14,7 +15,10 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
+#include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
+#include "pool_matrix.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace rr::graph {
 namespace {
@@ -144,6 +148,46 @@ TEST(Partition, ArcSlotTableMatchesFrontierIndex) {
             ASSERT_EQ(slot, part.frontier_slot(s, u));
             ASSERT_EQ(part.frontier(s)[slot], u);
             ASSERT_EQ(part.frontier_owner(s, slot), part.owner(u));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Partition, PooledBuildEqualsInlineBuild) {
+  // Starts, frontiers, frontier owners and every arc slot, for shard
+  // counts 1..5 and more shards than nodes, on graphs below and at or
+  // above sim::kPoolMinNodes (where the per-shard jobs leave the caller).
+  const char* const kinds[] = {"ring 17",     "ring 65537",  "torus 3 3",
+                               "torus 7 5",   "torus 512 3", "torus 16 16",
+                               "torus 256 256", "grid 7 5",  "grid 256 257",
+                               "random-regular 30 4 7"};
+  for (const char* text : kinds) {
+    const auto d = GraphDescriptor::parse(text);
+    ASSERT_TRUE(d.has_value());
+    const CsrGraph csr = *d->build_csr();
+    for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 5u, 40000u}) {
+      const Partition expected(csr, shards);
+      for (const unsigned width : testing::pool_widths({1, 2, 3, 4})) {
+        SCOPED_TRACE(::testing::Message() << text << " shards=" << shards
+                                          << " width=" << width);
+        sim::ThreadPool pool(width);
+        const Partition got(csr, shards, &pool);
+        ASSERT_EQ(got.num_shards(), expected.num_shards());
+        for (std::uint32_t s = 0; s < expected.num_shards(); ++s) {
+          ASSERT_EQ(got.begin(s), expected.begin(s));
+          ASSERT_EQ(got.end(s), expected.end(s));
+          ASSERT_EQ(got.frontier(s), expected.frontier(s));
+          for (std::uint32_t slot = 0; slot < expected.frontier(s).size();
+               ++slot) {
+            ASSERT_EQ(got.frontier_owner(s, slot),
+                      expected.frontier_owner(s, slot));
+          }
+        }
+        if (expected.num_shards() > 1) {
+          for (std::size_t arc = 0; arc < csr.num_arcs(); ++arc) {
+            ASSERT_EQ(got.arc_slot(arc), expected.arc_slot(arc)) << arc;
           }
         }
       }

@@ -7,7 +7,9 @@
 // between the sequential and sharded engines).
 //
 // The save's agent-site collector gets its own cases (SiteCollector*):
-// a sharded engine's v2 bytes against its 1-shard twin's.
+// a sharded engine's v2 bytes against its 1-shard twin's. Engines and
+// restores built on a pool above its node cutoff (PooledBuild*) must
+// match the ones built inline.
 //
 // RR_TEST_POOL_THREADS narrows the thread matrix to one value; the ASan
 // and TSan CI jobs re-run this suite across the matrix that way.
@@ -15,7 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,9 +27,11 @@
 #include "differential.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
+#include "pool_matrix.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
 #include "sim/cycle_jump.hpp"
+#include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -104,23 +109,12 @@ TEST(ShardedRotor, BitEqualToSequentialAcrossShardCountsAndTopologies) {
   }
 }
 
-/// Pool widths of the thread matrix; RR_TEST_POOL_THREADS=t narrows it
-/// to one (the ASan and TSan CI jobs sweep t = 1, 2, 4).
-std::vector<unsigned> pool_thread_counts() {
-  std::vector<unsigned> thread_counts{1, 2, 4};
-  if (const char* env = std::getenv("RR_TEST_POOL_THREADS")) {
-    const unsigned t = static_cast<unsigned>(std::atoi(env));
-    if (t > 0) thread_counts.assign(1, t);
-  }
-  return thread_counts;
-}
-
 TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
   // Pool threads are an execution resource, shards a partition choice;
   // neither may leak into the dynamics.
   const graph::Graph g = graph::torus(9, 8);
   Rng rng(0x7EADC07ULL);
-  for (unsigned threads : pool_thread_counts()) {
+  for (unsigned threads : pool_widths()) {
     sim::ThreadPool pool(threads);
     for (int config = 0; config < 10; ++config) {
       const GraphScenario sc = GraphScenario::random(g, rng);
@@ -331,7 +325,7 @@ TEST(ShardedRotor, SiteCollectorLeavesEmptyShardsEmpty) {
   const std::vector<graph::NodeId> agents{0, 5, 5, last, last, last / 2};
   const auto hold_all = [](graph::NodeId, std::uint64_t,
                            std::uint32_t present) { return present; };
-  for (unsigned threads : pool_thread_counts()) {
+  for (unsigned threads : pool_widths()) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     sim::ThreadPool pool(threads);
     core::RotorRouter sharded(g, agents, {}, kCollectShards, &pool);
@@ -354,7 +348,7 @@ TEST(ShardedRotor, SiteCollectorKeepsHeldAgents) {
   std::vector<graph::NodeId> agents = edges;
   agents.insert(agents.end(), {17, 17, 100, 200, 255, 255});
   const sim::DelayFn delay = hold_edges(edges);
-  for (unsigned threads : pool_thread_counts()) {
+  for (unsigned threads : pool_widths()) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     sim::ThreadPool pool(threads);
     core::RotorRouter sharded(g, agents, {}, kCollectShards, &pool);
@@ -384,7 +378,7 @@ TEST(ShardedRotor, SiteCollectorAfterCycleLeap) {
   sim::CycleJumpOptions opt;
   opt.min_stride = 8;
   opt.samples_per_generation = 64;
-  for (unsigned threads : pool_thread_counts()) {
+  for (unsigned threads : pool_widths()) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     sim::ThreadPool pool(threads);
     sim::CycleJumpEngine sharded(
@@ -419,7 +413,7 @@ TEST(ShardedRotor, SiteCollectorAfterRestore) {
   const std::string doc = v2_bytes(source, descriptor.text());
   const auto parsed = sim::parse_checkpoint(doc);
   ASSERT_TRUE(parsed.has_value());
-  for (unsigned threads : pool_thread_counts()) {
+  for (unsigned threads : pool_widths()) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     sim::ThreadPool pool(threads);
     const auto sharded =
@@ -452,6 +446,135 @@ TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
           engines, 3 * static_cast<std::uint64_t>(n),
           [](graph::NodeId, std::uint64_t, std::uint32_t) { return 0u; });
       ASSERT_TRUE(all.ok) << "round " << all.round << ": " << all.detail;
+    }
+  }
+}
+
+// Pooled construction: a 256^2 torus has sim::kPoolMinNodes nodes, so
+// the CSR rows, the partition and the per-node state are written by pool
+// jobs. The result must be the engine the inline build makes.
+
+const graph::GraphDescriptor kPooledTorus = graph::GraphDescriptor::torus(256, 256);
+
+TEST(ShardedRotor, PooledBuildStepsBitEqualToTheSequentialEngine) {
+  static_assert(sim::kPoolMinNodes == 256 * 256);
+  const graph::CsrGraph csr = *kPooledTorus.build_csr();
+  const graph::NodeId n = csr.num_nodes();
+  Rng rng(0xB01D);
+  std::vector<graph::NodeId> agents(4096);
+  for (graph::NodeId& a : agents) a = rng.bounded(n);
+  std::vector<std::uint32_t> pointers(n);
+  for (std::uint32_t& p : pointers) p = rng.bounded(4);
+  for (const bool with_pointers : {false, true}) {
+    const std::vector<std::uint32_t> ptrs =
+        with_pointers ? pointers : std::vector<std::uint32_t>{};
+    for (unsigned threads : pool_widths()) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " pointers=" << with_pointers);
+      sim::ThreadPool pool(threads);
+      std::vector<std::unique_ptr<sim::Engine>> candidates;
+      for (const std::uint32_t shards : {1u, 3u, 4u}) {
+        candidates.push_back(std::make_unique<core::RotorRouter>(
+            csr, agents, ptrs, shards, &pool));
+      }
+      sim::EngineConfig config;
+      config.agents.assign(agents.begin(), agents.end());
+      config.pointers = ptrs;
+      config.shards = 4;
+      config.pool = &pool;
+      candidates.push_back(
+          sim::EngineRegistry::instance().create("rotor", kPooledTorus, config));
+      ASSERT_NE(candidates.back(), nullptr);
+      core::RotorRouter fresh(csr, agents, ptrs);
+      std::vector<sim::Engine*> engines{&fresh};
+      for (const auto& e : candidates) engines.push_back(e.get());
+      // Per-round hashes, then every node's visits and first visit.
+      Mismatch m = run_lockstep_delayed(
+          engines, 40,
+          [](graph::NodeId, std::uint64_t, std::uint32_t) { return 0u; },
+          /*deep=*/false);
+      ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
+      for (const auto& e : candidates) {
+        m = compare_engines(fresh, *e);
+        ASSERT_TRUE(m.ok) << m.detail;
+      }
+    }
+  }
+}
+
+TEST(ShardedRotor, PooledRestoreMatchesTheInlineRestore) {
+  const graph::CsrGraph csr = *kPooledTorus.build_csr();
+  Rng rng(0x5E57);
+  std::vector<graph::NodeId> agents(2048);
+  for (graph::NodeId& a : agents) a = rng.bounded(csr.num_nodes());
+  core::RotorRouter source(csr, agents);
+  source.run(75);
+  const std::string doc = v2_bytes(source, kPooledTorus.text());
+  const auto parsed = sim::parse_checkpoint(doc);
+  ASSERT_TRUE(parsed.has_value());
+  const auto inline_restore = sim::restore_checkpoint(*parsed);
+  ASSERT_NE(inline_restore, nullptr);
+  ASSERT_EQ(inline_restore->config_hash(), source.config_hash());
+  for (unsigned threads : pool_widths()) {
+    sim::ThreadPool pool(threads);
+    for (const std::uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " shards=" << shards);
+      const auto pooled = sim::restore_checkpoint_sharded(*parsed, shards, &pool);
+      ASSERT_NE(pooled, nullptr);
+      const Mismatch m = compare_engines(*inline_restore, *pooled);
+      ASSERT_TRUE(m.ok) << m.detail;
+      EXPECT_EQ(v2_bytes(*pooled, kPooledTorus.text()), doc);
+    }
+  }
+}
+
+/// A rotor-router document for kPooledTorus with one agent on node 0,
+/// every per-node field written out; `patch` edits the lists first.
+std::string torus_doc(
+    const std::function<void(std::vector<std::vector<std::uint64_t>>&)>&
+        patch) {
+  const std::uint64_t n = *kPooledTorus.num_nodes();
+  std::vector<std::vector<std::uint64_t>> lists(
+      6, std::vector<std::uint64_t>(n, 0));
+  lists[2][0] = 1;  // visits
+  lists[4].assign(n, sim::kNotCovered);  // first_visit
+  lists[4][0] = 0;
+  patch(lists);
+  sim::StateWriter state;
+  state.field_u64("time", 0);
+  state.field_pairs("agents", sim::PairList{{0, 1}});
+  const char* const names[6] = {"pointers", "initial_pointers", "visits",
+                                "exits",    "first_visit",      "last_visit"};
+  for (int f = 0; f < 6; ++f) state.field_list(names[f], lists[f]);
+  return sim::encode_checkpoint_v2("rotor-router", kPooledTorus.text(), state,
+                                   n, sim::kV2DefaultSegments, nullptr);
+}
+
+TEST(ShardedRotor, PooledRestoreRejectsHostileDocuments) {
+  using Lists = std::vector<std::vector<std::uint64_t>>;
+  const std::uint64_t n = *kPooledTorus.num_nodes();
+  const std::function<void(Lists&)> hostile[] = {
+      [n](Lists& l) { l[0][n - 1] = 4; },  // pointer == degree
+      [n](Lists& l) { l[1][n / 2] = 9; },  // initial pointer > degree
+      [](Lists& l) { l[3].pop_back(); },   // exits one node short
+      [](Lists& l) { l[5].push_back(0); },  // last_visit one node long
+  };
+  for (unsigned threads : pool_widths()) {
+    sim::ThreadPool pool(threads);
+    for (const std::uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " shards=" << shards);
+      const auto valid = sim::parse_checkpoint(torus_doc([](Lists&) {}), &pool);
+      ASSERT_TRUE(valid.has_value());
+      EXPECT_NE(sim::restore_checkpoint_sharded(*valid, shards, &pool), nullptr);
+      for (std::size_t h = 0; h < std::size(hostile); ++h) {
+        const auto parsed = sim::parse_checkpoint(torus_doc(hostile[h]), &pool);
+        ASSERT_TRUE(parsed.has_value()) << "hostile document " << h;
+        EXPECT_EQ(sim::restore_checkpoint_sharded(*parsed, shards, &pool),
+                  nullptr)
+            << "hostile document " << h;
+      }
     }
   }
 }
