@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "core/rotor_router.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/descriptor.hpp"
@@ -178,6 +179,53 @@ TEST(CsrBuildDeath, PooledBuildKeepsEveryCheck) {
           core::RotorRouter(torus, {0, torus.num_nodes()}, {}, shards, &pool);
         },
         "agent start node out of range");
+  }
+}
+
+// FNV-1a over the node count, the n+1 row offsets and every arc head in
+// port order: the bytes a CsrGraph is made of, minus the derived
+// sorted-port index.
+std::uint64_t csr_digest(const std::string& text) {
+  const auto g = GraphDescriptor::parse(text)->build();
+  EXPECT_TRUE(g.has_value()) << text;
+  if (!g) return 0;
+  Fnv1a h;
+  h.mix(g->num_nodes());
+  std::uint64_t offset = 0;
+  h.mix(offset);
+  for (NodeId v = 0; v < g->num_nodes(); ++v) {
+    offset += g->degree(v);
+    h.mix(offset);
+  }
+  for (NodeId v = 0; v < g->num_nodes(); ++v) {
+    for (const NodeId u : g->neighbors(v)) h.mix(u);
+  }
+  return h.value();
+}
+
+TEST(CsrKindGolden, EveryKindKeepsItsPortOrder) {
+  // One instance of each descriptor kind. A change to a generator's
+  // port order moves every trajectory on that kind, so these digests
+  // change only with a deliberate, documented port-order change.
+  const struct {
+    const char* text;
+    std::uint64_t digest;
+  } kGolden[] = {
+      {"ring 12", 0xeed2a295189c10afULL},
+      {"path 9", 0x11a01f96fec950b2ULL},
+      {"grid 5 4", 0x7c6468577474ba21ULL},
+      {"torus 5 4", 0xba5e6372687e6993ULL},
+      {"clique 6", 0x88ee976e335df8f7ULL},
+      {"star 7", 0xc639bad1a15dad1eULL},
+      {"tree 10", 0x8dae3effded1e52bULL},
+      {"hypercube 4", 0x2fae0063b2da6dabULL},
+      {"lollipop 10 4", 0x8f034767bda987c1ULL},
+      {"random-regular 20 3 7", 0x80c0e379557651f7ULL},
+      {"erdos-renyi 16 0.3 5", 0xb778c653c21d972dULL},
+  };
+  for (const auto& g : kGolden) {
+    EXPECT_EQ(csr_digest(g.text), g.digest)
+        << g.text << " digest 0x" << std::hex << csr_digest(g.text);
   }
 }
 
