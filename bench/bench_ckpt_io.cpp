@@ -21,7 +21,7 @@
 //   6. Sustained periodic saves: the same state steps for a fixed wall
 //      time with checkpoint_file_sink armed, reporting each fire's
 //      caller-side pause and whether the background writer kept up.
-//   7. Construction on the same shape, layer by layer: build_csr, the
+//   7. Construction on the same shape, layer by layer: the graph build, the
 //      partition, the engine constructor, the registry create and the
 //      resume's parse + restore, each on a 1-thread pool (every job on
 //      the caller) against a 4-thread pool, interleaved, with how many
@@ -455,7 +455,7 @@ int main() {
   // save follows a round of its engine, as a periodic save does.
   {
     const auto desc = rr::graph::GraphDescriptor::torus(512, 512);
-    auto csr = desc.build_csr();
+    auto csr = desc.build();
     RR_REQUIRE(csr.has_value(), "periodic-save torus build failed");
     const std::uint64_t n = csr->num_nodes();
     rr::Rng rng(0x5A7E);
@@ -582,7 +582,7 @@ int main() {
     const std::string doc = rr::sim::write_checkpoint(
         sharded, descriptor, rr::sim::CkptFormat::kV2, 0, &pool);
     rr::sim::ThreadPool one(1);
-    LedgerRow ledger[] = {{"build_csr", {}, {}, {}, {}},
+    LedgerRow ledger[] = {{"GraphDescriptor::build", {}, {}, {}, {}},
                           {"Partition (4 shards)", {}, {}, {}, {}},
                           {"RotorRouter ctor (4 shards)", {}, {}, {}, {}},
                           {"EngineRegistry::create", {}, {}, {}, {}},
@@ -609,8 +609,8 @@ int main() {
           }
         };
         std::optional<rr::graph::CsrGraph> built;
-        timed([&] { built = desc.build_csr(p); });
-        RR_REQUIRE(built.has_value(), "ledger build_csr failed");
+        timed([&] { built = desc.build(p); });
+        RR_REQUIRE(built.has_value(), "ledger build failed");
         timed([&] { rr::graph::Partition part(*built, 4, p); });
         rr::graph::CsrGraph copy = *built;
         timed([&] { RotorRouter e(std::move(copy), agents, {}, 4, p); });

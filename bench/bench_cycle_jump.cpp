@@ -32,7 +32,7 @@
 namespace {
 
 using rr::analysis::Table;
-using rr::graph::Graph;
+using rr::graph::CsrGraph;
 using rr::graph::NodeId;
 
 const std::vector<std::string> kRotorAccumulators = {"time", "visits", "exits",
@@ -86,7 +86,7 @@ int main() {
   struct Config {
     std::string name;
     std::string backend;  // "rotor" or "eulerian"
-    Graph g;
+    CsrGraph g;
     std::uint32_t k;
   };
   std::vector<Config> configs;
@@ -183,7 +183,7 @@ int main() {
       bool to_cover;  // time only the rounds after cover
       std::uint64_t rounds;
     };
-    const Graph lollipop = rr::graph::lollipop(1024, 512);
+    const CsrGraph lollipop = rr::graph::lollipop(1024, 512);
     const auto lollipop_agents = spread_agents(lollipop.num_nodes(), 16);
     rr::Rng rng(rr::sim::derive_seed(1, 3));
     const NodeId ring_n = 4096;

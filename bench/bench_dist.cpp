@@ -90,7 +90,7 @@ int main() {
   Table t({"topology", "transport", "workers", "rounds/s", "vs sequential",
            "spill B/round", "batches/round", "overlap"});
   for (const auto& c : configs) {
-    auto csr = c.descriptor.build_csr();
+    auto csr = c.descriptor.build();
     if (!csr) {
       std::fprintf(stderr, "bench_dist: cannot build %s\n", c.name.c_str());
       return 1;

@@ -21,7 +21,7 @@
 namespace {
 
 using rr::analysis::Table;
-using rr::graph::Graph;
+using rr::graph::CsrGraph;
 using rr::graph::NodeId;
 
 struct Fairness {
@@ -51,7 +51,7 @@ int main() {
 
   struct Topo {
     std::string name;
-    Graph g;
+    CsrGraph g;
   };
   std::vector<Topo> topologies;
   topologies.push_back({"ring(128)", rr::graph::ring(128)});

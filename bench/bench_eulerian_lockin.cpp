@@ -23,7 +23,7 @@
 namespace {
 
 using rr::analysis::Table;
-using rr::graph::Graph;
+using rr::graph::CsrGraph;
 
 }  // namespace
 
@@ -34,7 +34,7 @@ int main() {
 
   struct Topo {
     std::string name;
-    Graph g;
+    CsrGraph g;
   };
   const rr::graph::NodeId m = rr::sim::bench_scale() >= 2 ? 2 : 1;
   const rr::graph::NodeId dim = 8 * m;

@@ -70,7 +70,7 @@ BENCHMARK(BM_RingRotorRouterRandom)->Args({1 << 12, 2})->Args({1 << 12, 32});
 void BM_GeneralRotorRouterTorus(benchmark::State& state) {
   const auto side = static_cast<rr::graph::NodeId>(state.range(0));
   const auto k = static_cast<std::uint32_t>(state.range(1));
-  rr::graph::Graph g = rr::graph::torus(side, side);
+  rr::graph::CsrGraph g = rr::graph::torus(side, side);
   std::vector<rr::graph::NodeId> agents(k);
   for (std::uint32_t i = 0; i < k; ++i) {
     agents[i] = (i * g.num_nodes()) / k;

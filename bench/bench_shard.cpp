@@ -44,7 +44,7 @@ void BM_ShardedRotorRouterTorus(benchmark::State& state) {
   const auto side = static_cast<rr::graph::NodeId>(state.range(0));
   const auto k = static_cast<std::uint32_t>(state.range(1));
   const auto shards = static_cast<std::uint32_t>(state.range(2));
-  rr::graph::Graph g = rr::graph::torus(side, side);
+  rr::graph::CsrGraph g = rr::graph::torus(side, side);
   const auto agents = spread_agents(g.num_nodes(), k);
   rr::core::RotorRouter rr(g, agents, {}, shards);
   for (auto _ : state) {
@@ -74,7 +74,7 @@ BENCHMARK(BM_ShardedRotorRouterTorus)
 void BM_ShardedRotorRouterPileUp(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto shards = static_cast<std::uint32_t>(state.range(1));
-  rr::graph::Graph g = rr::graph::torus(64, 64);
+  rr::graph::CsrGraph g = rr::graph::torus(64, 64);
   const std::vector<rr::graph::NodeId> agents(k, g.num_nodes() / 2);
   rr::core::RotorRouter rr(g, agents, {}, shards);
   for (auto _ : state) {

@@ -35,7 +35,7 @@ int main() {
       continue;
     }
     // Undelayed reference on the same path initialization.
-    rr::graph::Graph p = rr::graph::path(n);
+    rr::graph::CsrGraph p = rr::graph::path(n);
     std::vector<std::uint32_t> left(n, 0);
     for (NodeId v = 1; v + 1 < n; ++v) left[v] = 1;
     rr::core::RotorRouter undelayed(p, std::vector<NodeId>(k, 0), left);

@@ -24,7 +24,7 @@
 namespace {
 
 using rr::analysis::Table;
-using rr::graph::Graph;
+using rr::graph::CsrGraph;
 using rr::graph::NodeId;
 
 double max_discrepancy(const std::vector<std::uint32_t>& load, double target) {
@@ -39,7 +39,7 @@ double max_discrepancy(const std::vector<std::uint32_t>& load, double target) {
 
 int main(int argc, char** argv) {
   const std::uint32_t per_node = argc > 1 ? std::atoi(argv[1]) : 8;
-  Graph g = rr::graph::torus(16, 16);
+  CsrGraph g = rr::graph::torus(16, 16);
   const NodeId n = g.num_nodes();
   const std::uint32_t total = per_node * n;
   std::printf("Load balancing on a 16x16 torus: %u tokens, all initially on"

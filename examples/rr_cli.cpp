@@ -804,13 +804,12 @@ int cmd_lockin(const Flags& f) {
                 static_cast<unsigned long long>(res.steps_simulated));
     return 1;
   }
-  // The diameter comes from a graph::Graph until CsrGraph computes one.
-  const auto g = rr::graph::GraphDescriptor::parse(descriptor)->build();
+  const rr::graph::CsrGraph& g = rotor->graph();
   std::printf("lockin: t=%llu, bound 2D|E|=%llu (%s, %u nodes, %zu edges)\n",
               static_cast<unsigned long long>(res.lock_in_time),
-              static_cast<unsigned long long>(2ULL * g->diameter() *
-                                              g->num_edges()),
-              descriptor.c_str(), g->num_nodes(), g->num_edges());
+              static_cast<unsigned long long>(2ULL * g.diameter() *
+                                              g.num_edges()),
+              descriptor.c_str(), g.num_nodes(), g.num_edges());
   return 0;
 }
 

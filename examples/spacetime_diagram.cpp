@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   std::printf("\n3) %ux%u torus, %u rotor-router agents at the corners of"
               " one column — frontier growth (generic trace):\n\n",
               side, side, 4u);
-  rr::graph::Graph torus = rr::graph::torus(side, side);
+  rr::graph::CsrGraph torus = rr::graph::torus(side, side);
   rr::core::RotorRouter frontier(
       torus, {0, side * (side / 2), side / 2, side * (side / 2) + side / 2});
   rr::sim::TraceOptions topt;

@@ -10,7 +10,7 @@ namespace rr::core {
 using graph::Arc;
 using graph::NodeId;
 
-EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
+EulerianRotorRouter::EulerianRotorRouter(const graph::CsrGraph& g,
                                          const std::vector<NodeId>& agents)
     : csr_(g) {
   RR_REQUIRE(!agents.empty(), "need at least one token");
@@ -43,7 +43,7 @@ EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
   reset_visits_from_tokens();
 }
 
-EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
+EulerianRotorRouter::EulerianRotorRouter(const graph::CsrGraph& g,
                                          std::vector<Arc> circuit,
                                          std::vector<std::uint64_t> tokens)
     : csr_(g), circuit_(std::move(circuit)), tokens_(std::move(tokens)) {
@@ -222,7 +222,7 @@ bool EulerianRotorRouter::deserialize_state(const sim::StateReader& in) {
   return true;
 }
 
-EulerianLockIn eulerian_from_lock_in(const graph::Graph& g, NodeId start,
+EulerianLockIn eulerian_from_lock_in(const graph::CsrGraph& g, NodeId start,
                                      std::vector<std::uint32_t> pointers,
                                      std::uint64_t max_steps) {
   RR_REQUIRE(g.num_edges() > 0, "lock-in needs at least one edge");

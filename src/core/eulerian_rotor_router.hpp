@@ -41,7 +41,6 @@
 #include "common/require.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/eulerian.hpp"
-#include "graph/graph.hpp"
 #include "sim/cycle_jump.hpp"
 #include "sim/engine.hpp"
 #include "sim/state_io.hpp"
@@ -58,13 +57,13 @@ class EulerianRotorRouter final : public sim::Engine,
   /// successive circuit offsets tailed at that agent's start node (a
   /// degree-d node has d such offsets), so co-located agents take
   /// distinct trajectories — the analogue of distinct exit ports.
-  EulerianRotorRouter(const graph::Graph& g,
+  EulerianRotorRouter(const graph::CsrGraph& g,
                       const std::vector<graph::NodeId>& agents);
 
   /// Token circulation on an explicit circuit (must be a directed
   /// Eulerian circuit of `g`); `token_offsets` are circuit positions in
   /// [0, circuit.size()).
-  EulerianRotorRouter(const graph::Graph& g, std::vector<graph::Arc> circuit,
+  EulerianRotorRouter(const graph::CsrGraph& g, std::vector<graph::Arc> circuit,
                       std::vector<std::uint64_t> token_offsets);
 
   void step() override {
@@ -152,7 +151,7 @@ class EulerianRotorRouter final : public sim::Engine,
   }
   void arrive(graph::NodeId u);
   /// Rebuilds node_at_ / arc bookkeeping from circuit_; false if circuit_
-  /// is not a directed Eulerian circuit of the snapshotted graph.
+  /// is not a directed Eulerian circuit of the engine's graph.
   bool index_circuit();
   void reset_visits_from_tokens();
 
@@ -196,7 +195,7 @@ struct EulerianLockIn {
 /// `max_steps` 0 picks the 2 D |E| lock-in bound with slack. locked_in is
 /// false if no cycle was confirmed within the cap (or the extracted lap
 /// failed Eulerian verification — impossible short of a hash collision).
-EulerianLockIn eulerian_from_lock_in(const graph::Graph& g,
+EulerianLockIn eulerian_from_lock_in(const graph::CsrGraph& g,
                                      graph::NodeId start,
                                      std::vector<std::uint32_t> pointers = {},
                                      std::uint64_t max_steps = 0);

@@ -8,11 +8,6 @@
 
 namespace rr::core {
 
-RotorRouter::RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
-                         std::vector<std::uint32_t> pointers,
-                         std::uint32_t shards, sim::ThreadPool* pool)
-    : RotorRouter(CsrGraph(g), agents, std::move(pointers), shards, pool) {}
-
 RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
                          std::vector<std::uint32_t> pointers,
                          std::uint32_t shards, sim::ThreadPool* pool)

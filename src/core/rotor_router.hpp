@@ -4,17 +4,14 @@
 //
 // Direct transliteration of the model in paper Sec. 1.3. A configuration is
 // ((rho_v), (pi_v), {r_1..r_k}): rho_v is the cyclic port order (owned by the
-// Graph), pi_v the current port pointer, and the agents form a multiset of
+// CsrGraph), pi_v the current port pointer, and the agents form a multiset of
 // node positions. One synchronous round moves, at every node v hosting c
 // agents, the c agents out along ports pi_v, pi_v+1, ..., pi_v+c-1 (mod
 // deg v), then advances pi_v by c. Agents are indistinguishable, so the
 // engine stores per-node counts rather than identities.
 //
-// The engine steps on a CsrGraph it owns, so the stepping loops scan flat
-// arrays instead of chasing nested vectors. Descriptor-driven callers
-// hand it GraphDescriptor::build_csr() directly; the Graph constructor
-// snapshots the port-ordered adjacency (permute ports on the Graph before
-// constructing).
+// The engine steps on a CsrGraph it owns (GraphDescriptor::build's
+// result, moved in), so the stepping loops scan flat arrays.
 // The per-node hot state lives in one packed graph::NodeState stride
 // (count, pointer, degree) and the visit bookkeeping in one VisitStats
 // stride — the round is memory-latency-bound on scattered nodes, so each
@@ -68,7 +65,6 @@
 #include "common/require.hpp"
 #include "core/shard_step.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "graph/mmap_substrate.hpp"
 #include "graph/partition.hpp"
 #include "sim/cycle_jump.hpp"
@@ -79,7 +75,6 @@
 namespace rr::core {
 
 using graph::CsrGraph;
-using graph::Graph;
 using graph::NodeId;
 
 inline constexpr std::uint64_t kNotCovered = sim::kNotCovered;
@@ -98,12 +93,6 @@ class RotorRouter final : public sim::Engine,
   /// pool == nullptr a sharded engine owns a pool sized to
   /// min(shards, hardware).
   RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
-              std::vector<std::uint32_t> pointers = {},
-              std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
-
-  /// Snapshots `g` into CSR; later mutation of `g` does not affect this
-  /// engine.
-  RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
               std::vector<std::uint32_t> pointers = {},
               std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
 

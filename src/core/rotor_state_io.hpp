@@ -27,7 +27,6 @@
 #include "common/require.hpp"
 #include "core/shard_step.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "sim/cycle_jump.hpp"
 #include "sim/state_io.hpp"

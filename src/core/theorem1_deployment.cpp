@@ -14,7 +14,7 @@ namespace {
 // Pointer value meaning "toward node 0" on graph::path(n): node 0 has only
 // port 0 (toward 1); internal nodes have port 1 toward v-1; the right
 // endpoint has only port 0 (toward n-2).
-std::vector<std::uint32_t> leftward_pointers(const graph::Graph& path) {
+std::vector<std::uint32_t> leftward_pointers(const graph::CsrGraph& path) {
   std::vector<std::uint32_t> p(path.num_nodes(), 0);
   for (NodeId v = 1; v < path.num_nodes(); ++v) {
     p[v] = path.degree(v) - 1;  // internal: port 1 = left; right end: port 0

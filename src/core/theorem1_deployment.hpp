@@ -29,7 +29,6 @@
 
 #include "analysis/sequence.hpp"
 #include "core/rotor_router.hpp"
-#include "graph/graph.hpp"
 
 namespace rr::core {
 
@@ -73,7 +72,7 @@ class Theorem1Deployment {
   graph::NodeId n_;
   std::uint32_t k_;
   analysis::Lemma13Sequence seq_;
-  graph::Graph path_;
+  graph::CsrGraph path_;
   std::vector<std::uint32_t> left_pointers_;
   double s0_ = 0.0;       ///< S_0 = n / sqrt(k log k)
   double delta_s_ = 0.0;  ///< S_{j+1} - S_j = ceil(k^4 a_1 a_k) + 12k

@@ -48,7 +48,7 @@ std::unique_ptr<DistributedRotorRouter> DistributedRotorRouter::create(
     const std::vector<graph::NodeId>& agents,
     const std::vector<std::uint32_t>& pointers, const DistOptions& options,
     std::string* error) {
-  auto built = descriptor.build_csr();
+  auto built = descriptor.build();
   if (!built) {
     set_error(error, "dist: graph descriptor failed to build");
     return nullptr;

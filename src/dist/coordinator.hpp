@@ -99,7 +99,7 @@ struct DistCommsStats {
 
 class DistributedRotorRouter final : public sim::Engine, public sim::StateIO {
  public:
-  /// Builds the CSR from the descriptor (GraphDescriptor::build_csr),
+  /// Builds the CSR from the descriptor (GraphDescriptor::build),
   /// spawns/accepts the workers, and initializes them.
   /// nullptr (with *error set) on an invalid config, a descriptor that
   /// fails to build or is disconnected, or any worker that cannot be

@@ -38,7 +38,7 @@ class WorkerNode {
   bool init(const DistMsg& m) {
     const auto d = graph::GraphDescriptor::parse(m.text);
     if (!d) return false;
-    auto csr = d->build_csr();
+    auto csr = d->build();
     if (!csr) return false;
     csr_ = std::move(*csr);
     const std::uint64_t workers = m.value;

@@ -28,7 +28,7 @@
 // closed socket, nonzero on a malformed or out-of-protocol stream.
 //
 // Memory honesty: each worker builds the full CSR from the descriptor
-// (GraphDescriptor::build_csr; the partition and frontier tables need
+// (GraphDescriptor::build; the partition and frontier tables need
 // global topology) and sizes its state arrays at n nodes, touching only
 // its own range. Distribution therefore shards the *round work and the
 // dynamic-state writes*, not yet the graph image; carving the substrate

@@ -1,33 +1,36 @@
 #include "graph/csr_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <utility>
 
 namespace rr::graph {
 
-CsrGraph::CsrGraph(const Graph& g, sim::ThreadPool* pool)
-    : offsets_store_(static_cast<std::size_t>(g.num_nodes()) + 1),
-      num_nodes_(g.num_nodes()) {
-  const NodeId n = num_nodes_;
-  offsets_store_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    offsets_store_[v + 1] = offsets_store_[v] + g.degree(v);
+CsrGraph CsrGraph::from_edges(NodeId n, const std::vector<Edge>& edges) {
+  OffsetList offsets(static_cast<std::size_t>(n) + 1);
+  std::fill(offsets.begin(), offsets.end(), 0);
+  for (const auto& [u, v] : edges) {
+    RR_REQUIRE(u < n && v < n, "edge endpoint out of range");
+    RR_REQUIRE(u != v, "self-loops are not part of the model");
+    ++offsets[u + 1];
+    ++offsets[v + 1];
   }
-  neighbors_store_.resize(offsets_store_[n]);
-  ports_store_.resize(offsets_store_[n]);
-  const std::uint64_t jobs = row_jobs(pool);
-  sim::for_each_node_job(pool, n, jobs, [&](std::uint64_t j) {
-    for (NodeId v = static_cast<NodeId>(n * j / jobs);
-         v < static_cast<NodeId>(n * (j + 1) / jobs); ++v) {
-      const auto row = g.neighbors(v);
-      NodeId* heads = neighbors_store_.data() + offsets_store_[v];
-      std::copy(row.begin(), row.end(), heads);
-      sort_row_ports(heads, g.degree(v),
-                     ports_store_.data() + offsets_store_[v]);
-    }
-  });
-  bind_owned();
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  // Each row fills in list order: next[v] is v's first free port.
+  std::vector<std::size_t> next(offsets.begin(), offsets.end() - 1);
+  ArcList arcs(offsets[n]);
+  for (const auto& [u, v] : edges) {
+    arcs[next[u]++] = v;
+    arcs[next[v]++] = u;
+  }
+  PortList ports(offsets[n]);
+  for (NodeId v = 0; v < n; ++v) {
+    sort_row_ports(arcs.data() + offsets[v],
+                   static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]),
+                   ports.data() + offsets[v]);
+  }
+  return CsrGraph(std::move(offsets), std::move(arcs), std::move(ports));
 }
 
 CsrGraph::CsrGraph(OffsetList offsets, ArcList arcs, PortList sorted_ports)
@@ -145,6 +148,44 @@ bool CsrGraph::is_connected(NodeId* queue, std::uint8_t* seen) const {
     }
   }
   return tail == num_nodes_;
+}
+
+std::vector<std::uint32_t> CsrGraph::bfs_distances(NodeId src) const {
+  RR_REQUIRE(src < num_nodes(), "node out of range");
+  constexpr auto kInf = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> dist(num_nodes_, kInf);
+  std::vector<NodeId> queue;
+  queue.reserve(num_nodes_);
+  dist[src] = 0;
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+      const NodeId u = neighbors_[i];
+      if (dist[u] == kInf) {
+        dist[u] = dist[v] + 1;
+        queue.push_back(u);
+      }
+    }
+  }
+  return dist;
+}
+
+std::uint32_t CsrGraph::eccentricity(NodeId src) const {
+  std::uint32_t ecc = 0;
+  for (const std::uint32_t d : bfs_distances(src)) {
+    RR_REQUIRE(d != std::numeric_limits<std::uint32_t>::max(),
+               "eccentricity requires a connected graph");
+    ecc = std::max(ecc, d);
+  }
+  return ecc;
+}
+
+std::uint32_t CsrGraph::diameter() const {
+  RR_REQUIRE(num_nodes() > 0, "diameter of empty graph");
+  std::uint32_t d = 0;
+  for (NodeId v = 0; v < num_nodes(); ++v) d = std::max(d, eccentricity(v));
+  return d;
 }
 
 }  // namespace rr::graph

@@ -1,30 +1,30 @@
 #pragma once
 
-// Compressed-sparse-row view of a Graph (flat graph substrate).
+// The graph type: compressed sparse rows with fixed cyclic port orders.
 //
-// `Graph` stores adjacency as vector<vector<NodeId>>: every neighbor access
-// in a simulation round chases an outer pointer, so large instances walk the
-// heap instead of a cache line. CsrGraph flattens the same port-ordered
-// adjacency into two arrays — `offsets_` (n+1 prefix sums of degrees) and
-// `neighbors_` (all 2|E| arc heads, port order preserved per node) — so a
-// round over the occupied nodes does contiguous scans. The rotor
-// engines and dist workers run every inner loop on it. They get it from
-// GraphDescriptor::build_csr, which streams the lattice kinds (ring,
-// torus) straight into the owned arrays (graph/lattice_rows.hpp) and
-// snapshots a built Graph for every other kind. `Graph` remains the
-// mutable builder/query type for the generators, permute_ports, BFS
-// diagnostics and the engines that need those APIs (walks, eulerian).
+// The rotor-router model (paper Sec. 1.3) runs on the directed symmetric
+// version of an undirected graph G: every undirected edge {u,v}
+// contributes arcs (u,v) and (v,u). Each node v keeps a fixed cyclic
+// order rho_v of its outgoing arcs; ports are the positions 0..deg(v)-1
+// in that order, fixed before exploration starts (the adversary's
+// choice) and never changed during it. CsrGraph stores exactly that in
+// two arrays: `offsets_` (n+1 prefix sums of degrees) and `neighbors_`
+// (all 2|E| arc heads, each node's row in port order). `neighbor(v, p)`
+// is the head reached from v through port p, and the cyclic successor of
+// p is (p+1) mod deg(v). A round over the occupied nodes is a contiguous
+// scan; every engine and dist worker steps on it.
 //
-// Port semantics are identical to Graph: `neighbor(v, p)` is the arc head
-// reached from v through port p, and the cyclic successor of p is
-// (p+1) mod deg(v). The CSR view is immutable; permute ports on the Graph
-// *before* constructing the view.
+// A graph is built once and never mutated. The generators
+// (graph/generators.hpp) and GraphDescriptor::build make it two ways:
+// from_rows streams a fixed-degree row source (the lattice kinds,
+// graph/lattice_rows.hpp), from_edges fills rows from an edge list in
+// insertion order (every other kind).
 //
 // Storage comes in two modes behind the same pointer-based accessors:
-// owned (built from a Graph or a row source, arrays in member vectors)
-// and view (arrays live elsewhere — an mmap'd graph image,
-// graph/mmap_substrate.hpp — and `backing_` keeps that storage alive).
-// Copying an owned CsrGraph copies the arrays; copying a view shares them.
+// owned (arrays in member vectors) and view (arrays live elsewhere — an
+// mmap'd graph image, graph/mmap_substrate.hpp — and `backing_` keeps
+// that storage alive). Copying an owned CsrGraph copies the arrays;
+// copying a view shares them.
 
 #include <cstdint>
 #include <memory>
@@ -34,28 +34,32 @@
 
 #include "common/no_init.hpp"
 #include "common/require.hpp"
-#include "graph/graph.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace rr::graph {
+
+using NodeId = std::uint32_t;
+
+/// An undirected edge {first, second}, as from_edges takes it.
+using Edge = std::pair<NodeId, NodeId>;
 
 class CsrGraph {
  public:
   /// The empty graph (no nodes).
   CsrGraph() : CsrGraph(OffsetList(1, 0), {}, {}) {}
 
-  /// Snapshots `g`'s port-ordered adjacency. The offsets are one serial
-  /// prefix sum; with a pool the rows then split into one range per pool
-  /// thread, each job copying its rows' heads and sorting their ports
-  /// (sim::for_each_node_job: graphs under its cutoff stay on the
-  /// caller). The arrays are identical at any pool width.
-  explicit CsrGraph(const Graph& g, sim::ThreadPool* pool = nullptr);
+  /// The graph on `n` nodes with `edges`: edge {u, v} appends v to u's
+  /// row and u to v's, so each node's ports follow the order its edges
+  /// appear in the list. Parallel edges are allowed; an endpoint out of
+  /// range or a self-loop (not part of the model) aborts.
+  static CsrGraph from_edges(NodeId n, const std::vector<Edge>& edges);
 
   /// Streams a fixed-degree row source (graph/lattice_rows.hpp) into an
-  /// owned graph, with no intermediate Graph. Rows split into ranges as
-  /// in CsrGraph(const Graph&, pool); each job writes its rows' offsets,
-  /// arcs and sorted ports into unfilled storage, so it is the first
-  /// thread to touch those pages.
+  /// owned graph. With a pool the rows split into one range per pool
+  /// thread (sim::for_each_node_job: graphs under its cutoff stay on the
+  /// caller); each job writes its rows' offsets, arcs and sorted ports
+  /// into unfilled storage, so it is the first thread to touch those
+  /// pages. The arrays are identical at any pool width.
   template <typename Rows>
   static CsrGraph from_rows(const Rows& rows, sim::ThreadPool* pool = nullptr) {
     constexpr std::uint32_t deg = Rows::kDegree;
@@ -140,8 +144,7 @@ class CsrGraph {
   }
 
   /// Smallest port at `v` leading to `u` (paper's port_v(u)); O(log deg v)
-  /// via the neighbor-sorted port index (Graph::port_to is O(deg)).
-  /// Requires the edge to exist.
+  /// via the neighbor-sorted port index. Requires the edge to exist.
   std::uint32_t port_to(NodeId v, NodeId u) const;
 
   /// O(log deg v) membership test.
@@ -156,6 +159,15 @@ class CsrGraph {
   /// block freed on a worker thread stays resident in that thread's
   /// malloc arena.
   bool is_connected(NodeId* queue, std::uint8_t* seen) const;
+
+  // ---- BFS metrics (O(n + |E|) per source; test and bench scale) ----
+
+  /// BFS distances from `src` (UINT32_MAX for unreachable nodes).
+  std::vector<std::uint32_t> bfs_distances(NodeId src) const;
+  /// Max distance from `src` to any node. Requires connectivity.
+  std::uint32_t eccentricity(NodeId src) const;
+  /// Diameter D (max eccentricity). Requires a connected, non-empty graph.
+  std::uint32_t diameter() const;
 
  private:
   using OffsetList = NoInitVector<std::size_t>;
@@ -192,5 +204,10 @@ class CsrGraph {
   const std::uint32_t* sorted_ports_ = nullptr;  // nullptr: linear port_to
   NodeId num_nodes_ = 0;
 };
+
+/// The graph type's former name, kept only for the benchmark program
+/// (rrbench/), which names it and cannot change outside a benchmark
+/// change. Drop it at the next one.
+using Graph = CsrGraph;
 
 }  // namespace rr::graph

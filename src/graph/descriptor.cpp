@@ -126,9 +126,11 @@ std::optional<NodeId> GraphDescriptor::num_nodes() const {
   const auto n = arg_node(args[0]);
   if (!n || 4 * static_cast<std::uint64_t>(*n) > kMaxArcs) return std::nullopt;
   if (kind == "ring" && *n < 3) return std::nullopt;
+  // Every node needs a port: the two-node minimum of the kinds below.
   if ((kind == "path" || kind == "clique" || kind == "star" ||
-       kind == "erdos-renyi") && *n < 2) return std::nullopt;
-  if (kind == "tree" && *n < 1) return std::nullopt;
+       kind == "tree" || kind == "erdos-renyi") && *n < 2) {
+    return std::nullopt;
+  }
   if (kind == "clique" &&
       static_cast<std::uint64_t>(*n) * (*n - 1) > kMaxArcs) {
     return std::nullopt;
@@ -166,14 +168,17 @@ std::optional<NodeId> GraphDescriptor::num_nodes() const {
   return *n;
 }
 
-std::optional<Graph> GraphDescriptor::build() const {
+std::optional<CsrGraph> GraphDescriptor::build(sim::ThreadPool* pool) const {
   if (!num_nodes()) return std::nullopt;  // full precondition check
-  if (kind == "ring") return graph::ring(*arg_node(args[0]));
+  if (kind == "ring") {
+    return CsrGraph::from_rows(RingRows{*arg_node(args[0])}, pool);
+  }
+  if (kind == "torus") {
+    return CsrGraph::from_rows(
+        TorusRows{*arg_node(args[0]), *arg_node(args[1])}, pool);
+  }
   if (kind == "path") return graph::path(*arg_node(args[0]));
   if (kind == "grid") return graph::grid(*arg_node(args[0]), *arg_node(args[1]));
-  if (kind == "torus") {
-    return graph::torus(*arg_node(args[0]), *arg_node(args[1]));
-  }
   if (kind == "clique") return graph::clique(*arg_node(args[0]));
   if (kind == "star") return graph::star(*arg_node(args[0]));
   if (kind == "tree") return graph::binary_tree(*arg_node(args[0]));
@@ -193,21 +198,6 @@ std::optional<Graph> GraphDescriptor::build() const {
                               *arg_u64(args[2]));
   }
   return std::nullopt;
-}
-
-std::optional<CsrGraph> GraphDescriptor::build_csr(
-    sim::ThreadPool* pool) const {
-  if (!num_nodes()) return std::nullopt;  // build()'s precondition check
-  if (kind == "ring") {
-    return CsrGraph::from_rows(RingRows{*arg_node(args[0])}, pool);
-  }
-  if (kind == "torus") {
-    return CsrGraph::from_rows(
-        TorusRows{*arg_node(args[0]), *arg_node(args[1])}, pool);
-  }
-  const auto g = build();
-  if (!g) return std::nullopt;
-  return CsrGraph(*g, pool);
 }
 
 GraphDescriptor GraphDescriptor::ring(NodeId n) {
@@ -246,12 +236,6 @@ GraphDescriptor GraphDescriptor::erdos_renyi(NodeId n, double p,
                                              std::uint64_t seed) {
   return make("erdos-renyi",
               {std::to_string(n), fmt_double(p), std::to_string(seed)});
-}
-
-std::optional<Graph> graph_from_descriptor(const std::string& text) {
-  const auto d = GraphDescriptor::parse(text);
-  if (!d) return std::nullopt;
-  return d->build();
 }
 
 }  // namespace rr::graph

@@ -7,8 +7,7 @@
 // engine state. A descriptor is a short space-separated text form of a
 // generator call — "ring 64", "torus 16 16", "random-regular 128 4 7" —
 // that round-trips through parse()/text() and rebuilds the graph through
-// build(), or straight into the flat CSR form the rotor engines step on
-// through build_csr(). Every generator in graph/generators.hpp has a descriptor
+// build(). Every generator in graph/generators.hpp has a descriptor
 // spelling; the arguments are kept verbatim as tokens so text forms are
 // stable byte-for-byte across a round trip.
 //
@@ -26,7 +25,7 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace rr::graph {
 
@@ -42,16 +41,12 @@ struct GraphDescriptor {
   static std::optional<GraphDescriptor> parse(const std::string& text);
 
   /// Builds the graph; nullopt if any argument is malformed or violates
-  /// the generator's preconditions (e.g. "ring 2").
-  std::optional<Graph> build() const;
-
-  /// CsrGraph(*build()) without the intermediate Graph for the lattice
-  /// kinds: "ring" and "torus" stream their rows (graph/lattice_rows.hpp)
-  /// into the owned arrays, every other kind snapshots build(). Total in
-  /// exactly the way build() is: nullopt for the same descriptors. A
-  /// pool writes the rows in per-thread ranges (CsrGraph::from_rows);
-  /// the arrays are the same with or without one.
-  std::optional<CsrGraph> build_csr(sim::ThreadPool* pool = nullptr) const;
+  /// the generator's preconditions (e.g. "ring 2"). "ring" and "torus"
+  /// stream their rows (graph/lattice_rows.hpp), with a pool in
+  /// per-thread ranges (CsrGraph::from_rows); every other kind builds
+  /// inline from its edge list. The arrays are the same with or without
+  /// a pool.
+  std::optional<CsrGraph> build(sim::ThreadPool* pool = nullptr) const;
 
   /// Number of nodes the built graph would have, without building it
   /// (checkpoint loaders size per-node arrays up front). nullopt on
@@ -74,8 +69,5 @@ struct GraphDescriptor {
                                         std::uint64_t seed);
   static GraphDescriptor erdos_renyi(NodeId n, double p, std::uint64_t seed);
 };
-
-/// parse + build in one call.
-std::optional<Graph> graph_from_descriptor(const std::string& text);
 
 }  // namespace rr::graph

@@ -4,7 +4,7 @@
 
 namespace rr::graph {
 
-std::vector<std::size_t> arc_offsets(const Graph& g) {
+std::vector<std::size_t> arc_offsets(const CsrGraph& g) {
   std::vector<std::size_t> offsets(g.num_nodes() + 1, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     offsets[v + 1] = offsets[v] + g.degree(v);
@@ -12,7 +12,7 @@ std::vector<std::size_t> arc_offsets(const Graph& g) {
   return offsets;
 }
 
-std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start) {
+std::vector<Arc> eulerian_circuit(const CsrGraph& g, NodeId start) {
   RR_REQUIRE(g.num_edges() > 0, "Eulerian circuit needs at least one edge");
   RR_REQUIRE(g.is_connected(), "Eulerian circuit needs a connected graph");
   RR_REQUIRE(start < g.num_nodes(), "start out of range");
@@ -45,7 +45,7 @@ std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start) {
   return circuit;
 }
 
-bool is_eulerian_circuit(const Graph& g, const std::vector<Arc>& circuit) {
+bool is_eulerian_circuit(const CsrGraph& g, const std::vector<Arc>& circuit) {
   if (circuit.size() != g.num_arcs()) return false;
   const auto offsets = arc_offsets(g);
   std::vector<bool> used(g.num_arcs(), false);
@@ -61,7 +61,7 @@ bool is_eulerian_circuit(const Graph& g, const std::vector<Arc>& circuit) {
   return true;
 }
 
-std::vector<Arc> rotor_walk_arcs(const Graph& g, NodeId start,
+std::vector<Arc> rotor_walk_arcs(const CsrGraph& g, NodeId start,
                                  std::uint64_t steps) {
   RR_REQUIRE(start < g.num_nodes(), "start out of range");
   std::vector<std::uint32_t> ptr(g.num_nodes(), 0);

@@ -3,23 +3,22 @@
 // Arithmetic row generators for the lattice descriptor kinds (graph layer).
 //
 // `ring N` and `torus W H` have a closed-form port order, so their CSR
-// arrays can be produced row by row without materializing a Graph first.
-// These are the one spelling of that port order: GraphDescriptor::build_csr
-// streams them into an owned CsrGraph, MappedSubstrate::build streams them
-// into an `rr-graph` image. Both must be indistinguishable from
-// CsrGraph(generators::ring(n)) / CsrGraph(generators::torus(w, h)), which
-// the csr_graph and mmap_substrate tests pin element by element.
+// arrays are produced row by row. These are the one spelling of that
+// port order: graph::ring/graph::torus and GraphDescriptor::build stream
+// them into an owned CsrGraph (CsrGraph::from_rows), MappedSubstrate::build
+// streams them into an `rr-graph` image. tests/csr_build_test.cpp pins
+// them against the edge-insertion order they were first defined by.
 //
 // A row source has a fixed degree; `row(v, out)` writes v's neighbors in
 // port order into out[0, kDegree).
 
 #include <cstdint>
 
-#include "graph/graph.hpp"
+#include "graph/csr_graph.hpp"
 
 namespace rr::graph {
 
-/// generators.cpp ring: port 0 clockwise (v+1), port 1 anticlockwise.
+/// The ring: port 0 clockwise (v+1), port 1 anticlockwise.
 struct RingRows {
   static constexpr std::uint32_t kDegree = 2;
   std::uint64_t n;
@@ -31,9 +30,9 @@ struct RingRows {
   }
 };
 
-/// generators.cpp torus: node id y*w + x; the port order falls out of
-/// the edge-insertion order (per cell: right then down, cells scanned in
-/// (y, x) order), which wraps differently on the x=0 and y=0 borders.
+/// The torus: node id y*w + x; the port order is that of inserting each
+/// cell's right then down edge, cells scanned in (y, x) order, which
+/// wraps differently on the x=0 and y=0 borders.
 struct TorusRows {
   static constexpr std::uint32_t kDegree = 4;
   std::uint64_t w, h;

@@ -127,11 +127,11 @@ class LatticeSource final : public RowSource {
   Rows rows_;
 };
 
-/// Fallback for every other descriptor kind: rows straight off a built
-/// Graph (the descriptor layer's cost caps bound this path).
-class GraphSource final : public RowSource {
+/// Every other descriptor kind: rows straight off the built CsrGraph
+/// (the descriptor layer's cost caps bound this path).
+class CsrSource final : public RowSource {
  public:
-  explicit GraphSource(const Graph& g) : g_(g) {}
+  explicit CsrSource(const CsrGraph& g) : g_(g) {}
   std::uint64_t num_nodes() const override { return g_.num_nodes(); }
   std::uint64_t num_arcs() const override { return g_.num_arcs(); }
   std::uint32_t degree(NodeId v) const override { return g_.degree(v); }
@@ -141,7 +141,7 @@ class GraphSource final : public RowSource {
   }
 
  private:
-  const Graph& g_;
+  const CsrGraph& g_;
 };
 
 bool set_error(std::string* error, const char* message) {
@@ -211,7 +211,7 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
 
   // Streamed generators for the lattice kinds; everything else builds in
   // memory under the descriptor layer's cost caps.
-  std::optional<Graph> built;
+  std::optional<CsrGraph> built;
   std::unique_ptr<RowSource> src;
   if (d->kind == "ring") {
     const auto n = stream_arg(d->args[0]);
@@ -234,7 +234,7 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
     if (!built->is_connected()) {
       return set_error(error, "substrate must be connected");
     }
-    src = std::make_unique<GraphSource>(*built);
+    src = std::make_unique<CsrSource>(*built);
   }
 
   const std::uint64_t n = src->num_nodes();

@@ -3,14 +3,12 @@
 // Out-of-core graph substrate: the `rr-graph v1` on-disk image.
 //
 // Engines at bench scale are bounded by what fits in RAM: a 1e8-node
-// instance needs ~9 GB of CSR adjacency plus per-node engine state, and
-// materializing it through graph::Graph (vector-of-vectors) costs several
-// times that in allocator overhead before the CSR snapshot even starts.
-// The image sidesteps both: `MappedSubstrate::build` streams a descriptor
+// instance needs ~9 GB of CSR adjacency plus per-node engine state. The
+// image sidesteps that: `MappedSubstrate::build` streams a descriptor
 // into a flat file. "ring N" and "torus W H" stream the row generators of
 // graph/lattice_rows.hpp with no in-memory graph at all (the same rows
-// GraphDescriptor::build_csr streams into an in-RAM CsrGraph); other
-// kinds go through GraphDescriptor::build. `MappedSubstrate::open` maps
+// GraphDescriptor::build streams into an in-RAM CsrGraph); other kinds
+// copy the rows of the CsrGraph GraphDescriptor::build returns. `MappedSubstrate::open` maps
 // the whole file MAP_PRIVATE so CsrGraph and the engine's
 // NodeState/VisitStats arrays are backed by the page cache — an engine
 // steps a 1e8-node instance touching only the pages its agents actually

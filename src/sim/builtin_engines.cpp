@@ -45,15 +45,6 @@ std::optional<std::vector<std::uint8_t>> ring_pointers(
   return out;
 }
 
-/// Builds the substrate for graph-backed engines (descriptor validity was
-/// checked by the registry; build() re-validates parameters).
-std::optional<graph::Graph> build_graph(const graph::GraphDescriptor& d,
-                                        std::string* error) {
-  auto g = d.build();
-  if (!g) fail(error, "invalid graph parameters");
-  return g;
-}
-
 template <typename EngineT, typename... Args>
 std::unique_ptr<Engine> restored(const StateReader& state, Args&&... args) {
   auto engine = std::make_unique<EngineT>(std::forward<Args>(args)...);
@@ -77,7 +68,7 @@ void register_rotor(EngineRegistry& r) {
                     std::string* error) -> std::unique_ptr<Engine> {
         // The CSR rows, the partition and the per-node state are written
         // per range on the config's pool (inline under kPoolMinNodes).
-        auto csr = d.build_csr(c.pool);
+        auto csr = d.build(c.pool);
         if (!csr) {
           fail(error, "invalid graph parameters");
           return nullptr;
@@ -91,7 +82,7 @@ void register_rotor(EngineRegistry& r) {
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig& c) -> std::unique_ptr<Engine> {
-        auto csr = d.build_csr(c.pool);
+        auto csr = d.build(c.pool);
         if (!csr) return nullptr;
         // The shard count is an execution choice, not checkpoint state:
         // the same document restores sequentially or shard-parallel. The
@@ -189,8 +180,11 @@ void register_walks(EngineRegistry& r) {
       .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = build_graph(d, error);
-        if (!g) return nullptr;
+        const auto g = d.build();
+        if (!g) {
+          fail(error, "invalid graph parameters");
+          return nullptr;
+        }
         return std::make_unique<walk::GraphRandomWalks>(*g, agents_of(c),
                                                         c.seed);
       },
@@ -217,8 +211,11 @@ void register_eulerian(EngineRegistry& r) {
       .cycle_accumulators = {"time", "visits"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = build_graph(d, error);
-        if (!g) return nullptr;
+        const auto g = d.build();
+        if (!g) {
+          fail(error, "invalid graph parameters");
+          return nullptr;
+        }
         if (g->num_edges() == 0) {
           fail(error, "token circulation needs at least one edge");
           return nullptr;

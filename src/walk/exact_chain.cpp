@@ -22,7 +22,7 @@ double gamblers_ruin_exit_time(std::uint32_t x, std::uint32_t L) {
   return static_cast<double>(x) * static_cast<double>(L - x);
 }
 
-std::vector<double> expected_hitting_times(const graph::Graph& g,
+std::vector<double> expected_hitting_times(const graph::CsrGraph& g,
                                            graph::NodeId target, double tol,
                                            std::uint32_t max_iters) {
   using graph::NodeId;
@@ -47,7 +47,7 @@ std::vector<double> expected_hitting_times(const graph::Graph& g,
   RR_REQUIRE(false, "hitting-time solver did not converge; raise max_iters");
 }
 
-std::vector<double> stationary_distribution(const graph::Graph& g) {
+std::vector<double> stationary_distribution(const graph::CsrGraph& g) {
   std::vector<double> pi(g.num_nodes());
   const double arcs = static_cast<double>(g.num_arcs());
   RR_REQUIRE(arcs > 0, "empty graph has no stationary distribution");
@@ -57,13 +57,13 @@ std::vector<double> stationary_distribution(const graph::Graph& g) {
   return pi;
 }
 
-double expected_return_time(const graph::Graph& g, graph::NodeId v) {
+double expected_return_time(const graph::CsrGraph& g, graph::NodeId v) {
   RR_REQUIRE(v < g.num_nodes(), "node out of range");
   RR_REQUIRE(g.degree(v) > 0, "isolated node is never revisited");
   return static_cast<double>(g.num_arcs()) / g.degree(v);
 }
 
-double tv_distance_after(const graph::Graph& g, graph::NodeId start,
+double tv_distance_after(const graph::CsrGraph& g, graph::NodeId start,
                          std::uint32_t t, bool lazy) {
   using graph::NodeId;
   RR_REQUIRE(start < g.num_nodes(), "start out of range");

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/graph.hpp"
+#include "graph/csr_graph.hpp"
 
 namespace rr::walk {
 
@@ -34,22 +34,22 @@ double gamblers_ruin_exit_time(std::uint32_t x, std::uint32_t L);
 
 /// Expected hitting times h(v) to `target` for the simple random walk on
 /// `g`, solved to `tol` by Gauss-Seidel. h(target) = 0.
-std::vector<double> expected_hitting_times(const graph::Graph& g,
+std::vector<double> expected_hitting_times(const graph::CsrGraph& g,
                                            graph::NodeId target,
                                            double tol = 1e-10,
                                            std::uint32_t max_iters = 200000);
 
 /// Stationary distribution of the simple random walk: deg(v) / (2|E|).
-std::vector<double> stationary_distribution(const graph::Graph& g);
+std::vector<double> stationary_distribution(const graph::CsrGraph& g);
 
 /// Expected return time to v: 1 / pi(v) = 2|E| / deg(v) (used in Sec. 4's
 /// comparison: on the ring with k walks, n/k between visits on average).
-double expected_return_time(const graph::Graph& g, graph::NodeId v);
+double expected_return_time(const graph::CsrGraph& g, graph::NodeId v);
 
 /// Spectral-free mixing estimate: total-variation distance between the
 /// t-step distribution from `start` (computed by exact power iteration on
 /// the lazy chain) and the stationary distribution.
-double tv_distance_after(const graph::Graph& g, graph::NodeId start,
+double tv_distance_after(const graph::CsrGraph& g, graph::NodeId start,
                          std::uint32_t t, bool lazy = true);
 
 }  // namespace rr::walk

@@ -6,7 +6,7 @@
 
 namespace rr::walk {
 
-GraphRandomWalks::GraphRandomWalks(const graph::Graph& g,
+GraphRandomWalks::GraphRandomWalks(const graph::CsrGraph& g,
                                    std::vector<graph::NodeId> starts,
                                    std::uint64_t seed)
     : csr_(g),
@@ -77,7 +77,7 @@ bool GraphRandomWalks::deserialize_state(const sim::StateReader& in) {
   return true;
 }
 
-CoverEstimate estimate_walk_cover_time(const graph::Graph& g,
+CoverEstimate estimate_walk_cover_time(const graph::CsrGraph& g,
                                        const std::vector<graph::NodeId>& starts,
                                        std::uint64_t trials,
                                        std::uint64_t seed,

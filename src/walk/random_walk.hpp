@@ -6,7 +6,7 @@
 // baseline) and for validating the ring-specialized engine against the
 // generic one on graph::ring(n). Implements sim::Engine, so batched
 // runners and polymorphic drivers treat it exactly like the deterministic
-// rotor-routers; the adjacency is snapshotted into a CsrGraph so each
+// rotor-routers; the walkers step on a copy of the CsrGraph, so each
 // walker step is a flat-array load.
 //
 // Delayed deployments (`step_delayed`) hold D(v,t) of the walkers present
@@ -20,7 +20,6 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "sim/engine.hpp"
 #include "sim/state_io.hpp"
 
@@ -30,8 +29,8 @@ inline constexpr std::uint64_t kGraphWalkNotCovered = sim::kNotCovered;
 
 class GraphRandomWalks final : public sim::Engine, public sim::StateIO {
  public:
-  GraphRandomWalks(const graph::Graph& g, std::vector<graph::NodeId> starts,
-                   std::uint64_t seed);
+  GraphRandomWalks(const graph::CsrGraph& g,
+                   std::vector<graph::NodeId> starts, std::uint64_t seed);
 
   void step() override;
 
@@ -133,7 +132,7 @@ struct CoverEstimate {
   std::uint64_t trials = 0;
 };
 
-CoverEstimate estimate_walk_cover_time(const graph::Graph& g,
+CoverEstimate estimate_walk_cover_time(const graph::CsrGraph& g,
                                        const std::vector<graph::NodeId>& starts,
                                        std::uint64_t trials,
                                        std::uint64_t seed,

@@ -34,7 +34,7 @@ std::string temp_path(const char* name) {
 void drain(Engine& engine) { engine.set_auto_checkpoint(0, {}); }
 
 TEST(AutoCheckpoint, FiresOnTheExactRoundSchedule) {
-  const graph::Graph g = graph::torus(6, 6);
+  const graph::CsrGraph g = graph::torus(6, 6);
   core::RotorRouter rr(g, {0, 9});
   std::vector<std::uint64_t> fired;
   rr.set_auto_checkpoint(8, [&](const Engine& e) { fired.push_back(e.time()); });
@@ -67,7 +67,7 @@ TEST(AutoCheckpoint, LazyEngineLeapsStopAtCheckpointMarks) {
 }
 
 TEST(AutoCheckpoint, CoverRunsCheckpointAndStopAtCoverage) {
-  const graph::Graph g = graph::ring(64);
+  const graph::CsrGraph g = graph::ring(64);
   core::RotorRouter rr(g, {0});
   std::vector<std::uint64_t> fired;
   rr.set_auto_checkpoint(16, [&](const Engine& e) { fired.push_back(e.time()); });
@@ -82,7 +82,7 @@ TEST(AutoCheckpoint, CoverRunsCheckpointAndStopAtCoverage) {
 
 TEST(AutoCheckpoint, FileSinkPersistsARestorableCheckpoint) {
   const auto descriptor = graph::GraphDescriptor::torus(8, 8);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::string path = temp_path("auto_ckpt.txt");
   std::remove(path.c_str());
 
@@ -108,7 +108,7 @@ TEST(AutoCheckpoint, FileSinkPersistsARestorableCheckpoint) {
 
 TEST(AutoCheckpoint, StochasticEngineResumesItsRngStream) {
   const auto descriptor = graph::GraphDescriptor::torus(6, 6);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::string path = temp_path("auto_ckpt_walks.txt");
   std::remove(path.c_str());
 
@@ -132,7 +132,7 @@ TEST(AutoCheckpoint, EveryBackendFiresDuringRunAndRunUntilCovered) {
   // a future run()/run_until_covered() override) that forgets
   // fire_auto_checkpoint_if_due fails here instead of silently dropping
   // crash tolerance in production sweeps.
-  const graph::Graph torus = graph::torus(8, 8);
+  const graph::CsrGraph torus = graph::torus(8, 8);
   std::vector<std::unique_ptr<Engine>> engines;
   engines.push_back(
       std::make_unique<core::RotorRouter>(torus, std::vector<graph::NodeId>{0}));
@@ -170,7 +170,7 @@ TEST(AutoCheckpoint, TruncatedWriteLeavesPreviousCheckpointIntact) {
   // binary sink — a torn binary frame is the case the tmp + rename
   // protocol exists for.
   const auto descriptor = graph::GraphDescriptor::torus(8, 8);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::string path = temp_path("auto_ckpt_fault.rrc");
   std::remove(path.c_str());
 
@@ -211,7 +211,7 @@ TEST(AutoCheckpoint, SinkSurvivesWriteFaultsAndRecovers) {
   // a few fires must not kill the run, and once the fault clears the
   // sink overwrites the stale checkpoint on the next fire.
   const auto descriptor = graph::GraphDescriptor::torus(6, 6);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::string path = temp_path("auto_ckpt_fault_sink.rrc");
   std::remove(path.c_str());
 
@@ -250,7 +250,7 @@ TEST(AutoCheckpoint, SinkCountsFailuresAndWarnsOnceNamingThePath) {
   std::remove(path.c_str());
   auto stats = std::make_shared<CheckpointSinkStats>();
 
-  core::RotorRouter rr(*descriptor.build_csr(), {0, 9});
+  core::RotorRouter rr(*descriptor.build(), {0, 9});
   // Re-armed per phase and drained before the stats are read; the
   // shared stats carry the warn-once across sinks.
   const auto arm = [&] {
@@ -302,7 +302,7 @@ TEST(AutoCheckpoint, DestroyingTheEngineJoinsTheWriteInFlight) {
 
   std::string last;
   {
-    core::RotorRouter rr(*descriptor.build_csr(), agents, {}, /*shards=*/2);
+    core::RotorRouter rr(*descriptor.build(), agents, {}, /*shards=*/2);
     rr.set_auto_checkpoint(
         10, [&, sink = checkpoint_file_sink(path, descriptor.text())](
                 const Engine& e) {
@@ -329,7 +329,7 @@ TEST(AutoCheckpoint, FailedBackgroundWriteIsReportedAtTheDrain) {
   std::remove(path.c_str());
   auto stats = std::make_shared<CheckpointSinkStats>();
 
-  core::RotorRouter rr(*descriptor.build_csr(), {0, 9});
+  core::RotorRouter rr(*descriptor.build(), {0, 9});
   rr.set_auto_checkpoint(10, checkpoint_file_sink(path, descriptor.text(),
                                                   CkptFormat::kV2, nullptr,
                                                   stats));
@@ -408,7 +408,7 @@ TEST(AutoCheckpoint, UnwritableTargetsFailCleanly) {
 }
 
 TEST(AutoCheckpoint, DisablingStopsFiring) {
-  const graph::Graph g = graph::ring(16);
+  const graph::CsrGraph g = graph::ring(16);
   core::RotorRouter rr(g, {0});
   int fires = 0;
   rr.set_auto_checkpoint(4, [&](const Engine&) { ++fires; });

@@ -87,7 +87,8 @@ TEST(GraphDescriptor, RejectsMalformedInput) {
   };
   for (const char* text : bad) {
     SCOPED_TRACE(text);
-    EXPECT_FALSE(graph::graph_from_descriptor(text).has_value());
+    const auto d = graph::GraphDescriptor::parse(text);
+    EXPECT_FALSE(d && d->build().has_value());
   }
 }
 
@@ -112,8 +113,8 @@ void expect_lockstep(Engine& a, Engine& b, std::uint64_t rounds) {
 }
 
 TEST(Checkpoint, RoundTripsEveryBackendMidRun) {
-  graph::Graph torus = graph::torus(8, 8);
-  graph::Graph ringg = graph::ring(48);
+  graph::CsrGraph torus = graph::torus(8, 8);
+  graph::CsrGraph ringg = graph::ring(48);
   const std::vector<NodeId> spread{0, 12, 24, 36};
   struct Case {
     std::unique_ptr<Engine> engine;
@@ -189,7 +190,7 @@ TEST(Checkpoint, LazyCheckpointRestoresPromotedRepresentation) {
 TEST(Checkpoint, PreservesArcTraversalIdentity) {
   // initial_pointers_ must survive the round trip: arc_traversals is
   // derived from it (Sec. 1.3 identity).
-  graph::Graph g = graph::torus(5, 5);
+  graph::CsrGraph g = graph::torus(5, 5);
   std::vector<std::uint32_t> ptrs(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) ptrs[v] = v % g.degree(v);
   core::RotorRouter rr(g, {0, 7, 13}, ptrs);
@@ -278,7 +279,7 @@ TEST(Checkpoint, FuzzedDocumentsNeverAbort) {
   // document, byte for byte): every variant must come back
   // nullopt/nullptr (or a well-formed engine for benign mutations)
   // without aborting.
-  graph::Graph torus = graph::torus(6, 6);
+  graph::CsrGraph torus = graph::torus(6, 6);
   std::vector<std::string> seeds;
   {
     core::RotorRouter a(torus, {0, 18});

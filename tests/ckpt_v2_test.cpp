@@ -301,7 +301,7 @@ struct BackendCase {
 };
 
 std::vector<BackendCase> all_backends_mid_run(std::uint64_t rounds) {
-  graph::Graph torus = graph::torus(8, 8);
+  graph::CsrGraph torus = graph::torus(8, 8);
   const std::vector<NodeId> spread{0, 12, 24, 36};
   std::vector<BackendCase> cases;
   cases.push_back(
@@ -374,7 +374,7 @@ TEST(CkptV2, SegmentsAndPoolChoicesEncodeIdentically) {
   // The frame count is an execution choice, not state: different segment
   // splits must decode to the same engine (and the same split must be
   // byte-identical with and without a pool).
-  graph::Graph torus = graph::torus(8, 8);
+  graph::CsrGraph torus = graph::torus(8, 8);
   core::RotorRouter engine(torus, {0, 17, 40});
   engine.run(91);
   ThreadPool pool(3);
@@ -406,7 +406,7 @@ TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
   ASSERT_TRUE(graph::MappedSubstrate::build("ring 4096", path));
   auto substrate = graph::MappedSubstrate::open(path);
   ASSERT_TRUE(substrate != nullptr);
-  graph::Graph ring = graph::ring(4096);
+  graph::CsrGraph ring = graph::ring(4096);
   // Each sink gets its own open: engines over one handle share the COW
   // mapping (a second engine would find — and further dirty — the first
   // one's state).
@@ -465,7 +465,7 @@ TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
 // ---- adversarial documents ----
 
 std::string v2_seed_document() {
-  graph::Graph torus = graph::torus(6, 6);
+  graph::CsrGraph torus = graph::torus(6, 6);
   core::RotorRouter engine(torus, {0, 18});
   engine.run(57);
   return write_checkpoint(engine, "torus 6 6", CkptFormat::kV2);
@@ -617,7 +617,7 @@ TEST(CkptV2, CraftedListCountCannotForceAllocation) {
 TEST(CkptV2, StreamingFileParseMatchesInMemory) {
   for (const std::uint32_t segments : {1u, kV2DefaultSegments}) {
     SCOPED_TRACE(segments);
-    graph::Graph torus = graph::torus(8, 8);
+    graph::CsrGraph torus = graph::torus(8, 8);
     core::RotorRouter engine(torus, {0, 17, 40});
     engine.run(123);
     const std::string text =
@@ -640,7 +640,7 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
   // every segment boundary), so parse_checkpoint and the rotor restore
   // both take a pool — the result must be indistinguishable from the
   // sequential load, for any segment split.
-  graph::Graph torus = graph::torus(16, 16);
+  graph::CsrGraph torus = graph::torus(16, 16);
   core::RotorRouter engine(torus, {0, 17, 40, 200});
   engine.run(313);
   ThreadPool pool(3);
@@ -672,7 +672,7 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
 TEST(CkptV2, PooledFileRestoreMatchesSequential) {
   // The streaming path: restore_checkpoint_file with a pool batches
   // frame reads and decodes them in parallel; same engine either way.
-  graph::Graph ring = graph::ring(4096);
+  graph::CsrGraph ring = graph::ring(4096);
   core::RotorRouter engine(ring, {0, 1000, 3000});
   engine.run(517);
   const std::string text =

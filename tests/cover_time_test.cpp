@@ -118,7 +118,7 @@ TEST(GraphCover, SingleAgentBoundDEOnSmallGraphs) {
 }
 
 TEST(GraphCover, MoreAgentsNeverSlowCoverage) {
-  graph::Graph g = graph::grid(8, 8);
+  graph::CsrGraph g = graph::grid(8, 8);
   RotorRouter one(g, {0});
   RotorRouter four(g, {0, 0, 0, 0});
   const std::uint64_t c1 = cover_time(one);

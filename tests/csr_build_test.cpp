@@ -1,10 +1,11 @@
-// Tests for GraphDescriptor::build_csr: the streamed lattice rows must be
-// element-for-element the CSR snapshot of the generator-built Graph, the
-// fallback kinds must snapshot build(), and both must reject exactly the
-// descriptors build() rejects. A build on a pool must write the same
-// arrays as the inline one at every pool width, on both sides of the
-// pool cutoff. Also CsrGraph::is_connected and the engines' connectivity
-// gate on the CSR path.
+// Tests for GraphDescriptor::build: the streamed lattice rows must be
+// element-for-element the port order ring and torus were first defined
+// by (edge insertion, spelled out in PortRows), every other kind must be
+// its generator's graph, and build() must reject exactly what num_nodes()
+// rejects. A build on a pool must write the same arrays as the inline
+// one at every pool width, on both sides of the pool cutoff. Every
+// kind's port order is pinned by digest. Also CsrGraph::is_connected and
+// the engines' connectivity gate on the CSR path.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include "core/rotor_router.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/descriptor.hpp"
+#include "graph/generators.hpp"
 #include "pool_matrix.hpp"
+#include "port_rows.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace rr::graph {
@@ -36,39 +39,53 @@ void expect_same_csr(const CsrGraph& got, const CsrGraph& expected) {
   }
 }
 
-// offsets, arcs and sorted ports of build_csr() equal CsrGraph(build()).
-void expect_csr_matches_graph(const std::string& text) {
+// The descriptor's build() is `expected`, arrays and all, and connected.
+void expect_builds(const std::string& text, const CsrGraph& expected) {
   SCOPED_TRACE(text);
   const auto d = GraphDescriptor::parse(text);
   ASSERT_TRUE(d.has_value());
-  const auto g = d->build();
-  ASSERT_TRUE(g.has_value());
-  const auto got = d->build_csr();
+  const auto got = d->build();
   ASSERT_TRUE(got.has_value());
-  expect_same_csr(*got, CsrGraph(*g));
+  expect_same_csr(*got, expected);
   EXPECT_TRUE(got->is_connected());
 }
 
 TEST(CsrBuild, StreamedRingMatchesGraphBuilder) {
-  for (const char* d : {"ring 3", "ring 4", "ring 5", "ring 1024"}) {
-    expect_csr_matches_graph(d);
+  // The ring's first definition: edges {v, v+1 mod n} in order, then every
+  // node but 0 rotated by one so that port 0 is clockwise everywhere.
+  for (const NodeId n : {3u, 4u, 5u, 1024u}) {
+    testing::PortRows ring(n);
+    for (NodeId v = 0; v < n; ++v) ring.add_edge(v, (v + 1) % n);
+    for (NodeId v = 1; v < n; ++v) ring.rotate(v, 1);
+    expect_builds("ring " + std::to_string(n), ring.csr());
   }
 }
 
 TEST(CsrBuild, StreamedTorusMatchesGraphBuilder) {
-  // Corner (0,0), the x==0 column, the y==0 row, interior cells, and
-  // non-square shapes, up to the benchmark's 512x512 instance.
-  for (const char* d : {"torus 3 3", "torus 3 5", "torus 5 3", "torus 4 4",
-                        "torus 64 32", "torus 512 512"}) {
-    expect_csr_matches_graph(d);
+  // The torus's first definition: per cell, the edge to the right and
+  // then the one down, cells in (y, x) order. Corner (0,0), the x==0
+  // column, the y==0 row, interior cells, and non-square shapes, up to
+  // the benchmark's 512x512 instance.
+  const std::pair<NodeId, NodeId> shapes[] = {{3, 3},   {3, 5},   {5, 3},
+                                              {4, 4},   {64, 32}, {512, 512}};
+  for (const auto [w, h] : shapes) {
+    testing::PortRows torus(w * h);
+    for (NodeId y = 0; y < h; ++y) {
+      for (NodeId x = 0; x < w; ++x) {
+        torus.add_edge(y * w + x, y * w + (x + 1) % w);
+        torus.add_edge(y * w + x, (y + 1) % h * w + x);
+      }
+    }
+    expect_builds("torus " + std::to_string(w) + " " + std::to_string(h),
+                  torus.csr());
   }
 }
 
 TEST(CsrBuild, OtherKindsSnapshotTheBuiltGraph) {
-  for (const char* d : {"hypercube 6", "random-regular 128 4 7",
-                        "lollipop 12 5"}) {
-    expect_csr_matches_graph(d);
-  }
+  // The descriptor dispatches to the generator, arguments in order.
+  expect_builds("hypercube 6", hypercube(6));
+  expect_builds("random-regular 128 4 7", random_regular(128, 4, 7));
+  expect_builds("lollipop 12 5", lollipop(12, 5));
 }
 
 TEST(CsrBuild, RejectsExactlyWhatBuildRejects) {
@@ -77,7 +94,8 @@ TEST(CsrBuild, RejectsExactlyWhatBuildRejects) {
   // generator minimum, over kMaxArcs, and junk numeric tokens.
   for (const char* text : {"ring 2", "ring 0", "torus 2 5", "torus 5 2",
                            "torus 8192 8193", "ring 99999999999",
-                           "torus x 5", "ring 12a", "hypercube 40"}) {
+                           "torus x 5", "ring 12a", "hypercube 40",
+                           "tree 1"}) {
     const auto d = GraphDescriptor::parse(text);
     ASSERT_TRUE(d.has_value()) << text;
     bad.push_back(*d);
@@ -86,15 +104,17 @@ TEST(CsrBuild, RejectsExactlyWhatBuildRejects) {
   bad.push_back(GraphDescriptor{"torus", {"8"}});
   bad.push_back(GraphDescriptor{"moebius", {"8"}});
   bad.push_back(GraphDescriptor{"ring", {"-4"}});
+  sim::ThreadPool pool(2);
   for (const GraphDescriptor& d : bad) {
     SCOPED_TRACE(d.text());
+    EXPECT_FALSE(d.num_nodes().has_value());
     EXPECT_FALSE(d.build().has_value());
-    EXPECT_FALSE(d.build_csr().has_value());
+    EXPECT_FALSE(d.build(&pool).has_value());
   }
 }
 
 TEST(CsrBuild, PooledBuildEqualsInlineBuild) {
-  // Streamed (ring, torus) and snapshotted (grid, random-regular) kinds,
+  // Streamed (ring, torus) and edge-list (grid, random-regular) kinds,
   // rows that split unevenly over the pool, and graphs just below and
   // at or above sim::kPoolMinNodes = 65536 nodes, where the jobs move
   // from the caller to the pool's threads.
@@ -108,56 +128,43 @@ TEST(CsrBuild, PooledBuildEqualsInlineBuild) {
     SCOPED_TRACE(text);
     const auto d = GraphDescriptor::parse(text);
     ASSERT_TRUE(d.has_value());
-    const auto expected = d->build_csr();
+    const auto expected = d->build();
     ASSERT_TRUE(expected.has_value());
     for (const unsigned width : testing::pool_widths({1, 2, 3, 4})) {
       SCOPED_TRACE(::testing::Message() << "pool width " << width);
       sim::ThreadPool pool(width);
-      const auto got = d->build_csr(&pool);
+      const auto got = d->build(&pool);
       ASSERT_TRUE(got.has_value());
       expect_same_csr(*got, *expected);
-      if (d->kind != "ring" && d->kind != "torus") {
-        expect_same_csr(CsrGraph(*d->build(), &pool), *expected);
-      }
     }
   }
 }
 
-Graph two_components() {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  return g;
-}
+CsrGraph two_components() { return CsrGraph::from_edges(4, {{0, 1}, {2, 3}}); }
 
 TEST(CsrBuild, IsConnectedDetectsComponents) {
-  EXPECT_FALSE(CsrGraph(two_components()).is_connected());
-  Graph g = two_components();
-  g.add_edge(1, 2);
-  EXPECT_TRUE(CsrGraph(g).is_connected());
+  EXPECT_FALSE(two_components().is_connected());
+  EXPECT_TRUE(CsrGraph::from_edges(4, {{0, 1}, {2, 3}, {1, 2}}).is_connected());
   EXPECT_TRUE(CsrGraph().is_connected());
   EXPECT_EQ(CsrGraph().num_nodes(), 0u);
 }
 
 TEST(CsrBuildDeath, RotorRouterRejectsDisconnectedCsr) {
-  EXPECT_DEATH(core::RotorRouter(CsrGraph(two_components()), {0}),
-               "connected");
   EXPECT_DEATH(core::RotorRouter(two_components(), {0}), "connected");
-  EXPECT_DEATH(core::RotorRouter(CsrGraph(two_components()), {0}, {}, 2),
-               "connected");
+  EXPECT_DEATH(core::RotorRouter(two_components(), {0}, {}, 2), "connected");
 }
 
 TEST(CsrBuildDeath, PooledBuildKeepsEveryCheck) {
   // Above the pool cutoff the connectivity check and the pointer checks
   // run in pool jobs; each still aborts the build. Two 40000-node rings
   // are disconnected; the torus is connected.
-  Graph g(80000);
+  std::vector<Edge> edges;
   for (NodeId i = 0; i < 40000; ++i) {
-    g.add_edge(i, (i + 1) % 40000);
-    g.add_edge(40000 + i, 40000 + (i + 1) % 40000);
+    edges.emplace_back(i, (i + 1) % 40000);
+    edges.emplace_back(40000 + i, 40000 + (i + 1) % 40000);
   }
-  const CsrGraph split(g);
-  const CsrGraph torus = *GraphDescriptor::torus(256, 256).build_csr();
+  const CsrGraph split = CsrGraph::from_edges(80000, edges);
+  const CsrGraph torus = *GraphDescriptor::torus(256, 256).build();
   std::vector<std::uint32_t> pointers(torus.num_nodes(), 0);
   pointers.back() = 4;  // every torus node has degree 4
   for (const std::uint32_t shards : {1u, 4u}) {

@@ -163,7 +163,7 @@ TEST(CycleJump, AdversarialDelayPrefixThenLeapStaysExact) {
     sc.agents = {0, 5, 19};
     sc.delay_kind = delay_kind;
     sc.delay_seed = 0xD31A * static_cast<std::uint64_t>(delay_kind + 1);
-    graph::Graph g = graph::ring(sc.n);
+    graph::CsrGraph g = graph::ring(sc.n);
     core::RotorRouter dense(g, sc.agents, {});
     sim::CycleJumpEngine leap(
         std::make_unique<core::RotorRouter>(g, sc.agents,
@@ -184,7 +184,7 @@ TEST(CycleJumpSharded, LeapMatchesSequentialDenseAcrossShardCounts) {
   // The sharded stepper is bit-equal to the sequential engine per round,
   // so wrapping it must stay bit-equal across leaps too — whatever the
   // shard count (an execution choice, not state).
-  graph::Graph g = graph::torus(6, 6);
+  graph::CsrGraph g = graph::torus(6, 6);
   const std::vector<NodeId> agents = {1, 8, 27};
   for (const std::uint32_t shards : {2u, 5u}) {
     SCOPED_TRACE(::testing::Message() << "shards " << shards);
@@ -565,7 +565,7 @@ TEST(CycleJump, HashCollisionsAreRejectedAndNeverMisLeap) {
 }
 
 TEST(CycleJump, WrapModesRespectDeterminism) {
-  graph::Graph g = graph::ring(16);
+  graph::CsrGraph g = graph::ring(16);
   const std::vector<NodeId> agents = {0, 3};
   // kOn on a stochastic backend is a hard error, not a silent no-op.
   std::string error;

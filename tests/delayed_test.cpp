@@ -150,7 +150,7 @@ TEST(Delayed, Lemma3SlowdownBoundsCoverTime) {
 
 TEST(Delayed, GeneralGraphLemma1Monotonicity) {
   // Same monotonicity on a non-ring topology via the general engine.
-  graph::Graph g = graph::torus(5, 5);
+  graph::CsrGraph g = graph::torus(5, 5);
   const std::vector<graph::NodeId> agents = {0, 12};
   RotorRouter d1(g, agents);
   RotorRouter d2(g, agents);

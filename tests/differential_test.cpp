@@ -54,7 +54,7 @@ TEST(Differential, ThreeWayLazyDenseGeneralOnRing) {
       ASSERT_TRUE(lazy.try_promote(/*force=*/true));
     }
     core::RingRotorRouter dense(sc.n, sc.agents, sc.pointers);
-    graph::Graph g = graph::ring(sc.n);
+    graph::CsrGraph g = graph::ring(sc.n);
     core::RotorRouter general(g, sc.agents, sc.pointers32());
     const Mismatch m = run_lockstep_delayed({&dense, &lazy, &general},
                                             sc.rounds, sc.delay());
@@ -182,7 +182,7 @@ TEST(Differential, CheckpointRestartRingBackends) {
       ASSERT_TRUE(m.ok) << "lazy, round " << m.round << ": " << m.detail;
     }
     {
-      graph::Graph g = graph::ring(sc.n);
+      graph::CsrGraph g = graph::ring(sc.n);
       core::RingRotorRouter ref(sc.n, sc.agents, sc.pointers);
       const Mismatch m = run_lockstep_with_restart(
           ref, std::make_unique<core::RotorRouter>(g, sc.agents, sc.pointers32()),
@@ -228,7 +228,7 @@ TEST(Differential, CheckpointRestartGeneralGraphs) {
   for (const char* descriptor : descriptors) {
     for (int trial = 0; trial < 8; ++trial) {
       SCOPED_TRACE(::testing::Message() << descriptor << " trial " << trial);
-      const auto g = graph::graph_from_descriptor(descriptor);
+      const auto g = graph::GraphDescriptor::parse(descriptor)->build();
       ASSERT_TRUE(g.has_value());
       const std::uint32_t k = 1 + rng.bounded(6);
       std::vector<NodeId> agents(k);
@@ -256,7 +256,7 @@ TEST(Differential, CheckpointRestartRandomWalks) {
   for (const char* descriptor : descriptors) {
     for (int trial = 0; trial < 6; ++trial) {
       SCOPED_TRACE(::testing::Message() << descriptor << " trial " << trial);
-      const auto g = graph::graph_from_descriptor(descriptor);
+      const auto g = graph::GraphDescriptor::parse(descriptor)->build();
       ASSERT_TRUE(g.has_value());
       const std::uint32_t k = 1 + rng.bounded(5);
       std::vector<NodeId> agents(k);

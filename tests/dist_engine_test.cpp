@@ -51,7 +51,7 @@ struct GraphScenario {
   RingScenario delays;
   std::uint64_t rounds = 0;
 
-  static GraphScenario random(const graph::Graph& g, Rng& rng) {
+  static GraphScenario random(const graph::CsrGraph& g, Rng& rng) {
     GraphScenario sc;
     const graph::NodeId n = g.num_nodes();
     const std::uint32_t k = 1 + rng.bounded(16);
@@ -86,7 +86,7 @@ std::unique_ptr<core::DistributedRotorRouter> make_dist(
 TEST(DistEngine, BitEqualToSequentialAcrossWorkerCountsAndTopologies) {
   Rng rng(0xD157ULL);
   for (const graph::GraphDescriptor& d : topologies()) {
-    const graph::Graph g = *d.build();
+    const graph::CsrGraph g = *d.build();
     for (int config = 0; config < 4; ++config) {
       const GraphScenario sc = GraphScenario::random(g, rng);
       // Tiny spill batches in half the configs force mid-scan flushes and
@@ -148,7 +148,7 @@ TEST(DistEngine, CheckpointsAreByteIdenticalToSequential) {
   // byte.
   const auto d = graph::GraphDescriptor::parse("torus 6 8");
   ASSERT_TRUE(d.has_value());
-  const graph::Graph g = *d->build();
+  const graph::CsrGraph g = *d->build();
   Rng rng(0xB17EULL);
   const GraphScenario sc = GraphScenario::random(g, rng);
   core::RotorRouter sequential(g, sc.agents, sc.pointers);
@@ -166,7 +166,7 @@ TEST(DistEngine, RestartMayChangeTheWorkerCountOrTheBackend) {
   // is one interchangeable document.
   const auto d = graph::GraphDescriptor::parse("torus 7 9");
   ASSERT_TRUE(d.has_value());
-  const graph::Graph g = *d->build();
+  const graph::CsrGraph g = *d->build();
   Rng rng(0xC4EC5ULL);
   for (const std::uint32_t workers_after : {1u, 3u, 7u}) {
     const GraphScenario sc = GraphScenario::random(g, rng);
@@ -220,7 +220,7 @@ TEST(DistEngine, WorkerDeathHaltsCleanlyAndTheRunResumesFromACheckpoint) {
   // trajectory bit-equal to an undisturbed sequential run.
   const auto d = graph::GraphDescriptor::parse("torus 6 6");
   ASSERT_TRUE(d.has_value());
-  const graph::Graph g = *d->build();
+  const graph::CsrGraph g = *d->build();
   const std::vector<graph::NodeId> agents{0, 7, 20, 20, 31};
 
   core::DistOptions opt;
@@ -266,7 +266,7 @@ TEST(DistEngine, CoverageAndRunUntilCoveredMatchSequential) {
   // cover time it reports must be the sequential engine's exactly.
   const auto d = graph::GraphDescriptor::parse("ring 48");
   ASSERT_TRUE(d.has_value());
-  const graph::Graph g = *d->build();
+  const graph::CsrGraph g = *d->build();
   const std::vector<graph::NodeId> agents{0, 11, 30};
   core::RotorRouter reference(g, agents);
   auto dist = make_dist(*d, GraphScenario{agents, {}, {}, 0}, 4);

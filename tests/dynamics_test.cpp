@@ -132,7 +132,7 @@ TEST(Dynamics, EachNodeVisitedTwicePerPeriodInEquilibrium) {
 
 class GraphStarvation : public ::testing::TestWithParam<int> {
  protected:
-  graph::Graph make() const {
+  graph::CsrGraph make() const {
     switch (GetParam()) {
       case 0: return graph::ring(30);
       case 1: return graph::grid(6, 5);
@@ -148,7 +148,7 @@ class GraphStarvation : public ::testing::TestWithParam<int> {
 TEST_P(GraphStarvation, NoNodeStarvesUnderMultipleAgents) {
   // After stabilization-scale warm-up, every node keeps being visited
   // within a 4|E| window (the Eulerian limit guarantees ~2|E|/k spacing).
-  graph::Graph g = make();
+  graph::CsrGraph g = make();
   RotorRouter rr(g, {0, 0, static_cast<graph::NodeId>(g.num_nodes() / 2)});
   rr.run(8ULL * g.diameter() * g.num_edges());
   std::vector<std::uint64_t> before(g.num_nodes());
@@ -163,7 +163,7 @@ TEST_P(GraphStarvation, VisitRatesAreDegreeProportionalInTheLimit) {
   // In the Eulerian limit each arc carries one agent per 2|E|/k rounds, so
   // per-node visit rates converge to deg(v) * k / 2|E| — the same visit
   // frequencies as the random walk's stationary distribution.
-  graph::Graph g = make();
+  graph::CsrGraph g = make();
   const std::uint32_t k = 2;
   RotorRouter rr(g, std::vector<graph::NodeId>(k, 0));
   rr.run(8ULL * g.diameter() * g.num_edges());

@@ -26,7 +26,7 @@ namespace {
 constexpr NodeId kN = 64;
 constexpr std::uint32_t kK = 4;
 
-std::vector<std::unique_ptr<Engine>> make_engines(const graph::Graph& g) {
+std::vector<std::unique_ptr<Engine>> make_engines(const graph::CsrGraph& g) {
   const auto agents = core::place_equally_spaced(kN, kK);
   std::vector<std::unique_ptr<Engine>> engines;
   engines.push_back(std::make_unique<core::RingRotorRouter>(kN, agents));
@@ -41,7 +41,7 @@ std::vector<std::unique_ptr<Engine>> make_engines(const graph::Graph& g) {
 }
 
 TEST(EngineInterface, AllEnginesCoverPolymorphically) {
-  graph::Graph g = graph::ring(kN);
+  graph::CsrGraph g = graph::ring(kN);
   for (auto& engine : make_engines(g)) {
     SCOPED_TRACE(engine->engine_name());
     EXPECT_EQ(engine->num_nodes(), kN);
@@ -65,7 +65,7 @@ TEST(EngineInterface, AllEnginesCoverPolymorphically) {
 TEST(EngineInterface, VisitsConserveAgentRounds) {
   // Every engine moves all k agents every undelayed round, so total visits
   // (counting initial placement) equal k * (t + 1).
-  graph::Graph g = graph::ring(kN);
+  graph::CsrGraph g = graph::ring(kN);
   for (auto& engine : make_engines(g)) {
     SCOPED_TRACE(engine->engine_name());
     engine->run(100);
@@ -78,7 +78,7 @@ TEST(EngineInterface, VisitsConserveAgentRounds) {
 TEST(EngineInterface, TypeErasedDelayMatchesTemplateFastPath) {
   // The virtual step_delayed must be semantically identical to the inlined
   // template overload (deterministic engines only).
-  graph::Graph g = graph::torus(6, 6);
+  graph::CsrGraph g = graph::torus(6, 6);
   const std::vector<graph::NodeId> agents = {0, 0, 7, 20};
   core::RotorRouter fast(g, agents);
   core::RotorRouter erased(g, agents);
@@ -99,7 +99,7 @@ TEST(EngineInterface, TypeErasedDelayMatchesTemplateFastPath) {
 }
 
 TEST(EngineInterface, RandomWalkDelayHoldsWalkers) {
-  graph::Graph g = graph::ring(kN);
+  graph::CsrGraph g = graph::ring(kN);
   walk::GraphRandomWalks walks(g, core::place_equally_spaced(kN, kK), 5);
   const std::uint64_t hash_before = walks.config_hash();
   // Holding everyone freezes the configuration and adds no visits.
@@ -125,7 +125,7 @@ TEST(EngineInterface, SlowdownTrackerWorksOnAnyEngine) {
   // Lemma 1/3 driver written once against the engine contract: the delayed
   // deployment never visits more than the undelayed one, on the *general*
   // engine as well as the ring one.
-  graph::Graph g = graph::torus(5, 5);
+  graph::CsrGraph g = graph::torus(5, 5);
   const std::vector<graph::NodeId> agents = {0, 12, 12};
   core::RotorRouter delayed(g, agents);
   core::RotorRouter undelayed(g, agents);
@@ -159,7 +159,7 @@ TEST(HashCycleDetection, MatchesExactRingPeriod) {
 }
 
 TEST(HashCycleDetection, WorksThroughBasePointer) {
-  graph::Graph g = graph::ring(16);
+  graph::CsrGraph g = graph::ring(16);
   std::unique_ptr<Engine> engine =
       std::make_unique<core::RotorRouter>(g, std::vector<graph::NodeId>{0});
   const auto cycle = detect_confirmed_cycle(*engine, 1 << 16);
@@ -195,7 +195,7 @@ TEST(Runner, StatsFoldsAllTrials) {
 }
 
 TEST(Runner, CoverTimesFanAnyEngineFactory) {
-  graph::Graph g = graph::ring(32);
+  graph::CsrGraph g = graph::ring(32);
   Runner runner(2);
   const auto covers = runner.cover_times(
       6,
@@ -218,7 +218,7 @@ TEST(Runner, CoverTimesFanAnyEngineFactory) {
 }
 
 TEST(Runner, CoverStatsRejectsNothingWhenCapGenerous) {
-  graph::Graph g = graph::ring(16);
+  graph::CsrGraph g = graph::ring(16);
   Runner runner;
   const auto stats = runner.cover_stats(
       4,

@@ -29,7 +29,7 @@
 namespace rr::core {
 namespace {
 
-using graph::Graph;
+using graph::CsrGraph;
 using graph::NodeId;
 
 // The >= 4 topologies of the differential gate (acceptance criterion),
@@ -42,7 +42,7 @@ const char* kGateDescriptors[] = {
 TEST(EulerianLockIn, TokenEngineTracksLockedRotorAcrossTopologies) {
   for (const char* descriptor : kGateDescriptors) {
     SCOPED_TRACE(descriptor);
-    const auto g = graph::graph_from_descriptor(descriptor);
+    const auto g = graph::GraphDescriptor::parse(descriptor)->build();
     ASSERT_TRUE(g.has_value());
     auto locked = eulerian_from_lock_in(*g, 0);
     ASSERT_TRUE(locked.locked_in);
@@ -77,7 +77,7 @@ TEST(EulerianLockIn, LockstepSurvivesDelayedSchedules) {
   for (const char* descriptor : {"ring 24", "torus 5 5", "clique 7",
                                  "tree 15"}) {
     SCOPED_TRACE(descriptor);
-    const auto g = graph::graph_from_descriptor(descriptor);
+    const auto g = graph::GraphDescriptor::parse(descriptor)->build();
     ASSERT_TRUE(g.has_value());
     auto locked = eulerian_from_lock_in(*g, 0);
     ASSERT_TRUE(locked.locked_in);
@@ -103,7 +103,7 @@ TEST(EulerianLockIn, LockstepSurvivesDelayedSchedules) {
 TEST(EulerianEngine, BrentDetectorRecoversTheCirculationPeriod) {
   // A single token's configuration is its circuit offset: period 2|E|
   // exactly, recovered by the generic confirmed-cycle detector.
-  const Graph g = graph::torus(4, 4);
+  const CsrGraph g = graph::torus(4, 4);
   EulerianRotorRouter single(g, {0});
   const auto cycle =
       sim::detect_confirmed_cycle(single, 4 * g.num_arcs() + 8);
@@ -123,7 +123,7 @@ TEST(EulerianEngine, EveryTokenCoversWithinOneLap) {
   // 2|E| rounds; extra tokens only speed that up (Lemma 1's spirit).
   for (const char* descriptor : kGateDescriptors) {
     SCOPED_TRACE(descriptor);
-    const auto g = graph::graph_from_descriptor(descriptor);
+    const auto g = graph::GraphDescriptor::parse(descriptor)->build();
     ASSERT_TRUE(g.has_value());
     EulerianRotorRouter one(*g, {0});
     const std::uint64_t cover1 = one.run_until_covered(g->num_arcs() + 1);
@@ -141,7 +141,7 @@ TEST(EulerianEngine, CoLocatedTokensTakeDistinctTrajectories) {
   // m agents stacked on one node start on that node's m circuit
   // occurrences (distinct outgoing arcs), not one shared offset — the
   // multi-token engine must not degenerate into k copies of one token.
-  const Graph g = graph::torus(6, 6);
+  const CsrGraph g = graph::torus(6, 6);
   EulerianRotorRouter stacked(g, {0, 0, 0, 0});
   std::vector<std::uint64_t> offsets;
   for (std::uint32_t i = 0; i < 4; ++i) {
@@ -165,7 +165,7 @@ TEST(EulerianEngine, CoLocatedTokensTakeDistinctTrajectories) {
 TEST(EulerianEngine, VisitAccountingMatchesTokenLandings) {
   // Over exactly L rounds, a lone token lands on every arc head once:
   // visits(v) grows by deg(v), plus the initial-placement count.
-  const Graph g = graph::grid(4, 5);
+  const CsrGraph g = graph::grid(4, 5);
   EulerianRotorRouter engine(g, {2});
   std::vector<std::uint64_t> before(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) before[v] = engine.visits(v);
@@ -185,7 +185,7 @@ TEST(EulerianEngine, CheckpointRestartContinuesBitExactly) {
                                  "lollipop 20 8"}) {
     for (int trial = 0; trial < 4; ++trial) {
       SCOPED_TRACE(::testing::Message() << descriptor << " trial " << trial);
-      const auto g = graph::graph_from_descriptor(descriptor);
+      const auto g = graph::GraphDescriptor::parse(descriptor)->build();
       ASSERT_TRUE(g.has_value());
       const std::uint32_t k = 1 + rng.bounded(4);
       std::vector<NodeId> agents(k);
@@ -205,7 +205,7 @@ TEST(EulerianEngine, CheckpointRestartContinuesBitExactly) {
 }
 
 TEST(EulerianEngine, DeserializeRejectsInconsistentCircuits) {
-  const Graph g = graph::torus(4, 4);
+  const CsrGraph g = graph::torus(4, 4);
   EulerianRotorRouter engine(g, {0, 5});
   engine.run(19);
   sim::StateWriter good;

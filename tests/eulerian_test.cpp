@@ -15,7 +15,7 @@ namespace {
 
 class EulerianTopology : public ::testing::TestWithParam<int> {
  protected:
-  Graph make() const {
+  CsrGraph make() const {
     switch (GetParam()) {
       case 0: return ring(12);
       case 1: return path(9);
@@ -32,14 +32,14 @@ class EulerianTopology : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(EulerianTopology, HierholzerProducesValidCircuit) {
-  Graph g = make();
+  CsrGraph g = make();
   const auto circuit = eulerian_circuit(g, 0);
   EXPECT_EQ(circuit.size(), g.num_arcs());
   EXPECT_TRUE(is_eulerian_circuit(g, circuit));
 }
 
 TEST_P(EulerianTopology, CircuitFromEveryStartNode) {
-  Graph g = make();
+  CsrGraph g = make();
   for (NodeId v = 0; v < g.num_nodes(); v += 3) {
     const auto circuit = eulerian_circuit(g, v);
     EXPECT_TRUE(is_eulerian_circuit(g, circuit)) << "start " << v;
@@ -50,7 +50,7 @@ TEST_P(EulerianTopology, CircuitFromEveryStartNode) {
 TEST_P(EulerianTopology, LockedInRotorWalkIsEulerian) {
   // Simulate past lock-in, slice out one 2|E| window, verify it is a
   // directed Eulerian circuit — the Yanovski et al. limit behaviour.
-  Graph g = make();
+  CsrGraph g = make();
   rr::core::RotorRouter rotor(g, {0});
   const auto lock = rr::core::single_agent_lock_in(rotor);
   ASSERT_TRUE(lock.locked_in);
@@ -63,7 +63,7 @@ TEST_P(EulerianTopology, LockedInRotorWalkIsEulerian) {
 INSTANTIATE_TEST_SUITE_P(Topologies, EulerianTopology, ::testing::Range(0, 10));
 
 TEST(Eulerian, VerifierRejectsBrokenCircuits) {
-  Graph g = ring(6);
+  CsrGraph g = ring(6);
   auto circuit = eulerian_circuit(g, 0);
   // Duplicate an arc.
   auto dup = circuit;
@@ -80,7 +80,7 @@ TEST(Eulerian, VerifierRejectsBrokenCircuits) {
 }
 
 TEST(Eulerian, ArcOffsetsPartitionArcs) {
-  Graph g = grid(3, 3);
+  CsrGraph g = grid(3, 3);
   const auto offsets = arc_offsets(g);
   EXPECT_EQ(offsets.front(), 0u);
   EXPECT_EQ(offsets.back(), g.num_arcs());
@@ -90,7 +90,7 @@ TEST(Eulerian, ArcOffsetsPartitionArcs) {
 }
 
 TEST(Eulerian, RotorWalkArcsAreIncident) {
-  Graph g = torus(4, 4);
+  CsrGraph g = torus(4, 4);
   const auto walk = rotor_walk_arcs(g, 5, 200);
   ASSERT_EQ(walk.size(), 200u);
   EXPECT_EQ(walk.front().tail, 5u);
@@ -100,9 +100,7 @@ TEST(Eulerian, RotorWalkArcsAreIncident) {
 }
 
 TEST(EulerianDeath, RejectsDisconnected) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {2, 3}});
   EXPECT_DEATH(eulerian_circuit(g, 0), "connected");
 }
 

@@ -33,7 +33,7 @@ TEST(ExactChain, GamblersRuinFacts) {
 
 TEST(ExactChain, SolverMatchesRingClosedForm) {
   const graph::NodeId n = 24;
-  graph::Graph g = graph::ring(n);
+  graph::CsrGraph g = graph::ring(n);
   const auto h = expected_hitting_times(g, 0);
   for (graph::NodeId v = 0; v < n; ++v) {
     const std::uint32_t d = std::min(v, n - v);
@@ -46,7 +46,7 @@ TEST(ExactChain, SolverMatchesPathClosedForm) {
   // difference recurrence d(v+1) = d(v) - 2, d(n-1) = 1 gives
   // h(v) = v * (2(n-1) - v) on the path 0..n-1.
   const graph::NodeId n = 16;
-  graph::Graph g = graph::path(n);
+  graph::CsrGraph g = graph::path(n);
   const auto h = expected_hitting_times(g, 0);
   for (graph::NodeId v = 0; v < n; ++v) {
     const double expected = static_cast<double>(v) * (2.0 * (n - 1.0) - v);
@@ -56,7 +56,7 @@ TEST(ExactChain, SolverMatchesPathClosedForm) {
 
 TEST(ExactChain, SolverMatchesCliqueClosedForm) {
   // On K_n, hitting any fixed other node is geometric: E = n - 1.
-  graph::Graph g = graph::clique(9);
+  graph::CsrGraph g = graph::clique(9);
   const auto h = expected_hitting_times(g, 4);
   for (graph::NodeId v = 0; v < 9; ++v) {
     if (v == 4) {
@@ -68,7 +68,7 @@ TEST(ExactChain, SolverMatchesCliqueClosedForm) {
 }
 
 TEST(ExactChain, SolverMatchesSimulationOnTorus) {
-  graph::Graph g = graph::torus(4, 4);
+  graph::CsrGraph g = graph::torus(4, 4);
   const graph::NodeId target = 10;
   const auto h = expected_hitting_times(g, target);
   // Simulate hitting time from node 0.
@@ -86,7 +86,7 @@ TEST(ExactChain, SolverMatchesSimulationOnTorus) {
 }
 
 TEST(ExactChain, StationaryDistributionIsDegreeProportional) {
-  graph::Graph g = graph::lollipop(12, 5);
+  graph::CsrGraph g = graph::lollipop(12, 5);
   const auto pi = stationary_distribution(g);
   double total = 0.0;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -98,7 +98,7 @@ TEST(ExactChain, StationaryDistributionIsDegreeProportional) {
 
 TEST(ExactChain, RingStationaryIsUniformAndReturnIsN) {
   const graph::NodeId n = 32;
-  graph::Graph g = graph::ring(n);
+  graph::CsrGraph g = graph::ring(n);
   const auto pi = stationary_distribution(g);
   for (graph::NodeId v = 0; v < n; ++v) {
     EXPECT_NEAR(pi[v], 1.0 / n, 1e-12);
@@ -116,7 +116,7 @@ TEST(ExactChain, ReturnTimeMatchesGapSimulation) {
 }
 
 TEST(ExactChain, TvDistanceDecreasesWithTime) {
-  graph::Graph g = graph::ring(16);
+  graph::CsrGraph g = graph::ring(16);
   const double tv1 = tv_distance_after(g, 0, 8);
   const double tv2 = tv_distance_after(g, 0, 64);
   const double tv3 = tv_distance_after(g, 0, 512);
@@ -126,19 +126,19 @@ TEST(ExactChain, TvDistanceDecreasesWithTime) {
 }
 
 TEST(ExactChain, CliqueMixesAlmostInstantly) {
-  graph::Graph g = graph::clique(20);
+  graph::CsrGraph g = graph::clique(20);
   EXPECT_LT(tv_distance_after(g, 0, 8), 0.01);
 }
 
 TEST(ExactChain, NonLazyWalkOnRingNeverFullyMixes) {
   // Parity obstruction on even cycles: non-lazy TV stays bounded away
   // from 0 — the reason mixing statements use the lazy chain.
-  graph::Graph g = graph::ring(16);
+  graph::CsrGraph g = graph::ring(16);
   EXPECT_GT(tv_distance_after(g, 0, 1001, /*lazy=*/false), 0.4);
 }
 
 TEST(ExactChainDeath, RejectsBadArguments) {
-  graph::Graph g = graph::ring(8);
+  graph::CsrGraph g = graph::ring(8);
   EXPECT_DEATH(expected_hitting_times(g, 99), "target out of range");
   EXPECT_DEATH(ring_hitting_time(10, 11), "distance exceeds");
 }

@@ -37,7 +37,7 @@ TEST(HashCycleRegression, SingleAgentPeriodIsExactlyTwoN) {
     ASSERT_TRUE(lazy_cycle.has_value());
     EXPECT_EQ(lazy_cycle->period, 2ULL * n);
 
-    graph::Graph g = graph::ring(n);
+    graph::CsrGraph g = graph::ring(n);
     core::RotorRouter general(g, {0});
     const auto general_cycle = detect_confirmed_cycle(general, 1u << 16);
     ASSERT_TRUE(general_cycle.has_value());

@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(KDividesN, PeriodStructure,
                                            12u, 15u));
 
 TEST(LockIn, RingLockInWithinBound) {
-  graph::Graph g = graph::ring(32);
+  graph::CsrGraph g = graph::ring(32);
   RotorRouter rotor(g, {0});
   const auto res = single_agent_lock_in(rotor);
   ASSERT_TRUE(res.locked_in);
@@ -121,7 +121,7 @@ TEST(LockIn, VariousTopologiesLockInWithinTwoDE) {
 
 TEST(LockIn, AdversarialPointersStillLockIn) {
   // Rotate ports adversarially; lock-in must still occur within the bound.
-  graph::Graph g = graph::grid(4, 4);
+  graph::CsrGraph g = graph::grid(4, 4);
   std::vector<std::uint32_t> ptrs(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     ptrs[v] = g.degree(v) - 1;
@@ -135,7 +135,7 @@ TEST(LockIn, AdversarialPointersStillLockIn) {
 TEST(LockIn, EulerianWindowTraversesEveryArcOnce) {
   // After lock-in, re-simulate and verify the window property directly:
   // the 2|E| rounds starting at lock_in_time traverse all arcs distinctly.
-  graph::Graph g = graph::ring(10);
+  graph::CsrGraph g = graph::ring(10);
   RotorRouter rotor(g, {0});
   const auto res = single_agent_lock_in(rotor);
   ASSERT_TRUE(res.locked_in);

@@ -23,8 +23,8 @@
 namespace rr::graph {
 namespace {
 
-std::vector<Graph> zoo() {
-  std::vector<Graph> graphs;
+std::vector<CsrGraph> zoo() {
+  std::vector<CsrGraph> graphs;
   graphs.push_back(ring(17));
   graphs.push_back(path(9));
   graphs.push_back(torus(6, 7));
@@ -41,7 +41,7 @@ std::vector<Graph> zoo() {
 const std::uint32_t kShardCounts[] = {1, 2, 3, 7, 8, 64, 1000};
 
 TEST(Partition, ShardsTileTheRowSpaceExactlyOnce) {
-  for (const Graph& g : zoo()) {
+  for (const CsrGraph& g : zoo()) {
     const CsrGraph csr(g);
     for (std::uint32_t shards : kShardCounts) {
       const Partition part(csr, shards);
@@ -68,7 +68,7 @@ TEST(Partition, ArcWeightStaysBalanced) {
   // Greedy prefix splitting keeps every shard within one node's weight of
   // the ideal share (the node that crossed the boundary), except where
   // the tail shards were squeezed to stay non-empty.
-  for (const Graph& g : zoo()) {
+  for (const CsrGraph& g : zoo()) {
     const CsrGraph csr(g);
     std::uint64_t total = 0;
     std::uint32_t max_weight = 0;
@@ -91,7 +91,7 @@ TEST(Partition, ArcWeightStaysBalanced) {
 }
 
 TEST(Partition, FrontierIndexIsCompleteAndMinimal) {
-  for (const Graph& g : zoo()) {
+  for (const CsrGraph& g : zoo()) {
     const CsrGraph csr(g);
     for (std::uint32_t shards : kShardCounts) {
       const Partition part(csr, shards);
@@ -130,7 +130,7 @@ TEST(Partition, FrontierIndexIsCompleteAndMinimal) {
 TEST(Partition, ArcSlotTableMatchesFrontierIndex) {
   // The O(1) per-arc classification used by the scan hot loop must agree
   // with the definitional binary-search index for every arc.
-  for (const Graph& g : zoo()) {
+  for (const CsrGraph& g : zoo()) {
     const CsrGraph csr(g);
     for (std::uint32_t shards : {2u, 3u, 7u, 8u}) {
       const Partition part(csr, shards);
@@ -166,7 +166,7 @@ TEST(Partition, PooledBuildEqualsInlineBuild) {
   for (const char* text : kinds) {
     const auto d = GraphDescriptor::parse(text);
     ASSERT_TRUE(d.has_value());
-    const CsrGraph csr = *d->build_csr();
+    const CsrGraph csr = *d->build();
     for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 5u, 40000u}) {
       const Partition expected(csr, shards);
       for (const unsigned width : testing::pool_widths({1, 2, 3, 4})) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -15,6 +16,7 @@
 #include "core/rotor_router.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
+#include "port_rows.hpp"
 
 namespace rr::core {
 namespace {
@@ -81,7 +83,7 @@ class RingProperty : public ::testing::TestWithParam<Config> {
 TEST_P(RingProperty, EnginesAgreeExactly) {
   const auto& c = GetParam();
   RingRotorRouter fast(c.n, agents_, pointers_);
-  graph::Graph g = graph::ring(c.n);
+  graph::CsrGraph g = graph::ring(c.n);
   std::vector<std::uint32_t> p32(pointers_.begin(), pointers_.end());
   RotorRouter ref(g, agents_, p32);
   const int rounds = 3 * static_cast<int>(c.n);
@@ -197,7 +199,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 class GraphProperty : public ::testing::TestWithParam<int> {
  protected:
-  graph::Graph make() const {
+  graph::CsrGraph make() const {
     switch (GetParam()) {
       case 0: return graph::ring(20);
       case 1: return graph::path(15);
@@ -214,43 +216,53 @@ class GraphProperty : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(GraphProperty, CsrViewMatchesGraphExactly) {
-  // The flat CSR substrate must agree with the nested-vector Graph on every
-  // structural query: degrees, port-ordered neighbors, port lookup and
-  // membership. This is the contract the engines' hot loops rely on.
-  graph::Graph g = make();
-  // Perturb the port orders first: the CSR view must reflect them.
-  Rng rng(g.num_nodes() * 31 + 7);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.degree(v) > 0) g.rotate_ports(v, rng.bounded(g.degree(v)));
+  // The flat CSR arrays must agree with the port-ordered rows they hold on
+  // every structural query: degrees, port-ordered neighbors, port lookup
+  // and membership, against linear scans of the rows. This is the
+  // contract the engines' hot loops rely on. Checked on the generator's
+  // graph and on a copy whose port orders are rotated at random.
+  const auto expect_rows = [](const graph::CsrGraph& csr,
+                               const testing::PortRows& rows) {
+    std::size_t arcs = 0;
+    for (const auto& row : rows.rows) arcs += row.size();
+    ASSERT_EQ(csr.num_nodes(), rows.rows.size());
+    ASSERT_EQ(csr.num_arcs(), arcs);
+    ASSERT_EQ(csr.num_edges(), arcs / 2);
+    for (graph::NodeId v = 0; v < csr.num_nodes(); ++v) {
+      const auto& expected = rows.rows[v];
+      ASSERT_EQ(csr.degree(v), expected.size()) << "v " << v;
+      const auto actual = csr.neighbors(v);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (std::uint32_t p = 0; p < expected.size(); ++p) {
+        ASSERT_EQ(actual[p], expected[p]) << "v " << v << " p " << p;
+        ASSERT_EQ(csr.neighbor(v, p), expected[p]);
+        ASSERT_EQ(csr.row(v)[p], expected[p]);
+      }
+      for (graph::NodeId u = 0; u < csr.num_nodes(); ++u) {
+        const auto it = std::find(expected.begin(), expected.end(), u);
+        ASSERT_EQ(csr.has_edge(v, u), it != expected.end())
+            << "v " << v << " u " << u;
+        if (it != expected.end()) {
+          ASSERT_EQ(csr.port_to(v, u), it - expected.begin())
+              << "v " << v << " u " << u;
+        }
+      }
+    }
+  };
+  const graph::CsrGraph built = make();
+  testing::PortRows rows(built);
+  expect_rows(built, rows);
+  Rng rng(built.num_nodes() * 31 + 7);
+  for (graph::NodeId v = 0; v < built.num_nodes(); ++v) {
+    rows.rotate(v, rng.bounded(built.degree(v)));
   }
-  graph::CsrGraph csr(g);
-  ASSERT_EQ(csr.num_nodes(), g.num_nodes());
-  ASSERT_EQ(csr.num_edges(), g.num_edges());
-  ASSERT_EQ(csr.num_arcs(), g.num_arcs());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(csr.degree(v), g.degree(v)) << "v " << v;
-    const auto expected = g.neighbors(v);
-    const auto actual = csr.neighbors(v);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::uint32_t p = 0; p < g.degree(v); ++p) {
-      ASSERT_EQ(actual[p], expected[p]) << "v " << v << " p " << p;
-      ASSERT_EQ(csr.neighbor(v, p), g.neighbor(v, p));
-      ASSERT_EQ(csr.row(v)[p], g.neighbor(v, p));
-    }
-    for (graph::NodeId u : expected) {
-      ASSERT_EQ(csr.port_to(v, u), g.port_to(v, u)) << "v " << v << " u " << u;
-      ASSERT_TRUE(csr.has_edge(v, u));
-    }
-    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(csr.has_edge(v, u), g.has_edge(v, u)) << "v " << v << " u " << u;
-    }
-  }
+  expect_rows(rows.csr(), rows);
 }
 
 TEST_P(GraphProperty, RoundRobinArcFairness) {
   // After any number of rounds, the exit counts through the ports of any
   // node differ by at most 1 (the defining rotor-router property).
-  graph::Graph g = make();
+  graph::CsrGraph g = make();
   RotorRouter rr(g, {0, 0, g.num_nodes() / 2});
   // Reference per-arc counters.
   std::vector<std::vector<std::uint64_t>> arc(g.num_nodes());
@@ -285,7 +297,7 @@ TEST_P(GraphProperty, RoundRobinArcFairness) {
 }
 
 TEST_P(GraphProperty, EveryTopologyGetsCovered) {
-  graph::Graph g = make();
+  graph::CsrGraph g = make();
   RotorRouter rr(g, {0});
   const std::uint64_t cap =
       4ULL * g.diameter() * g.num_edges() + 64 * g.num_edges();
@@ -293,7 +305,7 @@ TEST_P(GraphProperty, EveryTopologyGetsCovered) {
 }
 
 TEST_P(GraphProperty, MoreAgentsDominateVisitCounts) {
-  graph::Graph g = make();
+  graph::CsrGraph g = make();
   RotorRouter more(g, {0, 0});
   RotorRouter fewer(g, {0});
   for (int t = 0; t < 150; ++t) {
@@ -307,13 +319,14 @@ TEST_P(GraphProperty, MoreAgentsDominateVisitCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Topologies, GraphProperty, ::testing::Range(0, 10));
 
-// --- CSR engine vs seed semantics: lockstep against a naive nested-vector
-// simulator (the pre-CSR reference implementation) under adversarially
-// permuted port orders, on the paper's main topologies. ---
+// --- CSR engine vs seed semantics: lockstep against a naive simulator
+// straight from Sec. 1.3, from random rotor pointers (a rotated port order
+// started at pointer 0 walks the same trajectory), on the paper's main
+// topologies. ---
 
 class CsrLockstep : public ::testing::TestWithParam<int> {
  protected:
-  graph::Graph make() const {
+  graph::CsrGraph make() const {
     switch (GetParam()) {
       case 0: return graph::ring(48);
       case 1: return graph::torus(6, 7);
@@ -324,12 +337,8 @@ class CsrLockstep : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(CsrLockstep, MatchesNaiveNestedVectorSimulation) {
-  graph::Graph g = make();
+  const graph::CsrGraph g = make();
   Rng rng(0xBEEF + GetParam());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    // Random cyclic rotations model the adversary's choice of rho_v.
-    g.rotate_ports(v, rng.bounded(g.degree(v)));
-  }
   const std::vector<graph::NodeId> agents = {
       0, 0, g.num_nodes() / 3, g.num_nodes() / 3, g.num_nodes() - 1};
   std::vector<std::uint32_t> init_ptrs(g.num_nodes());
@@ -339,7 +348,7 @@ TEST_P(CsrLockstep, MatchesNaiveNestedVectorSimulation) {
 
   RotorRouter rr(g, agents, init_ptrs);
 
-  // Naive reference: nested-vector adjacency, straight from Sec. 1.3.
+  // Naive reference, straight from Sec. 1.3.
   std::vector<std::uint32_t> ptr = init_ptrs, cnt(g.num_nodes(), 0);
   std::vector<std::uint64_t> vis(g.num_nodes(), 0);
   for (graph::NodeId a : agents) {
@@ -368,19 +377,13 @@ TEST_P(CsrLockstep, MatchesNaiveNestedVectorSimulation) {
 INSTANTIATE_TEST_SUITE_P(RingTorusRandom, CsrLockstep, ::testing::Range(0, 4));
 
 TEST(CsrGraphMultigraph, ParallelEdgesKeepSmallestPort) {
-  // port_to must return the *smallest* port among parallel edges, exactly
-  // as Graph's linear scan does.
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 1);  // parallel: node 0 ports {0,2} both lead to 1
-  g.add_edge(0, 3);
-  g.add_edge(2, 3);
-  graph::CsrGraph csr(g);
+  // port_to must return the *smallest* port among parallel edges, as a
+  // linear scan of the row would.
+  const auto csr = graph::CsrGraph::from_edges(
+      4, {{0, 1}, {0, 2}, {0, 1}, {0, 3}, {2, 3}});  // node 0: ports 0, 2 -> 1
   EXPECT_EQ(csr.port_to(0, 1), 0u);
   EXPECT_EQ(csr.port_to(0, 2), 1u);
   EXPECT_EQ(csr.port_to(0, 3), 3u);
-  EXPECT_EQ(g.port_to(0, 1), csr.port_to(0, 1));
   EXPECT_EQ(csr.port_to(1, 0), 0u);
   EXPECT_FALSE(csr.has_edge(1, 2));
   EXPECT_TRUE(csr.has_edge(3, 0));

@@ -140,7 +140,7 @@ TEST(RingWalks, GapStatsMeanIsNOverK) {
 }
 
 TEST(GraphWalks, DeterministicAndComplete) {
-  graph::Graph g = graph::grid(6, 6);
+  graph::CsrGraph g = graph::grid(6, 6);
   GraphRandomWalks a(g, {0, 35}, 55);
   GraphRandomWalks b(g, {0, 35}, 55);
   const auto ca = a.run_until_covered(1u << 22);
@@ -154,7 +154,7 @@ TEST(GraphWalks, RingSpecializationAgreesWithGeneralEngine) {
   // Statistical agreement: mean cover times of both engines on the same
   // ring should match within CI.
   const graph::NodeId n = 48;
-  graph::Graph g = graph::ring(n);
+  graph::CsrGraph g = graph::ring(n);
   rr::sim::Runner runner;
   auto general = runner.stats(150, [&](std::uint64_t i) {
     GraphRandomWalks w(g, {0, n / 2}, 900 + i);
@@ -172,7 +172,7 @@ TEST(GraphWalks, CliqueCoverIsCouponCollector) {
   // On K_n, cover time for one walker is ~ (n-1) H_{n-1} (coupon collector
   // over the other n-1 nodes).
   const graph::NodeId n = 16;
-  graph::Graph g = graph::clique(n);
+  graph::CsrGraph g = graph::clique(n);
   auto stats = rr::sim::Runner().stats(300, [&](std::uint64_t i) {
     GraphRandomWalks w(g, {0}, 300 + i);
     return static_cast<double>(w.run_until_covered(~0ULL / 2));
@@ -182,7 +182,7 @@ TEST(GraphWalks, CliqueCoverIsCouponCollector) {
 }
 
 TEST(CoverEstimate, ReportsSaneCI) {
-  graph::Graph g = graph::ring(32);
+  graph::CsrGraph g = graph::ring(32);
   const auto est = estimate_walk_cover_time(g, {0}, 50, 7, ~0ULL / 2);
   EXPECT_EQ(est.trials, 50u);
   EXPECT_GT(est.mean, 31.0);

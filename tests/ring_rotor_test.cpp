@@ -111,7 +111,7 @@ TEST(RingRotor, EquivalenceWithGeneralEngineRandomConfigs) {
       ptr32[v] = ptr8[v];
     }
     RingRotorRouter fast(n, agents, ptr8);
-    graph::Graph g = graph::ring(n);
+    graph::CsrGraph g = graph::ring(n);
     RotorRouter ref(g, agents, ptr32);
     for (int t = 0; t < 200; ++t) {
       fast.step();

@@ -126,7 +126,7 @@ constexpr Golden kGolden[] = {
 RotorRouter make_engine(const Golden& g) {
   const auto desc = graph::GraphDescriptor::parse(g.graph);
   EXPECT_TRUE(desc.has_value());
-  auto csr = desc->build_csr();
+  auto csr = desc->build();
   EXPECT_TRUE(csr.has_value());
   Rng rng(0x60DE0000u + g.agents);
   std::vector<NodeId> agents(g.agents);

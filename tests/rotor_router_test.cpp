@@ -10,10 +10,10 @@
 namespace rr::core {
 namespace {
 
-using graph::Graph;
+using graph::CsrGraph;
 
 TEST(RotorRouter, SingleAgentFollowsPointerAndAdvancesIt) {
-  Graph g = graph::star(4);  // center 0, leaves 1..3
+  CsrGraph g = graph::star(4);  // center 0, leaves 1..3
   RotorRouter rr(g, {0});
   EXPECT_EQ(rr.agents_at(0), 1u);
   rr.step();
@@ -27,7 +27,7 @@ TEST(RotorRouter, SingleAgentFollowsPointerAndAdvancesIt) {
 }
 
 TEST(RotorRouter, TwoAgentsOnOneNodeLeaveAlongConsecutivePorts) {
-  Graph g = graph::star(4);
+  CsrGraph g = graph::star(4);
   RotorRouter rr(g, {0, 0});
   rr.step();
   EXPECT_EQ(rr.agents_at(1), 1u);
@@ -37,7 +37,7 @@ TEST(RotorRouter, TwoAgentsOnOneNodeLeaveAlongConsecutivePorts) {
 }
 
 TEST(RotorRouter, AgentCountIsConserved) {
-  Graph g = graph::torus(4, 4);
+  CsrGraph g = graph::torus(4, 4);
   RotorRouter rr(g, {0, 0, 5, 9, 9, 9});
   for (int t = 0; t < 200; ++t) {
     rr.step();
@@ -50,7 +50,7 @@ TEST(RotorRouter, AgentCountIsConserved) {
 TEST(RotorRouter, VisitCountsSatisfyExitIdentity) {
   // Eq. (2) with no delays: e_v(t+1) = n_v(t); checked as: after any round,
   // exits of v == visits of v at previous round (every present agent moves).
-  Graph g = graph::ring(8);
+  CsrGraph g = graph::ring(8);
   RotorRouter rr(g, {2, 5});
   std::vector<std::uint64_t> prev_visits(g.num_nodes());
   for (int t = 0; t < 100; ++t) {
@@ -71,7 +71,7 @@ TEST(RotorRouter, ArcTraversalFormulaHolds) {
   // the static port numbers only at pointer-0 nodes, so run with all-zero
   // pointers and verify via a reference simulation instead: count arrivals
   // at u contributed by v.
-  Graph g = graph::clique(5);
+  CsrGraph g = graph::clique(5);
   RotorRouter rr(g, {0, 3});
   // Reference arc counters.
   std::vector<std::vector<std::uint64_t>> arc(g.num_nodes(),
@@ -109,7 +109,7 @@ TEST(RotorRouter, ArcTraversalFormulaHolds) {
 }
 
 TEST(RotorRouter, CoverTimeOnRingSingleAgentIsQuadraticallyBounded) {
-  Graph g = graph::ring(32);
+  CsrGraph g = graph::ring(32);
   RotorRouter rr(g, {0});
   const std::uint64_t cover = rr.run_until_covered(10'000);
   ASSERT_NE(cover, kNotCovered);
@@ -118,7 +118,7 @@ TEST(RotorRouter, CoverTimeOnRingSingleAgentIsQuadraticallyBounded) {
 }
 
 TEST(RotorRouter, FirstVisitTimesAreMonotoneAlongDiscovery) {
-  Graph g = graph::ring(16);
+  CsrGraph g = graph::ring(16);
   RotorRouter rr(g, {0});
   rr.run_until_covered(4096);
   EXPECT_EQ(rr.first_visit_time(0), 0u);
@@ -128,7 +128,7 @@ TEST(RotorRouter, FirstVisitTimesAreMonotoneAlongDiscovery) {
 }
 
 TEST(RotorRouter, DelayedAgentsDoNotMove) {
-  Graph g = graph::ring(8);
+  CsrGraph g = graph::ring(8);
   RotorRouter rr(g, {4});
   for (int t = 0; t < 10; ++t) {
     rr.step_delayed([](graph::NodeId, std::uint64_t, std::uint32_t present) {
@@ -141,7 +141,7 @@ TEST(RotorRouter, DelayedAgentsDoNotMove) {
 }
 
 TEST(RotorRouter, PartialDelayReleasesSomeAgents) {
-  Graph g = graph::star(5);
+  CsrGraph g = graph::star(5);
   RotorRouter rr(g, {0, 0, 0});
   rr.step_delayed([](graph::NodeId v, std::uint64_t, std::uint32_t) {
     return v == 0 ? 1u : 0u;  // hold one of the three
@@ -153,7 +153,7 @@ TEST(RotorRouter, PartialDelayReleasesSomeAgents) {
 }
 
 TEST(RotorRouter, ConfigHashChangesWithState) {
-  Graph g = graph::ring(12);
+  CsrGraph g = graph::ring(12);
   RotorRouter rr(g, {3});
   const auto h0 = rr.config_hash();
   rr.step();
@@ -161,7 +161,7 @@ TEST(RotorRouter, ConfigHashChangesWithState) {
 }
 
 TEST(RotorRouter, AgentPositionsMultiset) {
-  Graph g = graph::ring(6);
+  CsrGraph g = graph::ring(6);
   RotorRouter rr(g, {5, 2, 2});
   const auto pos = rr.agent_positions();
   ASSERT_EQ(pos.size(), 3u);
@@ -171,7 +171,7 @@ TEST(RotorRouter, AgentPositionsMultiset) {
 }
 
 TEST(RotorRouter, InitialPointersRespected) {
-  Graph g = graph::ring(8);  // port 0 cw, port 1 acw
+  CsrGraph g = graph::ring(8);  // port 0 cw, port 1 acw
   std::vector<std::uint32_t> ptrs(8, 1);  // all anticlockwise
   RotorRouter rr(g, {4}, ptrs);
   rr.step();
@@ -182,7 +182,7 @@ TEST(RotorRouter, OccupiedListStaysCompactUnderDelayedDeployment) {
   // Regression: the occupied list must track exactly the nodes hosting
   // agents. If vacated nodes were never dropped, a long delayed run would
   // degrade each round to O(#nodes ever visited) instead of O(#occupied).
-  Graph g = graph::ring(64);
+  CsrGraph g = graph::ring(64);
   RotorRouter rr(g, {0, 0, 32});
   for (int t = 0; t < 2000; ++t) {
     rr.step_delayed([](graph::NodeId v, std::uint64_t time, std::uint32_t) {
@@ -200,14 +200,12 @@ TEST(RotorRouter, OccupiedListStaysCompactUnderDelayedDeployment) {
 }
 
 TEST(RotorRouterDeath, RejectsDisconnectedGraph) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  EXPECT_DEATH(RotorRouter(g, {0}), "connected");
+  EXPECT_DEATH(RotorRouter(CsrGraph::from_edges(4, {{0, 1}, {2, 3}}), {0}),
+               "connected");
 }
 
 TEST(RotorRouterDeath, RejectsOutOfRangePointer) {
-  Graph g = graph::ring(4);
+  CsrGraph g = graph::ring(4);
   std::vector<std::uint32_t> ptrs(4, 7);
   EXPECT_DEATH(RotorRouter(g, {0}, ptrs), "pointer out of range");
 }

@@ -42,14 +42,14 @@ TEST(RunnerHints, ResultsMatchUnhintedForEach) {
 }
 
 TEST(RunnerHints, HintedCoverTimesMatchUnhinted) {
-  const graph::Graph small = graph::torus(4, 4);
-  const graph::Graph big = graph::torus(8, 8);
+  const graph::CsrGraph small = graph::torus(4, 4);
+  const graph::CsrGraph big = graph::torus(8, 8);
   Runner runner;
   const std::uint64_t trials = 12;
   // Skewed sweep: even trials run the big instance, odd the small one.
   const Runner::EngineFactory factory =
       [&](std::uint64_t trial) -> std::unique_ptr<Engine> {
-    const graph::Graph& g = trial % 2 == 0 ? big : small;
+    const graph::CsrGraph& g = trial % 2 == 0 ? big : small;
     return std::make_unique<core::RotorRouter>(
         g, std::vector<graph::NodeId>{static_cast<graph::NodeId>(trial) %
                                       g.num_nodes()});

@@ -634,6 +634,9 @@ TEST(ServeService, MalformedPayloadAndUnknownSessionsAnswerErrors) {
   EXPECT_EQ(drv.call(create_req("rotor", "ring", 4)).status, Status::kError);
   EXPECT_EQ(drv.call(create_req("rotor", "ring 96", 0)).status,
             Status::kError);
+  // A node without a port would divide by its zero degree when stepped.
+  EXPECT_EQ(drv.call(create_req("rotor", "tree 1", 1)).status,
+            Status::kError);
   // ODE engine requires a ring; substrate mismatch surfaces as an error.
   EXPECT_EQ(drv.call(create_req("ode", "torus 4 4", 2)).status,
             Status::kError);

@@ -42,7 +42,7 @@ constexpr std::uint32_t kShardCounts[] = {1, 2, 3, 7, 8};
 
 struct Topology {
   const char* name;
-  graph::Graph graph;
+  graph::CsrGraph graph;
 };
 
 std::vector<Topology> topologies() {
@@ -67,7 +67,7 @@ struct GraphScenario {
   RingScenario delays;  // only delay_kind/delay_seed are used
   std::uint64_t rounds = 0;
 
-  static GraphScenario random(const graph::Graph& g, Rng& rng) {
+  static GraphScenario random(const graph::CsrGraph& g, Rng& rng) {
     GraphScenario sc;
     const graph::NodeId n = g.num_nodes();
     const std::uint32_t k = 1 + rng.bounded(24);
@@ -112,7 +112,7 @@ TEST(ShardedRotor, BitEqualToSequentialAcrossShardCountsAndTopologies) {
 TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
   // Pool threads are an execution resource, shards a partition choice;
   // neither may leak into the dynamics.
-  const graph::Graph g = graph::torus(9, 8);
+  const graph::CsrGraph g = graph::torus(9, 8);
   Rng rng(0x7EADC07ULL);
   for (unsigned threads : pool_widths()) {
     sim::ThreadPool pool(threads);
@@ -140,7 +140,7 @@ TEST(ShardedRotor, SharedRunnerPoolStepsInlineInsideTrials) {
   // A sharded engine drawing from the Runner's pool, stepped *inside* a
   // Runner trial: the nesting rule collapses shard dispatch to inline
   // execution — same trajectory, no deadlock, no oversubscription.
-  const graph::Graph g = graph::torus(6, 6);
+  const graph::CsrGraph g = graph::torus(6, 6);
   const std::vector<graph::NodeId> agents{0, 7, 20};
   core::RotorRouter reference(g, agents);
   reference.run(64);
@@ -159,7 +159,7 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
   // the restart *changing* the shard count (including to/from the
   // sequential engine): every observable must continue bit-equal.
   const graph::GraphDescriptor descriptor = graph::GraphDescriptor::torus(7, 9);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   Rng rng(0xC4EC4ULL);
   for (std::uint32_t shards_before : {1u, 3u, 8u}) {
     for (std::uint32_t shards_after : {1u, 2u, 7u}) {
@@ -201,7 +201,7 @@ TEST(ShardedRotor, SequentialCheckpointRestoresIntoShardedEngine) {
   // The reverse direction of interchangeability: a checkpoint written by
   // the *sequential* engine restores into a sharded one.
   const graph::GraphDescriptor descriptor = graph::GraphDescriptor::grid(6, 8);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::vector<graph::NodeId> agents{1, 5, 17, 17, 40};
   core::RotorRouter sequential(g, agents);
   sequential.run(37);
@@ -226,7 +226,7 @@ TEST(ShardedRotor, PooledV2RestoreMatchesSequentialRestore) {
   // the re-serialized bytes, and then step in lockstep with it.
   const graph::GraphDescriptor descriptor =
       graph::GraphDescriptor::torus(16, 12);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   core::RotorRouter source(g, {0, 17, 17, 40, 101, 150}, {}, /*shards=*/3);
   source.run(211);
   const std::string text = sim::write_checkpoint(
@@ -294,7 +294,7 @@ void expect_same_sites(const sim::Engine& sharded, const sim::Engine& single,
 }
 
 /// The first and last row of every shard of `g`'s 4-shard partition.
-std::vector<graph::NodeId> shard_edges(const graph::Graph& g) {
+std::vector<graph::NodeId> shard_edges(const graph::CsrGraph& g) {
   const graph::Partition part(graph::CsrGraph(g), kCollectShards);
   std::vector<graph::NodeId> edges;
   for (std::uint32_t s = 0; s < part.num_shards(); ++s) {
@@ -318,7 +318,7 @@ TEST(ShardedRotor, SiteCollectorLeavesEmptyShardsEmpty) {
   // collect nothing, before and after a round that holds every agent.
   const graph::GraphDescriptor descriptor =
       graph::GraphDescriptor::torus(16, 16);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const graph::Partition part(graph::CsrGraph(g), kCollectShards);
   ASSERT_EQ(part.num_shards(), kCollectShards);
   const graph::NodeId last = part.end(0) - 1;
@@ -343,7 +343,7 @@ TEST(ShardedRotor, SiteCollectorKeepsHeldAgents) {
   // round, on both sides of every slice boundary.
   const graph::GraphDescriptor descriptor =
       graph::GraphDescriptor::torus(16, 16);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::vector<graph::NodeId> edges = shard_edges(g);
   std::vector<graph::NodeId> agents = edges;
   agents.insert(agents.end(), {17, 17, 100, 200, 255, 255});
@@ -368,7 +368,7 @@ TEST(ShardedRotor, SiteCollectorAfterCycleLeap) {
   // least deg = 4 agents per node keep every node occupied forever (each
   // sends one or more along every port), so every slice is full.
   const graph::GraphDescriptor descriptor = graph::GraphDescriptor::torus(8, 8);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   std::vector<graph::NodeId> agents = shard_edges(g);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     agents.insert(agents.end(), 4, v);
@@ -403,7 +403,7 @@ TEST(ShardedRotor, SiteCollectorAfterRestore) {
   // document holds agents on every shard's first and last row.
   const graph::GraphDescriptor descriptor =
       graph::GraphDescriptor::torus(16, 16);
-  const graph::Graph g = *descriptor.build();
+  const graph::CsrGraph g = *descriptor.build();
   const std::vector<graph::NodeId> edges = shard_edges(g);
   std::vector<graph::NodeId> agents = edges;
   agents.insert(agents.end(), {3, 3, 3, 90, 160, 161});
@@ -458,7 +458,7 @@ const graph::GraphDescriptor kPooledTorus = graph::GraphDescriptor::torus(256, 2
 
 TEST(ShardedRotor, PooledBuildStepsBitEqualToTheSequentialEngine) {
   static_assert(sim::kPoolMinNodes == 256 * 256);
-  const graph::CsrGraph csr = *kPooledTorus.build_csr();
+  const graph::CsrGraph csr = *kPooledTorus.build();
   const graph::NodeId n = csr.num_nodes();
   Rng rng(0xB01D);
   std::vector<graph::NodeId> agents(4096);
@@ -503,7 +503,7 @@ TEST(ShardedRotor, PooledBuildStepsBitEqualToTheSequentialEngine) {
 }
 
 TEST(ShardedRotor, PooledRestoreMatchesTheInlineRestore) {
-  const graph::CsrGraph csr = *kPooledTorus.build_csr();
+  const graph::CsrGraph csr = *kPooledTorus.build();
   Rng rng(0x5E57);
   std::vector<graph::NodeId> agents(2048);
   for (graph::NodeId& a : agents) a = rng.bounded(csr.num_nodes());

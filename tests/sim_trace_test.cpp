@@ -38,7 +38,7 @@ TEST(SimTrace, ActivityFollowsVisitDeltas) {
 }
 
 TEST(SimTrace, WidthSplitsFramesIntoRows) {
-  graph::Graph g = graph::grid(4, 3);
+  graph::CsrGraph g = graph::grid(4, 3);
   core::RotorRouter rr(g, {0});
   const auto frame = render_frame(rr, /*width=*/4, nullptr);
   ASSERT_EQ(frame.lines.size(), 3u);
@@ -61,7 +61,7 @@ TEST(SimTrace, RecordTraceSamplesWithStride) {
 TEST(SimTrace, WorksForStochasticEngines) {
   // Observer-only rendering imposes nothing beyond sim::Engine; the
   // random-walk backend traces too.
-  graph::Graph g = graph::torus(5, 5);
+  graph::CsrGraph g = graph::torus(5, 5);
   walk::GraphRandomWalks walks(g, {0, 12}, 42);
   TraceOptions opt;
   opt.rounds = 20;
@@ -77,7 +77,7 @@ TEST(SimTrace, GoldenTorusDiagram) {
   // The exact rendering of the rr_cli/spacetime_diagram torus path:
   //   rr_cli trace --topo torus --size 6 --k 4 --rounds 12 --stride 6
   // (rotor-router, agents spread over the node-id range: 0, 9, 18, 27).
-  graph::Graph g = graph::torus(6, 6);
+  graph::CsrGraph g = graph::torus(6, 6);
   core::RotorRouter rr(g, {0, 9, 18, 27});
   TraceOptions opt;
   opt.rounds = 12;

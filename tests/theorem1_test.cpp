@@ -49,7 +49,7 @@ TEST(Theorem1, SlowdownLemmaSandwich) {
 
   // Undelayed cover time of the same initialization (k agents at node 0 of
   // the path, pointers leftward).
-  graph::Graph p = graph::path(n);
+  graph::CsrGraph p = graph::path(n);
   std::vector<std::uint32_t> left(n, 0);
   for (graph::NodeId v = 1; v + 1 < n; ++v) left[v] = 1;
   RotorRouter undelayed(p, std::vector<graph::NodeId>(k, 0), left);

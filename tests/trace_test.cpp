@@ -136,7 +136,7 @@ TEST(ArcTraversals, MatchesExplicitCountingOnSmallGraphs) {
 }
 
 TEST(ArcTraversals, SumOverPortsEqualsExits) {
-  graph::Graph g = graph::torus(4, 4);
+  graph::CsrGraph g = graph::torus(4, 4);
   RotorRouter rr(g, {0, 3, 9});
   rr.run(137);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
