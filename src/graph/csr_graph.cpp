@@ -8,8 +8,7 @@
 namespace rr::graph {
 
 CsrGraph CsrGraph::from_edges(NodeId n, const std::vector<Edge>& edges) {
-  OffsetList offsets(static_cast<std::size_t>(n) + 1);
-  std::fill(offsets.begin(), offsets.end(), 0);
+  OffsetList offsets(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) {
     RR_REQUIRE(u < n && v < n, "edge endpoint out of range");
     RR_REQUIRE(u != v, "self-loops are not part of the model");

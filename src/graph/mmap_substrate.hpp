@@ -8,11 +8,11 @@
 // into a flat file. "ring N" and "torus W H" stream the row generators of
 // graph/lattice_rows.hpp with no in-memory graph at all (the same rows
 // GraphDescriptor::build streams into an in-RAM CsrGraph); other kinds
-// copy the rows of the CsrGraph GraphDescriptor::build returns. `MappedSubstrate::open` maps
-// the whole file MAP_PRIVATE so CsrGraph and the engine's
-// NodeState/VisitStats arrays are backed by the page cache — an engine
-// steps a 1e8-node instance touching only the pages its agents actually
-// visit, and the private copy-on-write mapping keeps every run's
+// copy the rows of the CsrGraph GraphDescriptor::build returns.
+// `MappedSubstrate::open` maps the whole file MAP_PRIVATE so CsrGraph and
+// the engine's NodeState/VisitStats arrays are backed by the page cache —
+// an engine steps a 1e8-node instance touching only the pages its agents
+// actually visit, and the private copy-on-write mapping keeps every run's
 // mutations isolated from the file.
 //
 // Image layout (little-endian, every section 4096-byte aligned):

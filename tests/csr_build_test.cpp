@@ -140,7 +140,9 @@ TEST(CsrBuild, PooledBuildEqualsInlineBuild) {
   }
 }
 
-CsrGraph two_components() { return CsrGraph::from_edges(4, {{0, 1}, {2, 3}}); }
+CsrGraph two_components() {
+  return CsrGraph::from_edges(4, {{0, 1}, {2, 3}});
+}
 
 TEST(CsrBuild, IsConnectedDetectsComponents) {
   EXPECT_FALSE(two_components().is_connected());
