@@ -112,11 +112,11 @@ struct IoSample {
 
 // One save + load measurement of `engine` (which must be a RotorRouter
 // over an image at `image_path`). Load goes through
-// parse_checkpoint and deserialize_state on an engine over a *fresh
-// open* of the image — the exact resume path minus the disk: engines
-// sharing one open share the COW mapping, so resuming always starts
-// from its own pristine mapping (which is also what lets the restore
-// skip pages that match the image).
+// parse_checkpoint and RotorRouter::restore over a *fresh open* of the
+// image — the exact resume path minus the disk: engines sharing one open
+// share the COW mapping, so resuming always starts from its own
+// untouched mapping (which is also what lets the restore skip pages
+// that match the image).
 IoSample measure_io(const std::string& image_path,
                     const std::shared_ptr<MappedSubstrate>& substrate,
                     const rr::sim::Engine& engine) {
@@ -130,13 +130,13 @@ IoSample measure_io(const std::string& image_path,
 
   auto resume = MappedSubstrate::open(image_path);
   RR_REQUIRE(resume != nullptr, "bench image failed to re-open");
-  RotorRouter sink(resume, {0});
   t0 = std::chrono::steady_clock::now();
   const auto parsed = rr::sim::parse_checkpoint(text);
-  const bool ok = parsed && sink.deserialize_state(parsed->state);
+  const auto sink =
+      parsed ? RotorRouter::restore(resume, parsed->state) : nullptr;
   s.load_s = now_minus(t0);
-  RR_REQUIRE(ok, "bench checkpoint failed to round-trip");
-  RR_REQUIRE(sink.config_hash() == engine.config_hash(),
+  RR_REQUIRE(sink != nullptr, "bench checkpoint failed to round-trip");
+  RR_REQUIRE(sink->config_hash() == engine.config_hash(),
              "bench round-trip changed the configuration");
   return s;
 }
@@ -381,7 +381,7 @@ int main() {
   // --- 4. Frame-parallel v2 load on a shared pool. ---
   //
   // v2 per-node frames are independently decodable (delta baselines
-  // restart per segment), so parse_checkpoint + deserialize_state can
+  // restart per segment), so parse_checkpoint + RotorRouter::restore can
   // fan frame decode and per-segment state application across a
   // ThreadPool. The result must be bit-identical to the sequential
   // load; the speedup assertion only arms on multi-core hosts (a
@@ -408,13 +408,13 @@ int main() {
         rr::sim::ThreadPool* p = parallel ? &pool : nullptr;
         auto resume = MappedSubstrate::open(image);
         RR_REQUIRE(resume != nullptr, "parallel-load image re-open failed");
-        RotorRouter sink(resume, {0});
         const auto t0 = std::chrono::steady_clock::now();
         const auto parsed = rr::sim::parse_checkpoint(text, p);
-        const bool ok = parsed && sink.deserialize_state(parsed->state, p);
+        const auto sink =
+            parsed ? RotorRouter::restore(resume, parsed->state, p) : nullptr;
         const double dt = now_minus(t0);
-        RR_REQUIRE(ok, "parallel load failed to round-trip");
-        RR_REQUIRE(sink.config_hash() == engine.config_hash(),
+        RR_REQUIRE(sink != nullptr, "parallel load failed to round-trip");
+        RR_REQUIRE(sink->config_hash() == engine.config_hash(),
                    "parallel load changed the configuration");
         (parallel ? par_s : seq_s) =
             std::min(parallel ? par_s : seq_s, dt);

@@ -36,7 +36,8 @@
 // `run --graph-image FILE` steps the rotor-router over the mmap'd image,
 // so instances far beyond RAM run from the page cache. --resume works
 // with --graph-image when the checkpoint's engine and descriptor match
-// the image.
+// the image. An image engine steps one shard: --shards N > 1 with
+// --graph-image exits 2.
 //
 // Exit code 0 on success, 2 on usage errors (so scripts can distinguish).
 
@@ -482,6 +483,12 @@ int cmd_run(const Flags& f) {
                     "--graph-image steps the image's graph")) {
     return 2;
   }
+  if (!f.graph_image.empty() && f.shards > 1) {
+    std::fprintf(stderr,
+                 "rr_cli: --shards does not apply to --graph-image runs "
+                 "(an image engine steps one shard)\n");
+    return 2;
+  }
   // One pool for the whole run, sized like a sharded engine's own: it
   // builds the engine, steps the shards, decodes the resumed document's
   // segments and encodes every save. A sequential run that saves gets
@@ -505,11 +512,6 @@ int cmd_run(const Flags& f) {
       std::fprintf(stderr, "rr_cli: cannot open graph image %s\n",
                    f.graph_image.c_str());
       return 2;
-    }
-    if (f.shards > 1) {
-      std::fprintf(stderr,
-                   "rr_cli: --shards does not apply to --graph-image runs; "
-                   "stepping sequentially\n");
     }
   }
 
@@ -552,12 +554,12 @@ int cmd_run(const Flags& f) {
                      substrate->descriptor().c_str());
         return 2;
       }
-      // Construct over the image with a placeholder agent, then restore;
-      // deserialize_state rewrites every per-node field.
-      auto rotor = std::make_unique<rr::core::RotorRouter>(
-          substrate, std::vector<rr::graph::NodeId>{0});
+      // Built straight from the document over this fresh open, so the
+      // restore rewrites only the runs that differ from the image.
       substrate->advise_sequential();
-      if (!rotor->deserialize_state(parsed->state)) {
+      auto rotor = rr::core::RotorRouter::restore(substrate, parsed->state,
+                                                  pool.get());
+      if (!rotor) {
         std::fprintf(stderr, "rr_cli: checkpoint state does not fit image %s\n",
                      f.graph_image.c_str());
         return 2;

@@ -10,12 +10,14 @@ namespace rr::core {
 using graph::Arc;
 using graph::NodeId;
 
-EulerianRotorRouter::EulerianRotorRouter(const graph::CsrGraph& g,
+EulerianRotorRouter::EulerianRotorRouter(graph::CsrGraph g,
                                          const std::vector<NodeId>& agents)
-    : csr_(g) {
+    : csr_(std::move(g)) {
   RR_REQUIRE(!agents.empty(), "need at least one token");
-  for (NodeId a : agents) RR_REQUIRE(a < g.num_nodes(), "agent out of range");
-  circuit_ = graph::eulerian_circuit(g, agents.front());
+  for (NodeId a : agents) {
+    RR_REQUIRE(a < csr_.num_nodes(), "agent out of range");
+  }
+  circuit_ = graph::eulerian_circuit(csr_, agents.front());
   RR_REQUIRE(index_circuit(), "Hierholzer circuit failed verification");
   // A node of degree d is the tail of d circuit offsets; co-located
   // agents take *successive* occurrences (cycling if there are more
@@ -43,10 +45,12 @@ EulerianRotorRouter::EulerianRotorRouter(const graph::CsrGraph& g,
   reset_visits_from_tokens();
 }
 
-EulerianRotorRouter::EulerianRotorRouter(const graph::CsrGraph& g,
+EulerianRotorRouter::EulerianRotorRouter(graph::CsrGraph g,
                                          std::vector<Arc> circuit,
                                          std::vector<std::uint64_t> tokens)
-    : csr_(g), circuit_(std::move(circuit)), tokens_(std::move(tokens)) {
+    : csr_(std::move(g)),
+      circuit_(std::move(circuit)),
+      tokens_(std::move(tokens)) {
   RR_REQUIRE(index_circuit(), "not an Eulerian circuit of this graph");
   RR_REQUIRE(!tokens_.empty(), "need at least one token");
   for (std::uint64_t o : tokens_) {

@@ -57,13 +57,13 @@ class EulerianRotorRouter final : public sim::Engine,
   /// successive circuit offsets tailed at that agent's start node (a
   /// degree-d node has d such offsets), so co-located agents take
   /// distinct trajectories — the analogue of distinct exit ports.
-  EulerianRotorRouter(const graph::CsrGraph& g,
+  EulerianRotorRouter(graph::CsrGraph g,
                       const std::vector<graph::NodeId>& agents);
 
   /// Token circulation on an explicit circuit (must be a directed
   /// Eulerian circuit of `g`); `token_offsets` are circuit positions in
   /// [0, circuit.size()).
-  EulerianRotorRouter(const graph::CsrGraph& g, std::vector<graph::Arc> circuit,
+  EulerianRotorRouter(graph::CsrGraph g, std::vector<graph::Arc> circuit,
                       std::vector<std::uint64_t> token_offsets);
 
   void step() override {

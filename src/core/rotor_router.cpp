@@ -8,18 +8,15 @@
 
 namespace rr::core {
 
-RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
-                         std::vector<std::uint32_t> pointers,
-                         std::uint32_t shards, sim::ThreadPool* pool)
+RotorRouter::RotorRouter(CsrGraph csr, std::uint32_t shards,
+                         sim::ThreadPool* pool)
     : csr_(std::move(csr)),
-      num_agents_(static_cast<std::uint32_t>(agents.size())),
       node_(csr_.num_nodes()),
       initial_pointers_(csr_.num_nodes()),
       stats_(csr_.num_nodes()) {
-  const NodeId n = csr_.num_nodes();
   // Partition's clamp, applied first so a sharded engine's own pool
   // exists before the build work that runs on it.
-  if (shards > n) shards = n;
+  if (shards > csr_.num_nodes()) shards = csr_.num_nodes();
   if (shards > 1) {
     if (!pool) {
       const unsigned hw = std::thread::hardware_concurrency();
@@ -36,6 +33,15 @@ RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
       shards_[s].attach(*part_, s);
     }
   }
+}
+
+RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
+                         std::vector<std::uint32_t> pointers,
+                         std::uint32_t shards, sim::ThreadPool* pool)
+    : RotorRouter(std::move(csr), shards, pool) {
+  num_agents_ = static_cast<std::uint32_t>(agents.size());
+  const NodeId n = csr_.num_nodes();
+  if (pool_) pool = pool_;
   // The per-node build runs over the shards' rows, so each shard's
   // occupied list is its agents in `agents` order, as a sequential
   // placement makes it. The sequential engine splits its rows into one
@@ -63,43 +69,71 @@ RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
       occupied.insert(occupied.end(), sites[r].begin(), sites[r].end());
     }
   }
-  pristine_ = pointers.empty();
 }
+
+RotorRouter::RotorRouter(
+    const std::shared_ptr<graph::MappedSubstrate>& substrate)
+    : csr_(substrate->csr()),
+      node_(substrate->node_state()),
+      initial_pointers_(csr_.num_nodes(), 0),
+      stats_(substrate->visit_stats<VisitStats>()),
+      shards_(1) {}
 
 RotorRouter::RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrate,
                          const std::vector<NodeId>& agents,
                          std::vector<std::uint32_t> pointers)
-    : csr_(substrate->csr()),
-      num_agents_(static_cast<std::uint32_t>(agents.size())),
-      node_(substrate->node_state()),
-      stats_(substrate->visit_stats<VisitStats>()),
-      shards_(1) {
+    : RotorRouter(substrate) {
   // The image builder verified connectivity (streamed kinds by
   // construction, built kinds explicitly) and precomputed
   // degree/row_begin, so only the pointer field and agent placement
   // remain. A given pointer field touches every node.
+  num_agents_ = static_cast<std::uint32_t>(agents.size());
   const NodeId n = csr_.num_nodes();
-  if (pointers.empty()) {
-    initial_pointers_.assign(n, 0);
-  } else {
+  if (!pointers.empty()) {
     RR_REQUIRE(pointers.size() == n, "pointer vector size mismatch");
     for (NodeId v = 0; v < n; ++v) {
       RR_REQUIRE(pointers[v] < csr_.degree_unchecked(v),
                  "pointer out of range");
       node_[v].pointer = pointers[v];
+      initial_pointers_[v] = pointers[v];
     }
-    initial_pointers_.assign(pointers.begin(), pointers.end());
   }
   require_rotor_agents(agents, n);
   covered_ = place_rotor_agents(
       agents, 0, n, node_, stats_,
       [&](NodeId v) { shards_[0].occupied.push_back(v); });
-  // Only the first engine over this open may assume the mapping still
-  // holds image defaults — engines sharing a handle share COW pages.
-  // The claim is consumed unconditionally: this construction dirtied
-  // the mapping either way.
-  const bool first_over_mapping = substrate->claim_pristine_state();
-  pristine_ = pointers.empty() && first_over_mapping;
+  // This engine dirtied the mapping, so no later restore over the same
+  // open may assume it still holds the image's defaults.
+  substrate->claim_image_defaults();
+}
+
+std::unique_ptr<RotorRouter> RotorRouter::restore(CsrGraph csr,
+                                                  const sim::StateReader& in,
+                                                  std::uint32_t shards,
+                                                  sim::ThreadPool* pool) {
+  std::unique_ptr<RotorRouter> e(new RotorRouter(std::move(csr), shards, pool));
+  const NodeId n = e->num_nodes();
+  NoInitVector<NodeId> bfs_queue(n);  // allocated here, not on a worker
+  std::vector<std::uint8_t> bfs_seen(n, 0);
+  bool connected = false;
+  // The arrays come unfilled, so every row is written: no default skip.
+  const bool ok = e->adopt(deserialize_rotor_state(
+      in, e->csr_, e->node_, e->initial_pointers_, e->stats_,
+      /*assume_defaults=*/false, e->pool_ ? e->pool_ : pool, [&] {
+        connected = e->csr_.is_connected(bfs_queue.data(), bfs_seen.data());
+      }));
+  return ok && connected ? std::move(e) : nullptr;
+}
+
+std::unique_ptr<RotorRouter> RotorRouter::restore(
+    const std::shared_ptr<graph::MappedSubstrate>& substrate,
+    const sim::StateReader& in, sim::ThreadPool* pool) {
+  // The image builder verified connectivity.
+  std::unique_ptr<RotorRouter> e(new RotorRouter(substrate));
+  const bool ok = e->adopt(deserialize_rotor_state(
+      in, e->csr_, e->node_, e->initial_pointers_, e->stats_,
+      substrate->claim_image_defaults(), pool));
+  return ok ? std::move(e) : nullptr;
 }
 
 void RotorRouter::merge_shard(std::uint32_t d) {
@@ -160,29 +194,12 @@ bool RotorRouter::apply_cycle_leap(
 }
 
 bool RotorRouter::deserialize_state(const sim::StateReader& in) {
-  return deserialize_state(in, /*pool=*/nullptr);
+  return adopt(deserialize_rotor_state(in, csr_, node_, initial_pointers_,
+                                       stats_, /*assume_defaults=*/false,
+                                       pool_));
 }
 
-bool RotorRouter::deserialize_state(const sim::StateReader& in,
-                                    sim::ThreadPool* pool) {
-  const bool assume_defaults = pristine_;
-  pristine_ = false;
-  if (assume_defaults) {
-    // Undo the constructor's agent placement so the default-skipping
-    // restore's precondition holds at every node (placement only
-    // touched count, visits and first_visit on the agent sites).
-    for (const RotorShard& sh : shards_) {
-      for (const NodeId v : sh.occupied) {
-        node_[v].count = 0;
-        node_[v].arrivals = 0;
-        stats_[v].visits = 0;
-        stats_[v].first_visit = kNotCovered;
-      }
-    }
-  }
-  const auto restored =
-      deserialize_rotor_state(in, csr_, node_, initial_pointers_, stats_,
-                              assume_defaults, pool ? pool : pool_);
+bool RotorRouter::adopt(const std::optional<RestoredRotorState>& restored) {
   if (!restored) return false;
   time_ = restored->time;
   num_agents_ = restored->num_agents;

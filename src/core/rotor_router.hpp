@@ -77,6 +77,8 @@ namespace rr::core {
 using graph::CsrGraph;
 using graph::NodeId;
 
+struct RestoredRotorState;
+
 inline constexpr std::uint64_t kNotCovered = sim::kNotCovered;
 
 class RotorRouter final : public sim::Engine,
@@ -109,6 +111,27 @@ class RotorRouter final : public sim::Engine,
               const std::vector<NodeId>& agents,
               std::vector<std::uint32_t> pointers = {});
 
+  /// An engine built straight from a rotor-router document (the state
+  /// serialize_state writes) over `csr`, laid out as the constructor
+  /// lays out (`shards`, `pool`). One batch on the pool does all the
+  /// per-node work: the connectivity BFS, and one job per v2 segment
+  /// window that writes every element of its rows
+  /// (deserialize_rotor_state). nullptr on a malformed or hostile
+  /// document, or a disconnected graph; never aborts.
+  static std::unique_ptr<RotorRouter> restore(CsrGraph csr,
+                                              const sim::StateReader& in,
+                                              std::uint32_t shards = 1,
+                                              sim::ThreadPool* pool = nullptr);
+
+  /// The same over an opened image, one shard; `pool` only decodes. The
+  /// first engine over an open finds the image's defaults in the
+  /// mapping (MappedSubstrate::claim_image_defaults), so its restore
+  /// skips rows that hold only defaults and dirties only the pages that
+  /// differ from the image; any later one rewrites every node.
+  static std::unique_ptr<RotorRouter> restore(
+      const std::shared_ptr<graph::MappedSubstrate>& substrate,
+      const sim::StateReader& in, sim::ThreadPool* pool = nullptr);
+
   /// One synchronous round with no delays.
   void step() override {
     step_delayed([](NodeId, std::uint64_t, std::uint32_t) { return 0u; });
@@ -119,7 +142,6 @@ class RotorRouter final : public sim::Engine,
   /// during round t. Holding agents never increases visit counts (Lemma 1).
   template <typename DelayFn>
   void step_delayed(DelayFn&& delay) {
-    pristine_ = false;
     ++time_;
     const RotorArrays a = arrays();
     const auto no_spill = [](std::uint32_t) {};
@@ -199,17 +221,11 @@ class RotorRouter final : public sim::Engine,
   /// statistics. A deserialized engine continues bit-exactly. The agent
   /// sites come from the shards' own rows: a sharded engine compacts each
   /// partition range on its pool, sized by that shard's occupied list
-  /// (collect_rotor_sites); one shard scans [0, n) inline.
+  /// (collect_rotor_sites); one shard scans [0, n) inline. An in-place
+  /// restore rewrites every node, decoding on the engine's own stepping
+  /// pool (none for one shard); `restore` builds a new engine instead.
   void serialize_state(sim::StateWriter& out) const override;
   [[nodiscard]] bool deserialize_state(const sim::StateReader& in) override;
-
-  /// Pool-parallel restore: v2 documents deserialize their per-node
-  /// segments on `pool` when the segment layouts line up (see
-  /// deserialize_rotor_state); bit-identical result to the sequential
-  /// form. nullptr (and the virtual overload) use the engine's own
-  /// stepping pool — none for one shard.
-  [[nodiscard]] bool deserialize_state(const sim::StateReader& in,
-                                       sim::ThreadPool* pool);
 
   /// Confirmed-cycle fast leap (sim::CycleLeapable): time and the stats
   /// counters advance by per-cycle deltas, node state untouched.
@@ -218,6 +234,14 @@ class RotorRouter final : public sim::Engine,
       std::uint64_t cycles) override;
 
  private:
+  /// The layout both constructions share: the shard clamp, the owned
+  /// pool, the Partition and the shard attach, with the per-node arrays
+  /// sized but unwritten.
+  RotorRouter(CsrGraph csr, std::uint32_t shards, sim::ThreadPool* pool);
+  /// Views over an image's mapping, all pointers 0 and no agents placed.
+  explicit RotorRouter(
+      const std::shared_ptr<graph::MappedSubstrate>& substrate);
+
   void do_step_delayed(const sim::DelayFn& delay) override {
     step_delayed(delay);
   }
@@ -226,18 +250,15 @@ class RotorRouter final : public sim::Engine,
   /// Merge phase of shard d: own touched list, then every source shard's
   /// spill bucket for d in ascending source order.
   void merge_shard(std::uint32_t d);
+  /// Takes a restored document's scalars and rebuilds the occupied
+  /// lists; false (nothing taken) when the restore failed.
+  bool adopt(const std::optional<RestoredRotorState>& restored);
 
   CsrGraph csr_;
   std::optional<graph::Partition> part_;  // empty: one shard, sequential
-  std::uint32_t num_agents_;
+  std::uint32_t num_agents_ = 0;
   std::uint64_t time_ = 0;
   NodeId covered_ = 0;
-  /// True while the per-node arrays still hold construction defaults
-  /// everywhere except the agent sites (constructed without a pointer
-  /// override, never stepped or restored). Lets deserialize_state skip
-  /// rewriting default-valued spans, so resuming into a freshly opened
-  /// substrate image dirties only the pages that differ from the image.
-  bool pristine_ = false;
 
   // Owned vectors for in-RAM construction, views into the image mapping
   // for substrate construction — same indexing either way.

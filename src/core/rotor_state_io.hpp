@@ -288,7 +288,7 @@ struct RestoredRotorState {
 
 namespace detail {
 
-/// The six lockstep per-node fields of the rotor-router field set, in
+/// The six per-node fields of the rotor-router field set, in
 /// serialize_rotor_state's declaration order, with each one's
 /// construction-time default value (see assume_defaults below).
 inline constexpr std::size_t kRotorFields = 6;
@@ -298,65 +298,53 @@ inline constexpr const char* kRotorFieldKeys[kRotorFields] = {
 inline constexpr std::uint64_t kRotorFieldDefaults[kRotorFields] = {
     0, 0, 0, 0, sim::kNotCovered, 0};
 
-/// Applies the six lockstep cursors over node range [v0, v1): validates
-/// degrees, writes node/stats/initial_pointers, counts covered nodes.
-/// The cursors must produce exactly v1 - v0 elements each (checked via
-/// finished()). `allow_skip` gates the assume-defaults constant-run
-/// elision. nullopt on any malformed or inconsistent stream; the range
-/// may then be partially written (the StateIO failed-restore contract).
-/// Ranges are disjoint, so the parallel restore runs one call per
+/// Applies the six field cursors over node range [v0, v1), a block of
+/// rows at a time: each field decodes the block into a small buffer,
+/// then one pass writes every element of each row — the whole NodeState
+/// (degree and row offset from `csr`, no agents yet), initial_pointers
+/// and VisitStats — validating pointers against the degrees and
+/// counting covered nodes. `allow_skip` is the assume-defaults elision:
+/// a row whose six values all equal the defaults is not written. The
+/// cursors must produce exactly v1 - v0 elements each (checked via
+/// finished()). nullopt on any malformed or inconsistent stream; the
+/// range may then be partially written (the StateIO failed-restore
+/// contract). Ranges are disjoint, so the restore runs one call per
 /// segment window from pool threads.
 template <typename NodeArray, typename PointerArray, typename StatsArray>
 inline std::optional<graph::NodeId> apply_rotor_span(
     std::optional<sim::U64ListCursor>* cursors, const graph::CsrGraph& csr,
     NodeArray& node, PointerArray& initial_pointers,
     StatsArray& stats, graph::NodeId v0, graph::NodeId v1, bool allow_skip) {
+  constexpr std::uint64_t kBlock = 256;  // 12 KiB of decoded fields
+  std::uint64_t f[kRotorFields][kBlock];
   graph::NodeId covered = 0;
-  sim::U64ListCursor::Run run[kRotorFields];
-  for (graph::NodeId v = v0; v < v1;) {
-    std::uint64_t span = v1 - v;
+  for (graph::NodeId b = v0; b < v1;) {
+    const auto len =
+        static_cast<graph::NodeId>(std::min<std::uint64_t>(kBlock, v1 - b));
     for (std::size_t k = 0; k < kRotorFields; ++k) {
-      if (run[k].len == 0) {
-        const auto r = cursors[k]->next_run();
-        if (!r) return std::nullopt;
-        run[k] = *r;
-      }
-      span = std::min(span, run[k].len);
+      if (!cursors[k]->take(f[k], len)) return std::nullopt;
     }
-    bool skip = allow_skip;
-    for (std::size_t k = 0; skip && k < kRotorFields; ++k) {
-      skip = run[k].delta == 0 && run[k].value == kRotorFieldDefaults[k];
-    }
-    if (!skip) {
-      for (std::uint64_t j = 0; j < span; ++j) {
-        const graph::NodeId u = v + static_cast<graph::NodeId>(j);
-        const std::uint32_t degree = csr.degree_unchecked(u);
-        if (run[0].value >= degree || run[1].value >= degree) {
-          return std::nullopt;
-        }
-        node[u].count = 0;
-        node[u].arrivals = 0;
-        node[u].pointer = static_cast<std::uint32_t>(run[0].value);
-        initial_pointers[u] = static_cast<std::uint32_t>(run[1].value);
-        stats[u].visits = run[2].value;
-        stats[u].exits = run[3].value;
-        stats[u].first_visit = run[4].value;
-        stats[u].last_visit = run[5].value;
-        if (run[4].value != sim::kNotCovered) ++covered;
-        for (std::size_t k = 0; k < kRotorFields; ++k) {
-          run[k].value += run[k].delta;
-        }
+    for (graph::NodeId i = 0; i < len; ++i) {
+      bool skip = allow_skip;
+      for (std::size_t k = 0; skip && k < kRotorFields; ++k) {
+        skip = f[k][i] == kRotorFieldDefaults[k];
       }
-    } else {
-      // All six runs are constant defaults over the span; covered
-      // gains nothing (first_visit is the sentinel) and every store
-      // would rewrite the value already there.
-      for (std::size_t k = 0; k < kRotorFields; ++k) {
-        run[k].value += run[k].delta * span;  // delta == 0, kept for form
-      }
+      if (skip) continue;
+      const graph::NodeId u = b + i;
+      const std::uint32_t degree = csr.degree_unchecked(u);
+      if (f[0][i] >= degree || f[1][i] >= degree) return std::nullopt;
+      node[u] = graph::NodeState{
+          .pointer = static_cast<std::uint32_t>(f[0][i]),
+          .degree = degree,
+          .row_begin = csr.row_offset(u)};
+      initial_pointers[u] = static_cast<std::uint32_t>(f[1][i]);
+      stats[u] = VisitStats{.visits = f[2][i],
+                            .exits = f[3][i],
+                            .first_visit = f[4][i],
+                            .last_visit = f[5][i]};
+      covered += f[4][i] != sim::kNotCovered;
     }
-    for (std::size_t k = 0; k < kRotorFields; ++k) run[k].len -= span;
-    v += static_cast<graph::NodeId>(span);
+    b += len;
   }
   for (std::size_t k = 0; k < kRotorFields; ++k) {
     if (!cursors[k]->finished()) return std::nullopt;
@@ -364,40 +352,50 @@ inline std::optional<graph::NodeId> apply_rotor_span(
   return covered;
 }
 
+/// The default side job of deserialize_rotor_state: nothing.
+struct NoSideJob {
+  void operator()() const {}
+};
+
 }  // namespace detail
 
 /// Validates and applies a serialize_rotor_state document against `csr`'s
 /// topology. On success node/stats/initial_pointers hold the restored
-/// state (counts and arrival accumulators reset and repopulated from the
-/// sparse sites); on failure returns nullopt and the outputs are
+/// state: every row is written whole (NodeState's degree and row offset
+/// included), so the arrays may come unfilled, and the counts come from
+/// the sparse sites. On failure returns nullopt and the outputs are
 /// unspecified (the StateIO contract for a failed restore).
 ///
 /// `assume_defaults`: the caller guarantees node/stats/initial_pointers
-/// currently hold the construction-time defaults at every node (count,
+/// hold the image's construction defaults at every node (count,
 /// arrivals, pointer, visits, exits, last_visit all 0; first_visit the
-/// never-covered sentinel). Constant runs carrying exactly those values
-/// are then skipped instead of rewritten, so restoring a lightly-evolved
-/// state into a freshly opened substrate image touches only the pages
-/// that actually differ from the image — the resume path stays
-/// out-of-core instead of dirtying the whole COW mapping. Skipped
-/// pointer runs are value 0, which a connected graph's degree >= 1
-/// always admits, so validation is preserved.
+/// never-covered sentinel; degree and row offset filled) — only the
+/// first engine over a freshly opened substrate image can
+/// (RotorRouter::restore over an image). Rows carrying exactly those
+/// values are then skipped instead of rewritten, so resuming a
+/// lightly-evolved state touches only the pages that differ from the
+/// image and the resume stays out-of-core. A skipped row's pointers are
+/// 0, which a connected graph's degree >= 1 always admits, so
+/// validation is preserved.
 ///
-/// `pool`: a v2 checkpoint splits each per-node field into independently
-/// decodable segments (delta baselines restart at each boundary); when
-/// all six fields share the same segment layout — always true for
-/// documents the v2 encoder wrote — the node range splits at those
-/// boundaries and each window deserializes on a pool thread (disjoint
-/// node ranges, disjoint writes). Mismatched layouts (only a hand-built
-/// document has them), a single segment or no pool decode as one window. Identical results
-/// either way (restore is a pure function of the document); only
-/// wall-clock differs — this is what keeps session rehydration under
-/// server load from serializing on one core.
-template <typename NodeArray, typename PointerArray, typename StatsArray>
+/// Decode windows: a v2 checkpoint splits each per-node field into
+/// independently decodable segments (delta baselines restart at each
+/// boundary). When all six fields share one segment layout — always
+/// true for documents the v2 encoder wrote — the node range splits at
+/// those boundaries, one window per job; mismatched layouts (only a
+/// hand-built document has them) or a single segment decode as the one
+/// window [0, n). The windows and `side_job` (job 0: the restore
+/// construction's connectivity BFS) run as one batch on `pool`
+/// (sim::for_each_node_job: graphs under its cutoff stay on the
+/// caller). Identical results either way (restore is a pure function of
+/// the document); only wall-clock differs.
+template <typename NodeArray, typename PointerArray, typename StatsArray,
+          typename SideJob = detail::NoSideJob>
 inline std::optional<RestoredRotorState> deserialize_rotor_state(
     const sim::StateReader& in, const graph::CsrGraph& csr, NodeArray& node,
     PointerArray& initial_pointers, StatsArray& stats,
-    bool assume_defaults = false, sim::ThreadPool* pool = nullptr) {
+    bool assume_defaults = false, sim::ThreadPool* pool = nullptr,
+    const SideJob& side_job = {}) {
   const graph::NodeId n = csr.num_nodes();
   const auto time = in.u64("time");
   const auto sites = in.pairs("agents");
@@ -409,41 +407,36 @@ inline std::optional<RestoredRotorState> deserialize_rotor_state(
   }
   if (total_agents > ~std::uint32_t{0}) return std::nullopt;
 
-  // Node windows [bounds[w], bounds[w+1]): the shared v2 segment layout
-  // when a pool can spread it, else the one window [0, n).
-  std::optional<std::vector<std::uint64_t>> segments;
-  if (pool != nullptr && pool->num_threads() > 1 && n > 0) {
-    segments = in.u64_list_segment_bounds(detail::kRotorFieldKeys[0], n);
-    for (std::size_t k = 1; segments && k < detail::kRotorFields; ++k) {
-      const auto other =
-          in.u64_list_segment_bounds(detail::kRotorFieldKeys[k], n);
-      if (!other || *other != *segments) segments = std::nullopt;
-    }
-    if (segments && segments->size() <= 2) segments = std::nullopt;
+  auto segments = in.u64_list_segment_bounds(detail::kRotorFieldKeys[0], n);
+  for (std::size_t k = 1; segments && k < detail::kRotorFields; ++k) {
+    const auto other =
+        in.u64_list_segment_bounds(detail::kRotorFieldKeys[k], n);
+    if (!other || *other != *segments) segments = std::nullopt;
   }
+  if (segments && segments->size() <= 2) segments = std::nullopt;
   const std::vector<std::uint64_t> bounds =
       segments ? std::move(*segments) : std::vector<std::uint64_t>{0, n};
   const bool windowed = bounds.size() > 2;
 
-  // The six per-node fields decode as lockstep run cursors: node v's
-  // whole record (pointer, stats) is validated and written in one
-  // touch, so the restore makes a single pass over the engine's state
-  // memory instead of six, and spans where every field sits in a
-  // default-valued constant run are skipped outright under
-  // assume_defaults. No O(n) intermediates; a failed stream leaves the
-  // state partially written (allowed by the StateIO contract).
+  // The six per-node fields decode a block of rows at a time, and each
+  // row is validated and written in one touch (apply_rotor_span), so
+  // the restore makes a single pass over the engine's state memory
+  // instead of six. No O(n) intermediates.
   initial_pointers.resize(n);
   const std::size_t windows = bounds.size() - 1;
   std::vector<graph::NodeId> covered(windows, 0);
   std::vector<std::uint8_t> ok(windows, 0);
   const bool allow_skip = assume_defaults && n > 1;
-  const auto decode = [&](std::uint64_t w) {
+  sim::for_each_node_job(pool, n, windows + 1, [&](std::uint64_t job) {
+    if (job == 0) {  // first: the BFS, when given, is the longest job
+      side_job();
+      return;
+    }
+    const std::size_t w = job - 1;
     std::optional<sim::U64ListCursor> cursors[detail::kRotorFields];
     for (std::size_t k = 0; k < detail::kRotorFields; ++k) {
       const char* key = detail::kRotorFieldKeys[k];
-      cursors[k] = windowed ? in.u64_list_cursor_window(
-                                  key, static_cast<std::size_t>(w),
-                                  static_cast<std::size_t>(w) + 1)
+      cursors[k] = windowed ? in.u64_list_cursor_window(key, w, w + 1)
                             : in.u64_list_cursor(key, n);
       if (!cursors[k]) return;
     }
@@ -454,12 +447,7 @@ inline std::optional<RestoredRotorState> deserialize_rotor_state(
     if (!c) return;
     covered[w] = *c;
     ok[w] = 1;
-  };
-  if (windowed && pool != nullptr) {
-    pool->for_each(windows, decode, /*chunk=*/1);
-  } else {
-    for (std::uint64_t w = 0; w < windows; ++w) decode(w);
-  }
+  });
 
   RestoredRotorState restored;
   restored.time = *time;

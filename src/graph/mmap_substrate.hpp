@@ -162,12 +162,12 @@ class MappedSubstrate : public std::enable_shared_from_this<MappedSubstrate> {
   void advise_sequential() const;
 
   /// True exactly once per open(). The state sections of this mapping
-  /// hold the image's pristine values only until the first engine is
-  /// constructed over them — engines sharing one open share the COW
-  /// pages. The first claimant may therefore treat the arrays as
-  /// construction-defaults (enabling the default-skipping restore);
-  /// later engines over the same handle must not.
-  bool claim_pristine_state() { return !state_claimed_.exchange(true); }
+  /// hold the image's default values only until the first engine is
+  /// built over them — engines sharing one open share the COW pages.
+  /// The first claimant may therefore treat the arrays as image
+  /// defaults (RotorRouter::restore's default-skipping decode); later
+  /// engines over the same handle must not.
+  bool claim_image_defaults() { return !state_claimed_.exchange(true); }
 
  private:
   MappedSubstrate() = default;

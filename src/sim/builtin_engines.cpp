@@ -85,15 +85,10 @@ void register_rotor(EngineRegistry& r) {
         auto csr = d.build(c.pool);
         if (!csr) return nullptr;
         // The shard count is an execution choice, not checkpoint state:
-        // the same document restores sequentially or shard-parallel. The
-        // engine builds as the factory's does; a pool (shared, or a
-        // sharded engine's own) decodes v2 per-node segments in parallel
-        // (bit-identical; see deserialize_rotor_state).
-        auto engine = std::make_unique<core::RotorRouter>(
-            std::move(*csr), std::vector<graph::NodeId>{0},
-            std::vector<std::uint32_t>{}, c.shards, c.pool);
-        if (!engine->deserialize_state(state, c.pool)) return nullptr;
-        return engine;
+        // the same document restores sequentially or shard-parallel, in
+        // one pooled batch like the factory's build.
+        return core::RotorRouter::restore(std::move(*csr), state, c.shards,
+                                          c.pool);
       },
   });
 }
@@ -180,20 +175,20 @@ void register_walks(EngineRegistry& r) {
       .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
+        auto g = d.build();
         if (!g) {
           fail(error, "invalid graph parameters");
           return nullptr;
         }
-        return std::make_unique<walk::GraphRandomWalks>(*g, agents_of(c),
-                                                        c.seed);
+        return std::make_unique<walk::GraphRandomWalks>(std::move(*g),
+                                                        agents_of(c), c.seed);
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig&) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
+        auto g = d.build();
         if (!g || g->degree(0) == 0) return nullptr;  // placeholder walker
         return restored<walk::GraphRandomWalks>(
-            state, *g, std::vector<graph::NodeId>{0}, /*seed=*/1);
+            state, std::move(*g), std::vector<graph::NodeId>{0}, /*seed=*/1);
       },
   });
 }
@@ -211,7 +206,7 @@ void register_eulerian(EngineRegistry& r) {
       .cycle_accumulators = {"time", "visits"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
+        auto g = d.build();
         if (!g) {
           fail(error, "invalid graph parameters");
           return nullptr;
@@ -220,14 +215,15 @@ void register_eulerian(EngineRegistry& r) {
           fail(error, "token circulation needs at least one edge");
           return nullptr;
         }
-        return std::make_unique<core::EulerianRotorRouter>(*g, agents_of(c));
+        return std::make_unique<core::EulerianRotorRouter>(std::move(*g),
+                                                           agents_of(c));
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig&) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
+        auto g = d.build();
         if (!g || g->num_edges() == 0) return nullptr;
         return restored<core::EulerianRotorRouter>(
-            state, *g, std::vector<graph::NodeId>{0});
+            state, std::move(*g), std::vector<graph::NodeId>{0});
       },
   });
 }

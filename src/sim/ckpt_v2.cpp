@@ -190,14 +190,12 @@ bool is_list(const WriterField& f) {
 }
 
 /// Calls fn(load) with an inlinable element loader for list field f:
-/// the vector, a strided raw load (the rotor engines' struct-of-arrays
-/// state), or the type-erased view.
+/// the vector, or a strided raw load (the rotor engines'
+/// struct-of-arrays state).
 template <typename Fn>
 void with_list_loader(const WriterField& f, Fn&& fn) {
   if (f.kind == WriterField::Kind::kU64List) {
     fn([&f](std::uint64_t i) { return f.list[i]; });
-  } else if (f.view_base == nullptr) {
-    fn([&f](std::uint64_t i) { return f.view(i); });
   } else if (f.view_width == 4) {
     fn([base = f.view_base, stride = f.view_stride](std::uint64_t i) {
       std::uint32_t v;

@@ -1,5 +1,8 @@
 #include "sim/state_io.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 namespace rr::sim {
 
 // ---- reader: construction ----
@@ -40,14 +43,89 @@ bool decode_packed_symbols(const PackedSegment& seg,
 
 std::optional<std::vector<std::uint64_t>> StateReader::u64_list(
     std::string_view key, std::size_t expected) const {
+  const ReaderValue* v = find(key);
+  if (!v || v->kind != ReaderValue::Kind::kPackedList) return std::nullopt;
+  const auto total = detail::packed_count(v->segs);
+  if (!total ||
+      (expected > 0 ? *total != expected : *total > kMaxLooseListElements)) {
+    return std::nullopt;
+  }
+  // Decoded a block at a time: a crafted count allocates nothing its
+  // payload does not back.
   std::vector<std::uint64_t> out;
   out.reserve(expected);
-  const auto collect = [&out](std::uint64_t, std::uint64_t value) {
-    out.push_back(value);
-    return true;
-  };
-  if (!u64_list_each(key, expected, collect)) return std::nullopt;
+  U64ListCursor cursor(&v->segs, 0, v->segs.size());
+  std::uint64_t block[256];
+  for (std::uint64_t left = *total; left > 0;) {
+    const std::uint64_t n = std::min<std::uint64_t>(left, std::size(block));
+    if (!cursor.take(block, n)) return std::nullopt;
+    out.insert(out.end(), block, block + n);
+    left -= n;
+  }
+  if (!cursor.finished()) return std::nullopt;
   return out;
+}
+
+bool U64ListCursor::take(std::uint64_t* out, std::uint64_t count) {
+  while (count > 0) {
+    if (seg_i_ == seg_end_) return false;  // pulled past the validated total
+    const PackedSegment& s = (*segs_)[seg_i_];
+    const auto* data = reinterpret_cast<const std::uint8_t*>(s.bytes.data());
+    const std::size_t size = s.bytes.size();
+    if (seg_produced_ == s.count) {
+      if (pos_ != size) return false;  // trailing bytes
+      ++seg_i_;
+      pos_ = 0;
+      seg_produced_ = 0;
+      value_ = 0;  // each segment restarts its delta baseline
+      continue;
+    }
+    std::uint64_t n = std::min(count, s.count - seg_produced_);
+    std::uint64_t value = value_;
+    if (s.enc == 0) {  // plain per-element deltas
+      std::size_t pos = pos_;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const auto z = wire::get_varint(data, size, &pos);
+        if (!z) return false;
+        value += wire::unzigzag(*z);
+        out[i] = value;
+      }
+      pos_ = pos;
+    } else if (s.enc == 1) {  // runs of (length, repeated delta)
+      if (run_left_ == 0) {
+        const auto len = wire::get_varint(data, size, &pos_);
+        if (!len || *len == 0 || *len > s.count - seg_produced_) return false;
+        const auto z = wire::get_varint(data, size, &pos_);
+        if (!z) return false;
+        run_left_ = *len;
+        run_delta_ = wire::unzigzag(*z);
+      }
+      n = std::min(n, run_left_);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        value += run_delta_;
+        out[i] = value;
+      }
+      run_left_ -= n;
+    } else {
+      return false;
+    }
+    value_ = value;
+    seg_produced_ += n;
+    out += n;
+    count -= n;
+  }
+  return true;
+}
+
+bool U64ListCursor::finished() {
+  while (seg_i_ < seg_end_) {
+    const PackedSegment& s = (*segs_)[seg_i_];
+    if (seg_produced_ != s.count || pos_ != s.bytes.size()) return false;
+    ++seg_i_;
+    pos_ = 0;
+    seg_produced_ = 0;
+  }
+  return true;
 }
 
 std::optional<std::vector<std::uint8_t>> StateReader::symbols(

@@ -29,7 +29,6 @@
 // data — every parse failure surfaces as false/nullopt.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -75,22 +74,17 @@ struct WriterField {
   std::vector<std::uint8_t> symbols;      ///< kDirs / kBits (0 or 1 per entry)
   PairList pairs;                         ///< kPairs
   std::uint64_t view_size = 0;            ///< kU64ListView element count
-  /// kU64ListView element accessor; must be pure and thread-safe (the v2
-  /// codec evaluates disjoint index ranges from parallel frame encoders).
-  /// Used only when view_base is null.
-  std::function<std::uint64_t(std::uint64_t)> view;
-  /// kU64ListView strided fast path: element i is the little-endian
+  /// kU64ListView strided view: element i is the little-endian
   /// view_width-byte (4 or 8) unsigned integer at view_base + i *
   /// view_stride. Lets the codecs read struct-of-arrays engine state
-  /// with an inlined load instead of a per-element indirect call.
+  /// with an inlined load.
   const unsigned char* view_base = nullptr;
   std::uint32_t view_stride = 0;
   std::uint8_t view_width = 0;
 
   /// Element i of a kU64ListView field (slow generic path; the codecs
-  /// specialize on view_base/view_width in their hot loops).
+  /// specialize on view_width in their hot loops).
   std::uint64_t view_at(std::uint64_t i) const {
-    if (view_base == nullptr) return view(i);
     if (view_width == 4) {
       std::uint32_t v;
       __builtin_memcpy(&v, view_base + i * view_stride, 4);
@@ -132,27 +126,14 @@ class StateWriter {
     push(std::move(f));
   }
 
-  /// Lazy u64 list: the codecs read elements straight from `at(i)` for
-  /// i in [0, count) instead of a materialized vector, so serializing an
-  /// out-of-core engine never allocates O(n) intermediates. Identical on
-  /// the wire to field_list of the same values. `at` must stay valid
-  /// until the owning StateWriter's last use (the checkpoint writers
-  /// consume the writer while the engine is alive), be pure, and be
-  /// thread-safe across disjoint indices.
-  void field_list_view(std::string_view key, std::uint64_t count,
-                       std::function<std::uint64_t(std::uint64_t)> at) {
-    WriterField f;
-    f.kind = WriterField::Kind::kU64ListView;
-    f.key = key;
-    f.view_size = count;
-    f.view = std::move(at);
-    push(std::move(f));
-  }
-
-  /// Strided flavor of field_list_view: element i is the `width`-byte
-  /// (4 or 8) native-endian unsigned integer at base + i * stride —
-  /// one struct member across an engine's state array. Same lifetime
-  /// rules; the codecs read it with an inlined load.
+  /// Lazy u64 list over one struct member across an engine's state
+  /// array: element i is the `width`-byte (4 or 8) native-endian
+  /// unsigned integer at base + i * stride. The codecs read it in place
+  /// with an inlined load, so serializing an out-of-core engine never
+  /// allocates O(n) intermediates; identical on the wire to field_list
+  /// of the same values. The array must stay valid until the owning
+  /// StateWriter's last use (the checkpoint writers consume the writer
+  /// while the engine is alive).
   void field_list_strided(std::string_view key, std::uint64_t count,
                           const void* base, std::uint32_t stride,
                           std::uint8_t width) {
@@ -256,118 +237,26 @@ inline std::optional<std::uint64_t> packed_count(
   return total;
 }
 
-/// Decodes one packed u64 list segment (v2 tag 2 or 6), invoking
-/// visit(*index++, value) for each of its `seg.count` values. The whole
-/// payload must be consumed exactly. Total: any malformed varint,
-/// short/long payload, or run-length mismatch returns false, as does a
-/// false-returning visitor (caller-side validation). Nothing is
-/// materialized; peak memory is O(1) regardless of seg.count. Header
-/// template so restore-path visitors inline into the decode loop.
-template <typename Visit>
-bool decode_packed_list(const PackedSegment& seg, std::uint64_t* index,
-                        Visit&& visit) {
-  const auto* data = reinterpret_cast<const std::uint8_t*>(seg.bytes.data());
-  const std::size_t size = seg.bytes.size();
-  std::size_t pos = 0;
-  std::uint64_t value = 0;  // running value; first delta is from 0
-  std::uint64_t produced = 0;
-  if (seg.enc == 0) {  // plain per-element deltas
-    for (; produced < seg.count; ++produced) {
-      const auto z = wire::get_varint(data, size, &pos);
-      if (!z) return false;
-      value += wire::unzigzag(*z);
-      if (!visit((*index)++, value)) return false;
-    }
-  } else if (seg.enc == 1) {  // runs of (length, repeated delta)
-    while (produced < seg.count) {
-      const auto run = wire::get_varint(data, size, &pos);
-      if (!run || *run == 0 || *run > seg.count - produced) return false;
-      const auto z = wire::get_varint(data, size, &pos);
-      if (!z) return false;
-      const std::uint64_t delta = wire::unzigzag(*z);
-      for (std::uint64_t i = 0; i < *run; ++i) {
-        value += delta;
-        if (!visit((*index)++, value)) return false;
-      }
-      produced += *run;
-    }
-  } else {
-    return false;
-  }
-  return pos == size;  // trailing payload bytes -> malformed
-}
-
 }  // namespace detail
 
 /// Forward cursor over one u64 list field, for restores that pull
-/// several per-node fields in lockstep (one pass over the engine's
-/// state memory instead of one per field — the difference between a
-/// cache-resident and a memory-bound restore at 1e8 nodes). Obtained
-/// from StateReader::u64_list_cursor, which validates the element count
-/// upfront. The unit of progress is a *run*: element j of a run holds
-/// value + j*delta (mod 2^64), matching the v2 delta-RLE wire form, so
-/// a caller can recognize a constant span (delta == 0) and handle it in
-/// O(1) instead of per element. Plain-delta segments yield length-1
-/// runs. nullopt on any malformed payload; a run never crosses a
-/// segment boundary. After exactly `expected` elements the caller must
-/// check finished(), which rejects trailing payload bytes (the same
-/// canonical-form rule as u64_list).
+/// several per-node fields in lockstep: each field decodes a block of
+/// rows into a small buffer, and the caller then writes the block's rows
+/// in one pass over the engine's state memory instead of one per field
+/// (the difference between a cache-resident and a memory-bound restore
+/// at 1e8 nodes). Obtained from StateReader::u64_list_cursor, which
+/// validates the element count upfront. After exactly `expected`
+/// elements the caller must check finished(), which rejects trailing
+/// payload bytes (the same canonical-form rule as u64_list).
 class U64ListCursor {
  public:
-  struct Run {
-    std::uint64_t value = 0;  ///< first element of the run
-    std::uint64_t delta = 0;  ///< per-element increment
-    std::uint64_t len = 0;    ///< number of elements, >= 1
-  };
-
-  std::optional<Run> next_run() {
-    while (seg_i_ < seg_end_) {
-      const PackedSegment& s = (*segs_)[seg_i_];
-      if (seg_produced_ == s.count) {
-        if (pos_ != s.bytes.size()) return std::nullopt;  // trailing bytes
-        ++seg_i_;
-        pos_ = 0;
-        seg_produced_ = 0;
-        value_ = 0;  // each segment restarts its delta baseline
-        continue;
-      }
-      const auto* data = reinterpret_cast<const std::uint8_t*>(s.bytes.data());
-      if (s.enc == 0) {  // plain per-element deltas
-        const auto z = wire::get_varint(data, s.bytes.size(), &pos_);
-        if (!z) return std::nullopt;
-        const std::uint64_t delta = wire::unzigzag(*z);
-        value_ += delta;
-        ++seg_produced_;
-        return Run{value_, delta, 1};
-      }
-      if (s.enc != 1) return std::nullopt;
-      const auto len = wire::get_varint(data, s.bytes.size(), &pos_);
-      if (!len || *len == 0 || *len > s.count - seg_produced_) {
-        return std::nullopt;
-      }
-      const auto z = wire::get_varint(data, s.bytes.size(), &pos_);
-      if (!z) return std::nullopt;
-      const std::uint64_t delta = wire::unzigzag(*z);
-      const Run run{value_ + delta, delta, *len};
-      value_ += delta * *len;
-      seg_produced_ += *len;
-      return run;
-    }
-    return std::nullopt;  // pulled past the validated total
-  }
+  /// Decodes the next `count` elements into out[0, count). false on any
+  /// malformed payload, or when fewer than `count` elements remain.
+  bool take(std::uint64_t* out, std::uint64_t count);
 
   /// True once the field is consumed exactly: every segment's payload
   /// fully read.
-  bool finished() {
-    while (seg_i_ < seg_end_) {
-      const PackedSegment& s = (*segs_)[seg_i_];
-      if (seg_produced_ != s.count || pos_ != s.bytes.size()) return false;
-      ++seg_i_;
-      pos_ = 0;
-      seg_produced_ = 0;
-    }
-    return true;
-  }
+  bool finished();
 
  private:
   friend class StateReader;
@@ -386,6 +275,8 @@ class U64ListCursor {
   std::size_t pos_ = 0;
   std::uint64_t seg_produced_ = 0;
   std::uint64_t value_ = 0;
+  std::uint64_t run_left_ = 0;   // elements left in the current RLE run
+  std::uint64_t run_delta_ = 0;  // its per-element delta
 };
 
 /// Field lookup over decoded values. All accessors are total: missing
@@ -419,35 +310,10 @@ class StateReader {
   std::optional<std::vector<std::uint64_t>> u64_list(std::string_view key,
                                                      std::size_t expected = 0) const;
 
-  /// Streaming u64 list: invokes visit(index, value) for each element in
-  /// order instead of materializing the vector, so a caller restoring an
-  /// out-of-core engine validates and applies per-node fields in one
-  /// pass with O(1) extra memory. Length rules as u64_list. Returns
-  /// false on any malformed field or when `visit` returns false (the
-  /// caller's validation failed); elements already visited stay applied
-  /// — the StateIO contract leaves failed restores unspecified. Header
-  /// template so the visitor inlines into the decode loop.
-  template <typename Visit>
-  bool u64_list_each(std::string_view key, std::size_t expected,
-                     Visit&& visit) const {
-    const ReaderValue* v = find(key);
-    if (!v || v->kind != ReaderValue::Kind::kPackedList) return false;
-    const auto total = detail::packed_count(v->segs);
-    if (!total) return false;
-    if (expected > 0 ? *total != expected : *total > kMaxLooseListElements) {
-      return false;
-    }
-    std::uint64_t index = 0;
-    for (const PackedSegment& seg : v->segs) {
-      if (!detail::decode_packed_list(seg, &index, visit)) return false;
-    }
-    return true;
-  }
-
-  /// Cursor form of u64_list_each, for restores that pull several
-  /// per-node lists in lockstep (one pass over the engine's state arrays
-  /// instead of one per field). Requires expected > 0 and validates the
-  /// total element count here. nullopt on a missing or wrong-typed field
+  /// Cursor over a u64 list, for restores that pull several per-node
+  /// lists in lockstep (one pass over the engine's state arrays instead
+  /// of one per field). Requires expected > 0 and validates the total
+  /// element count here. nullopt on a missing or wrong-typed field
   /// or a count mismatch.
   std::optional<U64ListCursor> u64_list_cursor(std::string_view key,
                                                std::size_t expected) const {

@@ -6,22 +6,22 @@
 
 namespace rr::walk {
 
-GraphRandomWalks::GraphRandomWalks(const graph::CsrGraph& g,
+GraphRandomWalks::GraphRandomWalks(graph::CsrGraph g,
                                    std::vector<graph::NodeId> starts,
                                    std::uint64_t seed)
-    : csr_(g),
+    : csr_(std::move(g)),
       rng_(seed),
       pos_(std::move(starts)),
-      visits_(g.num_nodes(), 0),
-      first_visit_(g.num_nodes(), kGraphWalkNotCovered),
-      present_(g.num_nodes(), 0),
-      hold_left_(g.num_nodes(), 0) {
+      visits_(csr_.num_nodes(), 0),
+      first_visit_(csr_.num_nodes(), kGraphWalkNotCovered),
+      present_(csr_.num_nodes(), 0),
+      hold_left_(csr_.num_nodes(), 0) {
   RR_REQUIRE(!pos_.empty(), "at least one walker required");
   for (graph::NodeId v : pos_) {
-    RR_REQUIRE(v < g.num_nodes(), "walker start out of range");
+    RR_REQUIRE(v < csr_.num_nodes(), "walker start out of range");
     // Every reachable node is someone's neighbor (degree >= 1), so checking
     // the starts keeps the stepping loop free of bounds checks.
-    RR_REQUIRE(g.degree(v) > 0, "walker start on isolated node");
+    RR_REQUIRE(csr_.degree(v) > 0, "walker start on isolated node");
     record_visit(v);  // time_ == 0: initial placement counts as a visit
   }
 }
@@ -86,7 +86,7 @@ CoverEstimate estimate_walk_cover_time(const graph::CsrGraph& g,
   Rng seeder(seed);
   double sum = 0.0, sum_sq = 0.0;
   for (std::uint64_t t = 0; t < trials; ++t) {
-    GraphRandomWalks walks(g, starts, seeder());
+    GraphRandomWalks walks(g, starts, seeder());  // copies g: one per trial
     const std::uint64_t c = walks.run_until_covered(max_rounds);
     RR_REQUIRE(c != kGraphWalkNotCovered,
                "cover-time trial exceeded max_rounds; raise the cap");

@@ -6,8 +6,9 @@
 // baseline) and for validating the ring-specialized engine against the
 // generic one on graph::ring(n). Implements sim::Engine, so batched
 // runners and polymorphic drivers treat it exactly like the deterministic
-// rotor-routers; the walkers step on a copy of the CsrGraph, so each
-// walker step is a flat-array load.
+// rotor-routers; the walkers step on a CsrGraph the engine owns (moved
+// in, as core::RotorRouter takes it), so each walker step is a flat-array
+// load.
 //
 // Delayed deployments (`step_delayed`) hold D(v,t) of the walkers present
 // at v for the round, mirroring the rotor-router semantics (which walkers
@@ -29,8 +30,8 @@ inline constexpr std::uint64_t kGraphWalkNotCovered = sim::kNotCovered;
 
 class GraphRandomWalks final : public sim::Engine, public sim::StateIO {
  public:
-  GraphRandomWalks(const graph::CsrGraph& g,
-                   std::vector<graph::NodeId> starts, std::uint64_t seed);
+  GraphRandomWalks(graph::CsrGraph g, std::vector<graph::NodeId> starts,
+                   std::uint64_t seed);
 
   void step() override;
 

@@ -198,14 +198,12 @@ void expect_exact_list(const std::vector<std::uint64_t>& values) {
     seg.count = values.size();
     seg.enc = enc_rle ? 1 : 0;
     seg.bytes = enc_rle ? naive.rle : naive.delta;
-    std::vector<std::uint64_t> back;
-    std::uint64_t index = 0;
-    ASSERT_TRUE(detail::decode_packed_list(
-        seg, &index, [&back](std::uint64_t, std::uint64_t v) {
-          back.push_back(v);
-          return true;
-        }));
-    EXPECT_EQ(back, values);
+    ReaderValue list;
+    list.kind = ReaderValue::Kind::kPackedList;
+    list.segs.push_back(std::move(seg));
+    const auto reader = StateReader::from_fields({{"x", std::move(list)}});
+    ASSERT_TRUE(reader.has_value());
+    EXPECT_EQ(reader->u64_list("x"), values);
   }
 }
 
@@ -462,6 +460,55 @@ TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
   std::remove(path.c_str());
 }
 
+// RotorRouter::restore over an image: the first engine over a fresh
+// open claims the image's defaults and skips default-valued runs, on
+// the caller or with a pool; a restore over a handle another engine
+// already dirtied claims nothing and rewrites every node. Each must
+// reproduce the source state exactly.
+TEST(CkptV2, SubstrateRestoreMatchesSource) {
+  const std::string path =
+      rr::testing::test_temp_path("ckpt_v2_substrate_restore.rrg");
+  ASSERT_TRUE(graph::MappedSubstrate::build("ring 4096", path));
+  const auto reopen = [&path] {
+    auto s = graph::MappedSubstrate::open(path);
+    EXPECT_TRUE(s != nullptr);
+    return s;
+  };
+  core::RotorRouter source(reopen(), {0, 1000, 1000, 3000});
+  source.run(257);  // touches a small region; most spans stay default
+  ThreadPool pool(3);
+  for (const std::uint32_t segments : {1u, kV2DefaultSegments}) {
+    SCOPED_TRACE(segments);
+    const std::string text =
+        write_checkpoint(source, "ring 4096", CkptFormat::kV2, segments);
+    const auto parsed = parse_checkpoint(text);
+    ASSERT_TRUE(parsed.has_value());
+
+    auto claimed = core::RotorRouter::restore(reopen(), parsed->state);
+    auto claimed_pooled =
+        core::RotorRouter::restore(reopen(), parsed->state, &pool);
+    auto shared_open = reopen();
+    core::RotorRouter first_on_shared(shared_open, {20, 40});
+    first_on_shared.run(300);
+    auto second_on_shared =
+        core::RotorRouter::restore(shared_open, parsed->state);
+    ASSERT_TRUE(claimed && claimed_pooled && second_on_shared);
+
+    for (core::RotorRouter* sink :
+         {claimed.get(), claimed_pooled.get(), second_on_shared.get()}) {
+      ASSERT_EQ(write_checkpoint(*sink, "ring 4096", CkptFormat::kV2, segments),
+                text);
+      ASSERT_EQ(sink->covered_count(), source.covered_count());
+      for (NodeId v = 0; v < source.num_nodes(); ++v) {
+        ASSERT_EQ(sink->agents_at(v), source.agents_at(v)) << "v=" << v;
+        ASSERT_EQ(sink->arc_traversals(v, 0), source.arc_traversals(v, 0));
+      }
+    }
+    expect_lockstep(*claimed, *second_on_shared, 150);
+  }
+  std::remove(path.c_str());
+}
+
 // ---- adversarial documents ----
 
 std::string v2_seed_document() {
@@ -656,16 +703,16 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
 
     const auto par = parse_checkpoint(text, &pool);
     ASSERT_TRUE(par.has_value());
-    core::RotorRouter b(torus, {0});
-    ASSERT_TRUE(b.deserialize_state(par->state, &pool));
+    const auto b = core::RotorRouter::restore(torus, par->state, 1, &pool);
+    ASSERT_NE(b, nullptr);
 
     EXPECT_EQ(a.config_hash(), engine.config_hash());
-    EXPECT_EQ(b.config_hash(), engine.config_hash());
+    EXPECT_EQ(b->config_hash(), engine.config_hash());
     // Bit-identical down to a re-serialized document.
     EXPECT_EQ(
         write_checkpoint(a, "torus 16 16", CkptFormat::kV2, segments),
-        write_checkpoint(b, "torus 16 16", CkptFormat::kV2, segments));
-    expect_lockstep(a, b, 50);
+        write_checkpoint(*b, "torus 16 16", CkptFormat::kV2, segments));
+    expect_lockstep(a, *b, 50);
   }
 }
 

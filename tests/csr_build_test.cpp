@@ -68,7 +68,7 @@ TEST(CsrBuild, StreamedTorusMatchesGraphBuilder) {
   // the benchmark's 512x512 instance.
   const std::pair<NodeId, NodeId> shapes[] = {{3, 3},   {3, 5},   {5, 3},
                                               {4, 4},   {64, 32}, {512, 512}};
-  for (const auto [w, h] : shapes) {
+  for (const auto& [w, h] : shapes) {
     testing::PortRows torus(w * h);
     for (NodeId y = 0; y < h; ++y) {
       for (NodeId x = 0; x < w; ++x) {
