@@ -75,7 +75,7 @@ RotorRouter::RotorRouter(
     const std::shared_ptr<graph::MappedSubstrate>& substrate)
     : csr_(substrate->csr()),
       node_(substrate->node_state()),
-      initial_pointers_(csr_.num_nodes(), 0),
+      initial_pointers_(csr_.num_nodes()),
       stats_(substrate->visit_stats<VisitStats>()),
       shards_(1) {}
 

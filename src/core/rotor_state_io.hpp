@@ -304,8 +304,10 @@ inline constexpr std::uint64_t kRotorFieldDefaults[kRotorFields] = {
 /// (degree and row offset from `csr`, no agents yet), initial_pointers
 /// and VisitStats — validating pointers against the degrees and
 /// counting covered nodes. `allow_skip` is the assume-defaults elision:
-/// a row whose six values all equal the defaults is not written. The
-/// cursors must produce exactly v1 - v0 elements each (checked via
+/// a row whose six values all equal the defaults is not written, and a
+/// span where all six fields sit in constant runs of their defaults is
+/// stepped over without decoding (U64ListCursor::constant_run), so an
+/// untouched region costs O(1) per run, not per row. The cursors must produce exactly v1 - v0 elements each (checked via
 /// finished()). nullopt on any malformed or inconsistent stream; the
 /// range may then be partially written (the StateIO failed-restore
 /// contract). Ranges are disjoint, so the restore runs one call per
@@ -319,6 +321,17 @@ inline std::optional<graph::NodeId> apply_rotor_span(
   std::uint64_t f[kRotorFields][kBlock];
   graph::NodeId covered = 0;
   for (graph::NodeId b = v0; b < v1;) {
+    if (allow_skip) {
+      std::uint64_t span = v1 - b;
+      for (std::size_t k = 0; span > 0 && k < kRotorFields; ++k) {
+        span = std::min(span, cursors[k]->constant_run(kRotorFieldDefaults[k]));
+      }
+      if (span > 0) {
+        for (std::size_t k = 0; k < kRotorFields; ++k) cursors[k]->skip(span);
+        b += static_cast<graph::NodeId>(span);
+        continue;
+      }
+    }
     const auto len =
         static_cast<graph::NodeId>(std::min<std::uint64_t>(kBlock, v1 - b));
     for (std::size_t k = 0; k < kRotorFields; ++k) {
@@ -372,9 +385,10 @@ struct NoSideJob {
 /// never-covered sentinel; degree and row offset filled) — only the
 /// first engine over a freshly opened substrate image can
 /// (RotorRouter::restore over an image). Rows carrying exactly those
-/// values are then skipped instead of rewritten, so resuming a
-/// lightly-evolved state touches only the pages that differ from the
-/// image and the resume stays out-of-core. A skipped row's pointers are
+/// values are then skipped instead of rewritten, and runs of them are
+/// stepped over undecoded, so resuming a lightly-evolved state touches
+/// only the pages that differ from the image, in time that scales with
+/// the document's runs rather than n, and the resume stays out-of-core. A skipped row's pointers are
 /// 0, which a connected graph's degree >= 1 always admits, so
 /// validation is preserved.
 ///

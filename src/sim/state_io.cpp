@@ -117,6 +117,36 @@ bool U64ListCursor::take(std::uint64_t* out, std::uint64_t count) {
   return true;
 }
 
+std::uint64_t U64ListCursor::constant_run(std::uint64_t value) {
+  while (seg_i_ < seg_end_) {
+    const PackedSegment& s = (*segs_)[seg_i_];
+    const std::size_t size = s.bytes.size();
+    if (seg_produced_ == s.count) {
+      if (pos_ != size) return 0;  // trailing bytes: take() rejects
+      ++seg_i_;
+      pos_ = 0;
+      seg_produced_ = 0;
+      value_ = 0;
+      continue;
+    }
+    if (s.enc != 1) return 0;
+    if (run_left_ == 0) {  // commits the header only when it is well formed
+      const auto* data = reinterpret_cast<const std::uint8_t*>(s.bytes.data());
+      std::size_t pos = pos_;
+      const auto len = wire::get_varint(data, size, &pos);
+      if (!len || *len == 0 || *len > s.count - seg_produced_) return 0;
+      const auto z = wire::get_varint(data, size, &pos);
+      if (!z) return 0;
+      pos_ = pos;
+      run_left_ = *len;
+      run_delta_ = wire::unzigzag(*z);
+    }
+    // A run's elements are value_ + delta, value_ + 2 delta, ...
+    return run_delta_ == 0 && value_ == value ? run_left_ : 0;
+  }
+  return 0;
+}
+
 bool U64ListCursor::finished() {
   while (seg_i_ < seg_end_) {
     const PackedSegment& s = (*segs_)[seg_i_];

@@ -254,6 +254,19 @@ class U64ListCursor {
   /// malformed payload, or when fewer than `count` elements remain.
   bool take(std::uint64_t* out, std::uint64_t count);
 
+  /// Number of upcoming elements that all equal `value` within the
+  /// current run-length run (delta 0), loading the next run header when
+  /// the last one is spent; 0 at a plain-delta segment, a run of any
+  /// other value, or a malformed header (which take() then rejects).
+  /// Lets a restore step over a constant span in O(1).
+  std::uint64_t constant_run(std::uint64_t value);
+
+  /// Steps over `count` elements, at most the last constant_run().
+  void skip(std::uint64_t count) {
+    run_left_ -= count;
+    seg_produced_ += count;
+  }
+
   /// True once the field is consumed exactly: every segment's payload
   /// fully read.
   bool finished();

@@ -207,6 +207,78 @@ void expect_exact_list(const std::vector<std::uint64_t>& values) {
   }
 }
 
+// U64ListCursor::constant_run/skip step over a constant run without
+// decoding it: interleaved with take(), they must land on the values a
+// plain take() reads, and a malformed run header must fail take().
+TEST(CkptV2, CursorSkipsConstantRunsExactly) {
+  Rng rng(0xC0457);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> values;
+    const std::uint32_t runs = 1 + rng.bounded(12);
+    for (std::uint32_t r = 0; r < runs; ++r) {
+      const std::uint64_t v = rng.bounded(3) == 0 ? 7 : rng.bounded(3);
+      const std::uint32_t len = 1 + rng.bounded(rng.bounded(2) ? 3 : 500);
+      const bool ramp = rng.bounded(4) == 0;
+      for (std::uint32_t i = 0; i < len; ++i) values.push_back(v + ramp * i);
+    }
+    for (const bool enc_rle : {false, true}) {
+      ReaderValue list;
+      list.kind = ReaderValue::Kind::kPackedList;
+      // Two segments, each with its own delta baseline.
+      const std::size_t cut = values.size() / 2;
+      for (const auto& part :
+           {std::vector<std::uint64_t>(values.begin(), values.begin() + cut),
+            std::vector<std::uint64_t>(values.begin() + cut, values.end())}) {
+        if (part.empty()) continue;
+        const NaiveList enc = naive_encode(part);
+        list.segs.push_back(PackedSegment{.count = part.size(),
+                                          .enc = enc_rle ? std::uint8_t{1}
+                                                         : std::uint8_t{0},
+                                          .bytes = enc_rle ? enc.rle
+                                                           : enc.delta});
+      }
+      const auto reader = StateReader::from_fields({{"x", std::move(list)}});
+      ASSERT_TRUE(reader.has_value());
+      auto cursor = reader->u64_list_cursor("x", values.size());
+      ASSERT_TRUE(cursor.has_value());
+      std::size_t i = 0;
+      while (i < values.size()) {
+        const std::uint64_t probe = rng.bounded(2) ? values[i] : 7;
+        const std::uint64_t run = cursor->constant_run(probe);
+        ASSERT_LE(i + run, values.size());
+        for (std::uint64_t j = 0; j < run; ++j) {
+          ASSERT_EQ(values[i + j], probe) << "trial " << trial << " at " << i;
+        }
+        if (run > 0) {
+          const std::uint64_t step = 1 + rng.bounded(run);
+          cursor->skip(step);
+          i += step;
+          continue;
+        }
+        std::uint64_t got = 0;
+        ASSERT_TRUE(cursor->take(&got, 1));
+        ASSERT_EQ(got, values[i]) << "trial " << trial << " at " << i;
+        ++i;
+      }
+      EXPECT_TRUE(cursor->finished());
+    }
+  }
+  // A run header whose length overruns the segment.
+  PackedSegment bad{.count = 4, .enc = 1, .bytes = {}};
+  wire::put_varint(bad.bytes, 5);
+  wire::put_varint(bad.bytes, 0);
+  ReaderValue list;
+  list.kind = ReaderValue::Kind::kPackedList;
+  list.segs.push_back(bad);
+  const auto reader = StateReader::from_fields({{"x", std::move(list)}});
+  ASSERT_TRUE(reader.has_value());
+  auto cursor = reader->u64_list_cursor("x", 4);
+  ASSERT_TRUE(cursor.has_value());
+  EXPECT_EQ(cursor->constant_run(0), 0u);
+  std::uint64_t out[4];
+  EXPECT_FALSE(cursor->take(out, 4));
+}
+
 TEST(CkptV2, ListCodecPredictsItsExactSize) {
   constexpr std::uint64_t kMax = ~std::uint64_t{0};
   std::vector<std::vector<std::uint64_t>> lists;
@@ -464,11 +536,12 @@ TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
 // open claims the image's defaults and skips default-valued runs, on
 // the caller or with a pool; a restore over a handle another engine
 // already dirtied claims nothing and rewrites every node. Each must
-// reproduce the source state exactly.
+// reproduce the source state exactly. The ring is large enough
+// (sim::kPoolMinNodes) that the pooled restore decodes on the pool.
 TEST(CkptV2, SubstrateRestoreMatchesSource) {
   const std::string path =
       rr::testing::test_temp_path("ckpt_v2_substrate_restore.rrg");
-  ASSERT_TRUE(graph::MappedSubstrate::build("ring 4096", path));
+  ASSERT_TRUE(graph::MappedSubstrate::build("ring 65536", path));
   const auto reopen = [&path] {
     auto s = graph::MappedSubstrate::open(path);
     EXPECT_TRUE(s != nullptr);
@@ -480,7 +553,7 @@ TEST(CkptV2, SubstrateRestoreMatchesSource) {
   for (const std::uint32_t segments : {1u, kV2DefaultSegments}) {
     SCOPED_TRACE(segments);
     const std::string text =
-        write_checkpoint(source, "ring 4096", CkptFormat::kV2, segments);
+        write_checkpoint(source, "ring 65536", CkptFormat::kV2, segments);
     const auto parsed = parse_checkpoint(text);
     ASSERT_TRUE(parsed.has_value());
 
@@ -496,7 +569,7 @@ TEST(CkptV2, SubstrateRestoreMatchesSource) {
 
     for (core::RotorRouter* sink :
          {claimed.get(), claimed_pooled.get(), second_on_shared.get()}) {
-      ASSERT_EQ(write_checkpoint(*sink, "ring 4096", CkptFormat::kV2, segments),
+      ASSERT_EQ(write_checkpoint(*sink, "ring 65536", CkptFormat::kV2, segments),
                 text);
       ASSERT_EQ(sink->covered_count(), source.covered_count());
       for (NodeId v = 0; v < source.num_nodes(); ++v) {
@@ -686,15 +759,16 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
   // v2 per-node frames decode independently (delta baselines restart at
   // every segment boundary), so parse_checkpoint and the rotor restore
   // both take a pool — the result must be indistinguishable from the
-  // sequential load, for any segment split.
-  graph::CsrGraph torus = graph::torus(16, 16);
-  core::RotorRouter engine(torus, {0, 17, 40, 200});
+  // sequential load, for any segment split. The torus is large enough
+  // (sim::kPoolMinNodes) that the pooled side runs on the pool.
+  graph::CsrGraph torus = graph::torus(256, 256);
+  core::RotorRouter engine(torus, {0, 17, 40, 200, 40000});
   engine.run(313);
   ThreadPool pool(3);
   for (const std::uint32_t segments : {1u, 4u, 8u}) {
     SCOPED_TRACE(segments);
     const std::string text =
-        write_checkpoint(engine, "torus 16 16", CkptFormat::kV2, segments);
+        write_checkpoint(engine, "torus 256 256", CkptFormat::kV2, segments);
 
     const auto seq = parse_checkpoint(text);
     ASSERT_TRUE(seq.has_value());
@@ -710,8 +784,8 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
     EXPECT_EQ(b->config_hash(), engine.config_hash());
     // Bit-identical down to a re-serialized document.
     EXPECT_EQ(
-        write_checkpoint(a, "torus 16 16", CkptFormat::kV2, segments),
-        write_checkpoint(*b, "torus 16 16", CkptFormat::kV2, segments));
+        write_checkpoint(a, "torus 256 256", CkptFormat::kV2, segments),
+        write_checkpoint(*b, "torus 256 256", CkptFormat::kV2, segments));
     expect_lockstep(a, *b, 50);
   }
 }

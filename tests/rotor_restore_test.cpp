@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,10 +20,12 @@
 #include "core/rotor_router.hpp"
 #include "differential.hpp"
 #include "graph/descriptor.hpp"
+#include "graph/mmap_substrate.hpp"
 #include "pool_matrix.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
 #include "sim/thread_pool.hpp"
+#include "temp_path.hpp"
 
 namespace rr::testing {
 namespace {
@@ -155,12 +158,35 @@ void expect_restore(const CsrGraph& csr, const std::string& doc,
   }
 }
 
+/// Restores `doc` as the first engine over a fresh open of the image
+/// at `path`, which claims the image's defaults and so steps over the
+/// document's default runs.
+std::unique_ptr<core::RotorRouter> image_restore(const std::string& path,
+                                                 const std::string& doc) {
+  const auto parsed = sim::parse_checkpoint(doc);
+  auto substrate = graph::MappedSubstrate::open(path);
+  if (!parsed || !substrate) {
+    ADD_FAILURE() << "unparsable document or image";
+    return nullptr;
+  }
+  return core::RotorRouter::restore(substrate, parsed->state);
+}
+
 TEST(RotorRestore, MalformedDocumentsReturnNull) {
   const std::string text = "torus 16 16";
   const CsrGraph csr = *graph::GraphDescriptor::parse(text)->build();
   const std::uint64_t n = csr.num_nodes();
+  const std::string image = test_temp_path("rotor_restore_malformed.rrg");
+  ASSERT_TRUE(graph::MappedSubstrate::build(text, image));
+  // In RAM and over the image: each bad row sits past a long default run.
+  const auto expect_both = [&](const std::string& doc, bool expect_engine,
+                               const std::string& what) {
+    expect_restore(csr, doc, expect_engine, what);
+    EXPECT_EQ(image_restore(image, doc) != nullptr, expect_engine)
+        << what << " over the image";
+  };
   const auto none = [](Lists&) {};
-  expect_restore(csr, hand_doc(csr, text, none), true, "valid document");
+  expect_both(hand_doc(csr, text, none), true, "valid document");
   const struct {
     const char* what;
     std::function<void(Lists&)> patch;
@@ -171,7 +197,7 @@ TEST(RotorRestore, MalformedDocumentsReturnNull) {
       {"last_visit one node long", [](Lists& l) { l[5].push_back(0); }},
   };
   for (const auto& c : lists) {
-    expect_restore(csr, hand_doc(csr, text, c.patch), false, c.what);
+    expect_both(hand_doc(csr, text, c.patch), false, c.what);
   }
   const struct {
     const char* what;
@@ -184,10 +210,11 @@ TEST(RotorRestore, MalformedDocumentsReturnNull) {
       {"agent total past 32 bits", {{0, ~std::uint32_t{0}}, {1, 1}}},
   };
   for (const auto& c : sites) {
-    expect_restore(csr, hand_doc(csr, text, none, c.agents), false, c.what);
+    expect_both(hand_doc(csr, text, none, c.agents), false, c.what);
   }
-  expect_restore(csr, hand_doc(csr, text, none, {{0, 1}}, /*with_time=*/false),
-                 false, "no time field");
+  expect_both(hand_doc(csr, text, none, {{0, 1}}, /*with_time=*/false), false,
+              "no time field");
+  std::remove(image.c_str());
 }
 
 TEST(RotorRestore, DisconnectedGraphReturnsNull) {

@@ -2,14 +2,15 @@
 """Run the repository benchmark in interleaved parent/change pairs.
 
     python3 tools/pairs.py --base REV [--change REV] --workload W \\
-        --seeds A-B [--seconds S] [--trace]
+        --seeds A-B [--trace]
 
 Each side is a snapshot of its revision (`git archive`, unpacked under
 .bench_build/pairs/<sha>/); without --change the change side is this
 checkout's working tree, uncommitted edits included. Both sides build
 first, then pair i runs rrbench/run.py on each side with seed i, the
 parent first in even pairs and the change first in odd ones, so a slow
-spell on the host hits both sides alike.
+spell on the host hits both sides alike. Every run lasts BENCHMARK.json's
+run_seconds.
 
 For every metric the report gives both medians, the parent's
 interquartile range (q1-q3), the change's wins out of N pairs and a
@@ -134,16 +135,17 @@ def over_bound(summary, better, bound):
     return worse > bound
 
 
-def metric_specs(root):
-    """name -> (better, bound or None) from BENCHMARK.json."""
+def benchmark_spec(root):
+    """(run_seconds, {name -> (better, bound or None)}) from
+    BENCHMARK.json."""
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    out = {}
+    metrics = {}
     for m in spec.get("per_layer", []):
-        out[m["name"]] = (m["better"], None)
+        metrics[m["name"]] = (m["better"], None)
     for m in spec.get("end_to_end", []):
-        out[m["name"]] = (m["better"], m.get("bound"))
-    return out
+        metrics[m["name"]] = (m["better"], m.get("bound"))
+    return spec["run_seconds"], metrics
 
 
 def snapshot(rev):
@@ -179,10 +181,10 @@ def build(tree):
                    check=True, stdout=sys.stderr)
 
 
-def run_side(tree, args, seed):
+def run_side(tree, args, seed, seconds):
     cmd = [sys.executable, os.path.join(tree, "rrbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", "1" if args.trace else "0"]
+           "--seconds", str(seconds), "--trace", "1" if args.trace else "0"]
     p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     return parse_run(p.returncode, p.stdout, p.stderr)
 
@@ -228,11 +230,11 @@ def main(argv=None):
                         "working tree)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="A-B, A,B,C or A")
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", action="store_true")
     args = parser.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
+    seconds, specs = benchmark_spec(ROOT)
     trees = {"base": snapshot(args.base),
              "change": snapshot(args.change) if args.change else ROOT}
     for tree in trees.values():
@@ -242,13 +244,13 @@ def main(argv=None):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         pair = {"seed": seed}
         for k, side in enumerate(order):
-            pair[side] = run_side(trees[side], args, seed)
+            pair[side] = run_side(trees[side], args, seed, seconds)
             pair[side]["order"] = k
             r = pair[side]
             print(f"# pair {i} seed {seed} {side}: exit {r['exit']} failed "
                   f"{fmt(r['failed'])}", file=sys.stderr, flush=True)
         runs.append(pair)
-    report(runs, metric_specs(ROOT))
+    report(runs, specs)
     return 0
 
 
