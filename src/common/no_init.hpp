@@ -13,7 +13,6 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace rr {
@@ -40,18 +39,14 @@ struct NoInitAllocator : std::allocator<T> {
 template <typename T>
 using NoInitVector = std::vector<T, NoInitAllocator<T>>;
 
-/// NoInitAllocator over calloc: a block reads as all-zero bytes with no
-/// fill pass, and a large one comes from the kernel as untouched zero
-/// pages, so only the pages later written are ever faulted in.
+/// NoInitAllocator over calloc: a block reads as zero with no fill
+/// pass, and a large one arrives as untouched zero pages.
 template <typename T>
 struct ZeroedAllocator : NoInitAllocator<T> {
   template <typename U>
   struct rebind {
     using other = ZeroedAllocator<U>;
   };
-  ZeroedAllocator() = default;
-  template <typename U>
-  ZeroedAllocator(const ZeroedAllocator<U>&) noexcept {}
   T* allocate(std::size_t n) {
     if (void* p = std::calloc(n, sizeof(T))) return static_cast<T*>(p);
     throw std::bad_alloc();
@@ -59,8 +54,6 @@ struct ZeroedAllocator : NoInitAllocator<T> {
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
 };
 
-/// A vector whose size constructor leaves new elements zero without
-/// writing them (integer element types only).
 template <typename T>
 using ZeroedVector = std::vector<T, ZeroedAllocator<T>>;
 

@@ -306,8 +306,8 @@ inline constexpr std::uint64_t kRotorFieldDefaults[kRotorFields] = {
 /// counting covered nodes. `allow_skip` is the assume-defaults elision:
 /// a row whose six values all equal the defaults is not written, and a
 /// span where all six fields sit in constant runs of their defaults is
-/// stepped over without decoding (U64ListCursor::constant_run), so an
-/// untouched region costs O(1) per run, not per row. The cursors must produce exactly v1 - v0 elements each (checked via
+/// stepped over undecoded (U64ListCursor::constant_run). The cursors
+/// must produce exactly v1 - v0 elements each (checked via
 /// finished()). nullopt on any malformed or inconsistent stream; the
 /// range may then be partially written (the StateIO failed-restore
 /// contract). Ranges are disjoint, so the restore runs one call per
@@ -386,11 +386,11 @@ struct NoSideJob {
 /// first engine over a freshly opened substrate image can
 /// (RotorRouter::restore over an image). Rows carrying exactly those
 /// values are then skipped instead of rewritten, and runs of them are
-/// stepped over undecoded, so resuming a lightly-evolved state touches
-/// only the pages that differ from the image, in time that scales with
-/// the document's runs rather than n, and the resume stays out-of-core. A skipped row's pointers are
-/// 0, which a connected graph's degree >= 1 always admits, so
-/// validation is preserved.
+/// not even decoded, so resuming a lightly-evolved state touches only
+/// the pages that differ from the image, in time that scales with the
+/// document's runs, and the resume stays out-of-core. A skipped row's
+/// pointers are 0, which a connected graph's degree >= 1 always admits,
+/// so validation is preserved.
 ///
 /// Decode windows: a v2 checkpoint splits each per-node field into
 /// independently decodable segments (delta baselines restart at each

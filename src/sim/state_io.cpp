@@ -66,23 +66,41 @@ std::optional<std::vector<std::uint64_t>> StateReader::u64_list(
   return out;
 }
 
+const PackedSegment* U64ListCursor::segment() {
+  for (; seg_i_ < seg_end_; ++seg_i_) {
+    const PackedSegment& s = (*segs_)[seg_i_];
+    if (seg_produced_ < s.count) return &s;
+    if (pos_ != s.bytes.size()) return nullptr;  // trailing bytes
+    pos_ = 0;
+    seg_produced_ = 0;
+    value_ = 0;  // each segment restarts its delta baseline
+  }
+  return nullptr;
+}
+
+bool U64ListCursor::load_run(const PackedSegment& s) {
+  if (run_left_ > 0) return true;
+  const auto* data = reinterpret_cast<const std::uint8_t*>(s.bytes.data());
+  std::size_t pos = pos_;
+  const auto len = wire::get_varint(data, s.bytes.size(), &pos);
+  if (!len || *len == 0 || *len > s.count - seg_produced_) return false;
+  const auto z = wire::get_varint(data, s.bytes.size(), &pos);
+  if (!z) return false;
+  pos_ = pos;
+  run_left_ = *len;
+  run_delta_ = wire::unzigzag(*z);
+  return true;
+}
+
 bool U64ListCursor::take(std::uint64_t* out, std::uint64_t count) {
   while (count > 0) {
-    if (seg_i_ == seg_end_) return false;  // pulled past the validated total
-    const PackedSegment& s = (*segs_)[seg_i_];
-    const auto* data = reinterpret_cast<const std::uint8_t*>(s.bytes.data());
-    const std::size_t size = s.bytes.size();
-    if (seg_produced_ == s.count) {
-      if (pos_ != size) return false;  // trailing bytes
-      ++seg_i_;
-      pos_ = 0;
-      seg_produced_ = 0;
-      value_ = 0;  // each segment restarts its delta baseline
-      continue;
-    }
-    std::uint64_t n = std::min(count, s.count - seg_produced_);
+    const PackedSegment* s = segment();
+    if (s == nullptr) return false;  // past the validated total
+    std::uint64_t n = std::min(count, s->count - seg_produced_);
     std::uint64_t value = value_;
-    if (s.enc == 0) {  // plain per-element deltas
+    if (s->enc == 0) {  // plain per-element deltas
+      const auto* data = reinterpret_cast<const std::uint8_t*>(s->bytes.data());
+      const std::size_t size = s->bytes.size();
       std::size_t pos = pos_;
       for (std::uint64_t i = 0; i < n; ++i) {
         const auto z = wire::get_varint(data, size, &pos);
@@ -91,15 +109,7 @@ bool U64ListCursor::take(std::uint64_t* out, std::uint64_t count) {
         out[i] = value;
       }
       pos_ = pos;
-    } else if (s.enc == 1) {  // runs of (length, repeated delta)
-      if (run_left_ == 0) {
-        const auto len = wire::get_varint(data, size, &pos_);
-        if (!len || *len == 0 || *len > s.count - seg_produced_) return false;
-        const auto z = wire::get_varint(data, size, &pos_);
-        if (!z) return false;
-        run_left_ = *len;
-        run_delta_ = wire::unzigzag(*z);
-      }
+    } else if (s->enc == 1 && load_run(*s)) {  // runs of (length, delta)
       n = std::min(n, run_left_);
       for (std::uint64_t i = 0; i < n; ++i) {
         value += run_delta_;
@@ -118,44 +128,14 @@ bool U64ListCursor::take(std::uint64_t* out, std::uint64_t count) {
 }
 
 std::uint64_t U64ListCursor::constant_run(std::uint64_t value) {
-  while (seg_i_ < seg_end_) {
-    const PackedSegment& s = (*segs_)[seg_i_];
-    const std::size_t size = s.bytes.size();
-    if (seg_produced_ == s.count) {
-      if (pos_ != size) return 0;  // trailing bytes: take() rejects
-      ++seg_i_;
-      pos_ = 0;
-      seg_produced_ = 0;
-      value_ = 0;
-      continue;
-    }
-    if (s.enc != 1) return 0;
-    if (run_left_ == 0) {  // commits the header only when it is well formed
-      const auto* data = reinterpret_cast<const std::uint8_t*>(s.bytes.data());
-      std::size_t pos = pos_;
-      const auto len = wire::get_varint(data, size, &pos);
-      if (!len || *len == 0 || *len > s.count - seg_produced_) return 0;
-      const auto z = wire::get_varint(data, size, &pos);
-      if (!z) return 0;
-      pos_ = pos;
-      run_left_ = *len;
-      run_delta_ = wire::unzigzag(*z);
-    }
-    // A run's elements are value_ + delta, value_ + 2 delta, ...
-    return run_delta_ == 0 && value_ == value ? run_left_ : 0;
-  }
-  return 0;
+  const PackedSegment* s = segment();
+  if (s == nullptr || s->enc != 1 || !load_run(*s)) return 0;
+  // A run's elements are value_ + delta, value_ + 2 delta, ...
+  return run_delta_ == 0 && value_ == value ? run_left_ : 0;
 }
 
 bool U64ListCursor::finished() {
-  while (seg_i_ < seg_end_) {
-    const PackedSegment& s = (*segs_)[seg_i_];
-    if (seg_produced_ != s.count || pos_ != s.bytes.size()) return false;
-    ++seg_i_;
-    pos_ = 0;
-    seg_produced_ = 0;
-  }
-  return true;
+  return segment() == nullptr && seg_i_ == seg_end_;
 }
 
 std::optional<std::vector<std::uint8_t>> StateReader::symbols(

@@ -254,11 +254,8 @@ class U64ListCursor {
   /// malformed payload, or when fewer than `count` elements remain.
   bool take(std::uint64_t* out, std::uint64_t count);
 
-  /// Number of upcoming elements that all equal `value` within the
-  /// current run-length run (delta 0), loading the next run header when
-  /// the last one is spent; 0 at a plain-delta segment, a run of any
-  /// other value, or a malformed header (which take() then rejects).
-  /// Lets a restore step over a constant span in O(1).
+  /// Elements left in the current run when they all equal `value`
+  /// (an RLE run of delta 0), else 0: a restore steps over them in O(1).
   std::uint64_t constant_run(std::uint64_t value);
 
   /// Steps over `count` elements, at most the last constant_run().
@@ -281,6 +278,13 @@ class U64ListCursor {
   U64ListCursor(const std::vector<PackedSegment>* segs, std::size_t seg_begin,
                 std::size_t seg_end)
       : segs_(segs), seg_i_(seg_begin), seg_end_(seg_end) {}
+  /// The segment holding the next element, after moving past finished
+  /// ones; nullptr at the window's end or on a finished segment's
+  /// trailing bytes.
+  const PackedSegment* segment();
+  /// Reads the next run header of RLE segment `s` once the last run is
+  /// spent; false (nothing consumed) on a malformed one.
+  bool load_run(const PackedSegment& s);
 
   const std::vector<PackedSegment>* segs_ = nullptr;
   std::size_t seg_i_ = 0;

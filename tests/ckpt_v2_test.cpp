@@ -263,10 +263,10 @@ TEST(CkptV2, CursorSkipsConstantRunsExactly) {
       EXPECT_TRUE(cursor->finished());
     }
   }
-  // A run header whose length overruns the segment.
+  // A run header whose length overruns the segment, followed by bytes
+  // that would read as a valid run were the bad length consumed.
   PackedSegment bad{.count = 4, .enc = 1, .bytes = {}};
-  wire::put_varint(bad.bytes, 5);
-  wire::put_varint(bad.bytes, 0);
+  for (const std::uint64_t v : {5, 4, 0}) wire::put_varint(bad.bytes, v);
   ReaderValue list;
   list.kind = ReaderValue::Kind::kPackedList;
   list.segs.push_back(bad);
