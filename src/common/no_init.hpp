@@ -39,22 +39,31 @@ struct NoInitAllocator : std::allocator<T> {
 template <typename T>
 using NoInitVector = std::vector<T, NoInitAllocator<T>>;
 
-/// NoInitAllocator over calloc: a block reads as zero with no fill
-/// pass, and a large one arrives as untouched zero pages.
+/// NoInitAllocator over malloc that, built with `zeroed`, takes its
+/// blocks from calloc instead: they read as zero with no fill pass, and
+/// a large one arrives as untouched zero pages. Either kind frees the
+/// other's blocks.
 template <typename T>
-struct ZeroedAllocator : NoInitAllocator<T> {
+struct ZeroableAllocator : NoInitAllocator<T> {
   template <typename U>
   struct rebind {
-    using other = ZeroedAllocator<U>;
+    using other = ZeroableAllocator<U>;
   };
+  explicit ZeroableAllocator(bool zeroed = false) noexcept
+      : zeroed(zeroed) {}
+  template <typename U>
+  ZeroableAllocator(const ZeroableAllocator<U>& o) noexcept
+      : zeroed(o.zeroed) {}
   T* allocate(std::size_t n) {
-    if (void* p = std::calloc(n, sizeof(T))) return static_cast<T*>(p);
-    throw std::bad_alloc();
+    void* p = zeroed ? std::calloc(n, sizeof(T)) : std::malloc(n * sizeof(T));
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
   }
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+  bool zeroed;
 };
 
 template <typename T>
-using ZeroedVector = std::vector<T, ZeroedAllocator<T>>;
+using ZeroableVector = std::vector<T, ZeroableAllocator<T>>;
 
 }  // namespace rr

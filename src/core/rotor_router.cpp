@@ -75,7 +75,8 @@ RotorRouter::RotorRouter(
     const std::shared_ptr<graph::MappedSubstrate>& substrate)
     : csr_(substrate->csr()),
       node_(substrate->node_state()),
-      initial_pointers_(csr_.num_nodes()),
+      initial_pointers_(csr_.num_nodes(),
+                        ZeroableAllocator<std::uint32_t>(/*zeroed=*/true)),
       stats_(substrate->visit_stats<VisitStats>()),
       shards_(1) {}
 

@@ -263,8 +263,9 @@ class RotorRouter final : public sim::Engine,
   // Owned vectors for in-RAM construction, views into the image mapping
   // for substrate construction — same indexing either way.
   graph::MappedArray<graph::NodeState> node_;  // packed per-node hot state
-  // Zero without a fill: an image engine leaves untouched rows unwritten.
-  ZeroedVector<std::uint32_t> initial_pointers_;
+  // Unfilled in RAM (every row is written); zeroed for an image engine,
+  // whose untouched rows are never written.
+  ZeroableVector<std::uint32_t> initial_pointers_;
   graph::MappedArray<VisitStats> stats_;  // packed visits/exits/first/last
   std::vector<RotorShard> shards_;        // one per partition shard
 
